@@ -46,9 +46,6 @@ class GellMannSet:
     dim: int
     matrices: tuple[np.ndarray, ...]
 
-    def stack(self) -> np.ndarray:
-        return np.stack(self.matrices)
-
 
 @lru_cache(maxsize=None)
 def gell_mann(d: int) -> GellMannSet:
@@ -120,22 +117,27 @@ def observable_grid(d_a: int, d_b: int) -> ObservableGrid:
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """Real matrix of grid expectations B[a, b] = <G[a, b]>."""
+    """Real matrix of grid expectations B[a, b] = <G[a, b]>, or a stack of them."""
 
     d_a: int
     d_b: int
-    values: np.ndarray  # real, shape (d_a^2, d_b^2)
+    values: np.ndarray  # real, shape (..., d_a^2, d_b^2)
 
     @property
-    def gram_norm(self) -> float:
-        """Tr(B B^T) = 2 Tr rho^2."""
-        return float((self.values * self.values).sum())
+    def gram_norm(self) -> float | np.ndarray:
+        """Tr(B B^T) = 2 Tr rho^2 (one value per matrix of a stack)."""
+        return (self.values * self.values).sum(axis=(-2, -1))
 
 
 def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> BlochMatrix:
+    """Bloch matrix of a density matrix, or of each matrix of a (..., D, D) stack."""
     grid = observable_grid(d_a, d_b)
-    vals = np.einsum("abij,ji->ab", grid.entries, as_complex_matrix(rho))
-    resid = float(np.abs(vals.imag).max())
+    dim = d_a * d_b
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
+        raise DimensionError(f"expected (..., {dim}, {dim}) density matrices, got {rho.shape}")
+    vals = np.einsum("abij,...ji->...ab", grid.entries, rho)
+    resid = float(np.abs(vals.imag).max(initial=0.0))
     if resid > 1e-9:
         raise ValueError(f"Bloch matrix has imaginary residue {resid!r}")
     return BlochMatrix(d_a=d_a, d_b=d_b, values=np.ascontiguousarray(vals.real))
@@ -153,12 +155,13 @@ def single_spin_bloch_vectors(b: BlochMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     The first column / first row of B hold the single-spin expectations in
     grid normalization (sigma expectation divided by sqrt(2)); they are
-    rescaled here so the vectors live in the unit ball.
+    rescaled here so the vectors live in the unit ball.  A stacked Bloch
+    matrix gives vectors of shape (..., 3).
     """
     if b.d_a != 2 or b.d_b != 2:
         raise DimensionError("single-spin Bloch vectors need a 2 x 2 factorization")
-    k_a = np.sqrt(2.0) * b.values[1:4, 0]
-    k_b = np.sqrt(2.0) * b.values[0, 1:4]
+    k_a = np.sqrt(2.0) * b.values[..., 1:4, 0]
+    k_b = np.sqrt(2.0) * b.values[..., 0, 1:4]
     return np.ascontiguousarray(k_a), np.ascontiguousarray(k_b)
 
 

@@ -30,13 +30,7 @@ class ConfigError(ValueError):
 
 COMMANDS = ("sweep", "master", "sde", "steady", "measures", "preset")
 
-_FAMILIES = {
-    "none": ThetaFamily.NONE,
-    "corr-suppress": ThetaFamily.CORR_SUPPRESS,
-    "bloch-derank-a": ThetaFamily.BLOCH_DERANK_A,
-    "state-matrix-derank": ThetaFamily.STATE_MATRIX_DERANK,
-    "thermalization": ThetaFamily.THERMALIZATION,
-}
+_FAMILIES = {f.value: f for f in ThetaFamily}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -85,7 +79,7 @@ SCHEMA: dict[str, _Key] = {
     "damping.b.gamma_phi": _Key(float, 0.0, _nonneg("damping.b.gamma_phi"), "spin-b dephasing rate"),
     "damping.b.n0": _Key(float, 0.0, _nonneg("damping.b.n0"), "spin-b thermal occupation"),
     "disentangle.family": _Key(str, "none", _choice("disentangle.family", tuple(_FAMILIES)),
-                               "nonlinear operator family"),
+                               "nonlinear operator family: " + ", ".join(_FAMILIES)),
     "disentangle.gamma_d": _Key(float, 0.0, _nonneg("disentangle.gamma_d"), "disentanglement rate"),
     "disentangle.gamma_h": _Key(float, 0.0, _nonneg("disentangle.gamma_h"), "thermalization rate"),
     "disentangle.beta": _Key(float, 1.0, _positive("disentangle.beta"), "inverse temperature"),

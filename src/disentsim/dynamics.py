@@ -11,7 +11,11 @@
   applied through its exact unitary (the coupling g can exceed the damping
   rates by orders of magnitude, and a plain first-order treatment of H is
   unstable there).
-* Linear steady-state solver via the vectorized Liouvillian null space.
+* Linear steady-state solver via the vectorized Liouvillian null space,
+  batched over a stack of Liouvillians: one SVD call decomposes the whole
+  stack (the parameter sweep passes one grid row at a time), and the
+  degeneracy and positivity rules are applied per cell in that one kernel,
+  so single solves and sweeps reach the same verdicts.
 
 Trace/norm conservation, Hermiticity and positivity are tracked as
 diagnostics at every sample; positivity violations beyond tolerance abort
@@ -43,12 +47,17 @@ POSITIVITY_ABORT = -1e-6
 
 
 class StateHealthError(RuntimeError):
-    """A trajectory left the physical state space (reports time and min eigenvalue)."""
+    """A trajectory left the physical state space (reports time and min eigenvalue).
+
+    A NaN ``min_eig`` marks a state that is no longer finite.
+    """
 
     def __init__(self, t: float, min_eig: float):
-        super().__init__(
-            f"density matrix positivity violated at t = {t:.6g}: min eigenvalue {min_eig:.3e}"
-        )
+        if math.isnan(min_eig):
+            msg = f"density matrix is not finite at t = {t:.6g}"
+        else:
+            msg = f"density matrix positivity violated at t = {t:.6g}: min eigenvalue {min_eig:.3e}"
+        super().__init__(msg)
         self.t = t
         self.min_eig = min_eig
 
@@ -166,32 +175,47 @@ def liouvillian_matrix(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
     return hamiltonian_superop(h) + dissipator_superop(ops, as_complex_matrix(h).shape[0])
 
 
+def steady_states(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-one null vectors of a stack of vectorized Liouvillians.
+
+    ``lv`` has shape (N, d^2, d^2); all N are decomposed by one batched SVD.
+    Returns the states (N, d, d) and a boolean mask (N,) of degenerate cells,
+    whose states are NaN: a null space of dimension > 1 (singular values at
+    or below 1e-12 * max(s_0, 1)) or a traceless null vector.  A state with
+    an eigenvalue below -1e-8 raises StateHealthError.
+    """
+    n, d2, _ = lv.shape
+    dim = math.isqrt(d2)
+    _, s, vh = np.linalg.svd(lv)
+    smax = np.maximum(s[:, 0], 1.0)
+    degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
+    rho = vh[:, -1].conj().reshape(n, dim, dim)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    tr = np.einsum("nii->n", rho)
+    degenerate |= np.abs(tr) < 1e-10
+    rho[degenerate] = np.nan
+    ok = ~degenerate
+    rho[ok] /= tr[ok, None, None]
+    w0 = np.linalg.eigvalsh(rho[ok])[:, 0]
+    negative = w0[w0 < -1e-8]
+    if negative.size:
+        raise StateHealthError(0.0, float(negative[0]))
+    return rho, degenerate
+
+
 def steady_state_from_ops(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
     """Unique trace-one steady state of the linear GKSL generator.
 
     Solves the null space of the vectorized Liouvillian by SVD; a null space
     of dimension > 1 raises instead of being resolved silently.
     """
-    h = as_complex_matrix(h)
-    dim = h.shape[0]
-    lv = liouvillian_matrix(h, ops)
-    _, s, vh = np.linalg.svd(lv)
-    smax = max(float(s[0]), 1.0)
-    if len(s) > 1 and s[-2] <= 1e-12 * smax:
-        n_null = int((s <= 1e-12 * smax).sum())
+    rho, degenerate = steady_states(liouvillian_matrix(h, ops)[None])
+    if degenerate[0]:
         raise DegenerateSteadyStateError(
-            f"Liouvillian null space has dimension {n_null}"
+            "Liouvillian has no unique trace-one steady state "
+            "(null space of dimension > 1, or a traceless null vector)"
         )
-    rho = vh[-1].conj().reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = rho.trace()
-    if abs(tr) < 1e-10:
-        raise DegenerateSteadyStateError("null vector is traceless; no state solution")
-    rho = rho / tr
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -1e-8:
-        raise StateHealthError(0.0, float(w[0]))
-    return rho
+    return rho[0]
 
 
 def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
@@ -392,7 +416,7 @@ def integrate_master(
 
     Theta is rebuilt from the current density matrix at every RK4 stage.
     Diagnostics are recorded at each sample; a minimum eigenvalue below
-    -1e-6 aborts with a StateHealthError.
+    -1e-6, or a state that is no longer finite, aborts with a StateHealthError.
     """
     if cfg.method != "rk4":
         raise ValueError("the master equation integrator is RK4 only")
@@ -433,6 +457,8 @@ def integrate_master(
     for step in range(n_steps + 1):
         if step == sample_steps[si]:
             t = step * dt
+            if not np.isfinite(rho).all():
+                raise StateHealthError(t, math.nan)
             w_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
             if w_min < POSITIVITY_ABORT:
                 raise StateHealthError(t, w_min)
@@ -441,10 +467,15 @@ def integrate_master(
             si += 1
         if step == n_steps:
             break
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
+        try:
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+        except np.linalg.LinAlgError:
+            # Theta's eigendecomposition fails only on a stage state that
+            # overflowed to inf/NaN
+            raise StateHealthError(step * dt, math.nan) from None
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if cfg.renormalize_every_step:
             rho = rho / rho.trace().real

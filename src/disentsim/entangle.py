@@ -70,9 +70,6 @@ class ThetaOperator:
     family: ThetaFamily
     rate: float = 1.0
 
-    def scaled(self, rate: float) -> "ThetaOperator":
-        return ThetaOperator(matrix=rate * self.matrix, family=self.family, rate=rate)
-
     def expectation(self, state: QuantumState | np.ndarray) -> float:
         return expectation(state, self.matrix)
 
@@ -262,10 +259,12 @@ def q_bloch_operators(
 
 
 def _covariances(rho: np.ndarray, stacks: _OperatorStacks):
-    a = np.einsum("kij,ji->k", stacks.lam_a_full, rho).real
-    b = np.einsum("kij,ji->k", stacks.lam_b_full, rho).real
-    m = np.einsum("kij,ji->k", stacks.lam_ab_full, rho).real
-    cov = m - np.outer(a, b).reshape(-1)
+    """Generator expectations <l_a>, <l_b> and covariances <l_a l_b> - <l_a><l_b>
+    of a density matrix or of each matrix of a (..., D, D) stack."""
+    a = np.einsum("kij,...ji->...k", stacks.lam_a_full, rho).real
+    b = np.einsum("kij,...ji->...k", stacks.lam_b_full, rho).real
+    m = np.einsum("kij,...ji->...k", stacks.lam_ab_full, rho).real
+    cov = m - (a[..., :, None] * b[..., None, :]).reshape(m.shape)
     return a, b, cov
 
 
@@ -287,10 +286,16 @@ def correlation_operator(
     return ThetaOperator(matrix=q, family=ThetaFamily.CORR_SUPPRESS)
 
 
+def tau_from_rho(rho: np.ndarray, factor: Factorization,
+                 eta: float = ETA_TWO_QUBITS) -> np.ndarray:
+    """tau_ab of each density matrix of a (..., D, D) stack, shape (...)."""
+    _, _, cov = _covariances(np.asarray(rho, dtype=complex), _stacks(factor))
+    return eta * (cov * cov).sum(axis=-1)
+
+
 def tau_correlation(state: QuantumState, eta: float = ETA_TWO_QUBITS) -> float:
     """Correlation parameter tau_ab = eta * sum of squared covariances."""
-    _, _, cov = _covariances(state.density(), _stacks(state.factor))
-    return float(eta * (cov * cov).sum())
+    return float(tau_from_rho(state.density(), state.factor, eta))
 
 
 def thermalization_operator(

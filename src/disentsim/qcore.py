@@ -48,10 +48,6 @@ class PSDViolationError(ValueError):
     """A matrix required to be positive semi-definite has a negative eigenvalue."""
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:

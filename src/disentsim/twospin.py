@@ -26,12 +26,14 @@ import numpy as np
 from . import bases, entangle
 from .dynamics import (
     DampingParams,
-    DegenerateSteadyStateError,
     SpinDamping,
     TrajectoryRecord,
-    steady_state,
+    hamiltonian_superop,
+    liouvillian_matrix,
+    steady_states,
+    two_spin_jump_operators,
 )
-from .qcore import TWO_QUBITS, QuantumState, kron
+from .qcore import TWO_QUBITS, kron
 
 
 class TemperatureDomainError(ValueError):
@@ -52,14 +54,19 @@ class TwoSpinParams:
             raise ValueError("omega_a must be positive")
 
 
+#: dH/dDelta and dH/domega_1: the drive enters the Hamiltonian linearly.
+_H_DELTA = 0.5 * kron(bases.ID2, bases.SIGMA_Z)
+_H_OMEGA1 = 0.5 * kron(bases.ID2, bases.SIGMA_X)
+
+
 def build_hamiltonian(p: TwoSpinParams) -> np.ndarray:
     """Rotating-frame two-spin Hamiltonian (4x4 Hermitian)."""
     sz, sx = bases.SIGMA_Z, bases.SIGMA_X
     i2 = bases.ID2
     return (
         0.5 * p.omega_a * kron(sz, i2)
-        + 0.5 * p.delta * kron(i2, sz)
-        + 0.5 * p.omega1 * kron(i2, sx)
+        + p.delta * _H_DELTA
+        + p.omega1 * _H_OMEGA1
         + 0.5 * p.g * kron(sx, sz)
     )
 
@@ -74,6 +81,13 @@ def rabi_frequency(p: TwoSpinParams) -> float:
     return math.hypot(p.omega1, p.delta)
 
 
+def _temperature(k_az: np.ndarray, omega_a: float) -> np.ndarray:
+    """omega_a / (2 atanh(-k_az)), elementwise; NaN outside (-1, 0)."""
+    in_domain = (-1.0 < k_az) & (k_az < 0.0)
+    safe = np.where(in_domain, k_az, -0.5)
+    return np.where(in_domain, omega_a / (2.0 * np.arctanh(-safe)), np.nan)
+
+
 def effective_temperature(k_az: float, omega_a: float = 1.0) -> float:
     """Temperature assigned to a z polarization via k_z = -tanh(omega_a/(2T)).
 
@@ -84,7 +98,7 @@ def effective_temperature(k_az: float, omega_a: float = 1.0) -> float:
         raise TemperatureDomainError(
             f"k_az = {k_az!r} outside (-1, 0); no thermal assignment"
         )
-    return omega_a / (2.0 * math.atanh(-k_az))
+    return float(_temperature(k_az, omega_a))
 
 
 def bath_temperature(n0: float, omega_a: float = 1.0) -> float:
@@ -147,34 +161,34 @@ class SweepResult:
 def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResult:
     """Solve the linear steady state on every grid cell.
 
-    Solver degeneracies and out-of-domain effective temperatures are recorded
-    in the cell's status column; the sweep always completes.
+    The Liouvillian is affine in the drive, L = L_0 + Delta L_Delta +
+    omega_1 L_omega1, so the damping superoperator and the three Hamiltonian
+    superoperators are built once; each Delta row of the grid is then solved
+    by one batched null-space kernel call.  Solver degeneracies and
+    out-of-domain effective temperatures are recorded in the cell's status
+    column; the sweep always completes.
     """
-    deltas = grid.delta_values
     omega1s = grid.omega1_values
     shape = (grid.delta_n, grid.omega1_n)
     bloch = np.full((*shape, 4, 4), np.nan)
     tau = np.full(shape, np.nan)
     teff = np.full(shape, np.nan)
     status = np.full(shape, "", dtype=object)
-    for i, dv in enumerate(deltas):
-        for j, w1 in enumerate(omega1s):
-            params = TwoSpinParams(delta=float(dv), omega1=float(w1),
-                                   g=p.g, omega_a=p.omega_a)
-            try:
-                rho = steady_state(build_hamiltonian(params), d)
-            except DegenerateSteadyStateError:
-                status[i, j] = "degenerate"
-                continue
-            state = QuantumState(factor=TWO_QUBITS, rho=rho)
-            b = bases.bloch_matrix(state)
-            bloch[i, j] = b.values
-            tau[i, j] = entangle.tau_correlation(state)
-            k_a, _ = bases.single_spin_bloch_vectors(b)
-            try:
-                teff[i, j] = effective_temperature(float(k_a[2]), p.omega_a)
-            except TemperatureDomainError:
-                status[i, j] = "t_eff_domain"
+    l_0 = liouvillian_matrix(build_hamiltonian(TwoSpinParams(g=p.g, omega_a=p.omega_a)),
+                             two_spin_jump_operators(d))
+    l_delta = hamiltonian_superop(_H_DELTA)
+    l_drive = omega1s[:, None, None] * hamiltonian_superop(_H_OMEGA1)
+    for i, dv in enumerate(grid.delta_values):
+        rho, degenerate = steady_states(l_0 + dv * l_delta + l_drive)
+        status[i, degenerate] = "degenerate"
+        ok = ~degenerate
+        states = rho[ok]
+        b = bases.bloch_matrix_from_rho(states, 2, 2)
+        bloch[i, ok] = b.values
+        tau[i, ok] = entangle.tau_from_rho(states, TWO_QUBITS)
+        k_a, _ = bases.single_spin_bloch_vectors(b)
+        teff[i, ok] = _temperature(k_a[:, 2], p.omega_a)
+        status[i, ok & np.isnan(teff[i])] = "t_eff_domain"
     return SweepResult(grid=grid, template=p, damping=d,
                        bloch=bloch, tau_ab=tau, t_eff=teff, status=status)
 

@@ -7,6 +7,7 @@ from disentsim.bases import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_matrix,
+    bloch_matrix_from_rho,
     gell_mann,
     observable_grid,
     single_spin_bloch_vectors,
@@ -90,6 +91,24 @@ def test_bloch_gram_norm_is_twice_purity(rng):
     st = QuantumState.mixed(rho, TWO_QUBITS)
     purity = np.trace(rho @ rho).real
     assert abs(bloch_matrix(st).gram_norm - 2.0 * purity) < 1e-12
+
+
+def test_bloch_matrix_of_stack_matches_per_state(rng):
+    rhos = np.stack([qcore.random_density_matrix(4, rng) for _ in range(12)])
+    stacked = bloch_matrix_from_rho(rhos.reshape(3, 4, 4, 4), 2, 2)
+    assert stacked.values.shape == (3, 4, 4, 4)
+    k_a, k_b = single_spin_bloch_vectors(stacked)
+    gram = stacked.gram_norm
+    for n, rho in enumerate(rhos):
+        one = bloch_matrix(QuantumState.mixed(rho, TWO_QUBITS))
+        ka1, kb1 = single_spin_bloch_vectors(one)
+        idx = divmod(n, 4)
+        assert np.abs(stacked.values[idx] - one.values).max() < 1e-15
+        assert np.abs(k_a[idx] - ka1).max() < 1e-15
+        assert np.abs(k_b[idx] - kb1).max() < 1e-15
+        assert abs(gram[idx] - one.gram_norm) < 1e-14
+    with pytest.raises(DimensionError):
+        bloch_matrix_from_rho(np.eye(3), 2, 2)
 
 
 def test_bloch_reconstruction_identity(rng):

@@ -252,6 +252,26 @@ def test_main_exit_codes(tmp_path):
     assert main(["--config", str(unstable), "--no-plots"]) == EXIT_NUMERICAL
 
 
+def test_non_finite_state_is_a_health_abort(tmp_path, capsys):
+    rc = main(["--preset", "fig2-B2", "--dt", "1e100", "--t-end", "1e100", "--no-plots",
+               "--out", str(tmp_path / "nf")])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical-health abort" in capsys.readouterr().err
+
+
+def test_bloch_derank_b_family_runs(tmp_path, capsys):
+    doc = tmp_path / "b.cfg"
+    doc.write_text("preset = fig2-B2\ndisentangle.family = bloch-derank-b\n")
+    rc = main(["--config", str(doc), "--t-end", "0.02", "--no-plots",
+               "--out", str(tmp_path / "b")])
+    assert rc == EXIT_OK
+    stored = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert stored["config"]["disentangle.family"] == "bloch-derank-b"
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "bloch-derank-b" in capsys.readouterr().out
+
+
 def test_flag_overrides(tmp_path):
     out = tmp_path / "ovr"
     rc = main(["--preset", "fig2-B2", "--out", str(out), "--dt", "0.002",

@@ -21,6 +21,7 @@ from disentsim.dynamics import (
     sle_step,
     spin_jump_operators,
     steady_state,
+    steady_states,
     two_spin_jump_operators,
     two_spin_lindblad,
 )
@@ -182,6 +183,28 @@ def test_steady_state_degenerate_reported():
         steady_state(0.5 * SIGMA_Z, d)
 
 
+def _rank_one_deficient(rho: np.ndarray) -> np.ndarray:
+    """A generator whose only null vector is vec(rho)."""
+    v = rho.reshape(-1) / np.linalg.norm(rho)
+    return np.eye(v.size) - np.outer(v, v.conj())
+
+
+def test_steady_states_verdict_rules():
+    good = np.diag([0.25, 0.75]).astype(complex)
+    lv = np.stack([
+        _rank_one_deficient(good),
+        _rank_one_deficient(np.diag([1.0, -1.0]).astype(complex)),  # traceless
+        np.zeros((4, 4), dtype=complex),                             # 4-dim null space
+    ])
+    rho, degenerate = steady_states(lv)
+    assert degenerate.tolist() == [False, True, True]
+    assert np.abs(rho[0] - good).max() < 1e-14
+    assert np.isnan(rho[1:]).all()
+    indefinite = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(StateHealthError):
+        steady_states(np.stack([lv[0], _rank_one_deficient(indefinite)]))
+
+
 def test_liouvillian_matrix_action(rng):
     d = DampingParams(a=SpinDamping(0.3, 0.02, 2.0), b=SpinDamping(0.1, 0.05, 0.4))
     h = build_hamiltonian(TwoSpinParams(delta=0.2, omega1=0.4, g=0.3))
@@ -238,6 +261,22 @@ def test_integrate_master_positivity_abort():
         integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
                          None, FIG2_DAMPING, cfg)
     assert "min eigenvalue" in str(err.value)
+
+
+@pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.BLOCH_DERANK_A])
+def test_integrate_master_non_finite_abort(family):
+    # one step of 1e100 overflows the state; the linear run meets it at the
+    # sample point, the nonlinear one inside Theta's eigendecomposition
+    h = build_hamiltonian(TwoSpinParams(delta=0.5, omega1=0.7, g=1.0))
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    spec = DisentanglementSpec(family=family,
+                               gamma_d=0.0 if family is ThetaFamily.NONE else 0.5)
+    cfg = IntegratorConfig(dt=1e100, t_end=1e100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StateHealthError, match="not finite") as err:
+            integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
+                             spec, FIG2_DAMPING, cfg)
+    assert np.isnan(err.value.min_eig)
 
 
 def test_sle_step_unitary_limit(rng):

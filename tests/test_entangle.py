@@ -18,6 +18,7 @@ from disentsim.entangle import (
     q_s_operator,
     state_matrix,
     tau_correlation,
+    tau_from_rho,
     thermalization_operator,
     weyl_t2_expectation,
 )
@@ -133,6 +134,18 @@ def test_tau_delta_identity(rng):
         st = QuantumState.pure(psi, TWO_QUBITS)
         d = delta_measure(psi)
         assert abs(tau_correlation(st) - 2.0 * d * (1.0 + d / 2.0) / 3.0) < 1e-9
+
+
+def test_tau_of_stack_matches_per_state(rng):
+    from disentsim.qcore import Factorization
+
+    for factor in (TWO_QUBITS, Factorization(2, 3)):
+        rhos = np.stack([qcore.random_density_matrix(factor.dim, rng) for _ in range(10)])
+        stacked = tau_from_rho(rhos.reshape(2, 5, factor.dim, factor.dim), factor)
+        assert stacked.shape == (2, 5)
+        for n, rho in enumerate(rhos):
+            one = tau_correlation(QuantumState.mixed(rho, factor))
+            assert abs(stacked[divmod(n, 5)] - one) < 1e-15
 
 
 def test_tau_spectator_slot(rng):

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
+from disentsim import bases
 from disentsim.bases import SIGMA_X, SIGMA_Z
-from disentsim.dynamics import DampingParams, SpinDamping, TrajectoryRecord
-from disentsim.qcore import kron
+from disentsim.dynamics import (
+    DampingParams,
+    DegenerateSteadyStateError,
+    SpinDamping,
+    TrajectoryRecord,
+    liouvillian_matrix,
+    steady_state,
+    steady_states,
+    two_spin_jump_operators,
+)
+from disentsim.entangle import tau_correlation
+from disentsim.qcore import TWO_QUBITS, QuantumState, kron
 from disentsim.twospin import (
     DRIVING_POINTS,
     PRESET_NAMES,
@@ -150,6 +161,67 @@ def test_run_sweep_records_cell_failures():
                      omega1_min=0.5, omega1_max=1.0, omega1_n=2)
     res = run_sweep(TwoSpinParams(g=0.0), d, grid)
     assert (res.status == "degenerate").any()
+
+
+def _per_cell_sweep(p, d, grid):
+    """The cell-by-cell reference: one steady_state solve per grid cell."""
+    shape = (grid.delta_n, grid.omega1_n)
+    bloch = np.full((*shape, 4, 4), np.nan)
+    tau = np.full(shape, np.nan)
+    teff = np.full(shape, np.nan)
+    status = np.full(shape, "", dtype=object)
+    for i, dv in enumerate(grid.delta_values):
+        for j, w1 in enumerate(grid.omega1_values):
+            h = build_hamiltonian(TwoSpinParams(delta=float(dv), omega1=float(w1),
+                                                g=p.g, omega_a=p.omega_a))
+            try:
+                rho = steady_state(h, d)
+            except DegenerateSteadyStateError:
+                status[i, j] = "degenerate"
+                continue
+            state = QuantumState(factor=TWO_QUBITS, rho=rho)
+            b = bases.bloch_matrix(state)
+            bloch[i, j] = b.values
+            tau[i, j] = tau_correlation(state)
+            k_a, _ = bases.single_spin_bloch_vectors(b)
+            try:
+                teff[i, j] = effective_temperature(float(k_a[2]), p.omega_a)
+            except TemperatureDomainError:
+                status[i, j] = "t_eff_domain"
+    return bloch, tau, teff, status
+
+
+def test_run_sweep_rows_match_per_cell_solves():
+    grid = SweepGrid(delta_min=-1.5, delta_max=1.2, delta_n=6,
+                     omega1_min=0.1, omega1_max=1.8, omega1_n=7)
+    p = TwoSpinParams(g=0.3, omega_a=1.1)
+    res = run_sweep(p, FIG1_DAMPING, grid)
+    bloch, tau, teff, status = _per_cell_sweep(p, FIG1_DAMPING, grid)
+    assert np.array_equal(res.status, status)
+    assert np.abs(res.bloch - bloch).max() < 1e-12
+    assert np.abs(res.tau_ab - tau).max() < 1e-12
+    assert np.array_equal(np.isnan(res.t_eff), np.isnan(teff))
+    assert np.nanmax(np.abs(res.t_eff / teff - 1.0)) < 1e-12
+    assert np.nanmax(res.tau_ab) > 1e-6
+    assert (status == "t_eff_domain").any()
+
+
+def test_batched_kernel_flags_degenerate_cells():
+    # the damping and grid of test_run_sweep_records_cell_failures
+    d = DampingParams(a=SpinDamping(0.0, 0.1, 0.0), b=SpinDamping(0.0, 0.1, 0.0))
+    grid = SweepGrid(delta_min=-0.5, delta_max=0.5, delta_n=3,
+                     omega1_min=0.5, omega1_max=1.0, omega1_n=2)
+    ops = two_spin_jump_operators(d)
+    cells = [TwoSpinParams(delta=float(dv), omega1=float(w1))
+             for dv in grid.delta_values for w1 in grid.omega1_values]
+    lv = np.stack([liouvillian_matrix(build_hamiltonian(c), ops) for c in cells])
+    _, degenerate = steady_states(lv)
+    _, _, _, status = _per_cell_sweep(TwoSpinParams(g=0.0), d, grid)
+    assert degenerate.any()
+    assert np.array_equal(degenerate, (status == "degenerate").reshape(-1))
+    res = run_sweep(TwoSpinParams(g=0.0), d, grid)
+    assert np.array_equal(res.status, status)
+    assert np.isnan(res.bloch[res.status == "degenerate"]).all()
 
 
 def test_presets_cover_expected_names():
