@@ -49,11 +49,14 @@ POSITIVITY_ABORT = -1e-6
 class StateHealthError(RuntimeError):
     """A trajectory left the physical state space (reports time and min eigenvalue).
 
-    A NaN ``min_eig`` marks a state that is no longer finite.
+    A NaN ``min_eig`` marks a state that is no longer finite; ``reason``
+    replaces the default message.
     """
 
-    def __init__(self, t: float, min_eig: float):
-        if math.isnan(min_eig):
+    def __init__(self, t: float, min_eig: float, reason: str | None = None):
+        if reason is not None:
+            msg = f"{reason} at t = {t:.6g}"
+        elif math.isnan(min_eig):
             msg = f"density matrix is not finite at t = {t:.6g}"
         else:
             msg = f"density matrix positivity violated at t = {t:.6g}: min eigenvalue {min_eig:.3e}"
@@ -242,6 +245,17 @@ def _theta_matrix(theta) -> np.ndarray | None:
     return as_complex_matrix(theta)
 
 
+def _mme_stage(lv: np.ndarray, rho: np.ndarray, tm: np.ndarray | None) -> np.ndarray:
+    """One evaluation of the modified master equation: the vectorized
+    Liouvillian ``lv`` applied to rho, plus -Theta rho - rho Theta +
+    2 <Theta> rho / Tr(rho) when a Theta matrix ``tm`` is given."""
+    out = (lv @ rho.reshape(-1)).reshape(rho.shape)
+    if tm is not None:
+        trho = tm @ rho
+        out += (2.0 * trho.trace().real / rho.trace().real) * rho - trho - rho @ tm
+    return out
+
+
 def mme_rhs(
     rho: np.ndarray,
     h: np.ndarray,
@@ -253,18 +267,15 @@ def mme_rhs(
     h = as_complex_matrix(h)
     if rho.shape != h.shape:
         raise DimensionError("state and Hamiltonian dimensions differ")
-    out = 1j * (rho @ h - h @ rho)
-    if damping is not None:
-        out = out + two_spin_lindblad(rho, damping)
+    if damping is not None and rho.shape != (4, 4):
+        raise DimensionError("two-spin dissipator needs a 4x4 density matrix")
+    ops = [] if damping is None else two_spin_jump_operators(damping)
     tm = _theta_matrix(theta)
     if tm is not None:
         scale = max(float(np.abs(tm).max()), 1.0)
         if herm_residual(tm) > 1e-10 * scale:
             raise ValueError("Theta must be Hermitian")
-        texp = float(np.einsum("ij,ji->", tm, rho).real)
-        tr = float(rho.trace().real)
-        out = out - tm @ rho - rho @ tm + (2.0 * texp / tr) * rho
-    return out
+    return _mme_stage(liouvillian_matrix(h, ops), rho, tm)
 
 
 def kraus_step_error(
@@ -426,23 +437,10 @@ def integrate_master(
     rho = initial.density().astype(complex)
 
     dspec = dspec or DisentanglementSpec()
-    engine = None
+    theta = lambda r: None  # noqa: E731
     if dspec.active:
-        engine = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor)
-    ld = None
-    if damping is not None:
-        ld = dissipator_superop(two_spin_jump_operators(damping), 4)
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = 1j * (r @ h - h @ r)
-        if ld is not None:
-            out = out + (ld @ r.reshape(-1)).reshape(4, 4)
-        if engine is not None:
-            tm = engine.matrix(r)
-            texp = np.einsum("ij,ji->", tm, r).real
-            tr = r.trace().real
-            out = out - tm @ r - r @ tm + (2.0 * texp / tr) * r
-        return out
+        theta = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).matrix
+    lv = liouvillian_matrix(h, [] if damping is None else two_spin_jump_operators(damping))
 
     dt = cfg.dt
     n_steps = cfg.n_steps
@@ -454,31 +452,37 @@ def integrate_master(
     times = np.empty(len(sample_steps))
     si = 0
 
-    for step in range(n_steps + 1):
-        if step == sample_steps[si]:
-            t = step * dt
-            if not np.isfinite(rho).all():
-                raise StateHealthError(t, math.nan)
-            w_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-            if w_min < POSITIVITY_ABORT:
-                raise StateHealthError(t, w_min)
-            rho_samples[si] = rho
-            times[si] = t
-            si += 1
-        if step == n_steps:
-            break
-        try:
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-        except np.linalg.LinAlgError:
-            # Theta's eigendecomposition fails only on a stage state that
-            # overflowed to inf/NaN
-            raise StateHealthError(step * dt, math.nan) from None
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if cfg.renormalize_every_step:
-            rho = rho / rho.trace().real
+    # an overflowing step is reported by the health checks below, not by
+    # numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps + 1):
+            if step == sample_steps[si]:
+                t = step * dt
+                if not np.isfinite(rho).all():
+                    raise StateHealthError(t, math.nan)
+                w_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+                if w_min < POSITIVITY_ABORT:
+                    raise StateHealthError(t, w_min)
+                rho_samples[si] = rho
+                times[si] = t
+                si += 1
+            if step == n_steps:
+                break
+            try:
+                k1 = _mme_stage(lv, rho, theta(rho))
+                r = rho + 0.5 * dt * k1
+                k2 = _mme_stage(lv, r, theta(r))
+                r = rho + 0.5 * dt * k2
+                k3 = _mme_stage(lv, r, theta(r))
+                r = rho + dt * k3
+                k4 = _mme_stage(lv, r, theta(r))
+            except np.linalg.LinAlgError:
+                # Theta's eigendecomposition fails only on a stage state that
+                # overflowed to inf/NaN
+                raise StateHealthError(step * dt, math.nan) from None
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if cfg.renormalize_every_step:
+                rho = rho / rho.trace().real
 
     sampler = _TwoQubitSampler(cfg.log_floor)
     sym = 0.5 * (rho_samples + rho_samples.conj().transpose(0, 2, 1))
@@ -600,6 +604,11 @@ def integrate_sle_ensemble(
     ops = [as_complex_matrix(x) for x in model.jump_ops]
     n_ch = len(ops)
     half = sum((x.conj().T @ x for x in ops), np.zeros((dim, dim), dtype=complex))
+    rate = 0.5 * float(np.linalg.eigvalsh(half)[-1])
+    if cfg.dt * rate >= 1.0:
+        raise StateHealthError(0.0, math.nan, reason=(
+            f"step dt = {cfg.dt:.6g} makes the damping factor I - dt/2 sum V^dag V "
+            f"non-positive (dt * lambda_max = {cfg.dt * rate:.3g} >= 1)"))
     u = _unitary_step(h, cfg.dt)
     # deterministic one-step factor and rotated jump stack, merged so the
     # inner loop is two gemms plus the noise contraction
@@ -663,6 +672,9 @@ def integrate_sle_ensemble(
     chunk_base = 0
     while True:
         if si < n_samp and step == sample_steps[si]:
+            if not (np.isfinite(psi).all() and np.isfinite(log_w).all()):
+                raise StateHealthError(step * dt, math.nan,
+                                       reason="state vector or weight is not finite")
             record(si)
             si += 1
         if step == n_steps:

@@ -206,32 +206,20 @@ def _stacks(factor: Factorization) -> _OperatorStacks:
                            lam_ab_full=lab, grid=grid)
 
 
-def _embedding(da_index: int, db_index: int, factor: Factorization) -> np.ndarray:
-    """Selector matrix |da)((da * d_b + db)| mapping the full space onto subsystem a."""
-    mu = np.zeros((factor.d_a, factor.d_a * factor.d_b), dtype=complex)
-    mu[da_index, da_index * factor.d_b + db_index] = 1.0
-    return mu
-
-
 # ---------------------------------------------------------------------------
-# Theta constructors.
+# Theta constructors: unit-rate operators from the integrators' kernel.
+
+
+def _engine_operator(state: QuantumState, family: ThetaFamily, **engine_kw) -> ThetaOperator:
+    spec = DisentanglementSpec(family=family, gamma_d=1.0)
+    mat = ThetaEngine(spec, state.factor, **engine_kw).matrix(state.density())
+    return ThetaOperator(matrix=mat, family=family)
 
 
 def q_s_operator(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> ThetaOperator:
-    """State-matrix deranking operator Q_S, assembled from the subsystem
-    embeddings and log G; satisfies <Q_S> = K."""
-    if state.factor.d_c != 1:
-        raise DimensionError("Q_S needs a trivial spectator slot")
-    f = state.factor
-    log_g = spectral_log(g_from_state(state), floor)
-    q = np.zeros((f.dim, f.dim), dtype=complex)
-    for db in range(f.d_b):
-        for da2 in range(f.d_a):
-            for da1 in range(f.d_a):
-                mu1 = _embedding(da1, db, f)
-                mu2 = _embedding(da2, db, f)
-                q -= mu2.conj().T @ log_g @ mu1
-    return ThetaOperator(matrix=q, family=ThetaFamily.STATE_MATRIX_DERANK)
+    """State-matrix deranking operator Q_S = -log(G) (x) I_b, G the subsystem-a
+    Gram matrix (the sum of the subsystem embeddings of -log G); <Q_S> = K."""
+    return _engine_operator(state, ThetaFamily.STATE_MATRIX_DERANK, floor=floor)
 
 
 def q_bloch_operators(
@@ -242,30 +230,8 @@ def q_bloch_operators(
     Q_a = -(1/2) sum_ab (log(alpha) B)_ab G_ab with alpha = B B^T/2, and
     symmetrically for Q_b with beta = B^T B/2.
     """
-    if state.factor.d_c != 1:
-        raise DimensionError("Bloch deranking needs a trivial spectator slot")
-    b = bases.bloch_matrix(state).values
-    grid = _stacks(state.factor).grid
-    log_alpha = spectral_log(0.5 * (b @ b.T), floor).real
-    log_beta = spectral_log(0.5 * (b.T @ b), floor).real
-    wa = log_alpha @ b
-    wb = b @ log_beta
-    qa = -0.5 * np.einsum("ab,abij->ij", wa, grid)
-    qb = -0.5 * np.einsum("ab,abij->ij", wb, grid)
-    return (
-        ThetaOperator(matrix=qa, family=ThetaFamily.BLOCH_DERANK_A),
-        ThetaOperator(matrix=qb, family=ThetaFamily.BLOCH_DERANK_B),
-    )
-
-
-def _covariances(rho: np.ndarray, stacks: _OperatorStacks):
-    """Generator expectations <l_a>, <l_b> and covariances <l_a l_b> - <l_a><l_b>
-    of a density matrix or of each matrix of a (..., D, D) stack."""
-    a = np.einsum("kij,...ji->...k", stacks.lam_a_full, rho).real
-    b = np.einsum("kij,...ji->...k", stacks.lam_b_full, rho).real
-    m = np.einsum("kij,...ji->...k", stacks.lam_ab_full, rho).real
-    cov = m - (a[..., :, None] * b[..., None, :]).reshape(m.shape)
-    return a, b, cov
+    return (_engine_operator(state, ThetaFamily.BLOCH_DERANK_A, floor=floor),
+            _engine_operator(state, ThetaFamily.BLOCH_DERANK_B, floor=floor))
 
 
 def correlation_operator(
@@ -277,19 +243,19 @@ def correlation_operator(
     l_a (x) l_b (x) I_c - <l_a><l_b> I (the scalar term multiplies the full
     identity) contracted with its own expectation values; <Q_ab> = tau_ab.
     """
-    rho = state.density()
-    stacks = _stacks(state.factor)
-    a, b, cov = _covariances(rho, stacks)
-    scalar = float((cov * np.outer(a, b).reshape(-1)).sum())
-    q = eta * (np.einsum("k,kij->ij", cov, stacks.lam_ab_full)
-               - scalar * np.eye(state.dim))
-    return ThetaOperator(matrix=q, family=ThetaFamily.CORR_SUPPRESS)
+    return _engine_operator(state, ThetaFamily.CORR_SUPPRESS, eta=eta)
 
 
 def tau_from_rho(rho: np.ndarray, factor: Factorization,
                  eta: float = ETA_TWO_QUBITS) -> np.ndarray:
-    """tau_ab of each density matrix of a (..., D, D) stack, shape (...)."""
-    _, _, cov = _covariances(np.asarray(rho, dtype=complex), _stacks(factor))
+    """tau_ab of each density matrix of a (..., D, D) stack, shape (...): eta
+    times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
+    st = _stacks(factor)
+    rho = np.asarray(rho, dtype=complex)
+    a = np.einsum("kij,...ji->...k", st.lam_a_full, rho).real
+    b = np.einsum("kij,...ji->...k", st.lam_b_full, rho).real
+    m = np.einsum("kij,...ji->...k", st.lam_ab_full, rho).real
+    cov = m - (a[..., :, None] * b[..., None, :]).reshape(m.shape)
     return eta * (cov * cov).sum(axis=-1)
 
 
@@ -350,6 +316,8 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 # ---------------------------------------------------------------------------
 # Shared engine used by the integrators.
 
+_BLOCH_FAMILIES = (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B)
+
 
 class ThetaEngine:
     """Builds Theta for a fixed family/rate, either as a matrix from rho or
@@ -372,6 +340,27 @@ class ThetaEngine:
         self.stacks = _stacks(factor)
         if spec.family is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
+        if factor.d_c != 1 and spec.family in (*_BLOCH_FAMILIES,
+                                               ThetaFamily.STATE_MATRIX_DERANK):
+            raise DimensionError(f"{spec.family.value} needs a trivial spectator slot")
+        # Flattened, rate-scaled stacks for ``matrix``: rho.ravel() @ _expect
+        # gives every expectation it needs in one matmul, and a coefficient
+        # vector @ _pairs contracts back to the flattened Theta.
+        st = self.stacks
+        if spec.family is ThetaFamily.CORR_SUPPRESS:
+            gens = np.concatenate([st.lam_a_full, st.lam_b_full, st.lam_ab_full])
+            rate = spec.gamma_d * eta
+            self._split = (len(st.lam_a_full), len(st.lam_a_full) + len(st.lam_b_full))
+            self._pairs = rate * st.lam_ab_full.reshape(len(st.lam_ab_full), -1)
+            self._eye = rate * np.eye(factor.dim).reshape(-1)
+        elif spec.family in _BLOCH_FAMILIES:
+            gens = st.grid.reshape(-1, factor.dim, factor.dim)
+            self._bshape = st.grid.shape[:2]
+            self._pairs = -0.5 * spec.gamma_d * gens.reshape(len(gens), -1)
+        else:
+            gens = None
+        if gens is not None:
+            self._expect = np.ascontiguousarray(gens.transpose(2, 1, 0).reshape(-1, len(gens)))
 
     @property
     def active(self) -> bool:
@@ -382,36 +371,26 @@ class ThetaEngine:
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for the given density matrix.
 
-        These are lean re-derivations of the public constructors, called at
-        every integrator stage; tests assert they agree with the public ops.
+        The flattened kernel every integrator stage calls and the public
+        constructors wrap; tests compare it with literal Pauli-product forms.
         """
         fam = self.spec.family
         if fam is ThetaFamily.CORR_SUPPRESS:
-            st = self.stacks
-            a = np.einsum("kij,ji->k", st.lam_a_full, rho).real
-            b = np.einsum("kij,ji->k", st.lam_b_full, rho).real
-            m = np.einsum("kij,ji->k", st.lam_ab_full, rho).real
-            ab = np.outer(a, b).reshape(-1)
-            cov = m - ab
-            q = np.einsum("k,kij->ij", cov, st.lam_ab_full)
-            q[np.diag_indices_from(q)] -= (cov * ab).sum()
-            return self.spec.gamma_d * self.eta * q
-        if fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
-            grid = self.stacks.grid
-            b = np.einsum("abij,ji->ab", grid, rho).real
+            e = (rho.reshape(-1) @ self._expect).real
+            i, j = self._split
+            ab = (e[:i, None] * e[i:j]).reshape(-1)
+            cov = e[j:] - ab
+            return (cov @ self._pairs - (cov @ ab) * self._eye).reshape(rho.shape)
+        if fam in _BLOCH_FAMILIES:
+            b = (rho.reshape(-1) @ self._expect).real.reshape(self._bshape)
             if fam is ThetaFamily.BLOCH_DERANK_A:
                 w = self._sym_log(b @ b.T / 2.0) @ b
             else:
                 w = b @ self._sym_log(b.T @ b / 2.0)
-            return -0.5 * self.spec.gamma_d * np.einsum("ab,abij->ij", w, grid)
+            return (w.reshape(-1) @ self._pairs).reshape(rho.shape)
         if fam is ThetaFamily.STATE_MATRIX_DERANK:
-            f = self.factor
-            gram = partial_trace_rho(rho, f, "a")
-            log_g = spectral_log(gram, self.floor)
-            q = np.zeros((f.dim, f.dim), dtype=complex)
-            for db in range(f.d_b):
-                q[db::f.d_b, db::f.d_b] -= log_g
-            return self.spec.gamma_d * q
+            log_g = spectral_log(partial_trace_rho(rho, self.factor, "a"), self.floor)
+            return -self.spec.gamma_d * kron(log_g, np.eye(self.factor.d_b))
         if fam is ThetaFamily.THERMALIZATION:
             return (self.spec.gamma_h * self.spec.beta * self.h
                     + self.spec.gamma_h * spectral_log(rho, self.floor))

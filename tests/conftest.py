@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from disentsim.entangle import ThetaFamily
 from disentsim.qcore import TWO_QUBITS, QuantumState
 
 
@@ -44,3 +45,45 @@ def analytic_driven_spin_bloch(delta, omega1, damping) -> np.ndarray:
         -omega1 * t2 * pz0 / den,
         (1.0 + delta**2 * t2**2) * pz0 / den,
     ])
+
+
+PAULI = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]).astype(complex)]
+
+
+def _floored_log(m: np.ndarray) -> np.ndarray:
+    # README contract: eigenvalues clamped at 1e-13 times the largest
+    w, v = np.linalg.eigh(m)
+    return (v * np.log(np.maximum(w, 1e-13 * w[-1]))) @ v.conj().T
+
+
+def literal_theta(family, rho: np.ndarray, h: np.ndarray,
+                  gamma_h: float = 0.0, beta: float = 1.0) -> np.ndarray:
+    """Theta at unit gamma_d (thermalization: at gamma_h, beta) written out over
+    Pauli products, independent of the engine."""
+    ops = [[np.kron(x, y) for y in PAULI] for x in PAULI]
+    ex = lambda o: np.trace(o @ rho).real  # noqa: E731
+    if family is ThetaFamily.CORR_SUPPRESS:
+        q = np.zeros((4, 4), dtype=complex)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                ab = ex(ops[i][0]) * ex(ops[0][j])
+                q += (ex(ops[i][j]) - ab) * (ops[i][j] - ab * np.eye(4))
+        return q / 3.0
+    if family in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
+        b = np.array([[ex(ops[i][j]) for j in range(4)] for i in range(4)]) / np.sqrt(2.0)
+        if family is ThetaFamily.BLOCH_DERANK_A:
+            w = _floored_log(b @ b.T / 2.0) @ b
+        else:
+            w = b @ _floored_log(b.T @ b / 2.0)
+        return -0.5 * sum(w[i, j] * ops[i][j] for i in range(4) for j in range(4)) / np.sqrt(2.0)
+    if family is ThetaFamily.STATE_MATRIX_DERANK:
+        # minus the subsystem embeddings |a, k><c, k| of log G, summed over k
+        log_g = _floored_log(np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2)))
+        q = np.zeros((4, 4), dtype=complex)
+        for k in range(2):
+            for a in range(2):
+                for c in range(2):
+                    q[2 * a + k, 2 * c + k] -= log_g[a, c]
+        return q
+    return gamma_h * beta * h + gamma_h * _floored_log(rho)

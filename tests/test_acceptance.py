@@ -208,6 +208,7 @@ def test_criterion_04_product_state_noop():
            f"50 product states x 4 families at gamma_D=1: worst drift norm {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_05_conservation_suite(fig2_runs):
     worst_tr, worst_herm, worst_eig = 0.0, 0.0, 0.0
     for rec in fig2_runs.values():
@@ -235,6 +236,7 @@ def test_criterion_06_kraus_quadratic_order():
            + ", ".join(f"{r:.3f}" for r in ratios))
 
 
+@pytest.mark.slow
 def test_criterion_07_unravelling_equivalence(unravelling_pair):
     times, ka_sde, kb_sde, rec_master = unravelling_pair
     tol = 4.0 / np.sqrt(2000.0)
@@ -277,6 +279,7 @@ def test_criterion_08_weyl_suite():
            f"T2 defect {worst_t2:.1e}, spectrum defect {worst_spec:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_09_sweep_qualitative(fig1_sweep):
     res = fig1_sweep
     grid = res.grid
@@ -312,6 +315,7 @@ EXPECTED_VERDICTS = {
 }
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
 def test_criterion_10_attractor_verdicts(name, fig2_runs):
     # NOTE: the four blue-detuned limit-cycle cases fail in this

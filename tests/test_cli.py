@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +260,35 @@ def test_non_finite_state_is_a_health_abort(tmp_path, capsys):
                "--out", str(tmp_path / "nf")])
     assert rc == EXIT_NUMERICAL
     assert "numerical-health abort" in capsys.readouterr().err
+
+
+def test_overflow_abort_prints_only_the_health_line(tmp_path):
+    # numpy's overflow warnings must not precede the abort message
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "disentsim", "--preset", "fig2-B2", "--dt", "1e100",
+         "--t-end", "1e100", "--no-plots", "--out", str(tmp_path / "nf")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numerical-health abort: density matrix is not finite at t = 0"]
+
+
+def test_stochastic_step_size_is_a_health_abort(tmp_path, capsys):
+    rc = main(["--preset", "fig3-B", "--dt", "1e100", "--t-end", "1e100", "--no-plots",
+               "--out", str(tmp_path / "sde")])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical-health abort" in capsys.readouterr().err
+
+
+def test_short_stochastic_preset_run_exits_ok(tmp_path):
+    rc = main(["--preset", "fig3-B", "--t-end", "0.01", "--no-plots",
+               "--out", str(tmp_path / "sde")])
+    assert rc == EXIT_OK
+    assert (tmp_path / "sde" / "manifest.json").exists()
 
 
 def test_bloch_derank_b_family_runs(tmp_path, capsys):

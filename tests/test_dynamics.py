@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disentsim import qcore
+from disentsim import bases, qcore
 from disentsim.bases import ID2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from disentsim.dynamics import (
     DampingParams,
@@ -10,6 +10,7 @@ from disentsim.dynamics import (
     SdeModel,
     SpinDamping,
     StateHealthError,
+    _mme_stage,
     dissipator_superop,
     integrate_master,
     integrate_sle_ensemble,
@@ -25,11 +26,18 @@ from disentsim.dynamics import (
     two_spin_jump_operators,
     two_spin_lindblad,
 )
-from disentsim.entangle import DisentanglementSpec, ThetaFamily, thermalization_operator
+from disentsim.entangle import (
+    DisentanglementSpec,
+    ThetaEngine,
+    ThetaFamily,
+    build_theta,
+    tau_from_rho,
+    thermalization_operator,
+)
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
 from disentsim.twospin import TwoSpinParams, build_hamiltonian, single_spin_hamiltonian
 
-from conftest import analytic_driven_spin_bloch
+from conftest import analytic_driven_spin_bloch, literal_theta
 
 
 def thermal_qubit(n0: float) -> np.ndarray:
@@ -277,6 +285,112 @@ def test_integrate_master_non_finite_abort(family):
             integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
                              spec, FIG2_DAMPING, cfg)
     assert np.isnan(err.value.min_eig)
+
+
+ALL_FAMILIES = [ThetaFamily.CORR_SUPPRESS, ThetaFamily.BLOCH_DERANK_A,
+                ThetaFamily.BLOCH_DERANK_B, ThetaFamily.STATE_MATRIX_DERANK,
+                ThetaFamily.THERMALIZATION]
+
+
+def _spec(family: ThetaFamily) -> DisentanglementSpec:
+    if family is ThetaFamily.THERMALIZATION:
+        return DisentanglementSpec(family=family, gamma_h=0.7, beta=1.3)
+    return DisentanglementSpec(family=family, gamma_d=0.5)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_integrator_stage_matches_mme_rhs(family, rng):
+    # the stage integrate_master runs (one Liouvillian matvec plus the
+    # engine's Theta) against the public right-hand side, and that against
+    # the literal equation with a literal Theta
+    h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
+    spec = _spec(family)
+    lv = liouvillian_matrix(h, two_spin_jump_operators(FIG2_DAMPING))
+    engine = ThetaEngine(spec, TWO_QUBITS, h=h)
+    for _ in range(3):
+        rho = qcore.random_density_matrix(4, rng)
+        state = QuantumState.mixed(rho, TWO_QUBITS)
+        stage = _mme_stage(lv, rho, engine.matrix(rho))
+        public = mme_rhs(rho, h, build_theta(state, spec, h), FIG2_DAMPING)
+        assert np.abs(stage - public).max() < 1e-12
+        if family is ThetaFamily.THERMALIZATION:
+            tm = literal_theta(family, rho, h, spec.gamma_h, spec.beta)
+        else:
+            tm = spec.gamma_d * literal_theta(family, rho, h)
+        literal = (1j * (rho @ h - h @ rho) + two_spin_lindblad(rho, FIG2_DAMPING)
+                   - tm @ rho - rho @ tm + 2.0 * np.trace(tm @ rho).real * rho)
+        assert np.abs(public - literal).max() < 1e-10
+
+
+def _reference_rk4(rho, h, spec, damping, dt, n_steps, stride):
+    """Plain RK4 on the public mme_rhs, Theta rebuilt by build_theta per stage."""
+    def rhs(r):
+        theta = build_theta(QuantumState(factor=TWO_QUBITS, rho=r), spec, h)
+        return mme_rhs(r, h, theta, damping)
+
+    samples = [rho]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0:
+            samples.append(rho)
+    return np.stack(samples)
+
+
+@pytest.mark.parametrize("family,point", [(ThetaFamily.CORR_SUPPRESS, 2),
+                                          (ThetaFamily.BLOCH_DERANK_A, 2)])
+def test_integrate_master_matches_reference_rk4(family, point):
+    # fig2-A2 and fig2-B2 over 2000 steps
+    from disentsim.twospin import DRIVING_POINTS
+
+    delta, omega1 = DRIVING_POINTS[point]
+    h = build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1, g=1.0))
+    rho0 = steady_state(h, FIG2_DAMPING)
+    spec = DisentanglementSpec(family=family, gamma_d=0.5)
+    cfg = IntegratorConfig(dt=1e-3, t_end=2.0, sample_every=100)
+    rec = integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, spec,
+                           FIG2_DAMPING, cfg)
+    ref = _reference_rk4(rho0, h, spec, FIG2_DAMPING, cfg.dt, cfg.n_steps, cfg.stride)
+    ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
+    k_a, k_b = bases.single_spin_bloch_vectors(bases.bloch_matrix_from_rho(ref, 2, 2))
+    assert rec.n_samples == len(ref)
+    assert np.abs(rec.k_a - k_a).max() < 1e-10
+    assert np.abs(rec.k_b - k_b).max() < 1e-10
+    assert np.abs(rec.tau_ab - tau_from_rho(ref, TWO_QUBITS)).max() < 1e-10
+
+
+def test_sle_ensemble_rejects_non_positive_damping_factor():
+    # dt * lambda_max(sum V^dag V / 2) >= 1 flips the sign of the
+    # Euler-Maruyama damping factor; the run must not start
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    model = SdeModel.two_spin(h, FIG2_DAMPING)
+    rate = 0.5 * np.linalg.eigvalsh(
+        sum(x.conj().T @ x for x in two_spin_jump_operators(FIG2_DAMPING)))[-1]
+    psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
+    for dt in (1.0 / rate, 1e100):
+        cfg = IntegratorConfig(dt=dt, t_end=dt, method="euler-maruyama")
+        with pytest.raises(StateHealthError, match="damping factor"):
+            integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
+    cfg = IntegratorConfig(dt=0.9 / rate, t_end=0.9 / rate, method="euler-maruyama")
+    integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
+
+
+def test_sle_ensemble_non_finite_abort():
+    # no jump operators, so only the sample-point check can catch the
+    # thermalization drift overflowing in one step of 1e300
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
+                     dspec=DisentanglementSpec(family=ThetaFamily.THERMALIZATION,
+                                               gamma_h=1.0))
+    psi0 = np.full(4, 0.5, dtype=complex)
+    cfg = IntegratorConfig(dt=1e300, t_end=1e300, method="euler-maruyama")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StateHealthError, match="not finite") as err:
+            integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
+    assert err.value.t == 1e300
 
 
 def test_sle_step_unitary_limit(rng):

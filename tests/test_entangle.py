@@ -24,7 +24,7 @@ from disentsim.entangle import (
 )
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
 
-from conftest import BELL, TILTED, random_product_psi
+from conftest import BELL, TILTED, literal_theta, random_product_psi
 
 LOG2 = np.log(2.0)
 
@@ -156,6 +156,15 @@ def test_tau_spectator_slot(rng):
     st_ab = QuantumState.pure(psi_ab, TWO_QUBITS)
     st_abc = QuantumState.pure(np.kron(psi_ab, psi_c), Factorization(2, 2, 2))
     assert abs(tau_correlation(st_ab) - tau_correlation(st_abc)) < 1e-10
+
+
+def test_split_families_reject_spectator_slot(rng):
+    from disentsim.qcore import DimensionError, Factorization
+
+    st = QuantumState.pure(qcore.random_pure_state(8, rng), Factorization(2, 2, 2))
+    for build in (q_s_operator, q_bloch_operators):
+        with pytest.raises(DimensionError, match="spectator"):
+            build(st)
 
 
 def test_gram_eigenvalues_vs_delta(rng):
@@ -293,6 +302,20 @@ def test_theta_engine_matrix_matches_public_constructors(rng):
                 spec = DisentanglementSpec(family=fam, gamma_d=1.0)
             eng = ThetaEngine(spec, TWO_QUBITS, h=h)
             assert np.abs(eng.matrix(rho) - ref).max() < 1e-11, fam
+
+
+def test_theta_engine_matrix_matches_literal_operators(rng):
+    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+    rhos = [QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS).density(),
+            qcore.random_density_matrix(4, rng)]
+    for rho in rhos:
+        for fam in (*DERANK_FAMILIES, ThetaFamily.THERMALIZATION):
+            if fam is ThetaFamily.THERMALIZATION:
+                spec = DisentanglementSpec(family=fam, gamma_h=1.3, beta=0.8)
+            else:
+                spec = DisentanglementSpec(family=fam, gamma_d=1.0)
+            got = ThetaEngine(spec, TWO_QUBITS, h=h).matrix(rho)
+            assert np.abs(got - literal_theta(fam, rho, h, 1.3, 0.8)).max() < 1e-11, fam
 
 
 def test_theta_engine_drift_matches_matrix(rng):
