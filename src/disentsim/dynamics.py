@@ -24,6 +24,7 @@ the run rather than being repaired.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -178,6 +179,15 @@ def liouvillian_matrix(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
     return hamiltonian_superop(h) + dissipator_superop(ops, as_complex_matrix(h).shape[0])
 
 
+@functools.lru_cache(maxsize=16)
+def damping_superop(d: DampingParams) -> np.ndarray:
+    """Read-only dissipator superoperator of the six two-spin channels,
+    built once per (frozen, hashable) DampingParams."""
+    out = dissipator_superop(two_spin_jump_operators(d), 4)
+    out.flags.writeable = False
+    return out
+
+
 def steady_states(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace-one null vectors of a stack of vectorized Liouvillians.
 
@@ -269,13 +279,13 @@ def mme_rhs(
         raise DimensionError("state and Hamiltonian dimensions differ")
     if damping is not None and rho.shape != (4, 4):
         raise DimensionError("two-spin dissipator needs a 4x4 density matrix")
-    ops = [] if damping is None else two_spin_jump_operators(damping)
     tm = _theta_matrix(theta)
     if tm is not None:
         scale = max(float(np.abs(tm).max()), 1.0)
         if herm_residual(tm) > 1e-10 * scale:
             raise ValueError("Theta must be Hermitian")
-    return _mme_stage(liouvillian_matrix(h, ops), rho, tm)
+    lv = hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping))
+    return _mme_stage(lv, rho, tm)
 
 
 def kraus_step_error(
@@ -440,7 +450,7 @@ def integrate_master(
     theta = lambda r: None  # noqa: E731
     if dspec.active:
         theta = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).matrix
-    lv = liouvillian_matrix(h, [] if damping is None else two_spin_jump_operators(damping))
+    lv = hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping))
 
     dt = cfg.dt
     n_steps = cfg.n_steps
@@ -670,37 +680,39 @@ def integrate_sle_ensemble(
     raw_buf = None        # (n_traj, chunk_len, n_ch, 2), contiguous per trajectory
     chunk_len = 0
     chunk_base = 0
-    while True:
-        if si < n_samp and step == sample_steps[si]:
-            if not (np.isfinite(psi).all() and np.isfinite(log_w).all()):
-                raise StateHealthError(step * dt, math.nan,
-                                       reason="state vector or weight is not finite")
-            record(si)
-            si += 1
-        if step == n_steps:
-            break
-        local = step - chunk_base
-        if raw_buf is None or local >= chunk_len:
-            chunk_base = step
-            local = 0
-            chunk_len = min(_NOISE_CHUNK, n_steps - step)
-            if raw_buf is None or raw_buf.shape[1] != chunk_len:
-                raw_buf = np.empty((n_traj, chunk_len, n_ch, 2))
-            for k, g in enumerate(gens):
-                raw_buf[k] = g.standard_normal((chunk_len, n_ch, 2))
-        out = det_step @ psi
-        if n_ch:
-            sl = raw_buf[:, local]                       # (n_traj, n_ch, 2)
-            dw = scale * (sl[:, :, 0].T + 1j * sl[:, :, 1].T)
-            xpsi = (ux @ psi).reshape(n_ch, dim, n_traj)
-            out += np.einsum("ln,lin->in", dw, xpsi)
-        if engine is not None:
-            out += dt * (u @ engine.drift(psi))
-        psi = out
-        nrm2 = (psi.real * psi.real + psi.imag * psi.imag).sum(axis=0)
-        log_w += np.log(nrm2)
-        psi /= np.sqrt(nrm2)
-        step += 1
+    # an overflowing step is reported by the sample-point check, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if si < n_samp and step == sample_steps[si]:
+                if not (np.isfinite(psi).all() and np.isfinite(log_w).all()):
+                    raise StateHealthError(step * dt, math.nan,
+                                           reason="state vector or weight is not finite")
+                record(si)
+                si += 1
+            if step == n_steps:
+                break
+            local = step - chunk_base
+            if raw_buf is None or local >= chunk_len:
+                chunk_base = step
+                local = 0
+                chunk_len = min(_NOISE_CHUNK, n_steps - step)
+                if raw_buf is None or raw_buf.shape[1] != chunk_len:
+                    raw_buf = np.empty((n_traj, chunk_len, n_ch, 2))
+                for k, g in enumerate(gens):
+                    raw_buf[k] = g.standard_normal((chunk_len, n_ch, 2))
+            out = det_step @ psi
+            if n_ch:
+                sl = raw_buf[:, local]                       # (n_traj, n_ch, 2)
+                dw = scale * (sl[:, :, 0].T + 1j * sl[:, :, 1].T)
+                xpsi = (ux @ psi).reshape(n_ch, dim, n_traj)
+                out += np.einsum("ln,lin->in", dw, xpsi)
+            if engine is not None:
+                out += dt * (u @ engine.drift(psi))
+            psi = out
+            nrm2 = (psi.real * psi.real + psi.imag * psi.imag).sum(axis=0)
+            log_w += np.log(nrm2)
+            psi /= np.sqrt(nrm2)
+            step += 1
 
     w_final = np.exp(log_w - log_w.max())
     mean_rho = np.einsum("in,jn,n->ij", psi, psi.conj(), w_final) / w_final.sum()

@@ -16,37 +16,29 @@ from .dynamics import TrajectoryRecord
 from .twospin import SweepResult
 
 
-def fmt17(x: float) -> str:
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return f"{x:.16e}"
-
-
 SWEEP_COLUMNS = (
     ["delta", "omega1"]
     + [f"b_{i}{j}" for i in range(4) for j in range(4)]
     + ["tau_ab", "t_eff", "status"]
 )
 
-
-def sweep_rows(result: SweepResult):
-    """Yield CSV rows (lists of strings) in grid order."""
-    deltas = result.grid.delta_values
-    omega1s = result.grid.omega1_values
-    for i, dv in enumerate(deltas):
-        for j, w1 in enumerate(omega1s):
-            row = [fmt17(dv), fmt17(w1)]
-            row += [fmt17(result.bloch[i, j, a, b]) for a in range(4) for b in range(4)]
-            row += [fmt17(result.tau_ab[i, j]), fmt17(result.t_eff[i, j]),
-                    str(result.status[i, j])]
-            yield row
+#: One CSV line: the 20 float columns ('%.16e' writes NaN as 'nan'), then status.
+_SWEEP_LINE = ",".join(["%.16e"] * 20) + ",%s\n"
 
 
 def write_sweep_csv(path: Path, result: SweepResult) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines += [",".join(row) for row in sweep_rows(result)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """The sweep table in grid order, formatted and written one Delta row
+    (all omega1 cells) at a time."""
+    omega1s = result.grid.omega1_values
+    ny = len(omega1s)
+    row_format = _SWEEP_LINE * ny
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(SWEEP_COLUMNS) + "\n")
+        for i, dv in enumerate(result.grid.delta_values):
+            cells = np.column_stack([np.full(ny, dv), omega1s, result.bloch[i].reshape(ny, 16),
+                                     result.tau_ab[i], result.t_eff[i],
+                                     result.status[i].astype(object)])
+            f.write(row_format % tuple(cells.ravel().tolist()))
 
 
 def trajectory_lines(rec: TrajectoryRecord):

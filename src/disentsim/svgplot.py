@@ -7,14 +7,12 @@ import math
 
 import numpy as np
 
-# Piecewise-linear approximation of a perceptually uniform colormap.
-_CMAP = [
-    (0.0, (68, 1, 84)),
-    (0.25, (59, 82, 139)),
-    (0.5, (33, 145, 140)),
-    (0.75, (94, 201, 98)),
-    (1.0, (253, 231, 37)),
-]
+# Piecewise-linear approximation of a perceptually uniform colormap:
+# breakpoints and their RGB colours.
+_CMAP_X = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_CMAP_RGB = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98),
+                      (253, 231, 37)], dtype=float)
+_HEX = np.array([f"{v:02x}" for v in range(256)], dtype=object)
 
 _NAN_COLOR = "#b0b0b0"
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -24,14 +22,32 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _color(frac: float) -> str:
-    frac = min(max(frac, 0.0), 1.0)
-    for (x0, c0), (x1, c1) in zip(_CMAP, _CMAP[1:]):
-        if frac <= x1:
-            t = 0.0 if x1 == x0 else (frac - x0) / (x1 - x0)
-            rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
-            return "#%02x%02x%02x" % rgb
-    return "#%02x%02x%02x" % _CMAP[-1][1]
+def _colors(frac: np.ndarray) -> np.ndarray:
+    """Colormap fills "#rrggbb" (an object array) of fractions clamped to [0, 1].
+
+    Segment k is the first whose upper breakpoint satisfies frac <= x_{k+1};
+    each channel c0 + t (c1 - c0) is rounded half to even.  A NaN fraction
+    (possible when the value range overflows) takes the top colour.
+    """
+    frac = np.clip(np.nan_to_num(frac, nan=1.0), 0.0, 1.0)
+    k = np.searchsorted(_CMAP_X[1:], frac, side="left")
+    t = (frac - _CMAP_X[k]) / (_CMAP_X[k + 1] - _CMAP_X[k])
+    c0, c1 = _CMAP_RGB[k], _CMAP_RGB[k + 1]
+    rgb = np.rint(c0 + t[..., None] * (c1 - c0)).astype(np.intp)
+    return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
+
+
+def _rect_template(nx: int, ny: int, left: float, top: float, pw: float, ph: float) -> str:
+    """The rects of a heat-map grid, row-major in (i, j), one per line, with a
+    '%s' where each fill goes.  Joined per column, so no Python runs per cell."""
+    cw, ch = pw / nx, ph / ny
+    tail = f'" width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="%s"/>'
+    ys = [_fmt(top + ph - (j + 1) * ch) for j in range(ny)]
+    columns = []
+    for i in range(nx):
+        head = f'<rect x="{_fmt(left + i * cw)}" y="'
+        columns.append(head + (tail + "\n" + head).join(ys) + tail)
+    return "\n".join(columns)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -49,12 +65,6 @@ class _Svg:
             f'height="{height}" viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
-
-    def rect(self, x, y, w, h, fill):
-        self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{fill}"/>'
-        )
 
     def line(self, x1, y1, x2, y2, stroke="#000000", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -100,16 +110,14 @@ def heatmap_svg(
     mleft, mright, mtop, mbot = 60, 80, 30, 45
     pw, ph = 420, 420
     svg = _Svg(mleft + pw + mright, mtop + ph + mbot)
-    finite = vals[np.isfinite(vals)]
+    ok = np.isfinite(vals)
+    finite = vals[ok]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     span = hi - lo if hi > lo else 1.0
-    cw, ch = pw / nx, ph / ny
-    for i in range(nx):
-        for j in range(ny):
-            v = vals[i, j]
-            fill = _NAN_COLOR if not math.isfinite(v) else _color((v - lo) / span)
-            svg.rect(mleft + i * cw, mtop + ph - (j + 1) * ch, cw + 0.5, ch + 0.5, fill)
+    fills = np.full(vals.shape, _NAN_COLOR, dtype=object)
+    fills[ok] = _colors((finite - lo) / span)
+    svg.parts.append(_rect_template(nx, ny, mleft, mtop, pw, ph) % tuple(fills.ravel()))
     x0, x1 = float(x[0]), float(x[-1])
     y0, y1 = float(y[0]), float(y[-1])
 
@@ -143,8 +151,9 @@ def heatmap_svg(
     svg.text(16, mtop + ph / 2, ylabel, anchor="middle", rotate=True)
     svg.text(mleft + pw / 2, 18, title, size=13, anchor="middle")
     bx = mleft + pw + 20
-    for k in range(40):
-        svg.rect(bx, mtop + ph - (k + 1) * ph / 40, 14, ph / 40 + 0.5, _color(k / 39))
+    # the colour bar: one column of 40 cells, 13.5 + 0.5 wide
+    svg.parts.append(_rect_template(1, 40, bx, mtop, 13.5, ph)
+                     % tuple(_colors(np.arange(40) / 39)))
     svg.text(bx + 18, mtop + ph, _fmt(lo))
     svg.text(bx + 18, mtop + 10, _fmt(hi))
     return svg.render()

@@ -153,6 +153,15 @@ def test_sweep_byte_identical(tmp_path):
         (tmp_path / "s2" / "sweep.csv").read_bytes()
 
 
+def test_sweep_heatmaps_byte_identical(tmp_path):
+    execute(parse_config(_sweep_doc(tmp_path / "s1")))
+    execute(parse_config(_sweep_doc(tmp_path / "s2")))
+    names = sorted(p.name for p in (tmp_path / "s1").glob("*.svg"))
+    assert len(names) == 18
+    for name in names:
+        assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
+
+
 def _sde_doc(out_dir: Path, seed: int = 5) -> str:
     return "\n".join([
         "command = sde",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from disentsim.dynamics import (
     SpinDamping,
     StateHealthError,
     _mme_stage,
+    damping_superop,
     dissipator_superop,
     integrate_master,
     integrate_sle_ensemble,
@@ -92,6 +95,15 @@ def test_dissipator_superop_matches_literal(rng):
     rho = qcore.random_density_matrix(4, rng)
     lhs = (ld @ rho.reshape(-1)).reshape(4, 4)
     assert np.abs(lhs - two_spin_lindblad(rho, d)).max() < 1e-12
+
+
+def test_damping_superop_is_cached_and_read_only():
+    d = DampingParams(a=SpinDamping(0.02, 0.003, 0.4), b=SpinDamping(0.05, 0.0, 0.01))
+    lv = damping_superop(d)
+    assert damping_superop(d) is lv
+    assert np.array_equal(lv, dissipator_superop(two_spin_jump_operators(d), 4))
+    with pytest.raises(ValueError):
+        lv[0, 0] = 1.0
 
 
 def test_mme_rhs_traceless_and_unitary_limit(rng):
@@ -391,6 +403,21 @@ def test_sle_ensemble_non_finite_abort():
         with pytest.raises(StateHealthError, match="not finite") as err:
             integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
     assert err.value.t == 1e300
+
+
+def test_sle_ensemble_overflow_is_silent():
+    # the same overflowing step as above, without an errstate around the
+    # call: the health abort is the only report
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
+                     dspec=DisentanglementSpec(family=ThetaFamily.THERMALIZATION,
+                                               gamma_h=1.0))
+    cfg = IntegratorConfig(dt=1e300, t_end=1e300, method="euler-maruyama")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StateHealthError, match="not finite"):
+            integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sle_step_unitary_limit(rng):
