@@ -10,7 +10,11 @@
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
   applied through its exact unitary (the coupling g can exceed the damping
   rates by orders of magnitude, and a plain first-order treatment of H is
-  unstable there).
+  unstable there).  The ensemble steps its trajectories as the columns of one
+  block: dW is laid out once per 256-step chunk in one reused, contiguous
+  (step, channel, trajectory) buffer, and the linear part of a step is one
+  gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the stack of psi and
+  dW_l psi; sle_step is the same kernel on one column.
 * Linear steady-state solver via the vectorized Liouvillian null space,
   batched over a stack of Liouvillians: one SVD call decomposes the whole
   stack (the parameter sweep passes one grid row at a time), and the
@@ -343,6 +347,12 @@ class IntegratorConfig:
             return self.sample_every
         return max(1, self.n_steps // 2000)
 
+    @property
+    def sample_steps(self) -> list[int]:
+        """Steps 0, stride, 2 stride, ... and always the last step."""
+        steps = list(range(0, self.n_steps + 1, self.stride))
+        return steps if steps[-1] == self.n_steps else steps + [self.n_steps]
+
 
 @dataclass
 class TrajectoryRecord:
@@ -454,10 +464,7 @@ def integrate_master(
 
     dt = cfg.dt
     n_steps = cfg.n_steps
-    stride = cfg.stride
-    sample_steps = list(range(0, n_steps + 1, stride))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
+    sample_steps = cfg.sample_steps
     rho_samples = np.empty((len(sample_steps), 4, 4), dtype=complex)
     times = np.empty(len(sample_steps))
     si = 0
@@ -523,38 +530,62 @@ def noise_increments(rng: np.random.Generator, n_channels: int, dt: float,
     return np.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
 
 
-def sle_step(
-    psi: np.ndarray,
-    h: np.ndarray,
-    jump_ops: list[np.ndarray],
-    theta: ThetaOperator | np.ndarray | None,
-    dt: float,
-    rng: np.random.Generator,
-    renormalize: bool = True,
-) -> np.ndarray:
+def _sle_step_matrix(h: np.ndarray, ops: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step unitary U and the step matrix [U (I - dt/2 sum V^dag V) |
+    U V_1 | ... | U V_m]; raises StateHealthError when dt * lambda_max(sum
+    V^dag V / 2) >= 1, where the Euler-Maruyama damping factor turns negative."""
+    dim = h.shape[0]
+    half = sum((x.conj().T @ x for x in ops), np.zeros((dim, dim), dtype=complex))
+    rate = 0.5 * float(np.linalg.eigvalsh(half)[-1])
+    if dt * rate >= 1.0:
+        raise StateHealthError(0.0, math.nan, reason=(
+            f"step dt = {dt:.6g} makes the damping factor I - dt/2 sum V^dag V "
+            f"non-positive (dt * lambda_max = {dt * rate:.3g} >= 1)"))
+    u = _unitary_step(h, dt)
+    return u, np.concatenate([u @ (np.eye(dim) - 0.5 * dt * half)] + [u @ x for x in ops], axis=1)
+
+
+def _sle_block_step(psi: np.ndarray, step_mat: np.ndarray, dw: np.ndarray, stack: np.ndarray,
+                    drift: np.ndarray | None = None, renormalize: bool = True):
+    """One Euler-Maruyama step of a (dim, n) block of state columns.
+
+    ``stack`` is (m + 1, dim, n) scratch for psi and dW_l psi, so the linear
+    part is one gemm with ``step_mat``; ``drift`` (dt U drift(psi)) is added
+    as given.  Returns the new block and, if renormalized in place, the
+    squared norms it was divided by."""
+    stack[0] = psi
+    np.multiply(dw[:, None, :], psi, out=stack[1:])
+    out = step_mat @ stack.reshape(-1, psi.shape[1])
+    if drift is not None:
+        out += drift
+    if not renormalize:
+        return out, None
+    nrm2 = (out.real * out.real + out.imag * out.imag).sum(axis=0)
+    out *= 1.0 / np.sqrt(nrm2)  # the bits of out /= sqrt(nrm2), without complex division
+    return out, nrm2
+
+
+def sle_step(psi: np.ndarray, h: np.ndarray, jump_ops: list[np.ndarray],
+             theta: ThetaOperator | np.ndarray | None, dt: float,
+             rng: np.random.Generator, renormalize: bool = True) -> np.ndarray:
     """One stochastic step of the (modified) Schrodinger-Langevin equation.
 
     Damping drift -(1/2) sum V^dag V, complex white noise sum xi_l V_l and
     the nonlinear drift -(Theta - <Theta>) are applied Euler-Maruyama style;
-    the Hamiltonian acts through its exact one-step unitary.
+    the Hamiltonian acts through its exact one-step unitary.  This is the
+    ensemble's block step on one column, with noise drawn from ``rng``.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    u = _unitary_step(h, dt)
-    out = psi.copy()
-    if jump_ops:
-        half = sum(x.conj().T @ x for x in jump_ops)
-        dw = noise_increments(rng, len(jump_ops), dt)
-        out = out - 0.5 * dt * (half @ psi)
-        for w, x in zip(dw, jump_ops):
-            out = out + w * (x @ psi)
+    psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
+    ops = [as_complex_matrix(x) for x in jump_ops]
+    u, step_mat = _sle_step_matrix(as_complex_matrix(h), ops, dt)
+    drift = None
     tm = _theta_matrix(theta)
     if tm is not None:
         texp = float(np.vdot(psi, tm @ psi).real / np.vdot(psi, psi).real)
-        out = out - dt * (tm @ psi - texp * psi)
-    out = u @ out
-    if renormalize:
-        out = out / np.linalg.norm(out)
-    return out
+        drift = -dt * (u @ (tm @ psi - texp * psi))
+    stack = np.empty((len(ops) + 1, *psi.shape), dtype=complex)
+    dw = noise_increments(rng, len(ops), dt)[:, None]
+    return _sle_block_step(psi, step_mat, dw, stack, drift, renormalize)[0][:, 0]
 
 
 @dataclass(frozen=True)
@@ -580,20 +611,43 @@ class SdeModel:
 #: Steps of per-trajectory noise drawn per generator call; fixed so that the
 #: byte stream consumed by each trajectory never depends on run partitioning.
 _NOISE_CHUNK = 256
+#: Trajectories drawn into one float scratch before it is transposed into dW.
+_NOISE_BLOCK = 128
 
 
-def integrate_sle_ensemble(
-    initial: np.ndarray,
-    model: SdeModel,
-    cfg: IntegratorConfig,
-    n_traj: int,
-) -> tuple[np.ndarray, list[TrajectoryRecord]]:
+def _noise_chunks(gens: list[np.random.Generator], n_ch: int, n_steps: int, dt: float):
+    """The dW of every step as (chunk, n_ch, n_traj) arrays of up to
+    _NOISE_CHUNK steps; gens[k] draws each chunk with one (chunk, n_ch, 2)
+    standard-normal call, as noise_increments would.  Every chunk is a view
+    of one reused buffer (a short last chunk is its leading slice)."""
+    n_traj = len(gens)
+    size = min(_NOISE_CHUNK, n_steps)
+    buf = np.empty((size, n_ch, n_traj), dtype=complex)
+    raw = np.empty((min(_NOISE_BLOCK, n_traj), size, n_ch, 2))
+    scale = np.sqrt(dt / 2.0)
+    for base in range(0, n_steps, size):
+        c = min(size, n_steps - base)
+        for k0 in range(0, n_traj, _NOISE_BLOCK):
+            block = gens[k0:k0 + _NOISE_BLOCK]
+            for j, g in enumerate(block):
+                g.standard_normal(out=raw[j, :c])
+            r = raw[:len(block), :c]
+            np.multiply(r, scale, out=r)
+            buf[:c, :, k0:k0 + len(block)] = r.view(complex)[..., 0].transpose(1, 2, 0)
+        yield buf[:c]
+
+
+def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: IntegratorConfig,
+                           n_traj: int) -> tuple[np.ndarray, list[TrajectoryRecord]]:
     """Evolve an ensemble of trajectories and average the projectors.
 
-    Per-trajectory noise streams are seeded deterministically from
-    (cfg.seed, trajectory index), so results are bit-identical for a given
-    seed regardless of how the ensemble is executed.  Returns the ensemble
-    mean density matrix at the final time plus one record per trajectory.
+    Returns the ensemble mean density matrix at the final time plus one
+    record per trajectory.  Trajectory k draws its noise from its own
+    generator, seeded from (cfg.seed, k), so its noise does not depend on
+    n_traj.  The same seed and the same n_traj give the same bytes on the
+    same machine; across different n_traj a trajectory's state agrees only
+    to the last few ulps, because the BLAS kernels of the block step depend
+    on the column count, and its weight is relative to the ensemble.
 
     States are renormalized every step, and the discarded squared norm is
     accumulated as a per-trajectory weight: the stochastic equation is a
@@ -612,19 +666,7 @@ def integrate_sle_ensemble(
         raise DimensionError("initial state and Hamiltonian dimensions differ")
 
     ops = [as_complex_matrix(x) for x in model.jump_ops]
-    n_ch = len(ops)
-    half = sum((x.conj().T @ x for x in ops), np.zeros((dim, dim), dtype=complex))
-    rate = 0.5 * float(np.linalg.eigvalsh(half)[-1])
-    if cfg.dt * rate >= 1.0:
-        raise StateHealthError(0.0, math.nan, reason=(
-            f"step dt = {cfg.dt:.6g} makes the damping factor I - dt/2 sum V^dag V "
-            f"non-positive (dt * lambda_max = {cfg.dt * rate:.3g} >= 1)"))
-    u = _unitary_step(h, cfg.dt)
-    # deterministic one-step factor and rotated jump stack, merged so the
-    # inner loop is two gemms plus the noise contraction
-    det_step = u @ (np.eye(dim) - 0.5 * cfg.dt * half)
-    ux = (np.stack([u @ x for x in ops]).reshape(n_ch * dim, dim)
-          if ops else np.zeros((0, dim), dtype=complex))
+    u, step_mat = _sle_step_matrix(h, ops, cfg.dt)
 
     engine = None
     if model.dspec.active:
@@ -632,108 +674,65 @@ def integrate_sle_ensemble(
             raise ValueError("nonlinear families need a factorization")
         engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
 
-    two_qubit = model.factor == TWO_QUBITS
-    sampler = _TwoQubitSampler(cfg.log_floor) if two_qubit else None
+    sampler = _TwoQubitSampler(cfg.log_floor) if model.factor == TWO_QUBITS else None
 
     dt = cfg.dt
     n_steps = cfg.n_steps
-    stride = cfg.stride
-    sample_steps = list(range(0, n_steps + 1, stride))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
+    sample_steps = cfg.sample_steps
     n_samp = len(sample_steps)
 
-    gens = [
-        np.random.default_rng(np.random.SeedSequence([int(cfg.seed), k]))
-        for k in range(n_traj)
-    ]
+    gens = [np.random.default_rng(np.random.SeedSequence([int(cfg.seed), k]))
+            for k in range(n_traj)]
     psi = np.tile(psi0[:, None], (1, n_traj))
-
-    times = np.array([s * dt for s in sample_steps])
-    k_a = np.zeros((n_samp, n_traj, 3))
-    k_b = np.zeros((n_samp, n_traj, 3))
-    k_ent = np.zeros((n_samp, n_traj))
-    l_ent = np.zeros((n_samp, n_traj))
-    delta = np.zeros((n_samp, n_traj))
-    tau = np.zeros((n_samp, n_traj))
-    purity = np.ones((n_samp, n_traj))
-    norm_err = np.zeros((n_samp, n_traj))
-    weights = np.ones((n_samp, n_traj))
+    stack = np.empty((len(ops) + 1, dim, n_traj), dtype=complex)
     log_w = np.zeros(n_traj)
 
-    def record(si: int):
+    # per-sample, per-trajectory record columns, named as TrajectoryRecord fields
+    times = np.array([s * dt for s in sample_steps])
+    cols = {f: np.zeros((n_samp, n_traj, 3)) for f in ("k_a", "k_b")}
+    cols.update((f, np.zeros((n_samp, n_traj)))
+                for f in ("k_entropy", "l_entropy", "delta", "tau_ab", "trace_err"))
+    cols.update((f, np.ones((n_samp, n_traj))) for f in ("purity", "weight"))
+
+    si = step = 0
+
+    def sample():
+        nonlocal si
+        if not (np.isfinite(psi).all() and np.isfinite(log_w).all()):
+            raise StateHealthError(step * dt, math.nan,
+                                   reason="state vector or weight is not finite")
         rel = np.exp(log_w - log_w.max())
-        weights[si] = rel / rel.mean()
+        cols["weight"][si] = rel / rel.mean()
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
-        norm_err[si] = np.abs(nrm * nrm - 1.0)
+        cols["trace_err"][si] = np.abs(nrm * nrm - 1.0)
         if sampler is not None:
-            ka, kb, ke, le, dl, ta, pu = sampler.from_psi_block(psi)
-            k_a[si], k_b[si] = ka, kb
-            k_ent[si], l_ent[si], delta[si], tau[si], purity[si] = ke, le, dl, ta, pu
+            for f, v in zip(("k_a", "k_b", "k_entropy", "l_entropy", "delta", "tau_ab", "purity"),
+                            sampler.from_psi_block(psi)):
+                cols[f][si] = v
         elif dim == 2:
             for j, s in enumerate((bases.SIGMA_X, bases.SIGMA_Y, bases.SIGMA_Z)):
-                k_a[si, :, j] = np.einsum("in,ij,jn->n", psi.conj(), s, psi).real
+                cols["k_a"][si, :, j] = np.einsum("in,ij,jn->n", psi.conj(), s, psi).real
+        si += 1
 
-    scale = np.sqrt(dt / 2.0)
-    si = 0
-    step = 0
-    raw_buf = None        # (n_traj, chunk_len, n_ch, 2), contiguous per trajectory
-    chunk_len = 0
-    chunk_base = 0
     # an overflowing step is reported by the sample-point check, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if si < n_samp and step == sample_steps[si]:
-                if not (np.isfinite(psi).all() and np.isfinite(log_w).all()):
-                    raise StateHealthError(step * dt, math.nan,
-                                           reason="state vector or weight is not finite")
-                record(si)
-                si += 1
-            if step == n_steps:
-                break
-            local = step - chunk_base
-            if raw_buf is None or local >= chunk_len:
-                chunk_base = step
-                local = 0
-                chunk_len = min(_NOISE_CHUNK, n_steps - step)
-                if raw_buf is None or raw_buf.shape[1] != chunk_len:
-                    raw_buf = np.empty((n_traj, chunk_len, n_ch, 2))
-                for k, g in enumerate(gens):
-                    raw_buf[k] = g.standard_normal((chunk_len, n_ch, 2))
-            out = det_step @ psi
-            if n_ch:
-                sl = raw_buf[:, local]                       # (n_traj, n_ch, 2)
-                dw = scale * (sl[:, :, 0].T + 1j * sl[:, :, 1].T)
-                xpsi = (ux @ psi).reshape(n_ch, dim, n_traj)
-                out += np.einsum("ln,lin->in", dw, xpsi)
-            if engine is not None:
-                out += dt * (u @ engine.drift(psi))
-            psi = out
-            nrm2 = (psi.real * psi.real + psi.imag * psi.imag).sum(axis=0)
-            log_w += np.log(nrm2)
-            psi /= np.sqrt(nrm2)
-            step += 1
+        for chunk in _noise_chunks(gens, len(ops), n_steps, dt):
+            for dw in chunk:
+                if step == sample_steps[si]:
+                    sample()
+                drift = None if engine is None else dt * (u @ engine.drift(psi))
+                psi, nrm2 = _sle_block_step(psi, step_mat, dw, stack, drift)
+                log_w += np.log(nrm2)
+                step += 1
+        sample()
 
     w_final = np.exp(log_w - log_w.max())
     mean_rho = np.einsum("in,jn,n->ij", psi, psi.conj(), w_final) / w_final.sum()
 
     zeros = np.zeros(n_samp)
-    records = []
-    for k in range(n_traj):
-        records.append(TrajectoryRecord(
-            times=times.copy(),
-            k_a=np.ascontiguousarray(k_a[:, k]),
-            k_b=np.ascontiguousarray(k_b[:, k]),
-            k_entropy=np.ascontiguousarray(k_ent[:, k]),
-            l_entropy=np.ascontiguousarray(l_ent[:, k]),
-            delta=np.ascontiguousarray(delta[:, k]),
-            tau_ab=np.ascontiguousarray(tau[:, k]),
-            purity=np.ascontiguousarray(purity[:, k]),
-            trace_err=np.ascontiguousarray(norm_err[:, k]),
-            herm_err=zeros.copy(),
-            min_eig=zeros.copy(),
-            weight=np.ascontiguousarray(weights[:, k]),
-        ))
+    records = [TrajectoryRecord(times=times.copy(), herm_err=zeros.copy(), min_eig=zeros.copy(),
+                                **{f: np.ascontiguousarray(c[:, k]) for f, c in cols.items()})
+               for k in range(n_traj)]
     return mean_rho, records
 
 

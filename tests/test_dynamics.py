@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,12 @@ from disentsim.dynamics import (
     SdeModel,
     SpinDamping,
     StateHealthError,
+    _NOISE_BLOCK,
+    _NOISE_CHUNK,
     _mme_stage,
+    _noise_chunks,
+    _sle_block_step,
+    _sle_step_matrix,
     damping_superop,
     dissipator_superop,
     integrate_master,
@@ -41,6 +47,9 @@ from disentsim.qcore import QuantumState, TWO_QUBITS, kron
 from disentsim.twospin import TwoSpinParams, build_hamiltonian, single_spin_hamiltonian
 
 from conftest import analytic_driven_spin_bloch, literal_theta
+
+FIG3_DAMPING = DampingParams(a=SpinDamping(1e-3, 1e-4, 5e-4),
+                             b=SpinDamping(1e-2, 1e-3, 1e-5))
 
 
 def thermal_qubit(n0: float) -> np.ndarray:
@@ -481,6 +490,110 @@ def test_sle_nonlinear_drift_conserves_norm_to_second_order(rng):
     dt = 1e-4
     out = sle_step(psi, h, [], theta, dt, rng, renormalize=False)
     assert abs(np.vdot(out, out).real - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("n_traj, n_steps", [
+    (3, 2 * _NOISE_CHUNK + 44),             # a short last chunk
+    (2, 5),                                 # fewer steps than one chunk
+    (_NOISE_BLOCK + 3, _NOISE_CHUNK + 1),   # a partial draw block
+    (1, _NOISE_CHUNK + 7),                  # a single trajectory
+])
+def test_noise_chunks_are_the_per_trajectory_streams(n_traj, n_steps):
+    # the block-transposed chunks hold, bit for bit, what each trajectory's
+    # own generator gives when it draws all its steps in one call
+    seed, n_ch, dt = 17, 6, 2e-4
+    gens = [np.random.default_rng(np.random.SeedSequence([seed, k])) for k in range(n_traj)]
+    views = []
+    chunks = []
+    for c in _noise_chunks(gens, n_ch, n_steps, dt):
+        assert c.flags.c_contiguous and c.shape[1:] == (n_ch, n_traj)
+        views.append(c)
+        chunks.append(c.copy())
+    assert [len(c) for c in chunks] == [min(_NOISE_CHUNK, n_steps - b)
+                                        for b in range(0, n_steps, _NOISE_CHUNK)]
+    assert all(np.shares_memory(v, views[0]) for v in views)
+    dw = np.concatenate(chunks)
+    for k in range(n_traj):
+        g = np.random.default_rng(np.random.SeedSequence([seed, k])).standard_normal(
+            (n_steps, n_ch, 2))
+        ref = np.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
+        assert np.ascontiguousarray(dw[:, :, k]).tobytes() == ref.tobytes(), k
+
+
+@pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS])
+@pytest.mark.parametrize("n_traj", [1, _NOISE_BLOCK + 1])
+def test_block_step_matches_literal_formula(family, n_traj):
+    # det_step psi + sum_l dW_l (U X_l) psi + dt U drift(psi), renormalized,
+    # with U = expm(-i H dt) and the drift from the literal Theta
+    rng = np.random.default_rng(31)
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=5.0))
+    ops = two_spin_jump_operators(DampingParams(a=SpinDamping(0.3, 0.1, 0.2),
+                                                b=SpinDamping(0.2, 0.05, 0.1)))
+    dt, gamma_d = 1e-3, 0.7
+    psi = rng.standard_normal((4, n_traj)) + 1j * rng.standard_normal((4, n_traj))
+    psi /= np.linalg.norm(psi, axis=0)
+    dw = np.sqrt(dt / 2.0) * (rng.standard_normal((6, n_traj))
+                              + 1j * rng.standard_normal((6, n_traj)))
+
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
+    half = sum(x.conj().T @ x for x in ops)
+    ref = (u @ (np.eye(4) - 0.5 * dt * half)) @ psi
+    ref += sum(dw[l] * (u @ ops[l] @ psi) for l in range(6))
+    drift = None
+    if family is not ThetaFamily.NONE:
+        engine = ThetaEngine(DisentanglementSpec(family=family, gamma_d=gamma_d), TWO_QUBITS, h=h)
+        drift = dt * (u @ engine.drift(psi))
+        for k in range(n_traj):
+            p = psi[:, k]
+            tm = gamma_d * literal_theta(family, np.outer(p, p.conj()), h)
+            ref[:, k] -= dt * (u @ (tm @ p - np.vdot(p, tm @ p).real * p))
+    nrm2_ref = np.linalg.norm(ref, axis=0) ** 2
+    ref /= np.sqrt(nrm2_ref)
+
+    _, step_mat = _sle_step_matrix(h, ops, dt)
+    stack = np.empty((7, 4, n_traj), dtype=complex)
+    out, nrm2 = _sle_block_step(psi.copy(), step_mat, dw, stack, drift)
+    assert np.abs(out - ref).max() < 1e-13
+    assert np.abs(nrm2 - nrm2_ref).max() < 1e-13
+    raw, none = _sle_block_step(psi.copy(), step_mat, dw, stack, drift, renormalize=False)
+    assert none is None and np.abs(raw / np.sqrt(nrm2_ref) - ref).max() < 1e-13
+
+
+def test_sle_step_is_the_block_step_on_one_column(rng):
+    # the single-state step draws its noise from the caller's generator
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=5.0))
+    ops = two_spin_jump_operators(FIG2_DAMPING)
+    psi = qcore.random_pure_state(4, rng)
+    tm = literal_theta(ThetaFamily.CORR_SUPPRESS, np.outer(psi, psi.conj()), h)
+    dt = 1e-3
+    out = sle_step(psi, h, ops, tm, dt, np.random.default_rng(5))
+    dw = noise_increments(np.random.default_rng(5), 6, dt)
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
+    ref = u @ (psi - 0.5 * dt * sum(x.conj().T @ x for x in ops) @ psi
+               + sum(dw[l] * (ops[l] @ psi) for l in range(6))
+               - dt * (tm @ psi - np.vdot(psi, tm @ psi).real * psi))
+    assert np.abs(out - ref / np.linalg.norm(ref)).max() < 1e-13
+
+
+def test_sle_ensemble_holds_one_noise_buffer():
+    # a second, shorter chunk reuses the first chunk's dW buffer, so the run
+    # never holds two of them
+    h = build_hamiltonian(TwoSpinParams(delta=0.7, omega1=0.7, g=100.0))
+    model = SdeModel.two_spin(h, FIG3_DAMPING)
+    n_steps = 2 * _NOISE_CHUNK - 1
+    cfg = IntegratorConfig(dt=2e-4, t_end=n_steps * 2e-4, method="euler-maruyama",
+                           seed=3, sample_every=n_steps)
+    psi0 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    buffer_bytes = _NOISE_CHUNK * len(model.jump_ops) * 2000 * 16
+    tracemalloc.start()
+    try:
+        integrate_sle_ensemble(psi0, model, cfg, n_traj=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * buffer_bytes, (peak / 1e6, buffer_bytes / 1e6)
 
 
 def test_classify_linear_runs_always_fixed_point():
