@@ -4,7 +4,8 @@
 * The nonlinear modified master equation
       drho/dt = i[rho, H] - Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)
   integrated with fixed-step RK4, Theta rebuilt from the instantaneous state
-  at every stage.
+  at every stage by ``ThetaEngine.matrix``, the kernel the stochastic drift
+  also calls.
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
@@ -23,7 +24,8 @@
 
 Trace/norm conservation, Hermiticity and positivity are tracked as
 diagnostics at every sample; positivity violations beyond tolerance abort
-the run rather than being repaired.
+the run rather than being repaired.  Both integrators take the Bloch vectors
+and measures of their samples from ``entangle.measures_from_rho``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, entangle
-from .entangle import DisentanglementSpec, MeasureReport, ThetaEngine, ThetaFamily, ThetaOperator
+from .entangle import DisentanglementSpec, MeasureReport, ThetaEngine, ThetaOperator
 from .qcore import (
     DEFAULT_LOG_FLOOR,
-    ComplexMatrix,
     DimensionError,
     Factorization,
     QuantumState,
@@ -390,52 +391,6 @@ class TrajectoryRecord:
         )
 
 
-class _TwoQubitSampler:
-    """Batched extraction of Bloch vectors and measures from states.
-
-    Works either on a stack of density matrices (n, 4, 4) or on a block of
-    pure-state columns (4, n).
-    """
-
-    def __init__(self, floor: float):
-        self.floor = floor
-        self.grid = bases.observable_grid(2, 2).entries
-
-    def _log_eigs(self, w: np.ndarray) -> np.ndarray:
-        wmax = np.maximum(w[..., -1], 0.0)
-        cut = self.floor * np.where(wmax > 0.0, wmax, 1.0)
-        return np.log(np.maximum(w, cut[..., None]))
-
-    def from_bloch(self, b: np.ndarray, gram: np.ndarray, purity: np.ndarray):
-        """Common tail: b has shape (n, 4, 4), gram (n, 2, 2)."""
-        k_a = np.sqrt(2.0) * b[:, 1:4, 0]
-        k_b = np.sqrt(2.0) * b[:, 0, 1:4]
-        alpha = 0.5 * np.einsum("nab,ncb->nac", b, b)
-        wa = np.linalg.eigvalsh(alpha)
-        l_ent = -(np.maximum(wa, 0.0) * self._log_eigs(wa)).sum(axis=-1)
-        wg = np.linalg.eigvalsh(gram)
-        k_ent = -(np.maximum(wg, 0.0) * self._log_eigs(wg)).sum(axis=-1)
-        delta = np.clip(4.0 * np.linalg.det(gram).real, 0.0, 1.0)
-        cov = (np.sqrt(2.0) * b[:, 1:, 1:]
-               - 2.0 * b[:, 1:, :1] * b[:, :1, 1:])
-        tau = (cov * cov).sum(axis=(1, 2)) / 3.0
-        return k_a, k_b, k_ent, l_ent, delta, tau, purity
-
-    def from_rho_stack(self, rhos: np.ndarray):
-        b = np.einsum("abij,nji->nab", self.grid, rhos).real
-        gram = np.einsum("nibjb->nij", rhos.reshape(-1, 2, 2, 2, 2))
-        purity = np.einsum("nij,nji->n", rhos, rhos).real
-        return self.from_bloch(b, gram, purity)
-
-    def from_psi_block(self, psi: np.ndarray):
-        c = psi.conj()
-        b = np.einsum("abij,jn,in->nab", self.grid, psi, c).real
-        m = psi.reshape(2, 2, -1)
-        gram = np.einsum("abn,cbn->nac", m, m.conj())
-        purity = np.ones(psi.shape[1])
-        return self.from_bloch(b, gram, purity)
-
-
 def integrate_master(
     initial: QuantumState,
     h: np.ndarray,
@@ -501,15 +456,14 @@ def integrate_master(
             if cfg.renormalize_every_step:
                 rho = rho / rho.trace().real
 
-    sampler = _TwoQubitSampler(cfg.log_floor)
     sym = 0.5 * (rho_samples + rho_samples.conj().transpose(0, 2, 1))
-    k_a, k_b, k_ent, l_ent, delta, tau, purity = sampler.from_rho_stack(sym)
+    b, rep = entangle.measures_from_rho(sym, TWO_QUBITS, cfg.log_floor)
+    k_a, k_b = bases.single_spin_bloch_vectors(b)
     trace_err = np.abs(np.einsum("nii->n", rho_samples).real - 1.0)
     herm_err = np.abs(rho_samples - rho_samples.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     min_eig = np.linalg.eigvalsh(sym)[:, 0]
     return TrajectoryRecord(
-        times=times, k_a=k_a, k_b=k_b,
-        k_entropy=k_ent, l_entropy=l_ent, delta=delta, tau_ab=tau, purity=purity,
+        times=times, k_a=k_a, k_b=k_b, **vars(rep),
         trace_err=trace_err, herm_err=herm_err, min_eig=min_eig,
     )
 
@@ -674,8 +628,6 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
             raise ValueError("nonlinear families need a factorization")
         engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
 
-    sampler = _TwoQubitSampler(cfg.log_floor) if model.factor == TWO_QUBITS else None
-
     dt = cfg.dt
     n_steps = cfg.n_steps
     sample_steps = cfg.sample_steps
@@ -705,9 +657,11 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
         cols["weight"][si] = rel / rel.mean()
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
         cols["trace_err"][si] = np.abs(nrm * nrm - 1.0)
-        if sampler is not None:
-            for f, v in zip(("k_a", "k_b", "k_entropy", "l_entropy", "delta", "tau_ab", "purity"),
-                            sampler.from_psi_block(psi)):
+        if model.factor == TWO_QUBITS:
+            rho = np.einsum("in,jn->nij", psi, psi.conj())
+            b, rep = entangle.measures_from_rho(rho, TWO_QUBITS, cfg.log_floor)
+            cols["k_a"][si], cols["k_b"][si] = bases.single_spin_bloch_vectors(b)
+            for f, v in vars(rep).items():
                 cols[f][si] = v
         elif dim == 2:
             for j, s in enumerate((bases.SIGMA_X, bases.SIGMA_Y, bases.SIGMA_Z)):

@@ -19,16 +19,17 @@ All operators vanish (act as a multiple of the identity) on product states,
 except thermalization; that no-op property is what makes the nonlinear
 dynamics leave uncorrelated physics untouched.
 
-``ThetaEngine`` is the shared implementation: it precomputes the operator
-stacks for a given factorization and evaluates either a full operator matrix
-for the density-matrix path or a batched state-vector drift for stochastic
-ensembles.
+Each kernel has one implementation.  ``ThetaEngine.matrix`` builds Theta
+from a density matrix or a (..., D, D) stack of them; the master-equation
+stages, the public constructors and the stochastic drift (``matrix`` on the
+stack of |psi><psi|) all call it.  ``measures_from_rho`` computes every
+measure of a stack of states for the single-state functions and for both
+integrators' sample points.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,8 +42,9 @@ from .qcore import (
     Factorization,
     QuantumState,
     as_complex_matrix,
-    entropy_functional,
+    eig_log,
     expectation,
+    floored_log,
     kron,
     partial_trace_rho,
     spectral_log,
@@ -100,7 +102,7 @@ class DisentanglementSpec:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Scalar health/entanglement summary of a state."""
+    """Scalar health/entanglement summary of a state (arrays of them for a stack)."""
 
     k_entropy: float
     l_entropy: float
@@ -138,16 +140,7 @@ def g_from_state(state: QuantumState) -> np.ndarray:
 
 def entanglement_k(state: QuantumState) -> float:
     """Entanglement entropy K = -Tr(G log G) in nats (bounded by log min(d))."""
-    if state.factor.d_c != 1:
-        raise DimensionError("entanglement K needs a trivial spectator slot")
-    return entropy_functional(g_from_state(state))
-
-
-def _neg_x_log_x(w: np.ndarray, floor: float) -> float:
-    wmax = float(np.max(w)) if w.size else 0.0
-    cut = floor * (wmax if wmax > 0.0 else 1.0)
-    wp = np.maximum(w, 0.0)
-    return float(-(wp * np.log(np.maximum(wp, cut))).sum())
+    return float(measures_from_rho(state.density()[None], state.factor)[1].k_entropy[0])
 
 
 def entanglement_l(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> float:
@@ -157,10 +150,7 @@ def entanglement_l(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> flo
     (Tr alpha = Tr rho^2 < 1 for mixed states).  For pure states with equal
     subsystem dimensions, L = 2 K.
     """
-    b = bases.bloch_matrix(state).values
-    alpha = 0.5 * (b @ b.T)
-    w = np.linalg.eigvalsh(alpha)
-    return _neg_x_log_x(w, floor)
+    return float(measures_from_rho(state.density()[None], state.factor, floor)[1].l_entropy[0])
 
 
 def delta_measure(psi) -> float:
@@ -171,23 +161,15 @@ def delta_measure(psi) -> float:
     return float(4.0 * abs(v[0] * v[3] - v[1] * v[2]) ** 2)
 
 
-def delta_from_gram(g: np.ndarray) -> float:
-    """Mixed-state extension of delta via 4 det(G); matches delta on pure states."""
-    d = float(np.linalg.det(as_complex_matrix(g)).real)
-    return float(min(max(4.0 * d, 0.0), 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Operator-stack context shared by the Theta constructors.
 
 
 @dataclass(frozen=True)
 class _OperatorStacks:
-    factor: Factorization
     lam_a_full: np.ndarray  # (n_a, D, D) subsystem-a generators embedded in full space
     lam_b_full: np.ndarray
     lam_ab_full: np.ndarray  # (n_a * n_b, D, D) pair products embedded in full space
-    grid: np.ndarray | None  # (d_a^2, d_b^2, D, D), only when d_c == 1
 
 
 @lru_cache(maxsize=None)
@@ -199,27 +181,27 @@ def _stacks(factor: Factorization) -> _OperatorStacks:
     la = np.stack([kron(kron(x, ib), ic) for x in lam_a])
     lb = np.stack([kron(kron(ia, x), ic) for x in lam_b])
     lab = np.stack([kron(kron(x, y), ic) for x in lam_a for y in lam_b])
-    grid = None
-    if dc == 1:
-        grid = bases.observable_grid(da, db).entries
-    return _OperatorStacks(factor=factor, lam_a_full=la, lam_b_full=lb,
-                           lam_ab_full=lab, grid=grid)
+    return _OperatorStacks(lam_a_full=la, lam_b_full=lb, lam_ab_full=lab)
 
 
 # ---------------------------------------------------------------------------
 # Theta constructors: unit-rate operators from the integrators' kernel.
 
 
-def _engine_operator(state: QuantumState, family: ThetaFamily, **engine_kw) -> ThetaOperator:
-    spec = DisentanglementSpec(family=family, gamma_d=1.0)
+def _engine_operator(state: QuantumState, spec: DisentanglementSpec, **engine_kw) -> ThetaOperator:
     mat = ThetaEngine(spec, state.factor, **engine_kw).matrix(state.density())
-    return ThetaOperator(matrix=mat, family=family)
+    rate = spec.gamma_h if spec.family is ThetaFamily.THERMALIZATION else spec.gamma_d
+    return ThetaOperator(matrix=mat, family=spec.family, rate=rate)
+
+
+def _unit_rate(family: ThetaFamily) -> DisentanglementSpec:
+    return DisentanglementSpec(family=family, gamma_d=1.0)
 
 
 def q_s_operator(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> ThetaOperator:
     """State-matrix deranking operator Q_S = -log(G) (x) I_b, G the subsystem-a
     Gram matrix (the sum of the subsystem embeddings of -log G); <Q_S> = K."""
-    return _engine_operator(state, ThetaFamily.STATE_MATRIX_DERANK, floor=floor)
+    return _engine_operator(state, _unit_rate(ThetaFamily.STATE_MATRIX_DERANK), floor=floor)
 
 
 def q_bloch_operators(
@@ -230,8 +212,8 @@ def q_bloch_operators(
     Q_a = -(1/2) sum_ab (log(alpha) B)_ab G_ab with alpha = B B^T/2, and
     symmetrically for Q_b with beta = B^T B/2.
     """
-    return (_engine_operator(state, ThetaFamily.BLOCH_DERANK_A, floor=floor),
-            _engine_operator(state, ThetaFamily.BLOCH_DERANK_B, floor=floor))
+    return (_engine_operator(state, _unit_rate(ThetaFamily.BLOCH_DERANK_A), floor=floor),
+            _engine_operator(state, _unit_rate(ThetaFamily.BLOCH_DERANK_B), floor=floor))
 
 
 def correlation_operator(
@@ -243,7 +225,7 @@ def correlation_operator(
     l_a (x) l_b (x) I_c - <l_a><l_b> I (the scalar term multiplies the full
     identity) contracted with its own expectation values; <Q_ab> = tau_ab.
     """
-    return _engine_operator(state, ThetaFamily.CORR_SUPPRESS, eta=eta)
+    return _engine_operator(state, _unit_rate(ThetaFamily.CORR_SUPPRESS), eta=eta)
 
 
 def tau_from_rho(rho: np.ndarray, factor: Factorization,
@@ -277,9 +259,8 @@ def thermalization_operator(
     of the identity, which the nonlinear equations ignore, so thermal
     equilibrium is a fixed point.
     """
-    rho = state.density()
-    mat = gamma_h * beta * as_complex_matrix(h) + gamma_h * spectral_log(rho, floor)
-    return ThetaOperator(matrix=mat, family=ThetaFamily.THERMALIZATION, rate=gamma_h)
+    spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=gamma_h, beta=beta)
+    return _engine_operator(state, spec, h=h, floor=floor)
 
 
 def weyl_t2_expectation(state: QuantumState) -> float:
@@ -320,9 +301,9 @@ _BLOCH_FAMILIES = (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B)
 
 
 class ThetaEngine:
-    """Builds Theta for a fixed family/rate, either as a matrix from rho or
-    as a batched modified-Schrodinger drift -(Theta - <Theta>)|psi> applied
-    to a (D, N) block of state-vector columns."""
+    """Builds Theta for a fixed family/rate as a matrix from a density matrix
+    or a stack of them, and from that matrix the batched modified-Schrodinger
+    drift -(Theta - <Theta>)|psi> of a (D, N) block of state-vector columns."""
 
     def __init__(
         self,
@@ -335,9 +316,7 @@ class ThetaEngine:
         self.spec = spec
         self.factor = factor
         self.floor = floor
-        self.eta = eta
         self.h = None if h is None else as_complex_matrix(h)
-        self.stacks = _stacks(factor)
         if spec.family is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
         if factor.d_c != 1 and spec.family in (*_BLOCH_FAMILIES,
@@ -346,7 +325,8 @@ class ThetaEngine:
         # Flattened, rate-scaled stacks for ``matrix``: rho.ravel() @ _expect
         # gives every expectation it needs in one matmul, and a coefficient
         # vector @ _pairs contracts back to the flattened Theta.
-        st = self.stacks
+        st = _stacks(factor)
+        gens = None
         if spec.family is ThetaFamily.CORR_SUPPRESS:
             gens = np.concatenate([st.lam_a_full, st.lam_b_full, st.lam_ab_full])
             rate = spec.gamma_d * eta
@@ -354,11 +334,9 @@ class ThetaEngine:
             self._pairs = rate * st.lam_ab_full.reshape(len(st.lam_ab_full), -1)
             self._eye = rate * np.eye(factor.dim).reshape(-1)
         elif spec.family in _BLOCH_FAMILIES:
-            gens = st.grid.reshape(-1, factor.dim, factor.dim)
-            self._bshape = st.grid.shape[:2]
+            gens = bases.observable_grid(factor.d_a, factor.d_b).flat
+            self._bshape = (factor.d_a ** 2, factor.d_b ** 2)
             self._pairs = -0.5 * spec.gamma_d * gens.reshape(len(gens), -1)
-        else:
-            gens = None
         if gens is not None:
             self._expect = np.ascontiguousarray(gens.transpose(2, 1, 0).reshape(-1, len(gens)))
 
@@ -366,115 +344,61 @@ class ThetaEngine:
     def active(self) -> bool:
         return self.spec.active
 
-    # -- density-matrix side -------------------------------------------------
-
     def matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Full Theta matrix (rate included) for the given density matrix.
+        """Full Theta matrix (rate included) for a density matrix, or for each
+        matrix of a (..., D, D) stack.
 
-        The flattened kernel every integrator stage calls and the public
-        constructors wrap; tests compare it with literal Pauli-product forms.
+        The one Theta kernel: every integrator stage and ``drift`` call it,
+        the public constructors wrap it, and tests compare it with literal
+        Pauli-product forms.
         """
         fam = self.spec.family
+        lead = rho.shape[:-2]
         if fam is ThetaFamily.CORR_SUPPRESS:
-            e = (rho.reshape(-1) @ self._expect).real
+            e = (rho.reshape(lead + (-1,)) @ self._expect).real
             i, j = self._split
-            ab = (e[:i, None] * e[i:j]).reshape(-1)
-            cov = e[j:] - ab
-            return (cov @ self._pairs - (cov @ ab) * self._eye).reshape(rho.shape)
+            ab = (e[..., :i, None] * e[..., None, i:j]).reshape(lead + (-1,))
+            cov = e[..., j:] - ab
+            return (cov @ self._pairs
+                    - np.vecdot(cov, ab)[..., None] * self._eye).reshape(rho.shape)
         if fam in _BLOCH_FAMILIES:
-            b = (rho.reshape(-1) @ self._expect).real.reshape(self._bshape)
+            b = (rho.reshape(lead + (-1,)) @ self._expect).real.reshape(lead + self._bshape)
             if fam is ThetaFamily.BLOCH_DERANK_A:
-                w = self._sym_log(b @ b.T / 2.0) @ b
+                w = eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b
             else:
-                w = b @ self._sym_log(b.T @ b / 2.0)
-            return (w.reshape(-1) @ self._pairs).reshape(rho.shape)
+                w = b @ eig_log(*np.linalg.eigh(b.mT @ b / 2.0), self.floor)
+            return (w.reshape(lead + (-1,)) @ self._pairs).reshape(rho.shape)
         if fam is ThetaFamily.STATE_MATRIX_DERANK:
-            log_g = spectral_log(partial_trace_rho(rho, self.factor, "a"), self.floor)
-            return -self.spec.gamma_d * kron(log_g, np.eye(self.factor.d_b))
+            # -gamma_d log(G) (x) I_b, written block by block into the
+            # (..., a, b, a', b') layout: entry (a, k, a', k) for each k
+            log_g = eig_log(*np.linalg.eigh(partial_trace_rho(rho, self.factor, "a")), self.floor)
+            f = self.factor
+            out = np.zeros((*lead, f.d_a, f.d_b, f.d_a, f.d_b), dtype=complex)
+            block = -self.spec.gamma_d * log_g
+            for k in range(f.d_b):
+                out[..., k, :, k] = block
+            return out.reshape(rho.shape)
         if fam is ThetaFamily.THERMALIZATION:
             return (self.spec.gamma_h * self.spec.beta * self.h
                     + self.spec.gamma_h * spectral_log(rho, self.floor))
         raise ValueError(f"no Theta matrix for family {fam}")
 
-    def _sym_log(self, mat: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(mat)
-        wmax = max(float(w[-1]), 0.0)
-        cut = self.floor * (wmax if wmax > 0.0 else 1.0)
-        return (v * np.log(np.maximum(w, cut))) @ v.T
-
-    # -- state-vector side ---------------------------------------------------
-
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
-        """Batched drift -(Theta - <Theta>) psi for unit-norm columns."""
-        fam = self.spec.family
-        if fam is ThetaFamily.CORR_SUPPRESS:
-            return self._drift_corr(psi_block)
-        if fam is ThetaFamily.BLOCH_DERANK_A:
-            return self._drift_bloch(psi_block, side="a")
-        if fam is ThetaFamily.BLOCH_DERANK_B:
-            return self._drift_bloch(psi_block, side="b")
-        if fam is ThetaFamily.STATE_MATRIX_DERANK:
-            return self._drift_state_matrix(psi_block)
-        if fam is ThetaFamily.THERMALIZATION:
-            return self._drift_thermal(psi_block)
-        raise ValueError(f"no drift for family {fam}")
+        """Batched drift -(Theta - <Theta>) psi for the unit-norm columns of a
+        (D, N) block: ``matrix`` on the stack of |psi><psi|.
 
-    def _drift_corr(self, psi: np.ndarray) -> np.ndarray:
-        st = self.stacks
-        c = psi.conj()
-        a = np.einsum("kij,jn,in->kn", st.lam_a_full, psi, c).real
-        b = np.einsum("kij,jn,in->kn", st.lam_b_full, psi, c).real
-        m = np.einsum("kij,jn,in->kn", st.lam_ab_full, psi, c).real
-        na, nb = a.shape[0], b.shape[0]
-        ab = (a[:, None, :] * b[None, :, :]).reshape(na * nb, -1)
-        cov = m - ab
-        qpsi = np.einsum("kn,kij,jn->in", cov, st.lam_ab_full, psi)
-        scalar = (cov * ab).sum(axis=0)
-        tau = (cov * cov).sum(axis=0)
-        gd = self.spec.gamma_d * self.eta
-        return -gd * (qpsi - scalar * psi - tau * psi)
-
-    def _batched_log(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigen-log of a (N, d, d) stack of symmetric PSD matrices."""
-        w, v = np.linalg.eigh(mats)
-        wmax = np.maximum(w[..., -1], 0.0)
-        cut = self.floor * np.where(wmax > 0.0, wmax, 1.0)
-        lw = np.log(np.maximum(w, cut[..., None]))
-        log_m = np.einsum("nab,nb,ncb->nac", v, lw, v.conj())
-        return log_m, w
-
-    def _drift_bloch(self, psi: np.ndarray, side: str) -> np.ndarray:
-        grid = self.stacks.grid
-        c = psi.conj()
-        b = np.einsum("abij,jn,in->abn", grid, psi, c).real
-        if side == "a":
-            gram = np.einsum("abn,cbn->nac", b, b) / 2.0
-            log_g, _ = self._batched_log(gram)
-            w = np.einsum("nac,cbn->abn", log_g, b)
+        Thermalization uses the pure-state identity instead: the floored log
+        of |psi><psi| annihilates psi and has zero expectation in it, so only
+        gamma_h beta H drifts a pure state.  The log path agrees with it to
+        about 1e-14 max(gamma_h, 1) but costs one eigendecomposition per column.
+        """
+        if self.spec.family is ThetaFamily.THERMALIZATION:
+            qpsi = (self.spec.gamma_h * self.spec.beta * self.h) @ psi_block
         else:
-            gram = np.einsum("ban,bcn->nac", b, b) / 2.0
-            log_g, _ = self._batched_log(gram)
-            w = np.einsum("acn,ncb->abn", b, log_g)
-        qpsi = -0.5 * np.einsum("abn,abij,jn->in", w, grid, psi)
-        qexp = -0.5 * np.einsum("abn,abn->n", w, b)
-        return -self.spec.gamma_d * (qpsi - qexp * psi)
-
-    def _drift_state_matrix(self, psi: np.ndarray) -> np.ndarray:
-        f = self.factor
-        m = psi.reshape(f.d_a, f.d_b, -1)
-        gram = np.einsum("abn,cbn->nac", m, m.conj())
-        log_g, _ = self._batched_log(gram)
-        qpsi = -np.einsum("nac,cbn->abn", log_g, m).reshape(f.dim, -1)
-        qexp = -np.einsum("nac,nca->n", gram, log_g).real
-        return -self.spec.gamma_d * (qpsi - qexp * psi)
-
-    def _drift_thermal(self, psi: np.ndarray) -> np.ndarray:
-        # log(|psi><psi|) annihilates psi itself and has zero expectation in
-        # it, so only the Hamiltonian part of the free energy drifts a pure
-        # state.
-        hpsi = self.h @ psi
-        hexp = np.einsum("in,in->n", psi.conj(), hpsi).real
-        return -self.spec.gamma_h * self.spec.beta * (hpsi - hexp * psi)
+            cols = psi_block.T
+            tm = self.matrix(cols[:, :, None] * cols.conj()[:, None, :])
+            qpsi = np.einsum("nij,jn->in", tm, psi_block)
+        return np.einsum("in,in->n", psi_block.conj(), qpsi).real * psi_block - qpsi
 
 
 def build_theta(
@@ -486,21 +410,41 @@ def build_theta(
     """Assemble the Theta operator a spec asks for, or None when inactive."""
     if not spec.active:
         return None
-    engine = ThetaEngine(spec, state.factor, h=h, floor=floor)
-    rate = spec.gamma_h if spec.family is ThetaFamily.THERMALIZATION else spec.gamma_d
-    return ThetaOperator(matrix=engine.matrix(state.density()),
-                         family=spec.family, rate=rate)
+    return _engine_operator(state, spec, h=h, floor=floor)
+
+
+def measures_from_rho(rho: np.ndarray, factor: Factorization,
+                      floor: float = DEFAULT_LOG_FLOOR) -> tuple[bases.BlochMatrix, MeasureReport]:
+    """Bloch matrices and scalar measures of each density matrix of a
+    (..., D, D) stack of d_c = 1 states; the report's fields are arrays of
+    shape (...).
+
+    The one measure kernel: ``measure_report``, ``entanglement_k``,
+    ``entanglement_l`` and both integrators' sample points call it, and its
+    tau is ``tau_from_rho``, which ``tau_correlation`` wraps.
+    K and L take the floored log of the unnormalized G (the subsystem-a
+    reduction) and alpha = B B^T / 2; delta extends the pure-state
+    4 |psi1 psi4 - psi2 psi3|^2 to mixed states as 4 det G, clipped to [0, 1].
+    """
+    if factor.d_c != 1:
+        raise DimensionError("the measures need a trivial spectator slot")
+    rho = np.asarray(rho, dtype=complex)
+    b = bases.bloch_matrix_from_rho(rho, factor.d_a, factor.d_b)
+    g = partial_trace_rho(rho, factor, "a")
+    alpha = 0.5 * (b.values @ b.values.mT)
+    k_ent, l_ent = (-(np.maximum(w, 0.0) * floored_log(w, floor)).sum(axis=-1)
+                    for w in (np.linalg.eigvalsh(g), np.linalg.eigvalsh(alpha)))
+    return b, MeasureReport(
+        k_entropy=k_ent,
+        l_entropy=l_ent,
+        delta=np.clip(4.0 * np.linalg.det(g).real, 0.0, 1.0),
+        tau_ab=tau_from_rho(rho, factor),
+        purity=np.einsum("...ij,...ji->...", rho, rho).real,
+    )
 
 
 def measure_report(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:
-    """All scalar measures of a bipartite (d_c = 1) state in one pass."""
-    rho = state.density()
-    g = partial_trace_rho(rho, state.factor, "a")
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
-    return MeasureReport(
-        k_entropy=entropy_functional(g),
-        l_entropy=entanglement_l(state, floor),
-        delta=delta_from_gram(g),
-        tau_ab=tau_correlation(state),
-        purity=purity,
-    )
+    """All scalar measures of a bipartite (d_c = 1) state: the measure
+    kernel's row for the one-state stack."""
+    rep = measures_from_rho(state.density()[None], state.factor, floor)[1]
+    return MeasureReport(**{f: float(v[0]) for f, v in vars(rep).items()})

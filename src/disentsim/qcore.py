@@ -12,10 +12,11 @@ deranking dynamics: for a PSD matrix A with positive trace,
     rank_ratio  = entropy(A) / log(D)              (in [0, 1])
 
 Bare matrix logarithms are regularized by clamping eigenvalues at
-``floor * max(eigenvalue)``.  The clamp matters because the deranking
-operators take log of matrices that are exactly singular on product states;
-the clamped eigendirections are annihilated by the accompanying factors, so
-the floor value never leaks into physical drifts (verified by tests).
+``floor * max(eigenvalue)``, all in ``floored_log``.  The clamp matters
+because the deranking operators take log of matrices that are exactly
+singular on product states; the clamped eigendirections are annihilated by
+the accompanying factors, so the floor value never leaks into physical
+drifts (verified by tests).
 """
 
 from __future__ import annotations
@@ -149,13 +150,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace_rho(rho: np.ndarray, factor: Factorization, keep: str) -> np.ndarray:
-    """Reduced density matrix of subsystem ``keep`` ('a' or 'b')."""
+    """Reduced density matrix of subsystem ``keep`` ('a' or 'b'), or of each
+    matrix of a (..., D, D) stack."""
     da, db, dc = factor.d_a, factor.d_b, factor.d_c
-    r = as_complex_matrix(rho).reshape(da, db, dc, da, db, dc)
+    r = np.asarray(rho, dtype=complex)
+    if r.ndim < 2:
+        raise DimensionError(f"expected (..., D, D) density matrices, got shape {r.shape}")
+    r = r.reshape(*r.shape[:-2], da, db, dc, da, db, dc)
     if keep == "a":
-        return np.einsum("ibcjbc->ij", r)
+        return np.einsum("...ibcjbc->...ij", r)
     if keep == "b":
-        return np.einsum("aicajc->ij", r)
+        return np.einsum("...aicajc->...ij", r)
     raise ValueError(f"unknown subsystem label {keep!r} (expected 'a' or 'b')")
 
 
@@ -164,48 +169,62 @@ def partial_trace(state: QuantumState, keep: str) -> np.ndarray:
 
 
 def herm_eig(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, A = V diag(w) V^dag.
+    """Eigendecomposition of a Hermitian matrix, A = V diag(w) V^dag, or of
+    each matrix of a (..., d, d) stack.
 
     The input is symmetrized as (A + A^dag)/2 before decomposition to strip
     integrator round-off; inputs that are non-Hermitian beyond ``tol``
-    (relative to max|A|) are rejected.
+    (relative to max|A| of each matrix) are rejected.
     """
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"matrix must be square, got {m.shape}")
-    scale = max(float(np.abs(m).max()), 1.0)
-    if herm_residual(m) > tol * scale:
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {m.shape}")
+    mh = m.mT.conj()
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if (np.abs(m - mh).max(axis=(-2, -1)) > tol * scale).any():
         raise HermiticityError(f"matrix is not Hermitian within {tol!r}")
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return w, v
+    return np.linalg.eigh(0.5 * (m + mh))
 
 
-def _clamped_log(w: np.ndarray, floor: float) -> np.ndarray:
-    wmax = float(np.max(w)) if w.size else 0.0
-    cut = floor * (wmax if wmax > 0.0 else 1.0)
+def floored_log(w: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
+    """Log of the ascending eigenvalues (..., k) of each matrix, as ``eigh``
+    returns them, clamped at ``floor`` times that matrix's largest eigenvalue
+    (at ``floor`` itself when none is positive).  Every floor-clamped log of
+    the package goes through here."""
+    cut = floor * w[..., -1:]
+    cut[cut <= 0.0] = floor
     return np.log(np.maximum(w, cut))
 
 
+def eig_log(w: np.ndarray, v: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
+    """V diag(floored_log(w)) V^dag for each eigensystem (w, v) of a stack, as
+    returned by ``np.linalg.eigh``."""
+    return (v * floored_log(w, floor)[..., None, :]) @ v.mT.conj()
+
+
+def _psd_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """herm_eig, rejecting any matrix with an eigenvalue below -1e-8 max(|w|, 1)."""
+    w, v = herm_eig(a)
+    bad = w[..., 0] < -1e-8 * np.maximum(np.abs(w).max(axis=-1), 1.0)
+    if bad.any():
+        raise PSDViolationError(f"matrix has negative eigenvalue {w[..., 0][bad].min()!r}")
+    return w, v
+
+
 def spectral_log(a: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
-    """Matrix logarithm of a Hermitian PSD matrix with eigenvalue flooring.
+    """Matrix logarithm of a Hermitian PSD matrix, or of each matrix of a
+    (..., d, d) stack, with eigenvalue flooring.
 
     Eigenvalues are clamped at ``floor`` times the largest eigenvalue before
     taking the log, which keeps the result finite on singular inputs.
+    Hermiticity and positivity are checked for every matrix of a stack.
     """
-    w, v = herm_eig(a)
-    scale = max(float(np.abs(w).max()), 1.0)
-    if w[0] < -1e-8 * scale:
-        raise PSDViolationError(f"matrix has negative eigenvalue {w[0]!r}")
-    lw = _clamped_log(np.maximum(w, 0.0), floor)
-    return (v * lw) @ v.conj().T
+    return eig_log(*_psd_eig(a), floor)
 
 
 def entropy_functional(a: np.ndarray) -> float:
     """Spectral entropy -Tr[(A/TrA) log(A/TrA)] in nats, with 0 log 0 -> 0."""
-    w, _ = herm_eig(a)
-    scale = max(float(np.abs(w).max()), 1.0)
-    if w[0] < -1e-8 * scale:
-        raise PSDViolationError(f"matrix has negative eigenvalue {w[0]!r}")
+    w, _ = _psd_eig(a)
     tr = float(w.sum())
     if tr <= 0.0:
         raise ValueError("entropy functional needs a positive trace")

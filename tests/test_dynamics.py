@@ -464,8 +464,10 @@ def test_sle_step_product_state_theta_noop(rng):
 
 
 def test_sle_step_norm_drift_second_order(rng):
-    # deterministic damping drift alone changes the norm only at O(dt)
-    # with coefficient <V+V>; after the analytic correction the residue is O(dt^2)
+    # the block step's deterministic damping drift alone (dW = 0, no
+    # renormalization) changes the norm only at O(dt) with coefficient
+    # <V+V>; after the analytic correction the residue is O(dt^2).  The
+    # Hamiltonian acts through the unitary U, which keeps the norm.
     d = SpinDamping(0.3, 0.1, 0.2)
     ops = [kron(x, ID2) for x in spin_jump_operators(d)]
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
@@ -473,7 +475,10 @@ def test_sle_step_norm_drift_second_order(rng):
     half = sum(x.conj().T @ x for x in ops)
     vexp = float(np.vdot(psi, half @ psi).real)
     for dt in (1e-3, 5e-4):
-        out = psi - 0.5 * dt * (half @ psi)
+        _, step_mat = _sle_step_matrix(h, ops, dt)
+        stack = np.empty((len(ops) + 1, 4, 1), dtype=complex)
+        dw = np.zeros((len(ops), 1), dtype=complex)
+        out, _ = _sle_block_step(psi[:, None], step_mat, dw, stack, renormalize=False)
         drift = abs(np.vdot(out, out).real - (1.0 - dt * vexp))
         assert drift < 2.0 * (dt * np.abs(half).max()) ** 2
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from disentsim import qcore
+from disentsim import bases, qcore
 from disentsim.entangle import (
     DisentanglementSpec,
+    MeasureReport,
     ThetaEngine,
     ThetaFamily,
     build_theta,
@@ -14,6 +15,7 @@ from disentsim.entangle import (
     g_from_state,
     g_matrix,
     measure_report,
+    measures_from_rho,
     q_bloch_operators,
     q_s_operator,
     state_matrix,
@@ -34,6 +36,17 @@ DERANK_FAMILIES = (
     ThetaFamily.BLOCH_DERANK_B,
     ThetaFamily.STATE_MATRIX_DERANK,
 )
+
+
+def _pure_columns(rng, n):
+    return np.stack([qcore.random_pure_state(4, rng) for _ in range(n)], axis=1)
+
+
+def _two_qubit_stack(rng, n_pure, n_mixed):
+    psi = _pure_columns(rng, n_pure)
+    pure = np.einsum("in,jn->nij", psi, psi.conj())
+    mixed = [qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(n_mixed)]
+    return np.concatenate([pure, np.stack(mixed)])
 
 
 def test_state_matrix_layout():
@@ -350,3 +363,129 @@ def test_measure_report_fields(rng):
     rep = measure_report(QuantumState.mixed(rho, TWO_QUBITS))
     assert 0.0 <= rep.delta <= 1.0
     assert 0.0 < rep.purity <= 1.0
+
+
+def test_theta_engine_matrix_on_a_stack_matches_per_matrix_calls(rng):
+    # One matrix contracts its expectations with gemv and a stack with gemm,
+    # so B can differ in its last bit.  The Bloch families take the floored
+    # log of B B^T/2, whose sensitivity grows as 1/lambda_min: that last bit
+    # reached 5e-14 in Theta over 1500 random mixed states and 3.6e-12 over
+    # 400 pure ones, so they are held to the literal-operator tolerance.
+    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+    rhos = _two_qubit_stack(rng, 6, 8)
+    for fam in (*DERANK_FAMILIES, ThetaFamily.THERMALIZATION):
+        tol = 1e-11 if fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B) else 1e-14
+        if fam is ThetaFamily.THERMALIZATION:
+            spec = DisentanglementSpec(family=fam, gamma_h=1.3, beta=0.8)
+        else:
+            spec = DisentanglementSpec(family=fam, gamma_d=0.7)
+        eng = ThetaEngine(spec, TWO_QUBITS, h=h)
+        stacked = eng.matrix(rhos)
+        assert stacked.shape == rhos.shape
+        for rho, got in zip(rhos, stacked):
+            assert np.abs(got - eng.matrix(rho)).max() < tol, fam
+        nested = eng.matrix(rhos[:4].reshape(2, 2, 4, 4))
+        assert np.abs(nested.reshape(4, 4, 4) - eng.matrix(rhos[:4])).max() < 1e-14, fam
+
+
+@pytest.mark.parametrize("n", [1, 129])
+def test_theta_engine_drift_matches_literal_operators(rng, n):
+    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+    psi = _pure_columns(rng, n)
+    for fam in DERANK_FAMILIES:
+        got = ThetaEngine(DisentanglementSpec(family=fam, gamma_d=0.7), TWO_QUBITS, h=h).drift(psi)
+        assert got.shape == psi.shape
+        for k in range(n):
+            p = psi[:, k]
+            tm = 0.7 * literal_theta(fam, np.outer(p, p.conj()), h)
+            expected = -(tm @ p - np.vdot(p, tm @ p).real * p)
+            assert np.abs(got[:, k] - expected).max() < 1e-10, (fam, k)
+
+
+def test_thermalization_drift_is_the_pure_state_identity(rng):
+    # drift uses -gamma_h beta (H - <H>) psi; the generic path puts the whole
+    # matrix, floored log of |psi><psi| included, on each column
+    from disentsim.twospin import TwoSpinParams, build_hamiltonian
+
+    h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
+    psi = _pure_columns(rng, 129)
+    for gamma_h in (0.05, 1.0, 40.0):
+        spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=gamma_h, beta=0.8)
+        eng = ThetaEngine(spec, TWO_QUBITS, h=h)
+        got = eng.drift(psi)
+        for k in range(psi.shape[1]):
+            p = psi[:, k]
+            tm = eng.matrix(np.outer(p, p.conj()))
+            generic = -(tm @ p - np.vdot(p, tm @ p).real * p)
+            assert np.abs(got[:, k] - generic).max() < 1e-13 * max(gamma_h, 1.0), (gamma_h, k)
+
+
+# The integrators' sampler formulas that measures_from_rho replaced, kept as
+# the reference it must match.
+
+
+def _ref_log_eigs(w, floor):
+    wmax = np.maximum(w[..., -1], 0.0)
+    cut = floor * np.where(wmax > 0.0, wmax, 1.0)
+    return np.log(np.maximum(w, cut[..., None]))
+
+
+def _ref_from_bloch(b, gram, purity, floor):
+    k_a = np.sqrt(2.0) * b[:, 1:4, 0]
+    k_b = np.sqrt(2.0) * b[:, 0, 1:4]
+    alpha = 0.5 * np.einsum("nab,ncb->nac", b, b)
+    wa = np.linalg.eigvalsh(alpha)
+    l_ent = -(np.maximum(wa, 0.0) * _ref_log_eigs(wa, floor)).sum(axis=-1)
+    wg = np.linalg.eigvalsh(gram)
+    k_ent = -(np.maximum(wg, 0.0) * _ref_log_eigs(wg, floor)).sum(axis=-1)
+    delta = np.clip(4.0 * np.linalg.det(gram).real, 0.0, 1.0)
+    cov = (np.sqrt(2.0) * b[:, 1:, 1:]
+           - 2.0 * b[:, 1:, :1] * b[:, :1, 1:])
+    tau = (cov * cov).sum(axis=(1, 2)) / 3.0
+    return k_a, k_b, k_ent, l_ent, delta, tau, purity
+
+
+def _ref_from_rho_stack(rhos, floor):
+    b = np.einsum("abij,nji->nab", bases.observable_grid(2, 2).entries, rhos).real
+    gram = np.einsum("nibjb->nij", rhos.reshape(-1, 2, 2, 2, 2))
+    purity = np.einsum("nij,nji->n", rhos, rhos).real
+    return _ref_from_bloch(b, gram, purity, floor)
+
+
+def _ref_from_psi_block(psi, floor):
+    b = np.einsum("abij,jn,in->nab", bases.observable_grid(2, 2).entries, psi, psi.conj()).real
+    m = psi.reshape(2, 2, -1)
+    gram = np.einsum("abn,cbn->nac", m, m.conj())
+    return _ref_from_bloch(b, gram, np.ones(psi.shape[1]), floor)
+
+
+def _kernel_columns(rhos, floor):
+    b, rep = measures_from_rho(rhos, TWO_QUBITS, floor)
+    k_a, k_b = bases.single_spin_bloch_vectors(b)
+    return k_a, k_b, rep.k_entropy, rep.l_entropy, rep.delta, rep.tau_ab, rep.purity
+
+
+@pytest.mark.parametrize("floor", [qcore.DEFAULT_LOG_FLOOR, 1e-8])
+def test_measure_kernel_matches_the_replaced_sampler(rng, floor):
+    psi = np.concatenate([_pure_columns(rng, 40),
+                          np.stack([random_product_psi(rng) for _ in range(5)], axis=1)], axis=1)
+    rhos = np.einsum("in,jn->nij", psi, psi.conj())
+    pairs = [(_kernel_columns(rhos, floor), _ref_from_psi_block(psi, floor))]
+    mixed = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(40)])
+    pairs.append((_kernel_columns(mixed, floor), _ref_from_rho_stack(mixed, floor)))
+    for got, ref in pairs:
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.abs(g - r).max() < 1e-12
+
+
+def test_single_state_measures_are_the_kernel_row(rng):
+    states = [QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS),
+              QuantumState.pure(TILTED, TWO_QUBITS),
+              QuantumState.mixed(qcore.random_density_matrix(4, rng), TWO_QUBITS)]
+    for st in states:
+        _, rep = measures_from_rho(st.density()[None], TWO_QUBITS)
+        assert measure_report(st) == MeasureReport(**{f: float(v[0]) for f, v in vars(rep).items()})
+        assert entanglement_l(st) == rep.l_entropy[0]
+        assert entanglement_k(st) == rep.k_entropy[0]
+        assert tau_correlation(st) == rep.tau_ab[0]

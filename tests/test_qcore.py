@@ -171,3 +171,79 @@ def test_quantum_state_validation():
         QuantumState.mixed(np.diag([1.5, -0.5, 0.0, 0.0]), TWO_QUBITS)
     with pytest.raises(DimensionError):
         Factorization(1, 2)
+
+
+# The floor-clamped logs that floored_log replaced, kept as the reference it
+# must reproduce bit for bit.  Each takes an ascending spectrum, as eigh and
+# eigvalsh return it.
+
+
+def _ref_clamped_log(w, floor):  # qcore._clamped_log, behind spectral_log
+    wmax = float(np.max(w)) if w.size else 0.0
+    cut = floor * (wmax if wmax > 0.0 else 1.0)
+    return np.log(np.maximum(w, cut))
+
+
+def _ref_neg_x_log_x(w, floor):  # entangle._neg_x_log_x, behind entanglement_l
+    wmax = float(np.max(w)) if w.size else 0.0
+    cut = floor * (wmax if wmax > 0.0 else 1.0)
+    wp = np.maximum(w, 0.0)
+    return float(-(wp * np.log(np.maximum(wp, cut))).sum())
+
+
+def _ref_log_eigs(w, floor):  # the sampler's _log_eigs; ThetaEngine._batched_log's clamp
+    wmax = np.maximum(w[..., -1], 0.0)
+    cut = floor * np.where(wmax > 0.0, wmax, 1.0)
+    return np.log(np.maximum(w, cut[..., None]))
+
+
+def _ref_sym_log_eigs(w, floor):  # ThetaEngine._sym_log's clamp
+    wmax = max(float(w[-1]), 0.0)
+    cut = floor * (wmax if wmax > 0.0 else 1.0)
+    return np.log(np.maximum(w, cut))
+
+
+def _spectra(rng):
+    rows = [np.linalg.eigvalsh(qcore.random_density_matrix(4, rng, rank=r)) for r in (1, 2, 3, 4)]
+    rows += [np.linalg.eigvalsh(qcore.random_density_matrix(4, rng)) * s for s in (1e-6, 3e4)]
+    rows += [
+        np.zeros(4),
+        np.array([-3e-17, -1e-18, 0.0, 0.0]),
+        np.array([-2e-17, 5e-18, 0.25, 0.75]),
+        np.array([-1e-3, -2e-4, -1e-5, -1e-9]),
+        np.array([1e-300, 2e-300, 3e-300, 1e-299]),
+    ]
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("floor", [qcore.DEFAULT_LOG_FLOOR, 1e-6])
+def test_floored_log_reproduces_the_replaced_copies(rng, floor):
+    spectra = _spectra(rng)
+    stacked = qcore.floored_log(spectra, floor)
+    assert stacked.tobytes() == _ref_log_eigs(spectra, floor).tobytes()
+    stack_3d = spectra.reshape(11, 1, 4)
+    assert qcore.floored_log(stack_3d, floor).tobytes() == _ref_log_eigs(stack_3d, floor).tobytes()
+    for w, row in zip(spectra, stacked):
+        one = qcore.floored_log(w, floor)
+        assert one.tobytes() == row.tobytes()
+        assert one.tobytes() == _ref_sym_log_eigs(w, floor).tobytes()
+        assert one.tobytes() == _ref_clamped_log(w, floor).tobytes()
+        # spectral_log used to clamp the spectrum at 0 before the log
+        assert one.tobytes() == _ref_clamped_log(np.maximum(w, 0.0), floor).tobytes()
+        # the measure kernel's entropy expression
+        ent = float(-(np.maximum(w, 0.0) * one).sum())
+        assert ent == _ref_neg_x_log_x(w, floor)
+
+
+def test_spectral_log_on_a_stack_checks_every_matrix(rng):
+    rhos = np.stack([qcore.random_density_matrix(3, rng) for _ in range(5)])
+    stacked = spectral_log(rhos)
+    for rho, got in zip(rhos, stacked):
+        assert np.abs(got - spectral_log(rho)).max() < 1e-14
+    bad = rhos.copy()
+    bad[3] = np.diag([1.0, 0.5, -1e-3])
+    with pytest.raises(PSDViolationError):
+        spectral_log(bad)
+    bad[3] = np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]])
+    with pytest.raises(HermiticityError):
+        spectral_log(bad)
