@@ -22,6 +22,7 @@ from .dynamics import (
     DegenerateSteadyStateError,
     SdeModel,
     StateHealthError,
+    TrajectoryRecord,
     ensemble_mean_record,
     integrate_master,
     integrate_sle_ensemble,
@@ -29,7 +30,7 @@ from .dynamics import (
 )
 from .output import (
     matrix_json,
-    write_manifest,
+    write_json,
     write_sweep_csv,
     write_trajectory_ndjson,
 )
@@ -149,22 +150,21 @@ def _run_sde(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     mean_rho, records = integrate_sle_ensemble(psi0, model, config.integrator,
                                                config.n_traj)
     mean_rec = ensemble_mean_record(records)
-    ka, kb = mean_rec.k_a, mean_rec.k_b
     write_trajectory_ndjson(out / "trajectory_mean.ndjson", mean_rec)
     outputs.append("trajectory_mean.ndjson")
-    for k in range(min(config.emit_trajectories, len(records))):
+    for k in range(min(config.emit_trajectories, config.n_traj)):
         name = f"trajectory_{k:03d}.ndjson"
         write_trajectory_ndjson(out / name, records[k])
         outputs.append(name)
     if config.plots:
         _bloch_plots(out, mean_rec, "mean_", outputs)
-        if records and config.emit_trajectories > 0:
+        if config.emit_trajectories > 0:
             _bloch_plots(out, records[0], "traj000_", outputs)
     return {
         "n_traj": config.n_traj,
         "mean_rho_final": matrix_json(mean_rho),
-        "final_mean_k_a": [float(v) for v in ka[-1]],
-        "final_mean_k_b": [float(v) for v in kb[-1]],
+        "final_mean_k_a": [float(v) for v in mean_rec.k_a[-1]],
+        "final_mean_k_b": [float(v) for v in mean_rec.k_b[-1]],
     }
 
 
@@ -220,15 +220,12 @@ def _run_steady(config: RunConfig, out: Path, outputs: list[str]) -> dict:
         "t_eff": teff,
         "rabi_frequency": rabi_frequency(config.model),
     }
-    import json
-    (out / "steady.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                                     encoding="utf-8")
+    write_json(out / "steady.json", payload)
     outputs.append("steady.json")
     return {"t_eff": teff, "tau_ab": rep.tau_ab}
 
 
 def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
-    import json
     if config.state_psi:
         psi = _parse_state_psi(config.state_psi)
         state = QuantumState.pure(psi, TWO_QUBITS)
@@ -240,8 +237,7 @@ def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
         extra = {}
     rep = entangle.measure_report(state, config.integrator.log_floor)
     payload = {"measures": rep.__dict__, **extra}
-    (out / "measures.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                                       encoding="utf-8")
+    write_json(out / "measures.json", payload)
     outputs.append("measures.json")
     return payload["measures"]
 
@@ -275,7 +271,7 @@ def execute(config: RunConfig) -> dict:
         "outputs": sorted(outputs),
         "results": results,
     }
-    write_manifest(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 

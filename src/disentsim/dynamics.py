@@ -15,17 +15,19 @@
   block: dW is laid out once per 256-step chunk in one reused, contiguous
   (step, channel, trajectory) buffer, and the linear part of a step is one
   gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the stack of psi and
-  dW_l psi; sle_step is the same kernel on one column.
+  dW_l psi; sle_step is the same kernel on one column.  Samples fill one
+  ensemble record with a trajectory axis.
 * Linear steady-state solver via the vectorized Liouvillian null space,
   batched over a stack of Liouvillians: one SVD call decomposes the whole
   stack (the parameter sweep passes one grid row at a time), and the
   degeneracy and positivity rules are applied per cell in that one kernel,
   so single solves and sweeps reach the same verdicts.
 
-Trace/norm conservation, Hermiticity and positivity are tracked as
-diagnostics at every sample; positivity violations beyond tolerance abort
-the run rather than being repaired.  Both integrators take the Bloch vectors
-and measures of their samples from ``entangle.measures_from_rho``.
+Trace conservation, Hermiticity and positivity are tracked at every
+master-equation sample and the norm error at every stochastic one;
+positivity violations beyond tolerance abort the run rather than being
+repaired.  Both integrators take the Bloch vectors and measures of their
+samples from ``entangle.measures_from_rho``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, entangle
-from .entangle import DisentanglementSpec, MeasureReport, ThetaEngine, ThetaOperator
+from .entangle import DisentanglementSpec, ThetaEngine, ThetaOperator
 from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
@@ -359,9 +361,14 @@ class IntegratorConfig:
 class TrajectoryRecord:
     """Sampled time series of Bloch vectors, measures and health diagnostics.
 
+    An ensemble record has a leading trajectory axis on every field but
+    ``times``; ``rec[k]`` is trajectory k's record, made of views.
+
     ``weight`` is only set on stochastic trajectories: the accumulated squared
     norm of the linear (pre-renormalization) solution, which is the correct
-    statistical weight when averaging projectors over an ensemble.
+    statistical weight when averaging projectors over an ensemble.  There
+    ``herm_err`` and ``min_eig`` are not measured (None) and ``trace_err`` is
+    the norm error |<psi|psi> - 1|.
     """
 
     times: np.ndarray
@@ -373,22 +380,17 @@ class TrajectoryRecord:
     tau_ab: np.ndarray
     purity: np.ndarray
     trace_err: np.ndarray
-    herm_err: np.ndarray
-    min_eig: np.ndarray
+    herm_err: np.ndarray | None = None
+    min_eig: np.ndarray | None = None
     weight: np.ndarray | None = None
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
-    def measures(self, i: int) -> MeasureReport:
-        return MeasureReport(
-            k_entropy=float(self.k_entropy[i]),
-            l_entropy=float(self.l_entropy[i]),
-            delta=float(self.delta[i]),
-            tau_ab=float(self.tau_ab[i]),
-            purity=float(self.purity[i]),
-        )
+    def __getitem__(self, k: int) -> TrajectoryRecord:
+        return TrajectoryRecord(**{f: v if f == "times" or v is None else v[k]
+                                   for f, v in vars(self).items()})
 
 
 def integrate_master(
@@ -592,16 +594,17 @@ def _noise_chunks(gens: list[np.random.Generator], n_ch: int, n_steps: int, dt: 
 
 
 def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: IntegratorConfig,
-                           n_traj: int) -> tuple[np.ndarray, list[TrajectoryRecord]]:
+                           n_traj: int) -> tuple[np.ndarray, TrajectoryRecord]:
     """Evolve an ensemble of trajectories and average the projectors.
 
     Returns the ensemble mean density matrix at the final time plus one
-    record per trajectory.  Trajectory k draws its noise from its own
-    generator, seeded from (cfg.seed, k), so its noise does not depend on
-    n_traj.  The same seed and the same n_traj give the same bytes on the
-    same machine; across different n_traj a trajectory's state agrees only
-    to the last few ulps, because the BLAS kernels of the block step depend
-    on the column count, and its weight is relative to the ensemble.
+    ensemble record of contiguous (n_traj, n_samples, ...) columns.
+    Trajectory k draws its noise from its own generator, seeded from
+    (cfg.seed, k), so its noise does not depend on n_traj.  The same seed
+    and the same n_traj give the same bytes on the same machine; across
+    different n_traj a trajectory's state agrees only to the last few ulps,
+    because the BLAS kernels of the block step depend on the column count,
+    and its weight is relative to the ensemble.
 
     States are renormalized every step, and the discarded squared norm is
     accumulated as a per-trajectory weight: the stochastic equation is a
@@ -639,12 +642,12 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
     stack = np.empty((len(ops) + 1, dim, n_traj), dtype=complex)
     log_w = np.zeros(n_traj)
 
-    # per-sample, per-trajectory record columns, named as TrajectoryRecord fields
+    # per-trajectory, per-sample record columns, named as TrajectoryRecord fields
     times = np.array([s * dt for s in sample_steps])
-    cols = {f: np.zeros((n_samp, n_traj, 3)) for f in ("k_a", "k_b")}
-    cols.update((f, np.zeros((n_samp, n_traj)))
+    cols = {f: np.zeros((n_traj, n_samp, 3)) for f in ("k_a", "k_b")}
+    cols.update((f, np.zeros((n_traj, n_samp)))
                 for f in ("k_entropy", "l_entropy", "delta", "tau_ab", "trace_err"))
-    cols.update((f, np.ones((n_samp, n_traj))) for f in ("purity", "weight"))
+    cols.update((f, np.ones((n_traj, n_samp))) for f in ("purity", "weight"))
 
     si = step = 0
 
@@ -654,18 +657,18 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
             raise StateHealthError(step * dt, math.nan,
                                    reason="state vector or weight is not finite")
         rel = np.exp(log_w - log_w.max())
-        cols["weight"][si] = rel / rel.mean()
+        cols["weight"][:, si] = rel / rel.mean()
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
-        cols["trace_err"][si] = np.abs(nrm * nrm - 1.0)
+        cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
         if model.factor == TWO_QUBITS:
             rho = np.einsum("in,jn->nij", psi, psi.conj())
             b, rep = entangle.measures_from_rho(rho, TWO_QUBITS, cfg.log_floor)
-            cols["k_a"][si], cols["k_b"][si] = bases.single_spin_bloch_vectors(b)
+            cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
             for f, v in vars(rep).items():
-                cols[f][si] = v
+                cols[f][:, si] = v
         elif dim == 2:
             for j, s in enumerate((bases.SIGMA_X, bases.SIGMA_Y, bases.SIGMA_Z)):
-                cols["k_a"][si, :, j] = np.einsum("in,ij,jn->n", psi.conj(), s, psi).real
+                cols["k_a"][:, si, j] = np.einsum("in,ij,jn->n", psi.conj(), s, psi).real
         si += 1
 
     # an overflowing step is reported by the sample-point check, not by warnings
@@ -682,43 +685,21 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
 
     w_final = np.exp(log_w - log_w.max())
     mean_rho = np.einsum("in,jn,n->ij", psi, psi.conj(), w_final) / w_final.sum()
-
-    zeros = np.zeros(n_samp)
-    records = [TrajectoryRecord(times=times.copy(), herm_err=zeros.copy(), min_eig=zeros.copy(),
-                                **{f: np.ascontiguousarray(c[:, k]) for f, c in cols.items()})
-               for k in range(n_traj)]
-    return mean_rho, records
+    return mean_rho, TrajectoryRecord(times=times, **cols)
 
 
-def _ensemble_weights(records: list[TrajectoryRecord]) -> np.ndarray:
-    """Per-sample trajectory weights normalized to sum 1, shape (n_traj, n_samp)."""
-    if records[0].weight is not None:
-        w = np.stack([r.weight for r in records])
-    else:
-        w = np.ones((len(records), records[0].n_samples))
-    return w / w.sum(axis=0, keepdims=True)
+def ensemble_mean_bloch(rec: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted ensemble averages (times, mean k_a, mean k_b) of an ensemble record."""
+    mean = ensemble_mean_record(rec)
+    return mean.times, mean.k_a, mean.k_b
 
 
-def ensemble_mean_bloch(records: list[TrajectoryRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted ensemble averages (times, mean k_a, mean k_b) over records."""
-    wn = _ensemble_weights(records)
-    ka = np.einsum("rs,rsj->sj", wn, np.stack([r.k_a for r in records]))
-    kb = np.einsum("rs,rsj->sj", wn, np.stack([r.k_b for r in records]))
-    return records[0].times, ka, kb
-
-
-def ensemble_mean_record(records: list[TrajectoryRecord]) -> TrajectoryRecord:
-    """Weighted ensemble-mean time series (Bloch vectors and measures)."""
-    wn = _ensemble_weights(records)
-
-    def avg(field: str) -> np.ndarray:
-        return np.einsum("rs,rs->s", wn, np.stack([getattr(r, field) for r in records]))
-
-    times, ka, kb = ensemble_mean_bloch(records)
+def ensemble_mean_record(rec: TrajectoryRecord) -> TrajectoryRecord:
+    """Weighted ensemble-mean time series (Bloch vectors and measures), each
+    sample's weights normalized to sum 1; ``trace_err`` is the worst one's."""
+    wn = rec.weight / rec.weight.sum(axis=0, keepdims=True)
     return TrajectoryRecord(
-        times=times, k_a=ka, k_b=kb,
-        k_entropy=avg("k_entropy"), l_entropy=avg("l_entropy"),
-        delta=avg("delta"), tau_ab=avg("tau_ab"), purity=avg("purity"),
-        trace_err=np.max([r.trace_err for r in records], axis=0),
-        herm_err=np.zeros_like(times), min_eig=np.zeros_like(times),
+        times=rec.times, trace_err=rec.trace_err.max(axis=0),
+        **{f: np.einsum("rs,rs...->s...", wn, getattr(rec, f))
+           for f in ("k_a", "k_b", "k_entropy", "l_entropy", "delta", "tau_ab", "purity")},
     )

@@ -42,7 +42,7 @@ def write_sweep_csv(path: Path, result: SweepResult) -> None:
 
 
 def trajectory_lines(rec: TrajectoryRecord):
-    """NDJSON lines, one sample per line, stable field order."""
+    """NDJSON lines, one sample per line, stable field order; None is null."""
     for i in range(rec.n_samples):
         entry = {
             "t": float(rec.times[i]),
@@ -57,8 +57,8 @@ def trajectory_lines(rec: TrajectoryRecord):
             },
             "diagnostics": {
                 "trace_err": float(rec.trace_err[i]),
-                "herm_err": float(rec.herm_err[i]),
-                "min_eig": float(rec.min_eig[i]),
+                "herm_err": None if rec.herm_err is None else float(rec.herm_err[i]),
+                "min_eig": None if rec.min_eig is None else float(rec.min_eig[i]),
             },
         }
         yield json.dumps(entry)
@@ -72,8 +72,9 @@ def read_trajectory_ndjson(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def write_manifest(path: Path, manifest: dict) -> None:
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+def write_json(path: Path, payload: dict) -> None:
+    """A manifest or result document: sorted keys, two-space indent."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
 
 

@@ -198,6 +198,23 @@ def test_sde_run_outputs_and_determinism(tmp_path):
         (tmp_path / "z" / "trajectory_mean.ndjson").read_bytes()
 
 
+def test_unmeasured_diagnostics_are_null(tmp_path):
+    # stochastic records hold pure states: Hermiticity and positivity are not
+    # measured there, while the master equation measures both at every sample
+    execute(parse_config(_sde_doc(tmp_path / "sde")))
+    files = sorted((tmp_path / "sde").glob("*.ndjson"))
+    assert [p.name for p in files] == ["trajectory_000.ndjson", "trajectory_001.ndjson",
+                                       "trajectory_mean.ndjson"]
+    for path in files:
+        for row in read_trajectory_ndjson(path):
+            diag = row["diagnostics"]
+            assert diag["herm_err"] is None and diag["min_eig"] is None, path.name
+            assert isinstance(diag["trace_err"], float), path.name
+    execute(parse_config(_base_master_doc(tmp_path / "master", t_end=0.2)))
+    for row in read_trajectory_ndjson(tmp_path / "master" / "trajectory.ndjson"):
+        assert all(isinstance(v, float) for v in row["diagnostics"].values())
+
+
 def test_steady_and_measures_commands(tmp_path):
     doc = "\n".join([
         "command = steady",

@@ -21,6 +21,8 @@ from disentsim.dynamics import (
     _sle_step_matrix,
     damping_superop,
     dissipator_superop,
+    ensemble_mean_bloch,
+    ensemble_mean_record,
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
@@ -629,6 +631,54 @@ def test_ensemble_deterministic_for_fixed_seed():
                             sample_every=100)
     rho3, _ = integrate_sle_ensemble(psi0, model, cfg3, n_traj=7)
     assert np.abs(rho1 - rho3).max() > 0
+
+
+def _list_ensemble_mean(records):
+    """Reference mean over a list of per-trajectory records with their own
+    contiguous arrays: per-sample weights normalized to sum 1, the records'
+    fields stacked along a new trajectory axis and summed by einsum."""
+    w = np.stack([r.weight for r in records])
+    wn = w / w.sum(axis=0, keepdims=True)
+    mean = {f: np.einsum("rs,rsj->sj", wn, np.stack([getattr(r, f) for r in records]))
+            for f in ("k_a", "k_b")}
+    mean.update((f, np.einsum("rs,rs->s", wn, np.stack([getattr(r, f) for r in records])))
+                for f in ("k_entropy", "l_entropy", "delta", "tau_ab", "purity"))
+    mean["trace_err"] = np.max([r.trace_err for r in records], axis=0)
+    return mean
+
+
+@pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS])
+def test_ensemble_record_views_and_mean(family):
+    d = DampingParams(a=SpinDamping(0.05, 0.01, 0.1), b=SpinDamping(0.1, 0.02, 0.05))
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    gamma_d = 0.0 if family is ThetaFamily.NONE else 0.7
+    model = SdeModel.two_spin(h, d, DisentanglementSpec(family=family, gamma_d=gamma_d))
+    psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.8, method="euler-maruyama", seed=42,
+                           sample_every=100)
+    _, rec = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
+    assert rec.herm_err is None and rec.min_eig is None
+    copies = []
+    for k in range(7):
+        traj = rec[k]
+        assert traj.times is rec.times
+        assert traj.herm_err is None and traj.min_eig is None
+        for f in ("k_a", "k_b", "k_entropy", "l_entropy", "delta", "tau_ab", "purity",
+                  "trace_err", "weight"):
+            assert np.shares_memory(getattr(traj, f), getattr(rec, f)), (k, f)
+            assert np.array_equal(getattr(traj, f), getattr(rec, f)[k]), (k, f)
+        copies.append(type(traj)(**{f: None if v is None else np.array(v)
+                                    for f, v in vars(traj).items()}))
+
+    mean = ensemble_mean_record(rec)
+    ref = _list_ensemble_mean(copies)
+    for f, v in ref.items():
+        assert getattr(mean, f).tobytes() == v.tobytes(), f
+    assert mean.times is rec.times
+    assert mean.herm_err is None and mean.min_eig is None
+    times, ka, kb = ensemble_mean_bloch(rec)
+    assert times is rec.times
+    assert ka.tobytes() == ref["k_a"].tobytes() and kb.tobytes() == ref["k_b"].tobytes()
 
 
 def test_ensemble_single_driven_spin_matches_analytic():
