@@ -15,7 +15,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .qcore import (  # noqa: F401
-    ComplexMatrix,
     Factorization,
     QuantumState,
     TWO_QUBITS,

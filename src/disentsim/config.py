@@ -86,8 +86,6 @@ SCHEMA: dict[str, _Key] = {
     "integrator.dt": _Key(float, 1e-3, _positive("integrator.dt"), "time step (units 1/omega_a)"),
     "integrator.t_end": _Key(float, 200.0, _positive("integrator.t_end"), "duration"),
     "integrator.seed": _Key(int, 0, help="RNG seed for stochastic runs"),
-    "integrator.renormalize_every_step": _Key(_parse_bool, False,
-                                              help="renormalize the density-matrix trace each step"),
     "integrator.log_floor": _Key(float, 1e-13, _positive("integrator.log_floor"),
                                  "relative eigenvalue floor in matrix logs"),
     "integrator.sample_every": _Key(int, 0, _nonneg("integrator.sample_every"),
@@ -241,7 +239,6 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
             t_end=values["integrator.t_end"],
             method=method,
             seed=values["integrator.seed"],
-            renormalize_every_step=values["integrator.renormalize_every_step"],
             log_floor=values["integrator.log_floor"],
             sample_every=values["integrator.sample_every"],
         )

@@ -223,12 +223,18 @@ def steady_states(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, degenerate
 
 
-def steady_state_from_ops(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    """Unique trace-one steady state of the linear GKSL generator.
+def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
+    """Unique trace-one steady state of the linear GKSL generator for the
+    two-spin system (4x4) or a single spin (2x2).
 
     Solves the null space of the vectorized Liouvillian by SVD; a null space
     of dimension > 1 raises instead of being resolved silently.
     """
+    h = as_complex_matrix(h)
+    n = 4 if isinstance(d, DampingParams) else 2
+    if h.shape != (n, n):
+        raise DimensionError(f"{type(d).__name__} damping needs a {n}x{n} Hamiltonian")
+    ops = two_spin_jump_operators(d) if n == 4 else spin_jump_operators(d)
     rho, degenerate = steady_states(liouvillian_matrix(h, ops)[None])
     if degenerate[0]:
         raise DegenerateSteadyStateError(
@@ -236,18 +242,6 @@ def steady_state_from_ops(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
             "(null space of dimension > 1, or a traceless null vector)"
         )
     return rho[0]
-
-
-def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
-    """Steady state for the two-spin system (4x4) or a single spin (2x2)."""
-    h = as_complex_matrix(h)
-    if isinstance(d, DampingParams):
-        if h.shape != (4, 4):
-            raise DimensionError("DampingParams damping needs a 4x4 Hamiltonian")
-        return steady_state_from_ops(h, two_spin_jump_operators(d))
-    if h.shape != (2, 2):
-        raise DimensionError("SpinDamping damping needs a 2x2 Hamiltonian")
-    return steady_state_from_ops(h, spin_jump_operators(d))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +322,6 @@ class IntegratorConfig:
     t_end: float = 200.0
     method: str = "rk4"  # "rk4" or "euler-maruyama"
     seed: int = 0
-    renormalize_every_step: bool = False
     log_floor: float = DEFAULT_LOG_FLOOR
     sample_every: int = 0  # 0 = choose automatically (~2000 samples)
 
@@ -455,8 +448,6 @@ def integrate_master(
                 # overflowed to inf/NaN
                 raise StateHealthError(step * dt, math.nan) from None
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if cfg.renormalize_every_step:
-                rho = rho / rho.trace().real
 
     sym = 0.5 * (rho_samples + rho_samples.conj().transpose(0, 2, 1))
     b, rep = entangle.measures_from_rho(sym, TWO_QUBITS, cfg.log_floor)

@@ -24,7 +24,8 @@ from a density matrix or a (..., D, D) stack of them; the master-equation
 stages, the public constructors and the stochastic drift (``matrix`` on the
 stack of |psi><psi|) all call it.  ``measures_from_rho`` computes every
 measure of a stack of states for the single-state functions and for both
-integrators' sample points.
+integrators' sample points.  B and the covariances each come from one
+contraction, ``bases._contract``, which the measures, the sweep and Theta share.
 """
 
 from __future__ import annotations
@@ -162,26 +163,35 @@ def delta_measure(psi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Operator-stack context shared by the Theta constructors.
+# Correlation basis: the covariances behind tau_ab and Q_ab.
 
 
 @dataclass(frozen=True)
-class _OperatorStacks:
-    lam_a_full: np.ndarray  # (n_a, D, D) subsystem-a generators embedded in full space
-    lam_b_full: np.ndarray
-    lam_ab_full: np.ndarray  # (n_a * n_b, D, D) pair products embedded in full space
+class _CorrelationBasis:
+    expect: np.ndarray  # expectation matrix of l_a (x) I, I (x) l_b, l_a (x) l_b (each (x) I_c)
+    split: tuple[int, int]  # where the I (x) l_b and the l_a (x) l_b columns start
+    pairs: np.ndarray  # (n_a * n_b, D^2) flattened l_a (x) l_b (x) I_c stack
 
 
 @lru_cache(maxsize=None)
-def _stacks(factor: Factorization) -> _OperatorStacks:
+def _correlation_basis(factor: Factorization) -> _CorrelationBasis:
     da, db, dc = factor.d_a, factor.d_b, factor.d_c
     ia, ib, ic = np.eye(da), np.eye(db), np.eye(dc)
     lam_a = bases.gell_mann(da).matrices
     lam_b = bases.gell_mann(db).matrices
-    la = np.stack([kron(kron(x, ib), ic) for x in lam_a])
-    lb = np.stack([kron(kron(ia, x), ic) for x in lam_b])
     lab = np.stack([kron(kron(x, y), ic) for x in lam_a for y in lam_b])
-    return _OperatorStacks(lam_a_full=la, lam_b_full=lb, lam_ab_full=lab)
+    ops = np.concatenate([[kron(kron(x, ib), ic) for x in lam_a],
+                          [kron(kron(ia, x), ic) for x in lam_b], lab])
+    return _CorrelationBasis(expect=bases._expect_matrix(ops), pairs=lab.reshape(len(lab), -1),
+                             split=(len(lam_a), len(lam_a) + len(lam_b)))
+
+
+def _covariances(rho: np.ndarray, basis: _CorrelationBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>) of a (..., D, D) stack, shape (..., n_a n_b) each."""
+    e = bases._contract(rho, basis.expect).real
+    i, j = basis.split
+    ab = (e[..., :i, None] * e[..., None, i:j]).reshape(*e.shape[:-1], len(basis.pairs))
+    return e[..., j:] - ab, ab
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +242,7 @@ def tau_from_rho(rho: np.ndarray, factor: Factorization,
                  eta: float = ETA_TWO_QUBITS) -> np.ndarray:
     """tau_ab of each density matrix of a (..., D, D) stack, shape (...): eta
     times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
-    st = _stacks(factor)
-    rho = np.asarray(rho, dtype=complex)
-    a = np.einsum("kij,...ji->...k", st.lam_a_full, rho).real
-    b = np.einsum("kij,...ji->...k", st.lam_b_full, rho).real
-    m = np.einsum("kij,...ji->...k", st.lam_ab_full, rho).real
-    cov = m - (a[..., :, None] * b[..., None, :]).reshape(m.shape)
+    cov = _covariances(np.asarray(rho, dtype=complex), _correlation_basis(factor))[0]
     return eta * (cov * cov).sum(axis=-1)
 
 
@@ -322,27 +327,16 @@ class ThetaEngine:
         if factor.d_c != 1 and spec.family in (*_BLOCH_FAMILIES,
                                                ThetaFamily.STATE_MATRIX_DERANK):
             raise DimensionError(f"{spec.family.value} needs a trivial spectator slot")
-        # Flattened, rate-scaled stacks for ``matrix``: rho.ravel() @ _expect
-        # gives every expectation it needs in one matmul, and a coefficient
-        # vector @ _pairs contracts back to the flattened Theta.
-        st = _stacks(factor)
-        gens = None
+        # the measures' basis, held so that no stage looks it up, and the
+        # rate-scaled operators that coefficients @ _pairs sum to flat Theta
         if spec.family is ThetaFamily.CORR_SUPPRESS:
-            gens = np.concatenate([st.lam_a_full, st.lam_b_full, st.lam_ab_full])
+            self._basis = _correlation_basis(factor)
             rate = spec.gamma_d * eta
-            self._split = (len(st.lam_a_full), len(st.lam_a_full) + len(st.lam_b_full))
-            self._pairs = rate * st.lam_ab_full.reshape(len(st.lam_ab_full), -1)
+            self._pairs = rate * self._basis.pairs
             self._eye = rate * np.eye(factor.dim).reshape(-1)
         elif spec.family in _BLOCH_FAMILIES:
-            gens = bases.observable_grid(factor.d_a, factor.d_b).flat
-            self._bshape = (factor.d_a ** 2, factor.d_b ** 2)
-            self._pairs = -0.5 * spec.gamma_d * gens.reshape(len(gens), -1)
-        if gens is not None:
-            self._expect = np.ascontiguousarray(gens.transpose(2, 1, 0).reshape(-1, len(gens)))
-
-    @property
-    def active(self) -> bool:
-        return self.spec.active
+            self._grid = bases.observable_grid(factor.d_a, factor.d_b)
+            self._pairs = -0.5 * spec.gamma_d * self._grid.entries.reshape(factor.dim ** 2, -1)
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
@@ -355,14 +349,11 @@ class ThetaEngine:
         fam = self.spec.family
         lead = rho.shape[:-2]
         if fam is ThetaFamily.CORR_SUPPRESS:
-            e = (rho.reshape(lead + (-1,)) @ self._expect).real
-            i, j = self._split
-            ab = (e[..., :i, None] * e[..., None, i:j]).reshape(lead + (-1,))
-            cov = e[..., j:] - ab
+            cov, ab = _covariances(rho, self._basis)
             return (cov @ self._pairs
                     - np.vecdot(cov, ab)[..., None] * self._eye).reshape(rho.shape)
         if fam in _BLOCH_FAMILIES:
-            b = (rho.reshape(lead + (-1,)) @ self._expect).real.reshape(lead + self._bshape)
+            b = bases._contract(rho, self._grid.expect).real.reshape(lead + self._grid.entries.shape[:2])
             if fam is ThetaFamily.BLOCH_DERANK_A:
                 w = eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b
             else:

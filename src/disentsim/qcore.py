@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ComplexMatrix = np.ndarray
-
 #: Default relative eigenvalue floor used inside matrix logarithms.
 DEFAULT_LOG_FLOOR = 1e-13
 
@@ -132,10 +130,6 @@ class QuantumState:
     @property
     def is_pure(self) -> bool:
         return self.psi is not None
-
-    @property
-    def dim(self) -> int:
-        return self.factor.dim
 
     def density(self) -> np.ndarray:
         """Density matrix; pure states are promoted to |psi><psi|."""

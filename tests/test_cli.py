@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disentsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, execute, main
+from disentsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, execute, main
 from disentsim.config import (
     ConfigError,
     parse_config,
@@ -279,6 +279,17 @@ def test_main_exit_codes(tmp_path):
         f"output.dir = {tmp_path / 'u'}",
     ]) + "\n")
     assert main(["--config", str(unstable), "--no-plots"]) == EXIT_NUMERICAL
+
+
+def test_io_errors_exit_4(tmp_path, capsys):
+    # an unreadable config document while loading, and an output directory
+    # that cannot be created while running
+    assert main(["--config", str(tmp_path / "missing.cfg")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error:")
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    assert main(["--preset", "fig2-A2", "--out", str(taken), "--no-plots"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error:")
 
 
 def test_non_finite_state_is_a_health_abort(tmp_path, capsys):

@@ -388,6 +388,19 @@ def test_theta_engine_matrix_on_a_stack_matches_per_matrix_calls(rng):
         assert np.abs(nested.reshape(4, 4, 4) - eng.matrix(rhos[:4])).max() < 1e-14, fam
 
 
+def test_bloch_theta_reads_the_measured_bloch_matrix(rng):
+    # Theta's Bloch branch contracts rho through the grid's expectation matrix,
+    # as bloch_matrix_from_rho does, so the engine's formula applied to the
+    # measured B rebuilds the engine's Theta bit for bit
+    rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(20)])
+    b = bases.bloch_matrix_from_rho(rhos, 2, 2).values
+    w = qcore.eig_log(*np.linalg.eigh(b @ b.mT / 2.0), qcore.DEFAULT_LOG_FLOOR) @ b
+    pairs = -0.5 * 0.7 * bases.observable_grid(2, 2).entries.reshape(16, 16)
+    want = (w.reshape(20, 16) @ pairs).reshape(rhos.shape)
+    spec = DisentanglementSpec(family=ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7)
+    assert np.array_equal(ThetaEngine(spec, TWO_QUBITS).matrix(rhos), want)
+
+
 @pytest.mark.parametrize("n", [1, 129])
 def test_theta_engine_drift_matches_literal_operators(rng, n):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
