@@ -55,11 +55,9 @@ from .dynamics import (  # noqa: F401
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
-    lindblad_dissipator,
     mme_rhs,
     sle_step,
     steady_state,
-    two_spin_lindblad,
 )
 from .twospin import (  # noqa: F401
     AttractorKind,

@@ -21,7 +21,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,6 +111,23 @@ class ObservableGrid:
     d_b: int
     entries: np.ndarray  # shape (d_a^2, d_b^2, D, D)
     expect: np.ndarray  # shape (D^2, d_a^2 d_b^2), ``_expect_matrix`` of the entries
+    half: np.ndarray  # shape (d_a^2 d_b^2, D^2), flattened G / 2: rho.ravel() = B(rho) @ half
+
+    @cached_property
+    def anticommutator(self) -> np.ndarray:
+        """Read-only real (n, n, n) T[k, i, j] = Tr(G_i {G_k, G_j}) / 4, so that
+        B({Theta, rho})_i = sum_kj B(Theta)_k T[k, i, j] B(rho)_j."""
+        g = self.entries.reshape(-1, *self.entries.shape[2:])
+        gg = g[:, None] @ g[None]
+        t = 0.25 * _contract(gg + gg.transpose(1, 0, 2, 3), self.expect).real
+        out = t.transpose(0, 2, 1).copy()
+        out.setflags(write=False)
+        return out
+
+    def superop(self, lv: np.ndarray) -> np.ndarray:
+        """Real grid form L_r (..., n, n) of a vectorized superoperator or a stack
+        of them, B(L rho) = L_r B(rho); exact for Hermiticity-preserving L."""
+        return (self.expect.T @ lv @ self.half.T).real
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +141,10 @@ def observable_grid(d_a: int, d_b: int) -> ObservableGrid:
     for a, xa in enumerate(ga):
         for b, xb in enumerate(gb):
             entries[a, b] = kron(xa, xb)
-    entries.setflags(write=False)
-    return ObservableGrid(d_a, d_b, entries, _expect_matrix(entries.reshape(-1, dim, dim)))
+    half = 0.5 * entries.reshape(d_a ** 2 * d_b ** 2, -1)
+    for table in (entries, half):
+        table.setflags(write=False)
+    return ObservableGrid(d_a, d_b, entries, _expect_matrix(entries.reshape(-1, dim, dim)), half)
 
 
 @dataclass(frozen=True)

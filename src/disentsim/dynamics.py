@@ -3,9 +3,11 @@
 * GKSL master equation with per-spin decay, pumping and dephasing channels.
 * The nonlinear modified master equation
       drho/dt = i[rho, H] - Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)
-  integrated with fixed-step RK4, Theta rebuilt from the instantaneous state
-  at every stage by ``ThetaEngine.matrix``, the kernel the stochastic drift
-  also calls.
+  integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage
+  applies the real grid Liouvillian L_r, whose null vector a run from the
+  linear steady state starts at within rounding, and the anticommutator of
+  Theta, with coefficients that ``ThetaEngine.grid`` rebuilds from x by the
+  family formulas ``ThetaEngine.matrix`` runs.
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
@@ -24,7 +26,8 @@
   so single solves and sweeps reach the same verdicts.
 
 Trace conservation, Hermiticity and positivity are tracked at every
-master-equation sample and the norm error at every stochastic one;
+master-equation sample, where rho = (1/2) x . G is formed (Hermitian by
+construction, so herm_err reads 0), and the norm error at every stochastic one;
 positivity violations beyond tolerance abort the run rather than being
 repaired.  Both integrators take the Bloch vectors and measures of their
 samples from ``entangle.measures_from_rho``.
@@ -140,27 +143,6 @@ def two_spin_jump_operators(d: DampingParams) -> list[np.ndarray]:
     return ops
 
 
-def lindblad_dissipator(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D_rho(X) = X rho X^dag - (X^dag X rho + rho X^dag X)/2 (traceless output)."""
-    x = as_complex_matrix(x)
-    rho = as_complex_matrix(rho)
-    if x.shape != rho.shape:
-        raise DimensionError(f"jump operator {x.shape} vs state {rho.shape}")
-    xdx = x.conj().T @ x
-    return x @ rho @ x.conj().T - 0.5 * (xdx @ rho + rho @ xdx)
-
-
-def two_spin_lindblad(rho: np.ndarray, d: DampingParams) -> np.ndarray:
-    """Sum of the six per-spin dissipators acting on a 4x4 density matrix."""
-    rho = as_complex_matrix(rho)
-    if rho.shape != (4, 4):
-        raise DimensionError("two-spin dissipator needs a 4x4 density matrix")
-    out = np.zeros_like(rho)
-    for x in two_spin_jump_operators(d):
-        out += lindblad_dissipator(x, rho)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Superoperators (row-major vec convention: vec(A rho B) = (A kron B^T) vec(rho)).
 
@@ -256,14 +238,17 @@ def _theta_matrix(theta) -> np.ndarray | None:
     return as_complex_matrix(theta)
 
 
-def _mme_stage(lv: np.ndarray, rho: np.ndarray, tm: np.ndarray | None) -> np.ndarray:
-    """One evaluation of the modified master equation: the vectorized
-    Liouvillian ``lv`` applied to rho, plus -Theta rho - rho Theta +
-    2 <Theta> rho / Tr(rho) when a Theta matrix ``tm`` is given."""
-    out = (lv @ rho.reshape(-1)).reshape(rho.shape)
-    if tm is not None:
-        trho = tm @ rho
-        out += (2.0 * trho.trace().real / rho.trace().real) * rho - trho - rho @ tm
+def _mme_stage(lr: np.ndarray, x: np.ndarray, c: np.ndarray | None,
+               table: np.ndarray | None) -> np.ndarray:
+    """One evaluation of the modified master equation in grid coordinates
+    x = B(rho): the real grid Liouvillian ``lr`` applied to x, plus
+    B(-Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)) when Theta's
+    coefficients c over the operators of ``table`` (``ThetaEngine.grid``)
+    are given.  y = B({Theta, rho}) gives 2 <Theta> / Tr(rho) = y_0 / x_0."""
+    out = lr @ x
+    if c is not None:
+        y = (c @ table).reshape(len(x), len(x)) @ x
+        out += (y[0] / x[0]) * x - y
     return out
 
 
@@ -273,20 +258,23 @@ def mme_rhs(
     theta: ThetaOperator | np.ndarray | None = None,
     damping: DampingParams | None = None,
 ) -> np.ndarray:
-    """Right-hand side of the modified master equation (trace-free by construction)."""
+    """Right-hand side of the modified master equation for a two-qubit state
+    (trace-free by construction): ``_mme_stage`` on B(rho), with B(Theta) as
+    the coefficients, mapped back to a matrix."""
     rho = as_complex_matrix(rho)
     h = as_complex_matrix(h)
-    if rho.shape != h.shape:
-        raise DimensionError("state and Hamiltonian dimensions differ")
-    if damping is not None and rho.shape != (4, 4):
-        raise DimensionError("two-spin dissipator needs a 4x4 density matrix")
+    if rho.shape != (4, 4) or h.shape != (4, 4):
+        raise DimensionError("mme_rhs needs a 4x4 two-qubit state and Hamiltonian")
     tm = _theta_matrix(theta)
     if tm is not None:
         scale = max(float(np.abs(tm).max()), 1.0)
         if herm_residual(tm) > 1e-10 * scale:
             raise ValueError("Theta must be Hermitian")
-    lv = hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping))
-    return _mme_stage(lv, rho, tm)
+    grid = bases.observable_grid(2, 2)
+    lr = grid.superop(hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping)))
+    c = None if tm is None else bases._contract(tm, grid.expect).real
+    x = _mme_stage(lr, bases._contract(rho, grid.expect).real, c, grid.anticommutator.reshape(16, -1))
+    return (x @ grid.half).reshape(4, 4)
 
 
 def kraus_step_error(
@@ -393,9 +381,8 @@ def integrate_master(
     damping: DampingParams | None,
     cfg: IntegratorConfig,
 ) -> TrajectoryRecord:
-    """RK4 integration of the (possibly nonlinear) master equation.
-
-    Theta is rebuilt from the current density matrix at every RK4 stage.
+    """RK4 integration of the (possibly nonlinear) master equation in grid
+    coordinates x = B(rho); Theta is rebuilt from x at every RK4 stage.
     Diagnostics are recorded at each sample; a minimum eigenvalue below
     -1e-6, or a state that is no longer finite, aborts with a StateHealthError.
     """
@@ -404,18 +391,19 @@ def integrate_master(
     if initial.factor != TWO_QUBITS:
         raise DimensionError("integrate_master drives the two-qubit system")
     h = as_complex_matrix(h)
-    rho = initial.density().astype(complex)
+    grid = bases.observable_grid(2, 2)
+    x = bases.bloch_matrix_from_rho(initial.density(), 2, 2).values.reshape(-1)
 
     dspec = dspec or DisentanglementSpec()
-    theta = lambda r: None  # noqa: E731
+    coeff, table = (lambda x: None), None
     if dspec.active:
-        theta = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).matrix
-    lv = hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping))
+        coeff, table = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).grid()
+    lr = grid.superop(hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping)))
 
     dt = cfg.dt
     n_steps = cfg.n_steps
     sample_steps = cfg.sample_steps
-    rho_samples = np.empty((len(sample_steps), 4, 4), dtype=complex)
+    x_samples = np.empty((len(sample_steps), len(x)))
     times = np.empty(len(sample_steps))
     si = 0
 
@@ -425,36 +413,36 @@ def integrate_master(
         for step in range(n_steps + 1):
             if step == sample_steps[si]:
                 t = step * dt
-                if not np.isfinite(rho).all():
+                if not np.isfinite(x).all():
                     raise StateHealthError(t, math.nan)
-                w_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+                w_min = float(np.linalg.eigvalsh((x @ grid.half).reshape(4, 4))[0])
                 if w_min < POSITIVITY_ABORT:
                     raise StateHealthError(t, w_min)
-                rho_samples[si] = rho
+                x_samples[si] = x
                 times[si] = t
                 si += 1
             if step == n_steps:
                 break
             try:
-                k1 = _mme_stage(lv, rho, theta(rho))
-                r = rho + 0.5 * dt * k1
-                k2 = _mme_stage(lv, r, theta(r))
-                r = rho + 0.5 * dt * k2
-                k3 = _mme_stage(lv, r, theta(r))
-                r = rho + dt * k3
-                k4 = _mme_stage(lv, r, theta(r))
+                k1 = _mme_stage(lr, x, coeff(x), table)
+                r = x + 0.5 * dt * k1
+                k2 = _mme_stage(lr, r, coeff(r), table)
+                r = x + 0.5 * dt * k2
+                k3 = _mme_stage(lr, r, coeff(r), table)
+                r = x + dt * k3
+                k4 = _mme_stage(lr, r, coeff(r), table)
             except np.linalg.LinAlgError:
                 # Theta's eigendecomposition fails only on a stage state that
                 # overflowed to inf/NaN
                 raise StateHealthError(step * dt, math.nan) from None
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    sym = 0.5 * (rho_samples + rho_samples.conj().transpose(0, 2, 1))
-    b, rep = entangle.measures_from_rho(sym, TWO_QUBITS, cfg.log_floor)
+    rho_samples = (x_samples @ grid.half).reshape(-1, 4, 4)
+    b, rep = entangle.measures_from_rho(rho_samples, TWO_QUBITS, cfg.log_floor)
     k_a, k_b = bases.single_spin_bloch_vectors(b)
     trace_err = np.abs(np.einsum("nii->n", rho_samples).real - 1.0)
     herm_err = np.abs(rho_samples - rho_samples.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    min_eig = np.linalg.eigvalsh(sym)[:, 0]
+    min_eig = np.linalg.eigvalsh(rho_samples)[:, 0]
     return TrajectoryRecord(
         times=times, k_a=k_a, k_b=k_b, **vars(rep),
         trace_err=trace_err, herm_err=herm_err, min_eig=min_eig,

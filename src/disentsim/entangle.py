@@ -19,18 +19,20 @@ All operators vanish (act as a multiple of the identity) on product states,
 except thermalization; that no-op property is what makes the nonlinear
 dynamics leave uncorrelated physics untouched.
 
-Each kernel has one implementation.  ``ThetaEngine.matrix`` builds Theta
-from a density matrix or a (..., D, D) stack of them; the master-equation
-stages, the public constructors and the stochastic drift (``matrix`` on the
-stack of |psi><psi|) all call it.  ``measures_from_rho`` computes every
-measure of a stack of states for the single-state functions and for both
-integrators' sample points.  B and the covariances each come from one
+Each kernel has one implementation.  Each Theta family is written once, in
+``ThetaEngine``: ``matrix`` builds it from a (..., D, D) stack for the public
+constructors and the stochastic drift (``matrix`` on the stack of
+|psi><psi|), and ``grid`` reads the same formulas from the grid coordinates
+x = B(rho) the master equation is integrated in.  ``measures_from_rho``
+computes every measure of a stack of states for the single-state functions
+and both integrators' sample points.  B and the covariances each come from one
 contraction, ``bases._contract``, which the measures, the sweep and Theta share.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -186,11 +188,11 @@ def _correlation_basis(factor: Factorization) -> _CorrelationBasis:
                              split=(len(lam_a), len(lam_a) + len(lam_b)))
 
 
-def _covariances(rho: np.ndarray, basis: _CorrelationBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>) of a (..., D, D) stack, shape (..., n_a n_b) each."""
-    e = bases._contract(rho, basis.expect).real
-    i, j = basis.split
-    ab = (e[..., :i, None] * e[..., None, i:j]).reshape(*e.shape[:-1], len(basis.pairs))
+def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>), shape (..., n_a n_b) each, from the
+    expectations e (..., n) of a correlation basis split at ``split``."""
+    i, j = split
+    ab = (e[..., :i, None] * e[..., None, i:j]).reshape(*e.shape[:-1], i * (j - i))
     return e[..., j:] - ab, ab
 
 
@@ -242,7 +244,9 @@ def tau_from_rho(rho: np.ndarray, factor: Factorization,
                  eta: float = ETA_TWO_QUBITS) -> np.ndarray:
     """tau_ab of each density matrix of a (..., D, D) stack, shape (...): eta
     times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
-    cov = _covariances(np.asarray(rho, dtype=complex), _correlation_basis(factor))[0]
+    basis = _correlation_basis(factor)
+    cov = _covariances(bases._contract(np.asarray(rho, dtype=complex), basis.expect).real,
+                       basis.split)[0]
     return eta * (cov * cov).sum(axis=-1)
 
 
@@ -306,9 +310,14 @@ _BLOCH_FAMILIES = (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B)
 
 
 class ThetaEngine:
-    """Builds Theta for a fixed family/rate as a matrix from a density matrix
-    or a stack of them, and from that matrix the batched modified-Schrodinger
-    drift -(Theta - <Theta>)|psi> of a (D, N) block of state-vector columns."""
+    """Builds Theta for a fixed family/rate from density matrices (``matrix``)
+    or grid coordinates x = B(rho) (``grid``), and the batched drift
+    -(Theta - <Theta>)|psi> of a (D, N) block of state-vector columns.
+
+    corr-suppress and the Bloch families are ``coefficients(e) @ ops`` over
+    the expectations e = rho.ravel() @ expect and a rate-scaled operator
+    stack; the log families build their matrix directly, and their grid
+    coefficients are B(Theta) of the matrix built from (1/2) x . G."""
 
     def __init__(
         self,
@@ -327,52 +336,66 @@ class ThetaEngine:
         if factor.d_c != 1 and spec.family in (*_BLOCH_FAMILIES,
                                                ThetaFamily.STATE_MATRIX_DERANK):
             raise DimensionError(f"{spec.family.value} needs a trivial spectator slot")
-        # the measures' basis, held so that no stage looks it up, and the
-        # rate-scaled operators that coefficients @ _pairs sum to flat Theta
+        # the measures' expectation matrix, held so that no stage looks it up
+        self._expect = None
         if spec.family is ThetaFamily.CORR_SUPPRESS:
-            self._basis = _correlation_basis(factor)
-            rate = spec.gamma_d * eta
-            self._pairs = rate * self._basis.pairs
-            self._eye = rate * np.eye(factor.dim).reshape(-1)
+            basis = _correlation_basis(factor)
+            self._expect, self._split = basis.expect, basis.split
+            self.ops = spec.gamma_d * eta * np.vstack([basis.pairs, -np.eye(factor.dim).ravel()])
         elif spec.family in _BLOCH_FAMILIES:
-            self._grid = bases.observable_grid(factor.d_a, factor.d_b)
-            self._pairs = -0.5 * spec.gamma_d * self._grid.entries.reshape(factor.dim ** 2, -1)
+            grid = bases.observable_grid(factor.d_a, factor.d_b)
+            self._expect, self._shape = grid.expect, grid.entries.shape[:2]
+            self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
+
+    def coefficients(self, e: np.ndarray) -> np.ndarray:
+        """Theta's coefficients over ``ops`` from the expectations e (..., n) of
+        each state: the covariances and <l_a><l_b> . cov (corr-suppress), or
+        log(alpha) B or B log(beta) with alpha = B B^T/2, beta = B^T B/2."""
+        if self.spec.family is ThetaFamily.CORR_SUPPRESS:
+            cov, ab = _covariances(e, self._split)
+            return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
+        b = e.reshape(*e.shape[:-1], *self._shape)
+        if self.spec.family is ThetaFamily.BLOCH_DERANK_A:
+            w = eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b
+        else:
+            w = b @ eig_log(*np.linalg.eigh(b.mT @ b / 2.0), self.floor)
+        return w.reshape(e.shape)
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
         matrix of a (..., D, D) stack.
 
-        The one Theta kernel: every integrator stage and ``drift`` call it,
-        the public constructors wrap it, and tests compare it with literal
-        Pauli-product forms.
+        ``drift`` and the public constructors call it, and tests compare it
+        with literal Pauli-product forms.
         """
+        if self._expect is not None:
+            e = bases._contract(rho, self._expect).real
+            return (self.coefficients(e) @ self.ops).reshape(rho.shape)
         fam = self.spec.family
-        lead = rho.shape[:-2]
-        if fam is ThetaFamily.CORR_SUPPRESS:
-            cov, ab = _covariances(rho, self._basis)
-            return (cov @ self._pairs
-                    - np.vecdot(cov, ab)[..., None] * self._eye).reshape(rho.shape)
-        if fam in _BLOCH_FAMILIES:
-            b = bases._contract(rho, self._grid.expect).real.reshape(lead + self._grid.entries.shape[:2])
-            if fam is ThetaFamily.BLOCH_DERANK_A:
-                w = eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b
-            else:
-                w = b @ eig_log(*np.linalg.eigh(b.mT @ b / 2.0), self.floor)
-            return (w.reshape(lead + (-1,)) @ self._pairs).reshape(rho.shape)
         if fam is ThetaFamily.STATE_MATRIX_DERANK:
-            # -gamma_d log(G) (x) I_b, written block by block into the
-            # (..., a, b, a', b') layout: entry (a, k, a', k) for each k
+            # -gamma_d log(G) (x) I_b in the (..., a, b, a', b') layout
             log_g = eig_log(*np.linalg.eigh(partial_trace_rho(rho, self.factor, "a")), self.floor)
-            f = self.factor
-            out = np.zeros((*lead, f.d_a, f.d_b, f.d_a, f.d_b), dtype=complex)
-            block = -self.spec.gamma_d * log_g
-            for k in range(f.d_b):
-                out[..., k, :, k] = block
+            out = -self.spec.gamma_d * log_g[..., :, None, :, None] * np.eye(self.factor.d_b)[:, None]
             return out.reshape(rho.shape)
         if fam is ThetaFamily.THERMALIZATION:
             return (self.spec.gamma_h * self.spec.beta * self.h
                     + self.spec.gamma_h * spectral_log(rho, self.floor))
         raise ValueError(f"no Theta matrix for family {fam}")
+
+    def grid(self) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """Theta of a d_c = 1 state in grid coordinates: (x -> c, table), where
+        B({Theta, rho}) = (c @ table).reshape(n, n) @ x and the (len(c), n^2)
+        table holds the anticommutator tensor of each operator c runs over."""
+        grid = bases.observable_grid(self.factor.d_a, self.factor.d_b)
+        dim, table = self.factor.dim, grid.anticommutator.reshape(len(grid.half), -1)
+        if self._expect is None:
+            return (lambda x: bases._contract(self.matrix((x @ grid.half).reshape(dim, dim)),
+                                              grid.expect).real), table
+        table = bases._contract(self.ops.reshape(-1, dim, dim), grid.expect).real @ table
+        if self._expect is grid.expect:  # the Bloch families: e is x itself
+            return self.coefficients, table
+        to_e = (grid.half @ self._expect).real
+        return (lambda x: self.coefficients(x @ to_e)), table
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """Batched drift -(Theta - <Theta>) psi for the unit-norm columns of a

@@ -111,6 +111,49 @@ def test_bloch_matrix_of_stack_matches_per_state(rng):
         bloch_matrix_from_rho(np.eye(3), 2, 2)
 
 
+def _random_hermitian(rng, n: int = 4) -> np.ndarray:
+    """Random Hermitian matrix of unit spectral norm."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a + a.conj().T
+    return a / np.abs(np.linalg.eigvalsh(a)).max()
+
+
+def test_grid_tables_match_matrix_forms(rng):
+    # in grid coordinates x = B(rho): rho = (1/2) x . G, L_r B(rho) = B(L rho)
+    # for a Liouvillian L, and B({Theta, rho}) is the anticommutator tensor
+    # contracted with B(Theta) and B(rho)
+    from disentsim.dynamics import liouvillian_matrix
+
+    grid = observable_grid(2, 2)
+    b = lambda m: bloch_matrix_from_rho(m, 2, 2).values.reshape(-1)  # noqa: E731
+    table = grid.anticommutator.reshape(16, 256)
+    for _ in range(20):
+        rho = qcore.random_density_matrix(4, rng)
+        theta, h = _random_hermitian(rng), _random_hermitian(rng)
+        jumps = [0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                 for _ in range(3)]
+        lv = liouvillian_matrix(h, jumps)
+        x = b(rho)
+        assert np.abs((x @ grid.half).reshape(4, 4) - rho).max() < 1e-14
+        assert np.abs(b((x @ grid.half).reshape(4, 4)) - x).max() < 1e-14
+        lr = grid.superop(lv)
+        assert lr.dtype == np.float64
+        assert np.abs(lr @ x - b((lv @ rho.reshape(-1)).reshape(4, 4))).max() < 1e-14
+        anti = (b(theta) @ table).reshape(16, 16) @ x
+        assert np.abs(anti - b(theta @ rho + rho @ theta)).max() < 1e-14
+
+
+def test_grid_tables_are_cached_and_read_only():
+    grid = observable_grid(2, 2)
+    assert grid.anticommutator.shape == (16, 16, 16)
+    assert grid.half.shape == (16, 16)
+    for name in ("half", "anticommutator", "expect"):
+        table = getattr(grid, name)
+        assert getattr(observable_grid(2, 2), name) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
 def test_bloch_reconstruction_identity(rng):
     grid = observable_grid(2, 2).entries
     for _ in range(50):

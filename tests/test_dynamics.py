@@ -26,7 +26,6 @@ from disentsim.dynamics import (
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
-    lindblad_dissipator,
     liouvillian_matrix,
     mme_rhs,
     noise_increments,
@@ -35,7 +34,6 @@ from disentsim.dynamics import (
     steady_state,
     steady_states,
     two_spin_jump_operators,
-    two_spin_lindblad,
 )
 from disentsim.entangle import (
     DisentanglementSpec,
@@ -52,6 +50,17 @@ from conftest import analytic_driven_spin_bloch, literal_theta
 
 FIG3_DAMPING = DampingParams(a=SpinDamping(1e-3, 1e-4, 5e-4),
                              b=SpinDamping(1e-2, 1e-3, 1e-5))
+
+
+def lindblad_dissipator(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Literal D_rho(X) = X rho X^dag - (X^dag X rho + rho X^dag X)/2."""
+    xdx = x.conj().T @ x
+    return x @ rho @ x.conj().T - 0.5 * (xdx @ rho + rho @ xdx)
+
+
+def two_spin_lindblad(rho: np.ndarray, d: DampingParams) -> np.ndarray:
+    """Literal sum of the six per-spin dissipators acting on a 4x4 density matrix."""
+    return sum(lindblad_dissipator(x, rho) for x in two_spin_jump_operators(d))
 
 
 def thermal_qubit(n0: float) -> np.ndarray:
@@ -323,17 +332,19 @@ def _spec(family: ThetaFamily) -> DisentanglementSpec:
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_integrator_stage_matches_mme_rhs(family, rng):
-    # the stage integrate_master runs (one Liouvillian matvec plus the
-    # engine's Theta) against the public right-hand side, and that against
-    # the literal equation with a literal Theta
+    # the stage integrate_master runs (the grid Liouvillian plus the engine's
+    # grid coefficients of Theta) against the public right-hand side, and that
+    # against the literal equation with a literal Theta
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
     spec = _spec(family)
-    lv = liouvillian_matrix(h, two_spin_jump_operators(FIG2_DAMPING))
-    engine = ThetaEngine(spec, TWO_QUBITS, h=h)
+    grid = bases.observable_grid(2, 2)
+    lr = grid.superop(liouvillian_matrix(h, two_spin_jump_operators(FIG2_DAMPING)))
+    coeff, table = ThetaEngine(spec, TWO_QUBITS, h=h).grid()
     for _ in range(3):
         rho = qcore.random_density_matrix(4, rng)
         state = QuantumState.mixed(rho, TWO_QUBITS)
-        stage = _mme_stage(lv, rho, engine.matrix(rho))
+        x = bases.bloch_matrix_from_rho(rho, 2, 2).values.reshape(-1)
+        stage = (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
         public = mme_rhs(rho, h, build_theta(state, spec, h), FIG2_DAMPING)
         assert np.abs(stage - public).max() < 1e-12
         if family is ThetaFamily.THERMALIZATION:
@@ -363,16 +374,16 @@ def _reference_rk4(rho, h, spec, damping, dt, n_steps, stride):
     return np.stack(samples)
 
 
-@pytest.mark.parametrize("family,point", [(ThetaFamily.CORR_SUPPRESS, 2),
-                                          (ThetaFamily.BLOCH_DERANK_A, 2)])
+@pytest.mark.parametrize("family,point", [(family, 2) for family in ALL_FAMILIES])
 def test_integrate_master_matches_reference_rk4(family, point):
-    # fig2-A2 and fig2-B2 over 2000 steps
+    # every family at the fig2 driving point 2 over 2000 steps (corr-suppress
+    # and bloch-derank-a are fig2-A2 and fig2-B2)
     from disentsim.twospin import DRIVING_POINTS
 
     delta, omega1 = DRIVING_POINTS[point]
     h = build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1, g=1.0))
     rho0 = steady_state(h, FIG2_DAMPING)
-    spec = DisentanglementSpec(family=family, gamma_d=0.5)
+    spec = _spec(family)
     cfg = IntegratorConfig(dt=1e-3, t_end=2.0, sample_every=100)
     rec = integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, spec,
                            FIG2_DAMPING, cfg)
