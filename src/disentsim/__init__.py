@@ -18,12 +18,9 @@ from .qcore import (  # noqa: F401
     Factorization,
     QuantumState,
     TWO_QUBITS,
-    entropy_functional,
     expectation,
     herm_eig,
     kron,
-    normalized_rank,
-    partial_trace,
     spectral_log,
 )
 from .entangle import (  # noqa: F401
@@ -36,7 +33,6 @@ from .entangle import (  # noqa: F401
     delta_measure,
     entanglement_k,
     entanglement_l,
-    g_matrix,
     measure_report,
     q_bloch_operators,
     q_s_operator,

@@ -1,6 +1,7 @@
 """Operator bases: generalized Gell-Mann sets, the bipartite observable grid,
-Bloch matrices, and Weyl (clock-and-shift) operators.  The grid and the
-correlation basis of ``entangle`` each cache one read-only expectation
+Bloch matrices, and Weyl (clock-and-shift) operators with the Weyl S matrix.
+A Bloch matrix B is a plain real array of grid expectations.  The grid and
+the correlation basis of ``entangle`` each cache one read-only expectation
 matrix, and ``_contract`` reads B and the covariances through it.
 
 Conventions used throughout:
@@ -27,7 +28,6 @@ import numpy as np
 
 from .qcore import (
     DimensionError,
-    Factorization,
     QuantumState,
     as_complex_matrix,
     kron,
@@ -105,7 +105,8 @@ def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservableGrid:
-    """Grid of product observables G[a, b] = Gamma_a (x) Gamma_b."""
+    """Grid of product observables G[a, b] = Gamma_a (x) Gamma_b; B(rho) is the
+    plain array ``bloch_matrix_from_rho`` returns, flattened to n = d_a^2 d_b^2."""
 
     d_a: int
     d_b: int
@@ -147,22 +148,9 @@ def observable_grid(d_a: int, d_b: int) -> ObservableGrid:
     return ObservableGrid(d_a, d_b, entries, _expect_matrix(entries.reshape(-1, dim, dim)), half)
 
 
-@dataclass(frozen=True)
-class BlochMatrix:
-    """Real matrix of grid expectations B[a, b] = <G[a, b]>, or a stack of them."""
-
-    d_a: int
-    d_b: int
-    values: np.ndarray  # real, shape (..., d_a^2, d_b^2)
-
-    @property
-    def gram_norm(self) -> float | np.ndarray:
-        """Tr(B B^T) = 2 Tr rho^2 (one value per matrix of a stack)."""
-        return (self.values * self.values).sum(axis=(-2, -1))
-
-
-def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> BlochMatrix:
-    """Bloch matrix of a density matrix, or of each matrix of a (..., D, D) stack."""
+def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Bloch matrix B[a, b] = <G[a, b]> of a density matrix, or of each matrix
+    of a (..., D, D) stack: a real C-contiguous (..., d_a^2, d_b^2) array."""
     grid = observable_grid(d_a, d_b)
     dim = d_a * d_b
     rho = np.asarray(rho, dtype=complex)
@@ -172,28 +160,28 @@ def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> BlochMatrix:
     resid = float(np.abs(vals.imag).max(initial=0.0))
     if resid > 1e-9:
         raise ValueError(f"Bloch matrix has imaginary residue {resid!r}")
-    return BlochMatrix(d_a=d_a, d_b=d_b, values=np.ascontiguousarray(vals.real))
+    return np.ascontiguousarray(vals.real)
 
 
-def bloch_matrix(state: QuantumState) -> BlochMatrix:
+def bloch_matrix(state: QuantumState) -> np.ndarray:
     """Bloch matrix of a bipartite state (spectator slot must be trivial)."""
     if state.factor.d_c != 1:
         raise DimensionError("Bloch matrix is defined for d_c = 1 states only")
     return bloch_matrix_from_rho(state.density(), state.factor.d_a, state.factor.d_b)
 
 
-def single_spin_bloch_vectors(b: BlochMatrix) -> tuple[np.ndarray, np.ndarray]:
+def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Physical Bloch vectors (<sigma_x>, <sigma_y>, <sigma_z>) of each qubit.
 
     The first column / first row of B hold the single-spin expectations in
     grid normalization (sigma expectation divided by sqrt(2)); they are
     rescaled here so the vectors live in the unit ball.  A stacked Bloch
-    matrix gives vectors of shape (..., 3).
+    matrix (..., 4, 4) gives vectors of shape (..., 3).
     """
-    if b.d_a != 2 or b.d_b != 2:
+    if b.shape[-2:] != (4, 4):
         raise DimensionError("single-spin Bloch vectors need a 2 x 2 factorization")
-    k_a = np.sqrt(2.0) * b.values[..., 1:4, 0]
-    k_b = np.sqrt(2.0) * b.values[..., 0, 1:4]
+    k_a = np.sqrt(2.0) * b[..., 1:4, 0]
+    k_b = np.sqrt(2.0) * b[..., 0, 1:4]
     return np.ascontiguousarray(k_a), np.ascontiguousarray(k_b)
 
 
@@ -220,30 +208,10 @@ def weyl_ops(d: int) -> np.ndarray:
     return w
 
 
-def weyl_matrix_single(rho: np.ndarray) -> np.ndarray:
-    """D x D matrix of scaled Weyl expectations Tr(W rho)/sqrt(D) for one system."""
-    m = as_complex_matrix(rho)
-    d = m.shape[0]
-    return np.einsum("pqij,ji->pq", weyl_ops(d), m) / np.sqrt(d)
-
-
 def _weyl_product_traces(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """T[p, q, r, s] = Tr((W_a[p, q] (x) W_b[r, s]) rho)."""
     r4 = as_complex_matrix(rho).reshape(d_a, d_b, d_a, d_b)
     return np.einsum("pqik,rsjl,klij->pqrs", weyl_ops(d_a), weyl_ops(d_b), r4)
-
-
-def weyl_matrix(state: QuantumState) -> np.ndarray:
-    """Bipartite Weyl matrix with rows (n', n''') and columns (n'', n'''').
-
-    Laid out with a-indices outer and b-indices inner, so a product state
-    rho_a (x) rho_b yields exactly kron(W_a, W_b).
-    """
-    if state.factor.d_c != 1:
-        raise DimensionError("bipartite Weyl matrix needs d_c = 1")
-    da, db = state.factor.d_a, state.factor.d_b
-    t = _weyl_product_traces(state.density(), da, db) / np.sqrt(da * db)
-    return t.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def weyl_s_matrix(state: QuantumState) -> np.ndarray:

@@ -68,8 +68,7 @@ def _initial_psi(config: RunConfig, h: np.ndarray) -> np.ndarray:
         return psi
     # "steady-dominant"; parse_config_dict rejects other kinds
     rho = steady_state(h, config.damping)
-    w, v = np.linalg.eigh(rho)
-    psi = v[:, -1]
+    psi = np.linalg.eigh(rho)[1][:, -1]
     # fix the global phase so runs are reproducible across platforms
     k = int(np.argmax(np.abs(psi)))
     psi = psi * np.exp(-1j * np.angle(psi[k]))
@@ -84,6 +83,8 @@ def _parse_state_psi(raw: str) -> np.ndarray:
     except ValueError:
         raise ConfigError(f"state.psi: cannot parse {raw!r} as complex amplitudes") from None
     psi = np.asarray(amps, dtype=complex)
+    if psi.size != 4 or not np.isfinite(psi).all():
+        raise ConfigError(f"state.psi: need 4 finite two-qubit amplitudes, got {raw!r}")
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ConfigError("state.psi must not be the zero vector")
@@ -209,7 +210,7 @@ def _run_steady(config: RunConfig, out: Path, outputs: list[str]) -> dict:
         teff = float("nan")
     payload = {
         "rho": matrix_json(rho),
-        "bloch_matrix": [[float(v) for v in row] for row in b.values],
+        "bloch_matrix": [[float(v) for v in row] for row in b],
         "k_a": [float(v) for v in k_a],
         "k_b": [float(v) for v in k_b],
         "measures": rep.__dict__,

@@ -392,7 +392,7 @@ def integrate_master(
         raise DimensionError("integrate_master drives the two-qubit system")
     h = as_complex_matrix(h)
     grid = bases.observable_grid(2, 2)
-    x = bases.bloch_matrix_from_rho(initial.density(), 2, 2).values.reshape(-1)
+    x = bases.bloch_matrix_from_rho(initial.density(), 2, 2).reshape(-1)
 
     dspec = dspec or DisentanglementSpec()
     coeff, table = (lambda x: None), None

@@ -69,11 +69,9 @@ class ThetaFamily(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ThetaOperator:
-    """A concrete nonlinear-drive operator: Hermitian matrix plus bookkeeping."""
+    """A concrete nonlinear-drive operator: its Hermitian matrix, rate included."""
 
     matrix: np.ndarray
-    family: ThetaFamily
-    rate: float = 1.0
 
     def expectation(self, state: QuantumState | np.ndarray) -> float:
         return expectation(state, self.matrix)
@@ -128,12 +126,6 @@ def state_matrix(psi, factor: Factorization) -> np.ndarray:
             f"state vector length {v.size} != {factor.d_a} * {factor.d_b}"
         )
     return v.reshape(factor.d_a, factor.d_b)
-
-
-def g_matrix(m: np.ndarray) -> np.ndarray:
-    """Gram matrix G = M M^dag of a state matrix; PSD with Tr G = |psi|^2."""
-    m = as_complex_matrix(m)
-    return m @ m.conj().T
 
 
 def g_from_state(state: QuantumState) -> np.ndarray:
@@ -201,9 +193,7 @@ def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.
 
 
 def _engine_operator(state: QuantumState, spec: DisentanglementSpec, **engine_kw) -> ThetaOperator:
-    mat = ThetaEngine(spec, state.factor, **engine_kw).matrix(state.density())
-    rate = spec.gamma_h if spec.family is ThetaFamily.THERMALIZATION else spec.gamma_d
-    return ThetaOperator(matrix=mat, family=spec.family, rate=rate)
+    return ThetaOperator(ThetaEngine(spec, state.factor, **engine_kw).matrix(state.density()))
 
 
 def _unit_rate(family: ThetaFamily) -> DisentanglementSpec:
@@ -228,31 +218,28 @@ def q_bloch_operators(
             _engine_operator(state, _unit_rate(ThetaFamily.BLOCH_DERANK_B), floor=floor))
 
 
-def correlation_operator(
-    state: QuantumState, eta: float = ETA_TWO_QUBITS
-) -> ThetaOperator:
+def correlation_operator(state: QuantumState) -> ThetaOperator:
     """Correlation-suppression operator Q_ab.
 
     Built from the operator-valued covariance grid C(l_a, l_b) =
     l_a (x) l_b (x) I_c - <l_a><l_b> I (the scalar term multiplies the full
     identity) contracted with its own expectation values; <Q_ab> = tau_ab.
     """
-    return _engine_operator(state, _unit_rate(ThetaFamily.CORR_SUPPRESS), eta=eta)
+    return _engine_operator(state, _unit_rate(ThetaFamily.CORR_SUPPRESS))
 
 
-def tau_from_rho(rho: np.ndarray, factor: Factorization,
-                 eta: float = ETA_TWO_QUBITS) -> np.ndarray:
-    """tau_ab of each density matrix of a (..., D, D) stack, shape (...): eta
-    times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
+def tau_from_rho(rho: np.ndarray, factor: Factorization) -> np.ndarray:
+    """tau_ab of each density matrix of a (..., D, D) stack, shape (...):
+    ETA_TWO_QUBITS times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
     basis = _correlation_basis(factor)
     cov = _covariances(bases._contract(np.asarray(rho, dtype=complex), basis.expect).real,
                        basis.split)[0]
-    return eta * (cov * cov).sum(axis=-1)
+    return ETA_TWO_QUBITS * (cov * cov).sum(axis=-1)
 
 
-def tau_correlation(state: QuantumState, eta: float = ETA_TWO_QUBITS) -> float:
-    """Correlation parameter tau_ab = eta * sum of squared covariances."""
-    return float(tau_from_rho(state.density(), state.factor, eta))
+def tau_correlation(state: QuantumState) -> float:
+    """Correlation parameter tau_ab = ETA_TWO_QUBITS * sum of squared covariances."""
+    return float(tau_from_rho(state.density(), state.factor))
 
 
 def thermalization_operator(
@@ -325,7 +312,6 @@ class ThetaEngine:
         factor: Factorization,
         h: np.ndarray | None = None,
         floor: float = DEFAULT_LOG_FLOOR,
-        eta: float = ETA_TWO_QUBITS,
     ):
         self.spec = spec
         self.factor = factor
@@ -341,7 +327,8 @@ class ThetaEngine:
         if spec.family is ThetaFamily.CORR_SUPPRESS:
             basis = _correlation_basis(factor)
             self._expect, self._split = basis.expect, basis.split
-            self.ops = spec.gamma_d * eta * np.vstack([basis.pairs, -np.eye(factor.dim).ravel()])
+            self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([basis.pairs,
+                                                                  -np.eye(factor.dim).ravel()])
         elif spec.family in _BLOCH_FAMILIES:
             grid = bases.observable_grid(factor.d_a, factor.d_b)
             self._expect, self._shape = grid.expect, grid.entries.shape[:2]
@@ -428,7 +415,7 @@ def build_theta(
 
 
 def measures_from_rho(rho: np.ndarray, factor: Factorization,
-                      floor: float = DEFAULT_LOG_FLOOR) -> tuple[bases.BlochMatrix, MeasureReport]:
+                      floor: float = DEFAULT_LOG_FLOOR) -> tuple[np.ndarray, MeasureReport]:
     """Bloch matrices and scalar measures of each density matrix of a
     (..., D, D) stack of d_c = 1 states; the report's fields are arrays of
     shape (...).
@@ -445,7 +432,7 @@ def measures_from_rho(rho: np.ndarray, factor: Factorization,
     rho = np.asarray(rho, dtype=complex)
     b = bases.bloch_matrix_from_rho(rho, factor.d_a, factor.d_b)
     g = partial_trace_rho(rho, factor, "a")
-    alpha = 0.5 * (b.values @ b.values.mT)
+    alpha = 0.5 * (b @ b.mT)
     k_ent, l_ent = (-(np.maximum(w, 0.0) * floored_log(w, floor)).sum(axis=-1)
                     for w in (np.linalg.eigvalsh(g), np.linalg.eigvalsh(alpha)))
     return b, MeasureReport(

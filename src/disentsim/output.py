@@ -68,10 +68,6 @@ def write_trajectory_ndjson(path: Path, rec: TrajectoryRecord) -> None:
     path.write_text("\n".join(trajectory_lines(rec)) + "\n", encoding="utf-8")
 
 
-def read_trajectory_ndjson(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-
 def write_json(path: Path, payload: dict) -> None:
     """A manifest or result document: sorted keys, two-space indent."""
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",

@@ -5,12 +5,6 @@ and density matrices are ordinary 2-D arrays.  Units follow the convention
 hbar = k_B = 1, with all rates and frequencies expressed relative to the
 reference Larmor frequency of the undriven spin.
 
-The spectral helpers implement the entropy-like functionals that drive the
-deranking dynamics: for a PSD matrix A with positive trace,
-
-    entropy(A)  = -Tr[(A/TrA) log(A/TrA)]          (nats, 0 log 0 -> 0)
-    rank_ratio  = entropy(A) / log(D)              (in [0, 1])
-
 Bare matrix logarithms are regularized by clamping eigenvalues at
 ``floor * max(eigenvalue)``, all in ``floored_log``.  The clamp matters
 because the deranking operators take log of matrices that are exactly
@@ -21,7 +15,6 @@ drifts (verified by tests).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +151,6 @@ def partial_trace_rho(rho: np.ndarray, factor: Factorization, keep: str) -> np.n
     raise ValueError(f"unknown subsystem label {keep!r} (expected 'a' or 'b')")
 
 
-def partial_trace(state: QuantumState, keep: str) -> np.ndarray:
-    return partial_trace_rho(state.density(), state.factor, keep)
-
-
 def herm_eig(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, A = V diag(w) V^dag, or of
     each matrix of a (..., d, d) stack.
@@ -214,25 +203,6 @@ def spectral_log(a: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
     Hermiticity and positivity are checked for every matrix of a stack.
     """
     return eig_log(*_psd_eig(a), floor)
-
-
-def entropy_functional(a: np.ndarray) -> float:
-    """Spectral entropy -Tr[(A/TrA) log(A/TrA)] in nats, with 0 log 0 -> 0."""
-    w, _ = _psd_eig(a)
-    tr = float(w.sum())
-    if tr <= 0.0:
-        raise ValueError("entropy functional needs a positive trace")
-    p = np.maximum(w, 0.0) / tr
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
-
-
-def normalized_rank(a: np.ndarray) -> float:
-    """Spectral entropy divided by log(D): 0 for rank one, 1 for maximal mixing."""
-    d = as_complex_matrix(a).shape[0]
-    if d < 2:
-        raise DimensionError("normalized rank needs dimension >= 2")
-    return entropy_functional(a) / math.log(d)
 
 
 def expectation(state: QuantumState | np.ndarray, obs: np.ndarray) -> float:

@@ -26,7 +26,6 @@ import numpy as np
 from . import bases, entangle
 from .dynamics import (
     DampingParams,
-    SpinDamping,
     TrajectoryRecord,
     hamiltonian_superop,
     liouvillian_matrix,
@@ -184,7 +183,7 @@ def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResul
         ok = ~degenerate
         states = rho[ok]
         b = bases.bloch_matrix_from_rho(states, 2, 2)
-        bloch[i, ok] = b.values
+        bloch[i, ok] = b
         tau[i, ok] = entangle.tau_from_rho(states, TWO_QUBITS)
         k_a, _ = bases.single_spin_bloch_vectors(b)
         teff[i, ok] = _temperature(k_a[:, 2], p.omega_a)

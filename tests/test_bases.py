@@ -11,8 +11,6 @@ from disentsim.bases import (
     gell_mann,
     observable_grid,
     single_spin_bloch_vectors,
-    weyl_matrix,
-    weyl_matrix_single,
     weyl_ops,
     weyl_s_matrix,
 )
@@ -74,41 +72,55 @@ def test_grid_tracelessness_and_orthogonality():
 def test_bloch_b00_constant(rng):
     rho = qcore.random_density_matrix(4, rng)
     b = bloch_matrix(QuantumState.mixed(rho, TWO_QUBITS))
-    assert abs(b.values[0, 0] - 1.0 / np.sqrt(2.0)) < 1e-12
+    assert abs(b[0, 0] - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
 def test_bloch_maximally_mixed():
     b = bloch_matrix(QuantumState.mixed(np.eye(4) / 4, TWO_QUBITS))
-    vals = b.values.copy()
+    vals = b.copy()
     vals[0, 0] = 0.0
     assert np.abs(vals).max() < 1e-14
 
 
 def test_bloch_gram_norm_is_twice_purity(rng):
     st = QuantumState.pure(BELL, TWO_QUBITS)
-    assert abs(bloch_matrix(st).gram_norm - 2.0) < 1e-12
+    assert abs((bloch_matrix(st) ** 2).sum() - 2.0) < 1e-12
     rho = qcore.random_density_matrix(4, rng)
     st = QuantumState.mixed(rho, TWO_QUBITS)
     purity = np.trace(rho @ rho).real
-    assert abs(bloch_matrix(st).gram_norm - 2.0 * purity) < 1e-12
+    assert abs((bloch_matrix(st) ** 2).sum() - 2.0 * purity) < 1e-12
 
 
 def test_bloch_matrix_of_stack_matches_per_state(rng):
     rhos = np.stack([qcore.random_density_matrix(4, rng) for _ in range(12)])
     stacked = bloch_matrix_from_rho(rhos.reshape(3, 4, 4, 4), 2, 2)
-    assert stacked.values.shape == (3, 4, 4, 4)
+    assert stacked.shape == (3, 4, 4, 4)
     k_a, k_b = single_spin_bloch_vectors(stacked)
-    gram = stacked.gram_norm
+    gram = (stacked ** 2).sum(axis=(-2, -1))
     for n, rho in enumerate(rhos):
         one = bloch_matrix(QuantumState.mixed(rho, TWO_QUBITS))
         ka1, kb1 = single_spin_bloch_vectors(one)
         idx = divmod(n, 4)
-        assert np.abs(stacked.values[idx] - one.values).max() < 1e-15
+        assert np.abs(stacked[idx] - one).max() < 1e-15
         assert np.abs(k_a[idx] - ka1).max() < 1e-15
         assert np.abs(k_b[idx] - kb1).max() < 1e-15
-        assert abs(gram[idx] - one.gram_norm) < 1e-14
+        assert abs(gram[idx] - (one ** 2).sum()) < 1e-14
     with pytest.raises(DimensionError):
         bloch_matrix_from_rho(np.eye(3), 2, 2)
+
+
+def test_bloch_matrix_is_a_plain_array_checked_by_shape(rng):
+    # B is the real C-contiguous array itself; the single-spin vectors check
+    # its trailing shape for the 2 x 2 factorization
+    rhos = np.stack([qcore.random_density_matrix(4, rng) for _ in range(3)])
+    b = bloch_matrix_from_rho(rhos, 2, 2)
+    assert type(b) is np.ndarray and b.dtype == np.float64 and b.flags.c_contiguous
+    for d_a, d_b in ((2, 3), (3, 3)):
+        rho = np.stack([qcore.random_density_matrix(d_a * d_b, rng) for _ in range(2)])
+        other = bloch_matrix_from_rho(rho, d_a, d_b)
+        assert other.shape == (2, d_a ** 2, d_b ** 2)
+        with pytest.raises(DimensionError):
+            single_spin_bloch_vectors(other)
 
 
 def _random_hermitian(rng, n: int = 4) -> np.ndarray:
@@ -125,7 +137,7 @@ def test_grid_tables_match_matrix_forms(rng):
     from disentsim.dynamics import liouvillian_matrix
 
     grid = observable_grid(2, 2)
-    b = lambda m: bloch_matrix_from_rho(m, 2, 2).values.reshape(-1)  # noqa: E731
+    b = lambda m: bloch_matrix_from_rho(m, 2, 2).reshape(-1)  # noqa: E731
     table = grid.anticommutator.reshape(16, 256)
     for _ in range(20):
         rho = qcore.random_density_matrix(4, rng)
@@ -201,43 +213,6 @@ def test_weyl_ops_unitary(d):
         for q in range(d):
             u = w[p, q]
             assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-12
-
-
-def test_weyl_matrix_single_mixed_and_pure(rng):
-    w = weyl_matrix_single(np.eye(2) / 2)
-    assert abs(w[0, 0] - 1.0 / np.sqrt(2.0)) < 1e-14
-    w[0, 0] = 0.0
-    assert np.abs(w).max() < 1e-14
-    psi = np.array([1.0, 0.0], dtype=complex)
-    w = weyl_matrix_single(np.outer(psi, psi.conj()))
-    assert abs(np.trace(w.conj().T @ w).real - 1.0) < 1e-12
-
-
-def test_weyl_matrix_purity_identity(rng):
-    for _ in range(20):
-        rho = qcore.random_density_matrix(3, rng)
-        w = weyl_matrix_single(rho)
-        assert abs(np.trace(w.conj().T @ w).real - np.trace(rho @ rho).real) < 1e-12
-
-
-@pytest.mark.parametrize("d", [2, 4])
-def test_weyl_pure_state_bound(d, rng):
-    for _ in range(100):
-        psi = qcore.random_pure_state(d, rng)
-        w = weyl_matrix_single(np.outer(psi, psi.conj()))
-        ww = w.conj().T @ w
-        val = np.trace(ww @ ww).real
-        assert 1.0 / d - 1e-10 <= val <= 1.0 + 1e-10
-
-
-def test_weyl_matrix_product_factorizes(rng):
-    rho_a = qcore.random_density_matrix(2, rng)
-    rho_b = qcore.random_density_matrix(2, rng)
-    st = QuantumState.mixed(kron(rho_a, rho_b), TWO_QUBITS)
-    w = weyl_matrix(st)
-    wa = weyl_matrix_single(rho_a)
-    wb = weyl_matrix_single(rho_b)
-    assert np.abs(w - kron(wa, wb)).max() < 1e-12
 
 
 def test_weyl_s_product_and_bell(rng):

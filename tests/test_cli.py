@@ -14,7 +14,11 @@ from disentsim.config import (
     parse_config_dict,
     render_config,
 )
-from disentsim.output import SWEEP_COLUMNS, read_trajectory_ndjson
+from disentsim.output import SWEEP_COLUMNS
+
+
+def _ndjson(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def test_parse_minimal_preset_document():
@@ -95,7 +99,7 @@ def test_master_run_writes_outputs_and_manifest(tmp_path):
 def test_trajectory_ndjson_schema(tmp_path):
     cfg = parse_config(_base_master_doc(tmp_path / "run"))
     execute(cfg)
-    rows = read_trajectory_ndjson(tmp_path / "run" / "trajectory.ndjson")
+    rows = _ndjson(tmp_path / "run" / "trajectory.ndjson")
     assert rows[0].keys() == {"t", "k_a", "k_b", "measures", "diagnostics"}
     assert list(rows[0]["measures"]) == ["k_entropy", "l_entropy", "delta",
                                          "tau_ab", "purity"]
@@ -206,12 +210,12 @@ def test_unmeasured_diagnostics_are_null(tmp_path):
     assert [p.name for p in files] == ["trajectory_000.ndjson", "trajectory_001.ndjson",
                                        "trajectory_mean.ndjson"]
     for path in files:
-        for row in read_trajectory_ndjson(path):
+        for row in _ndjson(path):
             diag = row["diagnostics"]
             assert diag["herm_err"] is None and diag["min_eig"] is None, path.name
             assert isinstance(diag["trace_err"], float), path.name
     execute(parse_config(_base_master_doc(tmp_path / "master", t_end=0.2)))
-    for row in read_trajectory_ndjson(tmp_path / "master" / "trajectory.ndjson"):
+    for row in _ndjson(tmp_path / "master" / "trajectory.ndjson"):
         assert all(isinstance(v, float) for v in row["diagnostics"].values())
 
 
@@ -290,6 +294,16 @@ def test_io_errors_exit_4(tmp_path, capsys):
     taken.write_text("a regular file\n")
     assert main(["--preset", "fig2-A2", "--out", str(taken), "--no-plots"]) == EXIT_IO
     assert capsys.readouterr().err.startswith("i/o error:")
+
+
+def test_bad_state_psi_is_a_config_error(tmp_path, capsys):
+    # a wrong amplitude count or a non-finite amplitude ends the measures run
+    # with the config exit, not a traceback
+    doc = tmp_path / "m.cfg"
+    for amps in ("1,0,0", "1,0,0,0,0", "nan,0,0,0"):
+        doc.write_text(f"command = measures\nstate.psi = {amps}\noutput.dir = {tmp_path / 'm'}\n")
+        assert main(["--config", str(doc)]) == EXIT_CONFIG, amps
+        assert capsys.readouterr().err.startswith("config error:"), amps
 
 
 def test_non_finite_state_is_a_health_abort(tmp_path, capsys):

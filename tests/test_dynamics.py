@@ -343,7 +343,7 @@ def test_integrator_stage_matches_mme_rhs(family, rng):
     for _ in range(3):
         rho = qcore.random_density_matrix(4, rng)
         state = QuantumState.mixed(rho, TWO_QUBITS)
-        x = bases.bloch_matrix_from_rho(rho, 2, 2).values.reshape(-1)
+        x = bases.bloch_matrix_from_rho(rho, 2, 2).reshape(-1)
         stage = (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
         public = mme_rhs(rho, h, build_theta(state, spec, h), FIG2_DAMPING)
         assert np.abs(stage - public).max() < 1e-12

@@ -13,7 +13,6 @@ from disentsim.entangle import (
     entanglement_k,
     entanglement_l,
     g_from_state,
-    g_matrix,
     measure_report,
     measures_from_rho,
     q_bloch_operators,
@@ -56,15 +55,6 @@ def test_state_matrix_layout():
     assert np.allclose(m, np.eye(2) / np.sqrt(2.0))
     psi = np.array([1, 2, 3, 4], dtype=complex)
     assert np.array_equal(state_matrix(psi, TWO_QUBITS), [[1, 2], [3, 4]])
-
-
-def test_g_matrix_cases():
-    g = g_matrix(state_matrix(BELL, TWO_QUBITS))
-    assert np.allclose(g, np.eye(2) / 2)
-    g = g_matrix(state_matrix([1, 0, 0, 0], TWO_QUBITS))
-    assert np.allclose(g, np.diag([1.0, 0.0]))
-    g = g_matrix(state_matrix(TILTED, TWO_QUBITS))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(g)), [0.25, 0.75])
 
 
 def test_entanglement_k_values(rng):
@@ -393,7 +383,7 @@ def test_bloch_theta_reads_the_measured_bloch_matrix(rng):
     # as bloch_matrix_from_rho does, so the engine's formula applied to the
     # measured B rebuilds the engine's Theta bit for bit
     rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(20)])
-    b = bases.bloch_matrix_from_rho(rhos, 2, 2).values
+    b = bases.bloch_matrix_from_rho(rhos, 2, 2)
     w = qcore.eig_log(*np.linalg.eigh(b @ b.mT / 2.0), qcore.DEFAULT_LOG_FLOOR) @ b
     pairs = -0.5 * 0.7 * bases.observable_grid(2, 2).entries.reshape(16, 16)
     want = (w.reshape(20, 16) @ pairs).reshape(rhos.shape)

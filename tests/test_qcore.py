@@ -10,12 +10,10 @@ from disentsim.qcore import (
     PSDViolationError,
     QuantumState,
     TWO_QUBITS,
-    entropy_functional,
     expectation,
     herm_eig,
     kron,
-    normalized_rank,
-    partial_trace,
+    partial_trace_rho,
     spectral_log,
 )
 
@@ -49,27 +47,27 @@ def test_partial_trace_product_state(rng):
     rho_a = qcore.random_density_matrix(2, rng)
     rho_b = qcore.random_density_matrix(2, rng)
     st = QuantumState.mixed(kron(rho_a, rho_b), TWO_QUBITS)
-    assert np.abs(partial_trace(st, "a") - rho_a).max() < 1e-12
-    assert np.abs(partial_trace(st, "b") - rho_b).max() < 1e-12
+    assert np.abs(partial_trace_rho(st.density(), st.factor, "a") - rho_a).max() < 1e-12
+    assert np.abs(partial_trace_rho(st.density(), st.factor, "b") - rho_b).max() < 1e-12
 
 
 def test_partial_trace_bell_and_basis():
     st = QuantumState.pure(BELL, TWO_QUBITS)
-    assert np.abs(partial_trace(st, "a") - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(partial_trace_rho(st.density(), st.factor, "a") - np.eye(2) / 2).max() < 1e-12
     basis = QuantumState.pure([1, 0, 0, 0], TWO_QUBITS)
-    assert np.abs(partial_trace(basis, "b") - np.diag([1.0, 0.0])).max() < 1e-12
+    assert np.abs(partial_trace_rho(basis.density(), basis.factor, "b") - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_partial_trace_preserves_trace(rng):
     rho = qcore.random_density_matrix(4, rng)
     st = QuantumState.mixed(rho, TWO_QUBITS)
-    assert abs(np.trace(partial_trace(st, "a")).real - 1.0) < 1e-12
+    assert abs(np.trace(partial_trace_rho(st.density(), st.factor, "a")).real - 1.0) < 1e-12
 
 
 def test_partial_trace_bad_label(rng):
     st = QuantumState.pure(BELL, TWO_QUBITS)
     with pytest.raises(ValueError):
-        partial_trace(st, "c")
+        partial_trace_rho(st.density(), st.factor, "c")
 
 
 def test_herm_eig_diagonal_and_pauli():
@@ -117,35 +115,6 @@ def test_spectral_log_commutes(rng):
     rho = qcore.random_density_matrix(4, rng)
     lg = spectral_log(rho)
     assert np.abs(rho @ lg - lg @ rho).max() < 1e-9
-
-
-def test_entropy_values():
-    assert abs(entropy_functional(np.eye(4) / 4) - np.log(4)) < 1e-12
-    proj = np.diag([1.0, 0.0, 0.0])
-    assert entropy_functional(proj) < 1e-12
-    expected = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
-    assert abs(entropy_functional(np.diag([0.75, 0.25])) - expected) < 1e-12
-    assert abs(expected - 0.5623) < 5e-5
-
-
-def test_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        entropy_functional(np.zeros((2, 2)))
-    with pytest.raises(PSDViolationError):
-        entropy_functional(np.diag([1.0, -0.5]))
-
-
-def test_normalized_rank_bounds_and_values():
-    assert abs(normalized_rank(np.eye(4) / 4) - 1.0) < 1e-12
-    assert normalized_rank(np.diag([1.0, 0.0])) < 1e-12
-    assert abs(normalized_rank(np.diag([0.75, 0.25])) - 0.8113) < 5e-5
-    with pytest.raises(DimensionError):
-        normalized_rank(np.array([[1.0]]))
-
-
-def test_entropy_equals_logd_times_rank(rng):
-    rho = qcore.random_density_matrix(5, rng)
-    assert abs(entropy_functional(rho) - np.log(5) * normalized_rank(rho)) < 1e-12
 
 
 def test_expectation_cases():

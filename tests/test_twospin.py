@@ -181,7 +181,7 @@ def _per_cell_sweep(p, d, grid):
                 continue
             state = QuantumState(factor=TWO_QUBITS, rho=rho)
             b = bases.bloch_matrix(state)
-            bloch[i, j] = b.values
+            bloch[i, j] = b
             tau[i, j] = tau_correlation(state)
             k_a, _ = bases.single_spin_bloch_vectors(b)
             try:
