@@ -1,8 +1,9 @@
 """Operator bases: generalized Gell-Mann sets, the bipartite observable grid,
 Bloch matrices, and Weyl (clock-and-shift) operators with the Weyl S matrix.
-A Bloch matrix B is a plain real array of grid expectations.  The grid and
-the correlation basis of ``entangle`` each cache one read-only expectation
-matrix, and ``_contract`` reads B and the covariances through it.
+A Bloch matrix B is a plain real array of grid expectations, and the grid
+coordinates x = B(rho) are the one representation of a state that the
+steady-state solver, the master equation, tau and Theta read: the grid caches
+one read-only expectation matrix, and ``_contract`` reads B through it.
 
 Conventions used throughout:
 
@@ -12,7 +13,8 @@ Conventions used throughout:
 * The bipartite grid G[a, b] = Gamma_a (x) Gamma_b uses the scaled elements
   Gamma_0 = 2^(1/4)/sqrt(d) * I and Gamma_l = 2^(-1/4) lambda_l, so the full
   grid is orthonormal in the same Tr(G G')/2 sense and traceless away from
-  (0, 0).
+  (0, 0).  A factor of dimension 1 contributes Gamma_0 alone, so the grid
+  (2, 1) of a single spin is (I, sigma_x, sigma_y, sigma_z).
 * All index origins are 0-based.  Extraction of physical single-spin Bloch
   vectors rescales grid expectations by sqrt(2) so that |k| <= 1 and
   k_z = -1/(2 n0 + 1) for a thermal spin (the grid normalization stores
@@ -83,16 +85,10 @@ def gell_mann(d: int) -> GellMannSet:
 
 
 def _gamma_elements(d: int) -> list[np.ndarray]:
-    """Scaled subsystem basis [Gamma_0, Gamma_1, ...] for one factor."""
+    """Scaled subsystem basis [Gamma_0, Gamma_1, ...] for one factor (Gamma_0
+    alone for d = 1)."""
     g0 = (2.0 ** 0.25 / np.sqrt(d)) * np.eye(d, dtype=complex)
-    return [g0] + [(2.0 ** -0.25) * lam for lam in gell_mann(d).matrices]
-
-
-def _expect_matrix(ops: np.ndarray) -> np.ndarray:
-    """Read-only (D^2, n) E of an (n, D, D) stack: rho.ravel() @ E = Tr(ops[k] rho)."""
-    e = np.ascontiguousarray(ops.transpose(2, 1, 0).reshape(-1, len(ops)))
-    e.setflags(write=False)
-    return e
+    return [g0] + [(2.0 ** -0.25) * lam for lam in (gell_mann(d).matrices if d > 1 else ())]
 
 
 def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:
@@ -111,7 +107,7 @@ class ObservableGrid:
     d_a: int
     d_b: int
     entries: np.ndarray  # shape (d_a^2, d_b^2, D, D)
-    expect: np.ndarray  # shape (D^2, d_a^2 d_b^2), ``_expect_matrix`` of the entries
+    expect: np.ndarray  # shape (D^2, d_a^2 d_b^2): rho.ravel() @ expect = B(rho) flattened
     half: np.ndarray  # shape (d_a^2 d_b^2, D^2), flattened G / 2: rho.ravel() = B(rho) @ half
 
     @cached_property
@@ -133,8 +129,8 @@ class ObservableGrid:
 
 @lru_cache(maxsize=None)
 def observable_grid(d_a: int, d_b: int) -> ObservableGrid:
-    if d_a < 2 or d_b < 2:
-        raise DimensionError("observable grid needs both dimensions >= 2")
+    if d_a < 2 or d_b < 1:
+        raise DimensionError("observable grid needs d_a >= 2 and d_b >= 1")
     ga = _gamma_elements(d_a)
     gb = _gamma_elements(d_b)
     dim = d_a * d_b
@@ -143,9 +139,10 @@ def observable_grid(d_a: int, d_b: int) -> ObservableGrid:
         for b, xb in enumerate(gb):
             entries[a, b] = kron(xa, xb)
     half = 0.5 * entries.reshape(d_a ** 2 * d_b ** 2, -1)
-    for table in (entries, half):
+    expect = np.ascontiguousarray(entries.transpose(3, 2, 0, 1).reshape(-1, len(half)))
+    for table in (entries, half, expect):
         table.setflags(write=False)
-    return ObservableGrid(d_a, d_b, entries, _expect_matrix(entries.reshape(-1, dim, dim)), half)
+    return ObservableGrid(d_a, d_b, entries, expect, half)
 
 
 def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -164,9 +161,7 @@ def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 
 def bloch_matrix(state: QuantumState) -> np.ndarray:
-    """Bloch matrix of a bipartite state (spectator slot must be trivial)."""
-    if state.factor.d_c != 1:
-        raise DimensionError("Bloch matrix is defined for d_c = 1 states only")
+    """Bloch matrix of a bipartite state."""
     return bloch_matrix_from_rho(state.density(), state.factor.d_a, state.factor.d_b)
 
 
@@ -224,8 +219,6 @@ def weyl_s_matrix(state: QuantumState) -> np.ndarray:
     """
     if state.factor.d_a != state.factor.d_b:
         raise DimensionError("Weyl S matrix needs d_a = d_b")
-    if state.factor.d_c != 1:
-        raise DimensionError("Weyl S matrix needs d_c = 1")
     d = state.factor.d_a
     t = _weyl_product_traces(state.density(), d, d) / d
     return t.transpose(1, 0, 3, 2).reshape(d * d, d * d)

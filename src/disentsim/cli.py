@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bases, entangle, svgplot
-from .config import ConfigError, RunConfig, parse_config_dict, parse_document, render_config, schema_help
+from .config import (ConfigError, RunConfig, parse_config_dict, parse_document, parse_state_psi,
+                     render_config, schema_help)
 from .dynamics import (
     DegenerateSteadyStateError,
     SdeModel,
@@ -73,22 +74,6 @@ def _initial_psi(config: RunConfig, h: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(psi)))
     psi = psi * np.exp(-1j * np.angle(psi[k]))
     return psi
-
-
-def _parse_state_psi(raw: str) -> np.ndarray:
-    if not raw:
-        raise ConfigError("state.psi is required for the measures command on a pure state")
-    try:
-        amps = [complex(tok.strip().replace(" ", "")) for tok in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"state.psi: cannot parse {raw!r} as complex amplitudes") from None
-    psi = np.asarray(amps, dtype=complex)
-    if psi.size != 4 or not np.isfinite(psi).all():
-        raise ConfigError(f"state.psi: need 4 finite two-qubit amplitudes, got {raw!r}")
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ConfigError("state.psi must not be the zero vector")
-    return psi / nrm
 
 
 def _bloch_plots(out: Path, rec: TrajectoryRecord, prefix: str, outputs: list[str]) -> None:
@@ -224,7 +209,7 @@ def _run_steady(config: RunConfig, out: Path, outputs: list[str]) -> dict:
 
 def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     if config.state_psi:
-        psi = _parse_state_psi(config.state_psi)
+        psi = parse_state_psi(config.state_psi)  # checked by parse_config_dict
         state = QuantumState.pure(psi, TWO_QUBITS)
         extra = {"weyl_t2": entangle.weyl_t2_expectation(state),
                  "delta_pure": entangle.delta_measure(psi)}

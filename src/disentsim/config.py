@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from .dynamics import DampingParams, IntegratorConfig, SpinDamping
 from .entangle import DisentanglementSpec, ThetaFamily
 from .twospin import SweepGrid, TwoSpinParams, experiment_preset
@@ -64,6 +66,25 @@ def _choice(name, options):
 
 def _min_int(name, lo):
     return lambda v: None if v >= lo else f"{name} must be >= {lo} (got {v!r})"
+
+
+def parse_state_psi(raw: str) -> np.ndarray:
+    """The normalized two-qubit state vector of a ``state.psi`` value; ValueError
+    unless it holds 4 finite complex amplitudes, not all zero."""
+    psi = np.array([complex(tok.strip().replace(" ", "")) for tok in raw.split(",")])
+    nrm = np.linalg.norm(psi)
+    if psi.size != 4 or not np.isfinite(psi).all() or nrm == 0:
+        raise ValueError("need 4 finite complex amplitudes, not all zero")
+    return psi / nrm
+
+
+def _check_state_psi(raw: str) -> str | None:
+    try:
+        if raw:  # empty: the measures command takes the linear steady state
+            parse_state_psi(raw)
+    except ValueError as exc:
+        return f"state.psi: {exc} (got {raw!r})"
+    return None
 
 
 SCHEMA: dict[str, _Key] = {
@@ -112,7 +133,8 @@ SCHEMA: dict[str, _Key] = {
                                          "fraction of the record discarded before classification"),
     "attractor.amp_threshold": _Key(float, 0.02, _positive("attractor.amp_threshold"),
                                     "peak-to-peak threshold separating fixed points from cycles"),
-    "state.psi": _Key(str, "", help="comma-separated complex amplitudes (measures command)"),
+    "state.psi": _Key(str, "", _check_state_psi,
+                      "comma-separated complex amplitudes (measures command)"),
     "output.dir": _Key(str, "runs/out", help="output directory"),
     "output.plots": _Key(_parse_bool, True, help="emit SVG plots"),
 }

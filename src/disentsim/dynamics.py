@@ -4,10 +4,10 @@
 * The nonlinear modified master equation
       drho/dt = i[rho, H] - Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)
   integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage
-  applies the real grid Liouvillian L_r, whose null vector a run from the
-  linear steady state starts at within rounding, and the anticommutator of
-  Theta, with coefficients that ``ThetaEngine.grid`` rebuilds from x by the
-  family formulas ``ThetaEngine.matrix`` runs.
+  applies the real grid Liouvillian L_r (``grid_liouvillian``, whose null
+  vector is the linear steady state) and the anticommutator of Theta, with
+  coefficients that ``ThetaEngine.grid`` rebuilds from x by the family
+  formulas ``ThetaEngine.matrix`` runs.
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
@@ -19,9 +19,9 @@
   gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the stack of psi and
   dW_l psi; sle_step is the same kernel on one column.  Samples fill one
   ensemble record with a trajectory axis.
-* Linear steady-state solver via the vectorized Liouvillian null space,
-  batched over a stack of Liouvillians: one SVD call decomposes the whole
-  stack (the parameter sweep passes one grid row at a time), and the
+* Linear steady-state solver via the null space of L_r, batched over a
+  stack: one real SVD call decomposes the whole stack (the parameter sweep
+  passes one grid row at a time) and gives the steady states' x, and the
   degeneracy and positivity rules are applied per cell in that one kernel,
   so single solves and sweeps reach the same verdicts.
 
@@ -169,61 +169,73 @@ def liouvillian_matrix(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def damping_superop(d: DampingParams) -> np.ndarray:
-    """Read-only dissipator superoperator of the six two-spin channels,
-    built once per (frozen, hashable) DampingParams."""
-    out = dissipator_superop(two_spin_jump_operators(d), 4)
+def damping_superop(d: DampingParams | SpinDamping) -> np.ndarray:
+    """Read-only dissipator superoperator of the six two-spin channels (or the
+    three single-spin ones), built once per (frozen, hashable) damping."""
+    pair = isinstance(d, DampingParams)
+    out = dissipator_superop(two_spin_jump_operators(d) if pair else spin_jump_operators(d),
+                             4 if pair else 2)
     out.flags.writeable = False
     return out
 
 
-def steady_states(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace-one null vectors of a stack of vectorized Liouvillians.
+def grid_liouvillian(h: np.ndarray, d: DampingParams | SpinDamping | None
+                     ) -> tuple[bases.ObservableGrid, np.ndarray]:
+    """The observable grid of a two-spin (DampingParams or None) or single-spin
+    (SpinDamping) model, and the real grid form L_r of its Liouvillian
+    rho -> i[rho, H] + (damping dissipator)."""
+    grid = bases.observable_grid(2, 1 if isinstance(d, SpinDamping) else 2)
+    lv = hamiltonian_superop(h)
+    return grid, grid.superop(lv if d is None else lv + damping_superop(d))
 
-    ``lv`` has shape (N, d^2, d^2); all N are decomposed by one batched SVD.
-    Returns the states (N, d, d) and a boolean mask (N,) of degenerate cells,
-    whose states are NaN: a null space of dimension > 1 (singular values at
-    or below 1e-12 * max(s_0, 1)) or a traceless null vector.  A state with
-    an eigenvalue below -1e-8 raises StateHealthError.
+
+def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Grid coordinates x, rho = (1/2) x . G, of the trace-one null vectors of
+    a stack (N, n, n) of real grid Liouvillians, by one batched real SVD (L_r
+    is unitarily similar to the vectorized L: same singular values).
+
+    Returns the rows x (N, n) and a boolean mask (N,) of degenerate cells,
+    whose rows are NaN: a null space of dimension > 1 (singular values at or
+    below 1e-12 * max(s_0, 1)) or a traceless null vector.  A state with an
+    eigenvalue below -1e-8 raises StateHealthError.
     """
-    n, d2, _ = lv.shape
-    dim = math.isqrt(d2)
-    _, s, vh = np.linalg.svd(lv)
+    _, s, vh = np.linalg.svd(lr)
     smax = np.maximum(s[:, 0], 1.0)
     degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
-    rho = vh[:, -1].conj().reshape(n, dim, dim)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    tr = np.einsum("nii->n", rho)
+    x = vh[:, -1]
+    dim = grid.d_a * grid.d_b
+    tr = dim * grid.half[0, 0].real * x[:, 0]  # G_0 is the only G with a trace
     degenerate |= np.abs(tr) < 1e-10
-    rho[degenerate] = np.nan
+    x[degenerate] = np.nan
     ok = ~degenerate
-    rho[ok] /= tr[ok, None, None]
-    w0 = np.linalg.eigvalsh(rho[ok])[:, 0]
+    x[ok] /= tr[ok, None]
+    w0 = np.linalg.eigvalsh((x[ok] @ grid.half).reshape(-1, dim, dim))[:, 0]
     negative = w0[w0 < -1e-8]
     if negative.size:
         raise StateHealthError(0.0, float(negative[0]))
-    return rho, degenerate
+    return x, degenerate
 
 
 def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
     """Unique trace-one steady state of the linear GKSL generator for the
     two-spin system (4x4) or a single spin (2x2).
 
-    Solves the null space of the vectorized Liouvillian by SVD; a null space
-    of dimension > 1 raises instead of being resolved silently.
+    Solves the null space of the grid Liouvillian by SVD and returns
+    (1/2) x . G; a null space of dimension > 1 raises instead of being
+    resolved silently.
     """
     h = as_complex_matrix(h)
     n = 4 if isinstance(d, DampingParams) else 2
     if h.shape != (n, n):
         raise DimensionError(f"{type(d).__name__} damping needs a {n}x{n} Hamiltonian")
-    ops = two_spin_jump_operators(d) if n == 4 else spin_jump_operators(d)
-    rho, degenerate = steady_states(liouvillian_matrix(h, ops)[None])
+    grid, lr = grid_liouvillian(h, d)
+    x, degenerate = steady_states(lr[None], grid)
     if degenerate[0]:
         raise DegenerateSteadyStateError(
             "Liouvillian has no unique trace-one steady state "
             "(null space of dimension > 1, or a traceless null vector)"
         )
-    return rho[0]
+    return (x[0] @ grid.half).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +282,7 @@ def mme_rhs(
         scale = max(float(np.abs(tm).max()), 1.0)
         if herm_residual(tm) > 1e-10 * scale:
             raise ValueError("Theta must be Hermitian")
-    grid = bases.observable_grid(2, 2)
-    lr = grid.superop(hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping)))
+    grid, lr = grid_liouvillian(h, damping)
     c = None if tm is None else bases._contract(tm, grid.expect).real
     x = _mme_stage(lr, bases._contract(rho, grid.expect).real, c, grid.anticommutator.reshape(16, -1))
     return (x @ grid.half).reshape(4, 4)
@@ -391,14 +402,13 @@ def integrate_master(
     if initial.factor != TWO_QUBITS:
         raise DimensionError("integrate_master drives the two-qubit system")
     h = as_complex_matrix(h)
-    grid = bases.observable_grid(2, 2)
+    grid, lr = grid_liouvillian(h, damping)
     x = bases.bloch_matrix_from_rho(initial.density(), 2, 2).reshape(-1)
 
     dspec = dspec or DisentanglementSpec()
     coeff, table = (lambda x: None), None
     if dspec.active:
         coeff, table = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).grid()
-    lr = grid.superop(hamiltonian_superop(h) + (0.0 if damping is None else damping_superop(damping)))
 
     dt = cfg.dt
     n_steps = cfg.n_steps
@@ -639,15 +649,14 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
         cols["weight"][:, si] = rel / rel.mean()
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
         cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
+        rho = np.einsum("in,jn->nij", psi, psi.conj())
         if model.factor == TWO_QUBITS:
-            rho = np.einsum("in,jn->nij", psi, psi.conj())
             b, rep = entangle.measures_from_rho(rho, TWO_QUBITS, cfg.log_floor)
             cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
             for f, v in vars(rep).items():
                 cols[f][:, si] = v
-        elif dim == 2:
-            for j, s in enumerate((bases.SIGMA_X, bases.SIGMA_Y, bases.SIGMA_Z)):
-                cols["k_a"][:, si, j] = np.einsum("in,ij,jn->n", psi.conj(), s, psi).real
+        elif dim == 2:  # the single-spin grid is (I, sigma_x, sigma_y, sigma_z)
+            cols["k_a"][:, si] = bases.bloch_matrix_from_rho(rho, 2, 1)[:, 1:, 0]
         si += 1
 
     # an overflowing step is reported by the sample-point check, not by warnings

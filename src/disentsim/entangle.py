@@ -25,13 +25,16 @@ constructors and the stochastic drift (``matrix`` on the stack of
 |psi><psi|), and ``grid`` reads the same formulas from the grid coordinates
 x = B(rho) the master equation is integrated in.  ``measures_from_rho``
 computes every measure of a stack of states for the single-state functions
-and both integrators' sample points.  B and the covariances each come from one
-contraction, ``bases._contract``, which the measures, the sweep and Theta share.
+and both integrators' sample points.  B comes from one contraction,
+``bases._contract``; tau and Q_ab read the expectations <l_a>, <l_b> and
+<l_a (x) l_b> from B through one cached, read-only map S (``_covariance_map``),
+so the measures, the sweep and Theta share B.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -118,8 +121,6 @@ class MeasureReport:
 
 def state_matrix(psi, factor: Factorization) -> np.ndarray:
     """Reshape a bipartite state vector into its d_a x d_b state matrix."""
-    if factor.d_c != 1:
-        raise DimensionError("state matrix needs a trivial spectator slot")
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != factor.d_a * factor.d_b:
         raise DimensionError(
@@ -157,32 +158,26 @@ def delta_measure(psi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Correlation basis: the covariances behind tau_ab and Q_ab.
-
-
-@dataclass(frozen=True)
-class _CorrelationBasis:
-    expect: np.ndarray  # expectation matrix of l_a (x) I, I (x) l_b, l_a (x) l_b (each (x) I_c)
-    split: tuple[int, int]  # where the I (x) l_b and the l_a (x) l_b columns start
-    pairs: np.ndarray  # (n_a * n_b, D^2) flattened l_a (x) l_b (x) I_c stack
+# Covariances behind tau_ab and Q_ab, read from the grid coordinates x = B(rho).
 
 
 @lru_cache(maxsize=None)
-def _correlation_basis(factor: Factorization) -> _CorrelationBasis:
-    da, db, dc = factor.d_a, factor.d_b, factor.d_c
-    ia, ib, ic = np.eye(da), np.eye(db), np.eye(dc)
-    lam_a = bases.gell_mann(da).matrices
-    lam_b = bases.gell_mann(db).matrices
-    lab = np.stack([kron(kron(x, y), ic) for x in lam_a for y in lam_b])
-    ops = np.concatenate([[kron(kron(x, ib), ic) for x in lam_a],
-                          [kron(kron(ia, x), ic) for x in lam_b], lab])
-    return _CorrelationBasis(expect=bases._expect_matrix(ops), pairs=lab.reshape(len(lab), -1),
-                             split=(len(lam_a), len(lam_a) + len(lam_b)))
+def _covariance_map(d_a: int, d_b: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Read-only real S, shape (d_a^2 d_b^2, n_a + n_b + n_a n_b), with x @ S =
+    (<l_a>, <l_b>, <l_a (x) l_b>) for x = B(rho) flattened, and the split points
+    of that layout: <l_a> = sqrt(d_b) B[a, 0], <l_b> = sqrt(d_a) B[0, b] and
+    <l_a (x) l_b> = sqrt(2) B[a, b] for a, b >= 1."""
+    scale = np.full((d_a * d_a, d_b * d_b), np.sqrt(2.0))
+    scale[:, 0], scale[0] = np.sqrt(d_b), np.sqrt(d_a)
+    flat = np.arange(scale.size).reshape(scale.shape)
+    s = np.diag(scale.ravel())[:, np.concatenate([flat[1:, 0], flat[0, 1:], flat[1:, 1:].ravel()])]
+    s.setflags(write=False)
+    return s, (d_a * d_a - 1, d_a * d_a + d_b * d_b - 2)
 
 
 def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>), shape (..., n_a n_b) each, from the
-    expectations e (..., n) of a correlation basis split at ``split``."""
+    expectations e (..., n) = x @ S split at ``split`` (``_covariance_map``)."""
     i, j = split
     ab = (e[..., :i, None] * e[..., None, i:j]).reshape(*e.shape[:-1], i * (j - i))
     return e[..., j:] - ab, ab
@@ -222,24 +217,23 @@ def correlation_operator(state: QuantumState) -> ThetaOperator:
     """Correlation-suppression operator Q_ab.
 
     Built from the operator-valued covariance grid C(l_a, l_b) =
-    l_a (x) l_b (x) I_c - <l_a><l_b> I (the scalar term multiplies the full
-    identity) contracted with its own expectation values; <Q_ab> = tau_ab.
+    l_a (x) l_b - <l_a><l_b> I contracted with its own expectation values;
+    <Q_ab> = tau_ab.
     """
     return _engine_operator(state, _unit_rate(ThetaFamily.CORR_SUPPRESS))
 
 
-def tau_from_rho(rho: np.ndarray, factor: Factorization) -> np.ndarray:
-    """tau_ab of each density matrix of a (..., D, D) stack, shape (...):
+def tau_from_bloch(b: np.ndarray) -> np.ndarray:
+    """tau_ab of each Bloch matrix of a (..., d_a^2, d_b^2) stack, shape (...):
     ETA_TWO_QUBITS times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
-    basis = _correlation_basis(factor)
-    cov = _covariances(bases._contract(np.asarray(rho, dtype=complex), basis.expect).real,
-                       basis.split)[0]
+    s, split = _covariance_map(math.isqrt(b.shape[-2]), math.isqrt(b.shape[-1]))
+    cov = _covariances(b.reshape(*b.shape[:-2], -1) @ s, split)[0]
     return ETA_TWO_QUBITS * (cov * cov).sum(axis=-1)
 
 
 def tau_correlation(state: QuantumState) -> float:
     """Correlation parameter tau_ab = ETA_TWO_QUBITS * sum of squared covariances."""
-    return float(tau_from_rho(state.density(), state.factor))
+    return float(tau_from_bloch(bases.bloch_matrix(state)))
 
 
 def thermalization_operator(
@@ -268,8 +262,8 @@ def weyl_t2_expectation(state: QuantumState) -> float:
     """
     if not state.is_pure:
         raise ValueError("T2 expectation is defined for pure states")
-    if state.factor.d_a != state.factor.d_b or state.factor.d_c != 1:
-        raise DimensionError("T2 needs equal subsystem dimensions and d_c = 1")
+    if state.factor.d_a != state.factor.d_b:
+        raise DimensionError("T2 needs equal subsystem dimensions")
     d = state.factor.d_a
     rho = state.density()
     w = bases.weyl_ops(d).reshape(d * d, d, d)
@@ -302,9 +296,11 @@ class ThetaEngine:
     -(Theta - <Theta>)|psi> of a (D, N) block of state-vector columns.
 
     corr-suppress and the Bloch families are ``coefficients(e) @ ops`` over
-    the expectations e = rho.ravel() @ expect and a rate-scaled operator
-    stack; the log families build their matrix directly, and their grid
-    coefficients are B(Theta) of the matrix built from (1/2) x . G."""
+    a rate-scaled operator stack, with e = x = B(rho) (Bloch families) or
+    e = x @ S (corr-suppress, ``_covariance_map``); ``matrix`` reads e from
+    rho through the grid's expectation matrix (times S).  The log families
+    build their matrix directly, and their grid coefficients are B(Theta) of
+    the matrix built from (1/2) x . G."""
 
     def __init__(
         self,
@@ -319,18 +315,18 @@ class ThetaEngine:
         self.h = None if h is None else as_complex_matrix(h)
         if spec.family is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
-        if factor.d_c != 1 and spec.family in (*_BLOCH_FAMILIES,
-                                               ThetaFamily.STATE_MATRIX_DERANK):
-            raise DimensionError(f"{spec.family.value} needs a trivial spectator slot")
-        # the measures' expectation matrix, held so that no stage looks it up
-        self._expect = None
+        # e's expectation matrix (grid.expect, times S for corr-suppress), held
+        # so that no call looks it up
+        self._expect = self._s = None
+        grid = bases.observable_grid(factor.d_a, factor.d_b)
         if spec.family is ThetaFamily.CORR_SUPPRESS:
-            basis = _correlation_basis(factor)
-            self._expect, self._split = basis.expect, basis.split
-            self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([basis.pairs,
+            self._s, self._split = _covariance_map(factor.d_a, factor.d_b)
+            self._expect = grid.expect @ self._s
+            # l_a (x) l_b = sqrt(2) G[a, b] for a, b >= 1
+            pairs = np.sqrt(2.0) * grid.entries[1:, 1:].reshape(-1, factor.dim ** 2)
+            self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs,
                                                                   -np.eye(factor.dim).ravel()])
         elif spec.family in _BLOCH_FAMILIES:
-            grid = bases.observable_grid(factor.d_a, factor.d_b)
             self._expect, self._shape = grid.expect, grid.entries.shape[:2]
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
 
@@ -370,7 +366,7 @@ class ThetaEngine:
         raise ValueError(f"no Theta matrix for family {fam}")
 
     def grid(self) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-        """Theta of a d_c = 1 state in grid coordinates: (x -> c, table), where
+        """Theta in grid coordinates: (x -> c, table), where
         B({Theta, rho}) = (c @ table).reshape(n, n) @ x and the (len(c), n^2)
         table holds the anticommutator tensor of each operator c runs over."""
         grid = bases.observable_grid(self.factor.d_a, self.factor.d_b)
@@ -379,10 +375,9 @@ class ThetaEngine:
             return (lambda x: bases._contract(self.matrix((x @ grid.half).reshape(dim, dim)),
                                               grid.expect).real), table
         table = bases._contract(self.ops.reshape(-1, dim, dim), grid.expect).real @ table
-        if self._expect is grid.expect:  # the Bloch families: e is x itself
+        if self._s is None:  # the Bloch families: e is x itself
             return self.coefficients, table
-        to_e = (grid.half @ self._expect).real
-        return (lambda x: self.coefficients(x @ to_e)), table
+        return (lambda x: self.coefficients(x @ self._s)), table
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """Batched drift -(Theta - <Theta>) psi for the unit-norm columns of a
@@ -417,18 +412,15 @@ def build_theta(
 def measures_from_rho(rho: np.ndarray, factor: Factorization,
                       floor: float = DEFAULT_LOG_FLOOR) -> tuple[np.ndarray, MeasureReport]:
     """Bloch matrices and scalar measures of each density matrix of a
-    (..., D, D) stack of d_c = 1 states; the report's fields are arrays of
-    shape (...).
+    (..., D, D) stack; the report's fields are arrays of shape (...).
 
     The one measure kernel: ``measure_report``, ``entanglement_k``,
     ``entanglement_l`` and both integrators' sample points call it, and its
-    tau is ``tau_from_rho``, which ``tau_correlation`` wraps.
+    tau is ``tau_from_bloch`` of its B, as in ``tau_correlation``.
     K and L take the floored log of the unnormalized G (the subsystem-a
     reduction) and alpha = B B^T / 2; delta extends the pure-state
     4 |psi1 psi4 - psi2 psi3|^2 to mixed states as 4 det G, clipped to [0, 1].
     """
-    if factor.d_c != 1:
-        raise DimensionError("the measures need a trivial spectator slot")
     rho = np.asarray(rho, dtype=complex)
     b = bases.bloch_matrix_from_rho(rho, factor.d_a, factor.d_b)
     g = partial_trace_rho(rho, factor, "a")
@@ -439,13 +431,13 @@ def measures_from_rho(rho: np.ndarray, factor: Factorization,
         k_entropy=k_ent,
         l_entropy=l_ent,
         delta=np.clip(4.0 * np.linalg.det(g).real, 0.0, 1.0),
-        tau_ab=tau_from_rho(rho, factor),
+        tau_ab=tau_from_bloch(b),
         purity=np.einsum("...ij,...ji->...", rho, rho).real,
     )
 
 
 def measure_report(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:
-    """All scalar measures of a bipartite (d_c = 1) state: the measure
+    """All scalar measures of a bipartite state: the measure
     kernel's row for the one-state stack."""
     rep = measures_from_rho(state.density()[None], state.factor, floor)[1]
     return MeasureReport(**{f: float(v[0]) for f, v in vars(rep).items()})

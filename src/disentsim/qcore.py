@@ -1,7 +1,8 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
 Everything here operates on plain ``numpy`` arrays (``complex128``); operators
-and density matrices are ordinary 2-D arrays.  Units follow the convention
+and density matrices are ordinary 2-D arrays, tagged in ``QuantumState`` with
+their bipartite ``Factorization`` (d_a, d_b).  Units follow the convention
 hbar = k_B = 1, with all rates and frequencies expressed relative to the
 reference Larmor frequency of the undriven spin.
 
@@ -54,28 +55,21 @@ def herm_residual(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Tensor factorization (d_a, d_b, d_c) of a Hilbert space.
-
-    The third slot is a spectator subsystem; d_c = 1 means the space is a
-    plain bipartite product.
-    """
+    """Bipartite tensor factorization (d_a, d_b) of a Hilbert space."""
 
     d_a: int
     d_b: int
-    d_c: int = 1
 
     def __post_init__(self):
         if self.d_a < 2 or self.d_b < 2:
             raise DimensionError("subsystems a and b need dimension >= 2")
-        if self.d_c < 1:
-            raise DimensionError("spectator dimension must be >= 1")
 
     @property
     def dim(self) -> int:
-        return self.d_a * self.d_b * self.d_c
+        return self.d_a * self.d_b
 
 
-TWO_QUBITS = Factorization(2, 2, 1)
+TWO_QUBITS = Factorization(2, 2)
 
 
 @dataclass
@@ -139,15 +133,15 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def partial_trace_rho(rho: np.ndarray, factor: Factorization, keep: str) -> np.ndarray:
     """Reduced density matrix of subsystem ``keep`` ('a' or 'b'), or of each
     matrix of a (..., D, D) stack."""
-    da, db, dc = factor.d_a, factor.d_b, factor.d_c
+    da, db = factor.d_a, factor.d_b
     r = np.asarray(rho, dtype=complex)
     if r.ndim < 2:
         raise DimensionError(f"expected (..., D, D) density matrices, got shape {r.shape}")
-    r = r.reshape(*r.shape[:-2], da, db, dc, da, db, dc)
+    r = r.reshape(*r.shape[:-2], da, db, da, db)
     if keep == "a":
-        return np.einsum("...ibcjbc->...ij", r)
+        return np.einsum("...ibjb->...ij", r)
     if keep == "b":
-        return np.einsum("...aicajc->...ij", r)
+        return np.einsum("...aiaj->...ij", r)
     raise ValueError(f"unknown subsystem label {keep!r} (expected 'a' or 'b')")
 
 

@@ -27,12 +27,11 @@ from . import bases, entangle
 from .dynamics import (
     DampingParams,
     TrajectoryRecord,
+    grid_liouvillian,
     hamiltonian_superop,
-    liouvillian_matrix,
     steady_states,
-    two_spin_jump_operators,
 )
-from .qcore import TWO_QUBITS, kron
+from .qcore import kron
 
 
 class TemperatureDomainError(ValueError):
@@ -160,34 +159,28 @@ class SweepResult:
 def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResult:
     """Solve the linear steady state on every grid cell.
 
-    The Liouvillian is affine in the drive, L = L_0 + Delta L_Delta +
-    omega_1 L_omega1, so the damping superoperator and the three Hamiltonian
-    superoperators are built once; each Delta row of the grid is then solved
-    by one batched null-space kernel call.  Solver degeneracies and
-    out-of-domain effective temperatures are recorded in the cell's status
-    column; the sweep always completes.
+    The real grid Liouvillian is affine in the drive, L_r = L_0 + Delta
+    L_Delta + omega_1 L_omega1, so its three pieces are mapped to the grid
+    once; each Delta row of the grid is then solved by one batched null-space
+    kernel call, whose rows are the Bloch matrices.  Solver degeneracies
+    (NaN rows) and out-of-domain effective temperatures are recorded in the
+    cell's status column; the sweep always completes.
     """
-    omega1s = grid.omega1_values
     shape = (grid.delta_n, grid.omega1_n)
-    bloch = np.full((*shape, 4, 4), np.nan)
-    tau = np.full(shape, np.nan)
-    teff = np.full(shape, np.nan)
+    bloch = np.empty((*shape, 4, 4))
+    tau = np.empty(shape)
+    teff = np.empty(shape)
     status = np.full(shape, "", dtype=object)
-    l_0 = liouvillian_matrix(build_hamiltonian(TwoSpinParams(g=p.g, omega_a=p.omega_a)),
-                             two_spin_jump_operators(d))
-    l_delta = hamiltonian_superop(_H_DELTA)
-    l_drive = omega1s[:, None, None] * hamiltonian_superop(_H_OMEGA1)
+    obs, l_0 = grid_liouvillian(build_hamiltonian(TwoSpinParams(g=p.g, omega_a=p.omega_a)), d)
+    l_delta = obs.superop(hamiltonian_superop(_H_DELTA))
+    l_drive = grid.omega1_values[:, None, None] * obs.superop(hamiltonian_superop(_H_OMEGA1))
     for i, dv in enumerate(grid.delta_values):
-        rho, degenerate = steady_states(l_0 + dv * l_delta + l_drive)
+        x, degenerate = steady_states(l_0 + dv * l_delta + l_drive, obs)
+        bloch[i] = b = x.reshape(-1, 4, 4)
+        tau[i] = entangle.tau_from_bloch(b)
+        teff[i] = _temperature(bases.single_spin_bloch_vectors(b)[0][:, 2], p.omega_a)
         status[i, degenerate] = "degenerate"
-        ok = ~degenerate
-        states = rho[ok]
-        b = bases.bloch_matrix_from_rho(states, 2, 2)
-        bloch[i, ok] = b
-        tau[i, ok] = entangle.tau_from_rho(states, TWO_QUBITS)
-        k_a, _ = bases.single_spin_bloch_vectors(b)
-        teff[i, ok] = _temperature(k_a[:, 2], p.omega_a)
-        status[i, ok & np.isnan(teff[i])] = "t_eff_domain"
+        status[i, ~degenerate & np.isnan(teff[i])] = "t_eff_domain"
     return SweepResult(grid=grid, template=p, damping=d,
                        bloch=bloch, tau_ab=tau, t_eff=teff, status=status)
 

@@ -153,6 +153,17 @@ def test_grid_tables_match_matrix_forms(rng):
         assert np.abs(lr @ x - b((lv @ rho.reshape(-1)).reshape(4, 4))).max() < 1e-14
         anti = (b(theta) @ table).reshape(16, 16) @ x
         assert np.abs(anti - b(theta @ rho + rho @ theta)).max() < 1e-14
+    # the single-spin grid is the Pauli grid, and L_r acts on it the same way
+    grid = observable_grid(2, 1)
+    assert np.abs(grid.entries[:, 0] - np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z])).max() < 1e-15
+    for _ in range(20):
+        rho = qcore.random_density_matrix(2, rng)
+        x = bloch_matrix_from_rho(rho, 2, 1).reshape(-1)
+        jump = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        lv = liouvillian_matrix(_random_hermitian(rng, 2), [jump])
+        assert np.abs(grid.superop(lv) @ x
+                      - bloch_matrix_from_rho((lv @ rho.reshape(-1)).reshape(2, 2), 2, 1).ravel()
+                      ).max() < 1e-14
 
 
 def test_grid_tables_are_cached_and_read_only():

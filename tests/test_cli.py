@@ -298,12 +298,13 @@ def test_io_errors_exit_4(tmp_path, capsys):
 
 def test_bad_state_psi_is_a_config_error(tmp_path, capsys):
     # a wrong amplitude count or a non-finite amplitude ends the measures run
-    # with the config exit, not a traceback
+    # with the config exit, not a traceback, before the output directory is made
     doc = tmp_path / "m.cfg"
     for amps in ("1,0,0", "1,0,0,0,0", "nan,0,0,0"):
         doc.write_text(f"command = measures\nstate.psi = {amps}\noutput.dir = {tmp_path / 'm'}\n")
         assert main(["--config", str(doc)]) == EXIT_CONFIG, amps
         assert capsys.readouterr().err.startswith("config error:"), amps
+        assert not (tmp_path / "m").exists(), amps
 
 
 def test_non_finite_state_is_a_health_abort(tmp_path, capsys):

@@ -40,7 +40,7 @@ from disentsim.entangle import (
     ThetaEngine,
     ThetaFamily,
     build_theta,
-    tau_from_rho,
+    tau_from_bloch,
     thermalization_operator,
 )
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
@@ -236,13 +236,15 @@ def test_steady_states_verdict_rules():
         _rank_one_deficient(np.diag([1.0, -1.0]).astype(complex)),  # traceless
         np.zeros((4, 4), dtype=complex),                             # 4-dim null space
     ])
-    rho, degenerate = steady_states(lv)
+    grid = bases.observable_grid(2, 1)
+    x, degenerate = steady_states(grid.superop(lv), grid)
+    rho = (x @ grid.half).reshape(-1, 2, 2)
     assert degenerate.tolist() == [False, True, True]
     assert np.abs(rho[0] - good).max() < 1e-14
     assert np.isnan(rho[1:]).all()
     indefinite = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(StateHealthError):
-        steady_states(np.stack([lv[0], _rank_one_deficient(indefinite)]))
+        steady_states(grid.superop(np.stack([lv[0], _rank_one_deficient(indefinite)])), grid)
 
 
 def test_liouvillian_matrix_action(rng):
@@ -393,7 +395,7 @@ def test_integrate_master_matches_reference_rk4(family, point):
     assert rec.n_samples == len(ref)
     assert np.abs(rec.k_a - k_a).max() < 1e-10
     assert np.abs(rec.k_b - k_b).max() < 1e-10
-    assert np.abs(rec.tau_ab - tau_from_rho(ref, TWO_QUBITS)).max() < 1e-10
+    assert np.abs(rec.tau_ab - tau_from_bloch(bases.bloch_matrix_from_rho(ref, 2, 2))).max() < 1e-10
 
 
 def test_sle_ensemble_rejects_non_positive_damping_factor():

@@ -19,7 +19,7 @@ from disentsim.entangle import (
     q_s_operator,
     state_matrix,
     tau_correlation,
-    tau_from_rho,
+    tau_from_bloch,
     thermalization_operator,
     weyl_t2_expectation,
 )
@@ -142,32 +142,39 @@ def test_tau_delta_identity(rng):
 def test_tau_of_stack_matches_per_state(rng):
     from disentsim.qcore import Factorization
 
-    for factor in (TWO_QUBITS, Factorization(2, 3)):
+    for dims in ((2, 2), (2, 3)):
+        factor = Factorization(*dims)
         rhos = np.stack([qcore.random_density_matrix(factor.dim, rng) for _ in range(10)])
-        stacked = tau_from_rho(rhos.reshape(2, 5, factor.dim, factor.dim), factor)
+        b = bases.bloch_matrix_from_rho(rhos.reshape(2, 5, factor.dim, factor.dim), *dims)
+        stacked = tau_from_bloch(b)
         assert stacked.shape == (2, 5)
         for n, rho in enumerate(rhos):
             one = tau_correlation(QuantumState.mixed(rho, factor))
             assert abs(stacked[divmod(n, 5)] - one) < 1e-15
 
 
-def test_tau_spectator_slot(rng):
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_tau_and_q_ab_match_literal_gell_mann_forms(rng, dims):
+    # tau and Q_ab read <l_a>, <l_b> and <l_a (x) l_b> from B; the reference is
+    # the kron-built Gell-Mann basis
     from disentsim.qcore import Factorization
 
-    psi_ab = qcore.random_pure_state(4, rng)
-    psi_c = qcore.random_pure_state(2, rng)
-    st_ab = QuantumState.pure(psi_ab, TWO_QUBITS)
-    st_abc = QuantumState.pure(np.kron(psi_ab, psi_c), Factorization(2, 2, 2))
-    assert abs(tau_correlation(st_ab) - tau_correlation(st_abc)) < 1e-10
-
-
-def test_split_families_reject_spectator_slot(rng):
-    from disentsim.qcore import DimensionError, Factorization
-
-    st = QuantumState.pure(qcore.random_pure_state(8, rng), Factorization(2, 2, 2))
-    for build in (q_s_operator, q_bloch_operators):
-        with pytest.raises(DimensionError, match="spectator"):
-            build(st)
+    factor = Factorization(*dims)
+    ia, ib = np.eye(dims[0]), np.eye(dims[1])
+    lam_a, lam_b = bases.gell_mann(dims[0]).matrices, bases.gell_mann(dims[1]).matrices
+    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=1.0), factor)
+    psi = qcore.random_pure_state(factor.dim, rng)
+    for rho in (np.outer(psi, psi.conj()), qcore.random_density_matrix(factor.dim, rng)):
+        ex = lambda o: np.trace(o @ rho).real  # noqa: E731
+        tau, q = 0.0, np.zeros_like(rho)
+        for x in lam_a:
+            for y in lam_b:
+                ab = ex(np.kron(x, ib)) * ex(np.kron(ia, y))
+                cov = ex(np.kron(x, y)) - ab
+                tau += cov * cov / 3.0
+                q += cov * (np.kron(x, y) - ab * np.eye(factor.dim)) / 3.0
+        assert abs(tau_from_bloch(bases.bloch_matrix_from_rho(rho, *dims)) - tau) < 1e-14
+        assert np.abs(engine.matrix(rho) - q).max() < 1e-14
 
 
 def test_gram_eigenvalues_vs_delta(rng):

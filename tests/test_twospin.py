@@ -215,7 +215,8 @@ def test_batched_kernel_flags_degenerate_cells():
     cells = [TwoSpinParams(delta=float(dv), omega1=float(w1))
              for dv in grid.delta_values for w1 in grid.omega1_values]
     lv = np.stack([liouvillian_matrix(build_hamiltonian(c), ops) for c in cells])
-    _, degenerate = steady_states(lv)
+    obs = bases.observable_grid(2, 2)
+    _, degenerate = steady_states(obs.superop(lv), obs)
     _, _, _, status = _per_cell_sweep(TwoSpinParams(g=0.0), d, grid)
     assert degenerate.any()
     assert np.array_equal(degenerate, (status == "degenerate").reshape(-1))
