@@ -52,7 +52,7 @@ EXIT_IO = 4
 
 
 def _initial_density(config: RunConfig, h: np.ndarray) -> np.ndarray:
-    kind = config.master_initial
+    kind = config["master.initial"]
     if kind == "steady-linear":
         return steady_state(h, config.damping)
     if kind == "maximally-mixed":
@@ -63,7 +63,7 @@ def _initial_density(config: RunConfig, h: np.ndarray) -> np.ndarray:
 
 
 def _initial_psi(config: RunConfig, h: np.ndarray) -> np.ndarray:
-    if config.sde_initial == "ground":
+    if config["sde.initial"] == "ground":
         psi = np.zeros(4, dtype=complex)
         psi[3] = 1.0
         return psi
@@ -106,11 +106,11 @@ def _run_master(config: RunConfig, out: Path, outputs: list[str]) -> dict:
                            config.integrator)
     write_trajectory_ndjson(out / "trajectory.ndjson", rec)
     outputs.append("trajectory.ndjson")
-    if config.plots:
+    if config["output.plots"]:
         _bloch_plots(out, rec, "", outputs)
     try:
-        verdict = classify_attractor(rec, config.transient_fraction,
-                                     config.amp_threshold)
+        verdict = classify_attractor(rec, config["attractor.transient_fraction"],
+                                     config["attractor.amp_threshold"])
         attractor = {
             "kind": verdict.kind.value,
             "amplitude": verdict.amplitude,
@@ -130,20 +130,20 @@ def _run_sde(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     psi0 = _initial_psi(config, h)
     model = SdeModel.two_spin(h, config.damping, config.disentangle)
     mean_rho, records = integrate_sle_ensemble(psi0, model, config.integrator,
-                                               config.n_traj)
+                                               config["sde.n_traj"])
     mean_rec = ensemble_mean_record(records)
     write_trajectory_ndjson(out / "trajectory_mean.ndjson", mean_rec)
     outputs.append("trajectory_mean.ndjson")
-    for k in range(min(config.emit_trajectories, config.n_traj)):
+    for k in range(min(config["sde.emit_trajectories"], config["sde.n_traj"])):
         name = f"trajectory_{k:03d}.ndjson"
         write_trajectory_ndjson(out / name, records[k])
         outputs.append(name)
-    if config.plots:
+    if config["output.plots"]:
         _bloch_plots(out, mean_rec, "mean_", outputs)
-        if config.emit_trajectories > 0:
+        if config["sde.emit_trajectories"] > 0:
             _bloch_plots(out, records[0], "traj000_", outputs)
     return {
-        "n_traj": config.n_traj,
+        "n_traj": config["sde.n_traj"],
         "mean_rho_final": matrix_json(mean_rho),
         "final_mean_k_a": [float(v) for v in mean_rec.k_a[-1]],
         "final_mean_k_b": [float(v) for v in mean_rec.k_b[-1]],
@@ -154,7 +154,7 @@ def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     result = run_sweep(config.model, config.damping, config.sweep)
     write_sweep_csv(out / "sweep.csv", result)
     outputs.append("sweep.csv")
-    if config.plots:
+    if config["output.plots"]:
         x = result.grid.delta_values
         y = result.grid.omega1_values
         quantities = {f"b_{a}{b}": result.bloch[:, :, a, b]
@@ -208,8 +208,8 @@ def _run_steady(config: RunConfig, out: Path, outputs: list[str]) -> dict:
 
 
 def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
-    if config.state_psi:
-        psi = parse_state_psi(config.state_psi)  # checked by parse_config_dict
+    if config["state.psi"]:
+        psi = parse_state_psi(config["state.psi"])  # checked by parse_config_dict
         state = QuantumState.pure(psi, TWO_QUBITS)
         extra = {"weyl_t2": entangle.weyl_t2_expectation(state),
                  "delta_pure": entangle.delta_measure(psi)}
@@ -226,7 +226,7 @@ def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
 
 def execute(config: RunConfig) -> dict:
     """Run a validated config; returns the manifest contents."""
-    out = Path(config.out_dir)
+    out = Path(config["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
     if config.command == "master":
@@ -247,7 +247,7 @@ def execute(config: RunConfig) -> dict:
         "tool": "disentsim",
         "version": __version__,
         "command": config.command,
-        "config": {k: v for k, v in config.flat().items()},
+        "config": config.flat(),
         "outputs": sorted(outputs),
         "results": results,
     }
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     if config.command == "preset":
         sys.stdout.write(render_config(config))
     else:
-        print(f"wrote {len(manifest['outputs'])} file(s) to {config.out_dir}")
+        print(f"wrote {len(manifest['outputs'])} file(s) to {config['output.dir']}")
     return EXIT_OK
 
 

@@ -12,11 +12,14 @@ Lines starting with ``#`` are comments.  A ``preset = NAME`` key expands a
 named experiment first; any further keys override the expanded values.
 Unknown keys and domain violations are rejected with the offending key and
 line number.
+
+``RunConfig`` holds the run objects, each built from its key section (a key's
+last part is the field name), and every resolved setting by key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -144,7 +147,7 @@ REQUIRED_KEYS = ("command",)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run configuration."""
+    """Fully validated run configuration; ``config[key]`` is a resolved setting."""
 
     command: str
     model: TwoSpinParams
@@ -152,20 +155,14 @@ class RunConfig:
     disentangle: DisentanglementSpec
     integrator: IntegratorConfig
     sweep: SweepGrid
-    n_traj: int
-    emit_trajectories: int
-    sde_initial: str
-    master_initial: str
-    transient_fraction: float
-    amp_threshold: float
-    state_psi: str
-    out_dir: str
-    plots: bool
-    raw: tuple[tuple[str, Any], ...] = field(default=(), compare=False, repr=False)
+    values: tuple[tuple[str, Any], ...]
+
+    def __getitem__(self, key: str) -> Any:
+        return self.flat()[key]
 
     def flat(self) -> dict[str, Any]:
         """The resolved flat key-value form (round-trips through parse_config)."""
-        return dict(self.raw)
+        return dict(self.values)
 
 
 def _coerce(key: str, raw: Any, line: int | None = None) -> Any:
@@ -253,63 +250,25 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
     if family is ThetaFamily.NONE and values["disentangle.gamma_d"] != 0.0:
         raise ConfigError("disentangle.family = none forces disentangle.gamma_d = 0")
 
+    def section(prefix: str, **given: Any) -> dict[str, Any]:
+        # the last part of a section key is its run object's field name
+        return {**{k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)},
+                **given}
+
     command = values["command"]
-    method = "euler-maruyama" if command == "sde" else "rk4"
     try:
-        integrator = IntegratorConfig(
-            dt=values["integrator.dt"],
-            t_end=values["integrator.t_end"],
-            method=method,
-            seed=values["integrator.seed"],
-            log_floor=values["integrator.log_floor"],
-            sample_every=values["integrator.sample_every"],
-        )
-        model = TwoSpinParams(
-            delta=values["model.delta"],
-            omega1=values["model.omega1"],
-            g=values["model.g"],
-            omega_a=values["model.omega_a"],
-        )
-        damping = DampingParams(
-            a=SpinDamping(values["damping.a.gamma1"], values["damping.a.gamma_phi"],
-                          values["damping.a.n0"]),
-            b=SpinDamping(values["damping.b.gamma1"], values["damping.b.gamma_phi"],
-                          values["damping.b.n0"]),
-        )
-        disentangle = DisentanglementSpec(
-            family=family,
-            gamma_d=values["disentangle.gamma_d"],
-            gamma_h=values["disentangle.gamma_h"],
-            beta=values["disentangle.beta"],
-        )
-        grid = SweepGrid(
-            delta_min=values["sweep.delta_min"], delta_max=values["sweep.delta_max"],
-            delta_n=values["sweep.delta_n"],
-            omega1_min=values["sweep.omega1_min"], omega1_max=values["sweep.omega1_max"],
-            omega1_n=values["sweep.omega1_n"],
-        )
+        integrator = IntegratorConfig(**section(
+            "integrator.", method="euler-maruyama" if command == "sde" else "rk4"))
+        model = TwoSpinParams(**section("model."))
+        damping = DampingParams(a=SpinDamping(**section("damping.a.")),
+                                b=SpinDamping(**section("damping.b.")))
+        disentangle = DisentanglementSpec(**section("disentangle.", family=family))
+        sweep = SweepGrid(**section("sweep."))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    raw = tuple(sorted(values.items()))
-    return RunConfig(
-        command=command,
-        model=model,
-        damping=damping,
-        disentangle=disentangle,
-        integrator=integrator,
-        sweep=grid,
-        n_traj=values["sde.n_traj"],
-        emit_trajectories=values["sde.emit_trajectories"],
-        sde_initial=values["sde.initial"],
-        master_initial=values["master.initial"],
-        transient_fraction=values["attractor.transient_fraction"],
-        amp_threshold=values["attractor.amp_threshold"],
-        state_psi=values["state.psi"],
-        out_dir=values["output.dir"],
-        plots=values["output.plots"],
-        raw=raw,
-    )
+    return RunConfig(command=command, model=model, damping=damping, disentangle=disentangle,
+                     integrator=integrator, sweep=sweep, values=tuple(sorted(values.items())))
 
 
 def parse_config(text: str) -> RunConfig:

@@ -209,6 +209,7 @@ def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarra
     x[degenerate] = np.nan
     ok = ~degenerate
     x[ok] /= tr[ok, None]
+    x[ok, 0] = 1.0 / (dim * grid.half[0, 0].real)  # Tr rho = 1 exactly, not to the last bit
     w0 = np.linalg.eigvalsh((x[ok] @ grid.half).reshape(-1, dim, dim))[:, 0]
     negative = w0[w0 < -1e-8]
     if negative.size:
@@ -659,13 +660,17 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
             cols["k_a"][:, si] = bases.bloch_matrix_from_rho(rho, 2, 1)[:, 1:, 0]
         si += 1
 
-    # an overflowing step is reported by the sample-point check, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing step is reported by a StateHealthError, not by warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for chunk in _noise_chunks(gens, len(ops), n_steps, dt):
             for dw in chunk:
                 if step == sample_steps[si]:
                     sample()
-                drift = None if engine is None else dt * (u @ engine.drift(psi))
+                try:
+                    drift = None if engine is None else dt * (u @ engine.drift(psi))
+                except np.linalg.LinAlgError:  # Theta of a state that overflowed
+                    raise StateHealthError(step * dt, math.nan,
+                                           reason="state vector or weight is not finite") from None
                 psi, nrm2 = _sle_block_step(psi, step_mat, dw, stack, drift)
                 log_w += np.log(nrm2)
                 step += 1

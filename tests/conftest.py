@@ -5,6 +5,19 @@ from disentsim.entangle import ThetaFamily
 from disentsim.qcore import TWO_QUBITS, QuantumState
 
 
+#: session fixtures whose tests the ``slow`` mark must cover (see pyproject)
+SLOW_FIXTURES = ("fig2_runs", "fig1_sweep", "unravelling_pair")
+
+
+def pytest_collection_modifyitems(config, items):
+    unmarked = [item.nodeid for item in items
+                if set(SLOW_FIXTURES) & set(item.fixturenames)
+                and item.get_closest_marker("slow") is None]
+    if unmarked:
+        raise pytest.UsageError(
+            f"tests on {', '.join(SLOW_FIXTURES)} need @pytest.mark.slow: " + ", ".join(unmarked))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -9,11 +9,13 @@ import pytest
 
 from disentsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, execute, main
 from disentsim.config import (
+    SCHEMA,
     ConfigError,
     parse_config,
     parse_config_dict,
     render_config,
 )
+from disentsim.entangle import ThetaFamily
 from disentsim.output import SWEEP_COLUMNS
 
 
@@ -59,6 +61,48 @@ def test_config_roundtrip_through_render():
     cfg = parse_config("preset = fig2-A2\nintegrator.t_end = 17.5\n")
     again = parse_config(render_config(cfg))
     assert again == cfg
+
+
+# every key but command away from its default
+_NON_DEFAULT = {
+    "model.omega_a": 1.25, "model.delta": 0.5, "model.omega1": 0.75, "model.g": 0.25,
+    "damping.a.gamma1": 0.125, "damping.a.gamma_phi": 0.0625, "damping.a.n0": 0.5,
+    "damping.b.gamma1": 1.5, "damping.b.gamma_phi": 0.375, "damping.b.n0": 0.01,
+    "disentangle.family": "bloch-derank-b", "disentangle.gamma_d": 0.7,
+    "disentangle.gamma_h": 0.3, "disentangle.beta": 2.5,
+    "integrator.dt": 0.01, "integrator.t_end": 3.0, "integrator.seed": 7,
+    "integrator.log_floor": 1e-10, "integrator.sample_every": 3,
+    "sweep.delta_min": -1.0, "sweep.delta_max": 1.5, "sweep.delta_n": 5,
+    "sweep.omega1_min": 0.1, "sweep.omega1_max": 1.75, "sweep.omega1_n": 6,
+    "sde.n_traj": 8, "sde.emit_trajectories": 1, "sde.initial": "ground",
+    "master.initial": "maximally-mixed", "attractor.transient_fraction": 0.25,
+    "attractor.amp_threshold": 0.05, "state.psi": "1, 0, 0, 1j",
+    "output.dir": "elsewhere", "output.plots": False,
+}
+
+
+def test_section_keys_land_on_run_object_fields():
+    assert set(_NON_DEFAULT) == set(SCHEMA) - {"command"}
+    assert all(v != SCHEMA[k].default for k, v in _NON_DEFAULT.items())
+    doc = "command = sde\n" + "".join(
+        f"{k} = {str(v).lower() if isinstance(v, bool) else v}\n" for k, v in _NON_DEFAULT.items())
+    cfg = parse_config(doc)
+    sections = {"model.": cfg.model, "damping.a.": cfg.damping.a, "damping.b.": cfg.damping.b,
+                "disentangle.": cfg.disentangle, "integrator.": cfg.integrator,
+                "sweep.": cfg.sweep}
+    landed = 0
+    for key, value in _NON_DEFAULT.items():
+        assert cfg[key] == value, key
+        for prefix, obj in sections.items():
+            if key.startswith(prefix):
+                field = getattr(obj, key[len(prefix):])
+                assert field == (ThetaFamily(value) if key == "disentangle.family" else value), key
+                landed += 1
+    assert landed == 25
+    assert cfg["command"] == cfg.command == "sde"
+    assert cfg.integrator.method == "euler-maruyama"
+    with pytest.raises(KeyError):
+        cfg["model.gamma"]
 
 
 def _base_master_doc(out_dir: Path, t_end: float = 4.0) -> str:

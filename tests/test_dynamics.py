@@ -414,34 +414,40 @@ def test_sle_ensemble_rejects_non_positive_damping_factor():
     integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
 
 
-def test_sle_ensemble_non_finite_abort():
-    # no jump operators, so only the sample-point check can catch the
-    # thermalization drift overflowing in one step of 1e300
+def _overflowing_ensemble(family):
+    """(model, cfg, abort time) of an ensemble whose state overflows:
+    thermalization without jump operators in one step of 1e300, caught by the
+    sample-point check; bloch-derank-a at gamma_d = 1e300, whose Theta
+    eigendecomposition fails between sample points."""
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
-    model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
-                     dspec=DisentanglementSpec(family=ThetaFamily.THERMALIZATION,
-                                               gamma_h=1.0))
-    psi0 = np.full(4, 0.5, dtype=complex)
-    cfg = IntegratorConfig(dt=1e300, t_end=1e300, method="euler-maruyama")
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StateHealthError, match="not finite") as err:
-            integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
-    assert err.value.t == 1e300
+    if family is ThetaFamily.THERMALIZATION:
+        model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
+                         dspec=DisentanglementSpec(family=family, gamma_h=1.0))
+        return model, IntegratorConfig(dt=1e300, t_end=1e300, method="euler-maruyama"), 1e300
+    model = SdeModel.two_spin(h, FIG2_DAMPING, DisentanglementSpec(family=family, gamma_d=1e300))
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01, method="euler-maruyama", sample_every=5)
+    return model, cfg, 0.003
+
+
+def test_sle_ensemble_non_finite_abort():
+    for family in (ThetaFamily.THERMALIZATION, ThetaFamily.BLOCH_DERANK_A):
+        model, cfg, t_abort = _overflowing_ensemble(family)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StateHealthError, match="not finite") as err:
+                integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=2)
+        assert err.value.t == t_abort, family
 
 
 def test_sle_ensemble_overflow_is_silent():
-    # the same overflowing step as above, without an errstate around the
+    # the same overflowing runs as above, without an errstate around the
     # call: the health abort is the only report
-    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
-    model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
-                     dspec=DisentanglementSpec(family=ThetaFamily.THERMALIZATION,
-                                               gamma_h=1.0))
-    cfg = IntegratorConfig(dt=1e300, t_end=1e300, method="euler-maruyama")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(StateHealthError, match="not finite"):
-            integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=2)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for family in (ThetaFamily.THERMALIZATION, ThetaFamily.BLOCH_DERANK_A):
+        model, cfg, _ = _overflowing_ensemble(family)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StateHealthError, match="not finite"):
+                integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], family
 
 
 def test_sle_step_unitary_limit(rng):

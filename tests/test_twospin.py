@@ -153,6 +153,15 @@ def test_run_sweep_hartmann_hahn_enhancement():
     assert abs(omega_r - 1.0) <= cell
 
 
+def test_run_sweep_trace_coordinate_is_exact():
+    # B[0,0] = Tr(rho)/2 of a trace-one state; a constant map, not one that
+    # varies in the last bit from cell to cell
+    grid = SweepGrid(delta_n=9, omega1_n=9)
+    res = run_sweep(TwoSpinParams(g=1e-3), FIG1_DAMPING, grid)
+    assert np.unique(res.bloch[..., 0, 0]).size == 1
+    assert res.bloch[0, 0, 0, 0] == 1.0 / (4 * bases.observable_grid(2, 2).half[0, 0].real)
+
+
 def test_run_sweep_records_cell_failures():
     # gamma1 = 0 everywhere makes the no-drive cells degenerate; the sweep
     # must keep going and mark them
