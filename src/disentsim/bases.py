@@ -2,8 +2,8 @@
 Bloch matrices, and Weyl (clock-and-shift) operators with the Weyl S matrix.
 A Bloch matrix B is a plain real array of grid expectations, and the grid
 coordinates x = B(rho) are the one representation of a state that the
-steady-state solver, the master equation, tau and Theta read: the grid caches
-one read-only expectation matrix, and ``_contract`` reads B through it.
+steady-state solver, the master equation, the measures and Theta read: the
+grid caches one read-only expectation matrix, and ``_contract`` reads B through it.
 
 Conventions used throughout:
 
@@ -23,6 +23,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -163,6 +164,15 @@ def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 def bloch_matrix(state: QuantumState) -> np.ndarray:
     """Bloch matrix of a bipartite state."""
     return bloch_matrix_from_rho(state.density(), state.factor.d_a, state.factor.d_b)
+
+
+def reduced_state_a(b: np.ndarray) -> np.ndarray:
+    """Tr_b rho of each Bloch matrix of a (..., d_a^2, d_b^2) stack, shape
+    (..., d_a, d_a): only G[a, 0] has a nonzero partial trace over b, so
+    Tr_b rho = sqrt(d_b) B[:, 0] . (the single-factor grid (d_a, 1) / 2)."""
+    d_a, d_b = math.isqrt(b.shape[-2]), math.isqrt(b.shape[-1])
+    flat = math.sqrt(d_b) * (b[..., :, 0] @ observable_grid(d_a, 1).half)
+    return flat.reshape(*b.shape[:-2], d_a, d_a)
 
 
 def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -109,7 +109,7 @@ SCHEMA: dict[str, _Key] = {
     "disentangle.beta": _Key(float, 1.0, _positive("disentangle.beta"), "inverse temperature"),
     "integrator.dt": _Key(float, 1e-3, _positive("integrator.dt"), "time step (units 1/omega_a)"),
     "integrator.t_end": _Key(float, 200.0, _positive("integrator.t_end"), "duration"),
-    "integrator.seed": _Key(int, 0, help="RNG seed for stochastic runs"),
+    "integrator.seed": _Key(int, 0, _nonneg("integrator.seed"), "RNG seed for stochastic runs"),
     "integrator.log_floor": _Key(float, 1e-13, _positive("integrator.log_floor"),
                                  "relative eigenvalue floor in matrix logs"),
     "integrator.sample_every": _Key(int, 0, _nonneg("integrator.sample_every"),
@@ -178,12 +178,13 @@ def _coerce(key: str, raw: Any, line: int | None = None) -> Any:
         if spec.parse is float:
             value = float(raw)
         elif spec.parse is int:
-            if isinstance(raw, float) and raw != int(raw):
+            if isinstance(raw, float) and not raw.is_integer():
                 raise ConfigError(f"bad value for {key}{where}: {raw!r} is not an integer")
             value = int(raw)
         elif spec.parse is _parse_bool and not isinstance(raw, bool):
             value = _parse_bool(str(raw))
-    err = spec.check(value)
+    finite = spec.parse is not float or np.isfinite(value)
+    err = spec.check(value) if finite else f"{key} must be finite (got {value!r})"
     if err:
         raise ConfigError(f"{err}{where}")
     return value

@@ -30,7 +30,7 @@ master-equation sample, where rho = (1/2) x . G is formed (Hermitian by
 construction, so herm_err reads 0), and the norm error at every stochastic one;
 positivity violations beyond tolerance abort the run rather than being
 repaired.  Both integrators take the Bloch vectors and measures of their
-samples from ``entangle.measures_from_rho``.
+samples from B with ``entangle.measures_from_bloch``; a master sample's B is x.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ def integrate_master(
         raise DimensionError("integrate_master drives the two-qubit system")
     h = as_complex_matrix(h)
     grid, lr = grid_liouvillian(h, damping)
-    x = bases.bloch_matrix_from_rho(initial.density(), 2, 2).reshape(-1)
+    x = bases.bloch_matrix(initial).reshape(-1)
 
     dspec = dspec or DisentanglementSpec()
     coeff, table = (lambda x: None), None
@@ -416,6 +416,7 @@ def integrate_master(
     sample_steps = cfg.sample_steps
     x_samples = np.empty((len(sample_steps), len(x)))
     times = np.empty(len(sample_steps))
+    min_eig = np.empty(len(sample_steps))
     si = 0
 
     # an overflowing step is reported by the health checks below, not by
@@ -426,9 +427,9 @@ def integrate_master(
                 t = step * dt
                 if not np.isfinite(x).all():
                     raise StateHealthError(t, math.nan)
-                w_min = float(np.linalg.eigvalsh((x @ grid.half).reshape(4, 4))[0])
-                if w_min < POSITIVITY_ABORT:
-                    raise StateHealthError(t, w_min)
+                min_eig[si] = np.linalg.eigvalsh((x @ grid.half).reshape(4, 4))[0]
+                if min_eig[si] < POSITIVITY_ABORT:
+                    raise StateHealthError(t, float(min_eig[si]))
                 x_samples[si] = x
                 times[si] = t
                 si += 1
@@ -448,12 +449,12 @@ def integrate_master(
                 raise StateHealthError(step * dt, math.nan) from None
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    rho_samples = (x_samples @ grid.half).reshape(-1, 4, 4)
-    b, rep = entangle.measures_from_rho(rho_samples, TWO_QUBITS, cfg.log_floor)
+    b = x_samples.reshape(-1, 4, 4)
     k_a, k_b = bases.single_spin_bloch_vectors(b)
+    rho_samples = (x_samples @ grid.half).reshape(-1, 4, 4)
     trace_err = np.abs(np.einsum("nii->n", rho_samples).real - 1.0)
     herm_err = np.abs(rho_samples - rho_samples.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    min_eig = np.linalg.eigvalsh(rho_samples)[:, 0]
+    rep = entangle.measures_from_bloch(b, cfg.log_floor)
     return TrajectoryRecord(
         times=times, k_a=k_a, k_b=k_b, **vars(rep),
         trace_err=trace_err, herm_err=herm_err, min_eig=min_eig,
@@ -469,10 +470,9 @@ def _unitary_step(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-def noise_increments(rng: np.random.Generator, n_channels: int, dt: float,
-                     shape: tuple[int, ...] = ()) -> np.ndarray:
+def noise_increments(rng: np.random.Generator, n_channels: int, dt: float) -> np.ndarray:
     """Complex Wiener increments dW with E dW = 0, E |dW|^2 = dt, E dW^2 = 0."""
-    g = rng.standard_normal((*shape, n_channels, 2))
+    g = rng.standard_normal((n_channels, 2))
     return np.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
 
 
@@ -492,20 +492,18 @@ def _sle_step_matrix(h: np.ndarray, ops: list, dt: float) -> tuple[np.ndarray, n
 
 
 def _sle_block_step(psi: np.ndarray, step_mat: np.ndarray, dw: np.ndarray, stack: np.ndarray,
-                    drift: np.ndarray | None = None, renormalize: bool = True):
+                    drift: np.ndarray | None = None):
     """One Euler-Maruyama step of a (dim, n) block of state columns.
 
     ``stack`` is (m + 1, dim, n) scratch for psi and dW_l psi, so the linear
     part is one gemm with ``step_mat``; ``drift`` (dt U drift(psi)) is added
-    as given.  Returns the new block and, if renormalized in place, the
-    squared norms it was divided by."""
+    as given.  Returns the new block, renormalized in place, and the squared
+    norms it was divided by."""
     stack[0] = psi
     np.multiply(dw[:, None, :], psi, out=stack[1:])
     out = step_mat @ stack.reshape(-1, psi.shape[1])
     if drift is not None:
         out += drift
-    if not renormalize:
-        return out, None
     nrm2 = (out.real * out.real + out.imag * out.imag).sum(axis=0)
     out *= 1.0 / np.sqrt(nrm2)  # the bits of out /= sqrt(nrm2), without complex division
     return out, nrm2
@@ -513,7 +511,7 @@ def _sle_block_step(psi: np.ndarray, step_mat: np.ndarray, dw: np.ndarray, stack
 
 def sle_step(psi: np.ndarray, h: np.ndarray, jump_ops: list[np.ndarray],
              theta: ThetaOperator | np.ndarray | None, dt: float,
-             rng: np.random.Generator, renormalize: bool = True) -> np.ndarray:
+             rng: np.random.Generator) -> np.ndarray:
     """One stochastic step of the (modified) Schrodinger-Langevin equation.
 
     Damping drift -(1/2) sum V^dag V, complex white noise sum xi_l V_l and
@@ -531,7 +529,7 @@ def sle_step(psi: np.ndarray, h: np.ndarray, jump_ops: list[np.ndarray],
         drift = -dt * (u @ (tm @ psi - texp * psi))
     stack = np.empty((len(ops) + 1, *psi.shape), dtype=complex)
     dw = noise_increments(rng, len(ops), dt)[:, None]
-    return _sle_block_step(psi, step_mat, dw, stack, drift, renormalize)[0][:, 0]
+    return _sle_block_step(psi, step_mat, dw, stack, drift)[0][:, 0]
 
 
 @dataclass(frozen=True)
@@ -652,9 +650,9 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
         cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
         rho = np.einsum("in,jn->nij", psi, psi.conj())
         if model.factor == TWO_QUBITS:
-            b, rep = entangle.measures_from_rho(rho, TWO_QUBITS, cfg.log_floor)
+            b = bases.bloch_matrix_from_rho(rho, 2, 2)
             cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
-            for f, v in vars(rep).items():
+            for f, v in vars(entangle.measures_from_bloch(b, cfg.log_floor)).items():
                 cols[f][:, si] = v
         elif dim == 2:  # the single-spin grid is (I, sigma_x, sigma_y, sigma_z)
             cols["k_a"][:, si] = bases.bloch_matrix_from_rho(rho, 2, 1)[:, 1:, 0]

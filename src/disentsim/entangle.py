@@ -23,9 +23,10 @@ Each kernel has one implementation.  Each Theta family is written once, in
 ``ThetaEngine``: ``matrix`` builds it from a (..., D, D) stack for the public
 constructors and the stochastic drift (``matrix`` on the stack of
 |psi><psi|), and ``grid`` reads the same formulas from the grid coordinates
-x = B(rho) the master equation is integrated in.  ``measures_from_rho``
-computes every measure of a stack of states for the single-state functions
-and both integrators' sample points.  B comes from one contraction,
+x = B(rho) the master equation is integrated in.  ``measures_from_bloch``
+computes every measure of a stack of Bloch matrices for the single-state
+functions and both integrators' sample points; K, delta and Q_S read the
+reduced state off B (``bases.reduced_state_a``).  B comes from one contraction,
 ``bases._contract``; tau and Q_ab read the expectations <l_a>, <l_b> and
 <l_a (x) l_b> from B through one cached, read-only map S (``_covariance_map``),
 so the measures, the sweep and Theta share B.
@@ -52,7 +53,6 @@ from .qcore import (
     expectation,
     floored_log,
     kron,
-    partial_trace_rho,
     spectral_log,
 )
 
@@ -131,12 +131,12 @@ def state_matrix(psi, factor: Factorization) -> np.ndarray:
 
 def g_from_state(state: QuantumState) -> np.ndarray:
     """Gram matrix of a general state: the subsystem-a reduction of rho."""
-    return partial_trace_rho(state.density(), state.factor, "a")
+    return bases.reduced_state_a(bases.bloch_matrix(state))
 
 
 def entanglement_k(state: QuantumState) -> float:
     """Entanglement entropy K = -Tr(G log G) in nats (bounded by log min(d))."""
-    return float(measures_from_rho(state.density()[None], state.factor)[1].k_entropy[0])
+    return float(measures_from_bloch(bases.bloch_matrix(state)).k_entropy)
 
 
 def entanglement_l(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> float:
@@ -146,7 +146,7 @@ def entanglement_l(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> flo
     (Tr alpha = Tr rho^2 < 1 for mixed states).  For pure states with equal
     subsystem dimensions, L = 2 K.
     """
-    return float(measures_from_rho(state.density()[None], state.factor, floor)[1].l_entropy[0])
+    return float(measures_from_bloch(bases.bloch_matrix(state), floor).l_entropy)
 
 
 def delta_measure(psi) -> float:
@@ -318,7 +318,8 @@ class ThetaEngine:
         # e's expectation matrix (grid.expect, times S for corr-suppress), held
         # so that no call looks it up
         self._expect = self._s = None
-        grid = bases.observable_grid(factor.d_a, factor.d_b)
+        grid = self._grid = bases.observable_grid(factor.d_a, factor.d_b)
+        self._shape = grid.entries.shape[:2]
         if spec.family is ThetaFamily.CORR_SUPPRESS:
             self._s, self._split = _covariance_map(factor.d_a, factor.d_b)
             self._expect = grid.expect @ self._s
@@ -327,7 +328,7 @@ class ThetaEngine:
             self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs,
                                                                   -np.eye(factor.dim).ravel()])
         elif spec.family in _BLOCH_FAMILIES:
-            self._expect, self._shape = grid.expect, grid.entries.shape[:2]
+            self._expect = grid.expect
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
 
     def coefficients(self, e: np.ndarray) -> np.ndarray:
@@ -356,8 +357,9 @@ class ThetaEngine:
             return (self.coefficients(e) @ self.ops).reshape(rho.shape)
         fam = self.spec.family
         if fam is ThetaFamily.STATE_MATRIX_DERANK:
-            # -gamma_d log(G) (x) I_b in the (..., a, b, a', b') layout
-            log_g = eig_log(*np.linalg.eigh(partial_trace_rho(rho, self.factor, "a")), self.floor)
+            # -gamma_d log(G) (x) I_b in the (..., a, b, a', b') layout, G read off B
+            b = bases._contract(rho, self._grid.expect).real.reshape(*rho.shape[:-2], *self._shape)
+            log_g = eig_log(*np.linalg.eigh(bases.reduced_state_a(b)), self.floor)
             out = -self.spec.gamma_d * log_g[..., :, None, :, None] * np.eye(self.factor.d_b)[:, None]
             return out.reshape(rho.shape)
         if fam is ThetaFamily.THERMALIZATION:
@@ -369,7 +371,7 @@ class ThetaEngine:
         """Theta in grid coordinates: (x -> c, table), where
         B({Theta, rho}) = (c @ table).reshape(n, n) @ x and the (len(c), n^2)
         table holds the anticommutator tensor of each operator c runs over."""
-        grid = bases.observable_grid(self.factor.d_a, self.factor.d_b)
+        grid = self._grid
         dim, table = self.factor.dim, grid.anticommutator.reshape(len(grid.half), -1)
         if self._expect is None:
             return (lambda x: bases._contract(self.matrix((x @ grid.half).reshape(dim, dim)),
@@ -409,35 +411,31 @@ def build_theta(
     return _engine_operator(state, spec, h=h, floor=floor)
 
 
-def measures_from_rho(rho: np.ndarray, factor: Factorization,
-                      floor: float = DEFAULT_LOG_FLOOR) -> tuple[np.ndarray, MeasureReport]:
-    """Bloch matrices and scalar measures of each density matrix of a
-    (..., D, D) stack; the report's fields are arrays of shape (...).
+def measures_from_bloch(b: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:
+    """Scalar measures of each Bloch matrix of a (..., d_a^2, d_b^2) stack; the
+    report's fields are arrays of shape (...).
 
     The one measure kernel: ``measure_report``, ``entanglement_k``,
-    ``entanglement_l`` and both integrators' sample points call it, and its
-    tau is ``tau_from_bloch`` of its B, as in ``tau_correlation``.
-    K and L take the floored log of the unnormalized G (the subsystem-a
-    reduction) and alpha = B B^T / 2; delta extends the pure-state
-    4 |psi1 psi4 - psi2 psi3|^2 to mixed states as 4 det G, clipped to [0, 1].
+    ``entanglement_l`` and both integrators' sample points call it.
+    K and L take the floored log of the unnormalized G = Tr_b rho
+    (``bases.reduced_state_a``) and alpha = B B^T / 2; delta extends the
+    pure-state 4 |psi1 psi4 - psi2 psi3|^2 to mixed states as 4 det G, clipped
+    to [0, 1]; tau is ``tau_from_bloch``; and the purity Tr rho^2 is
+    ||B||^2 / 2, since Tr(G_i G_j) / 2 = delta_ij.
     """
-    rho = np.asarray(rho, dtype=complex)
-    b = bases.bloch_matrix_from_rho(rho, factor.d_a, factor.d_b)
-    g = partial_trace_rho(rho, factor, "a")
-    alpha = 0.5 * (b @ b.mT)
+    g = bases.reduced_state_a(b)
     k_ent, l_ent = (-(np.maximum(w, 0.0) * floored_log(w, floor)).sum(axis=-1)
-                    for w in (np.linalg.eigvalsh(g), np.linalg.eigvalsh(alpha)))
-    return b, MeasureReport(
+                    for w in (np.linalg.eigvalsh(g), np.linalg.eigvalsh(0.5 * (b @ b.mT))))
+    return MeasureReport(
         k_entropy=k_ent,
         l_entropy=l_ent,
         delta=np.clip(4.0 * np.linalg.det(g).real, 0.0, 1.0),
         tau_ab=tau_from_bloch(b),
-        purity=np.einsum("...ij,...ji->...", rho, rho).real,
+        purity=0.5 * (b * b).sum(axis=(-2, -1)),
     )
 
 
 def measure_report(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:
-    """All scalar measures of a bipartite state: the measure
-    kernel's row for the one-state stack."""
-    rep = measures_from_rho(state.density()[None], state.factor, floor)[1]
-    return MeasureReport(**{f: float(v[0]) for f, v in vars(rep).items()})
+    """All scalar measures of a bipartite state: the measure kernel on its B."""
+    rep = measures_from_bloch(bases.bloch_matrix(state), floor)
+    return MeasureReport(**{f: float(v) for f, v in vars(rep).items()})

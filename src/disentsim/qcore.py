@@ -130,21 +130,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace_rho(rho: np.ndarray, factor: Factorization, keep: str) -> np.ndarray:
-    """Reduced density matrix of subsystem ``keep`` ('a' or 'b'), or of each
-    matrix of a (..., D, D) stack."""
-    da, db = factor.d_a, factor.d_b
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim < 2:
-        raise DimensionError(f"expected (..., D, D) density matrices, got shape {r.shape}")
-    r = r.reshape(*r.shape[:-2], da, db, da, db)
-    if keep == "a":
-        return np.einsum("...ibjb->...ij", r)
-    if keep == "b":
-        return np.einsum("...aiaj->...ij", r)
-    raise ValueError(f"unknown subsystem label {keep!r} (expected 'a' or 'b')")
-
-
 def herm_eig(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, A = V diag(w) V^dag, or of
     each matrix of a (..., d, d) stack.

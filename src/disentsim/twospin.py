@@ -164,7 +164,8 @@ def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResul
     once; each Delta row of the grid is then solved by one batched null-space
     kernel call, whose rows are the Bloch matrices.  Solver degeneracies
     (NaN rows) and out-of-domain effective temperatures are recorded in the
-    cell's status column; the sweep always completes.
+    cell's status column; a cell whose steady state has an eigenvalue below
+    -1e-8 ends the sweep with a StateHealthError (exit 3).
     """
     shape = (grid.delta_n, grid.omega1_n)
     bloch = np.empty((*shape, 4, 4))

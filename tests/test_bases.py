@@ -10,6 +10,7 @@ from disentsim.bases import (
     bloch_matrix_from_rho,
     gell_mann,
     observable_grid,
+    reduced_state_a,
     single_spin_bloch_vectors,
     weyl_ops,
     weyl_s_matrix,
@@ -107,6 +108,20 @@ def test_bloch_matrix_of_stack_matches_per_state(rng):
         assert abs(gram[idx] - (one ** 2).sum()) < 1e-14
     with pytest.raises(DimensionError):
         bloch_matrix_from_rho(np.eye(3), 2, 2)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3)])
+def test_reduced_state_a_matches_literal_partial_trace(rng, d_a, d_b):
+    dim = d_a * d_b
+    rhos = np.stack([qcore.random_density_matrix(dim, rng, rank=1 + k % dim)
+                     for k in range(10)]).reshape(2, 5, dim, dim)
+    ref = np.einsum("...ibjb->...ij", rhos.reshape(2, 5, d_a, d_b, d_a, d_b))
+    got = reduced_state_a(bloch_matrix_from_rho(rhos, d_a, d_b))
+    assert got.shape == (2, 5, d_a, d_a)
+    assert np.abs(got - ref).max() < 1e-15
+    one = reduced_state_a(bloch_matrix_from_rho(rhos[1, 3], d_a, d_b))
+    assert one.shape == (d_a, d_a)
+    assert np.abs(one - ref[1, 3]).max() < 1e-15
 
 
 def test_bloch_matrix_is_a_plain_array_checked_by_shape(rng):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,19 @@ def test_parse_rejects_negative_rate():
     with pytest.raises(ConfigError, match="gamma_d must be >= 0"):
         parse_config("command = master\ndisentangle.family = corr-suppress\n"
                      "disentangle.gamma_d = -0.1\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [k for k, spec in SCHEMA.items() if spec.parse is float])
+def test_parse_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite \(got .+\) \(line 2\)$"):
+        parse_config(f"command = steady\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("value", [2.5, float("inf"), float("nan")])
+def test_typed_int_setting_must_be_an_integer(value):
+    with pytest.raises(ConfigError, match="is not an integer"):
+        parse_config_dict({"command": "sde", "sde.n_traj": value})
 
 
 def test_parse_rejects_empty_document():
@@ -349,6 +363,18 @@ def test_bad_state_psi_is_a_config_error(tmp_path, capsys):
         assert main(["--config", str(doc)]) == EXIT_CONFIG, amps
         assert capsys.readouterr().err.startswith("config error:"), amps
         assert not (tmp_path / "m").exists(), amps
+
+
+def test_non_finite_setting_and_negative_seed_are_config_errors(tmp_path, capsys):
+    # rejected before the output directory is made, with no traceback
+    out = tmp_path / "o"
+    doc = tmp_path / "c.cfg"
+    doc.write_text(f"command = steady\nmodel.g = inf\noutput.dir = {out}\n")
+    for args in (["--config", str(doc)], ["--preset", "fig2-B2", "--t-end", "inf"],
+                 ["--preset", "fig3-B", "--seed", "-1"]):
+        assert main([*args, "--out", str(out), "--no-plots"]) == EXIT_CONFIG, args
+        assert capsys.readouterr().err.startswith("config error:"), args
+        assert not out.exists(), args
 
 
 def test_non_finite_state_is_a_health_abort(tmp_path, capsys):

@@ -396,6 +396,19 @@ def test_integrate_master_matches_reference_rk4(family, point):
     assert np.abs(rec.k_a - k_a).max() < 1e-10
     assert np.abs(rec.k_b - k_b).max() < 1e-10
     assert np.abs(rec.tau_ab - tau_from_bloch(bases.bloch_matrix_from_rho(ref, 2, 2))).max() < 1e-10
+    # the measures, read from x, against the literal forms of the reference rho
+    gram = np.einsum("nibjb->nij", ref.reshape(-1, 2, 2, 2, 2))
+    b = np.einsum("abij,nji->nab", bases.observable_grid(2, 2).entries, ref).real
+
+    def entropy(m):
+        w = np.maximum(np.linalg.eigvalsh(m), 1e-300)
+        return -(w * np.log(w)).sum(axis=-1)
+
+    assert np.abs(rec.k_entropy - entropy(gram)).max() < 1e-10
+    assert np.abs(rec.l_entropy - entropy(0.5 * b @ b.transpose(0, 2, 1))).max() < 1e-10
+    assert np.abs(rec.delta - np.clip(4.0 * np.linalg.det(gram).real, 0.0, 1.0)).max() < 1e-10
+    assert np.abs(rec.purity - np.einsum("nij,nji->n", ref, ref).real).max() < 1e-10
+    assert np.abs(rec.min_eig - np.linalg.eigvalsh(ref)[:, 0]).max() < 1e-10
 
 
 def test_sle_ensemble_rejects_non_positive_damping_factor():
@@ -450,16 +463,27 @@ def test_sle_ensemble_overflow_is_silent():
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], family
 
 
+def _raw_norm2(psi, h, ops, dt, engine=None):
+    """Squared norm of one noiseless block step of psi before renormalization,
+    with the drift dt U drift(psi) of ``engine`` as the ensemble adds it."""
+    u, step_mat = _sle_step_matrix(h, ops, dt)
+    col = psi[:, None]
+    drift = None if engine is None else dt * (u @ engine.drift(col))
+    stack = np.empty((len(ops) + 1, *col.shape), dtype=complex)
+    dw = np.zeros((len(ops), 1), dtype=complex)
+    return float(_sle_block_step(col, step_mat, dw, stack, drift)[1][0])
+
+
 def test_sle_step_unitary_limit(rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
     psi = qcore.random_pure_state(4, rng)
-    out = sle_step(psi, h, [], None, 1e-3, rng, renormalize=False)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    assert abs(np.sqrt(_raw_norm2(psi, h, [], 1e-3)) - 1.0) < 1e-12
 
 
 def test_sle_noise_moments(rng):
+    # drawn through the ensemble's chunked noise stream
     dt = 1e-3
-    draws = noise_increments(rng, 1, dt, shape=(100_000,))[:, 0]
+    draws = np.concatenate([c[:, 0, 0].copy() for c in _noise_chunks([rng], 1, 100_000, dt)])
     n = len(draws)
     assert abs(draws.mean()) < 3.0 * np.sqrt(dt / n)
     var_re = draws.real.var()
@@ -496,26 +520,18 @@ def test_sle_step_norm_drift_second_order(rng):
     half = sum(x.conj().T @ x for x in ops)
     vexp = float(np.vdot(psi, half @ psi).real)
     for dt in (1e-3, 5e-4):
-        _, step_mat = _sle_step_matrix(h, ops, dt)
-        stack = np.empty((len(ops) + 1, 4, 1), dtype=complex)
-        dw = np.zeros((len(ops), 1), dtype=complex)
-        out, _ = _sle_block_step(psi[:, None], step_mat, dw, stack, renormalize=False)
-        drift = abs(np.vdot(out, out).real - (1.0 - dt * vexp))
+        drift = abs(_raw_norm2(psi, h, ops, dt) - (1.0 - dt * vexp))
         assert drift < 2.0 * (dt * np.abs(half).max()) ** 2
 
 
 def test_sle_nonlinear_drift_conserves_norm_to_second_order(rng):
     # the modified-Schrodinger drift -(Theta - <Theta>)psi leaves the norm
     # unchanged at first order; the pre-renormalization residue is O(dt^2)
-    from disentsim.entangle import correlation_operator
-
     psi = qcore.random_pure_state(4, rng)
-    st = QuantumState.pure(psi, TWO_QUBITS)
-    theta = correlation_operator(st)
+    engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0),
+                         TWO_QUBITS)
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
-    dt = 1e-4
-    out = sle_step(psi, h, [], theta, dt, rng, renormalize=False)
-    assert abs(np.vdot(out, out).real - 1.0) <= 1e-8
+    assert abs(_raw_norm2(psi, h, [], 1e-4, engine) - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("n_traj, n_steps", [
@@ -582,8 +598,6 @@ def test_block_step_matches_literal_formula(family, n_traj):
     out, nrm2 = _sle_block_step(psi.copy(), step_mat, dw, stack, drift)
     assert np.abs(out - ref).max() < 1e-13
     assert np.abs(nrm2 - nrm2_ref).max() < 1e-13
-    raw, none = _sle_block_step(psi.copy(), step_mat, dw, stack, drift, renormalize=False)
-    assert none is None and np.abs(raw / np.sqrt(nrm2_ref) - ref).max() < 1e-13
 
 
 def test_sle_step_is_the_block_step_on_one_column(rng):

@@ -14,7 +14,7 @@ from disentsim.entangle import (
     entanglement_l,
     g_from_state,
     measure_report,
-    measures_from_rho,
+    measures_from_bloch,
     q_bloch_operators,
     q_s_operator,
     state_matrix,
@@ -430,7 +430,7 @@ def test_thermalization_drift_is_the_pure_state_identity(rng):
             assert np.abs(got[:, k] - generic).max() < 1e-13 * max(gamma_h, 1.0), (gamma_h, k)
 
 
-# The integrators' sampler formulas that measures_from_rho replaced, kept as
+# The integrators' sampler formulas that the measure kernel replaced, kept as
 # the reference it must match.
 
 
@@ -470,7 +470,8 @@ def _ref_from_psi_block(psi, floor):
 
 
 def _kernel_columns(rhos, floor):
-    b, rep = measures_from_rho(rhos, TWO_QUBITS, floor)
+    b = bases.bloch_matrix_from_rho(rhos, 2, 2)
+    rep = measures_from_bloch(b, floor)
     k_a, k_b = bases.single_spin_bloch_vectors(b)
     return k_a, k_b, rep.k_entropy, rep.l_entropy, rep.delta, rep.tau_ab, rep.purity
 
@@ -494,8 +495,8 @@ def test_single_state_measures_are_the_kernel_row(rng):
               QuantumState.pure(TILTED, TWO_QUBITS),
               QuantumState.mixed(qcore.random_density_matrix(4, rng), TWO_QUBITS)]
     for st in states:
-        _, rep = measures_from_rho(st.density()[None], TWO_QUBITS)
-        assert measure_report(st) == MeasureReport(**{f: float(v[0]) for f, v in vars(rep).items()})
-        assert entanglement_l(st) == rep.l_entropy[0]
-        assert entanglement_k(st) == rep.k_entropy[0]
-        assert tau_correlation(st) == rep.tau_ab[0]
+        rep = measures_from_bloch(bases.bloch_matrix(st))
+        assert measure_report(st) == MeasureReport(**{f: float(v) for f, v in vars(rep).items()})
+        assert entanglement_l(st) == rep.l_entropy
+        assert entanglement_k(st) == rep.k_entropy
+        assert tau_correlation(st) == rep.tau_ab

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from disentsim import qcore
-from disentsim.bases import SIGMA_X, SIGMA_Y, SIGMA_Z
+from disentsim.bases import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_matrix, reduced_state_a
 from disentsim.qcore import (
     DimensionError,
     Factorization,
@@ -13,7 +13,6 @@ from disentsim.qcore import (
     expectation,
     herm_eig,
     kron,
-    partial_trace_rho,
     spectral_log,
 )
 
@@ -47,27 +46,20 @@ def test_partial_trace_product_state(rng):
     rho_a = qcore.random_density_matrix(2, rng)
     rho_b = qcore.random_density_matrix(2, rng)
     st = QuantumState.mixed(kron(rho_a, rho_b), TWO_QUBITS)
-    assert np.abs(partial_trace_rho(st.density(), st.factor, "a") - rho_a).max() < 1e-12
-    assert np.abs(partial_trace_rho(st.density(), st.factor, "b") - rho_b).max() < 1e-12
+    assert np.abs(reduced_state_a(bloch_matrix(st)) - rho_a).max() < 1e-12
 
 
 def test_partial_trace_bell_and_basis():
     st = QuantumState.pure(BELL, TWO_QUBITS)
-    assert np.abs(partial_trace_rho(st.density(), st.factor, "a") - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(reduced_state_a(bloch_matrix(st)) - np.eye(2) / 2).max() < 1e-12
     basis = QuantumState.pure([1, 0, 0, 0], TWO_QUBITS)
-    assert np.abs(partial_trace_rho(basis.density(), basis.factor, "b") - np.diag([1.0, 0.0])).max() < 1e-12
+    assert np.abs(reduced_state_a(bloch_matrix(basis)) - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_partial_trace_preserves_trace(rng):
     rho = qcore.random_density_matrix(4, rng)
     st = QuantumState.mixed(rho, TWO_QUBITS)
-    assert abs(np.trace(partial_trace_rho(st.density(), st.factor, "a")).real - 1.0) < 1e-12
-
-
-def test_partial_trace_bad_label(rng):
-    st = QuantumState.pure(BELL, TWO_QUBITS)
-    with pytest.raises(ValueError):
-        partial_trace_rho(st.density(), st.factor, "c")
+    assert abs(np.trace(reduced_state_a(bloch_matrix(st))).real - 1.0) < 1e-12
 
 
 def test_herm_eig_diagonal_and_pauli():
