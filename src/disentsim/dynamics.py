@@ -20,10 +20,10 @@
   dW_l psi; sle_step is the same kernel on one column.  Samples fill one
   ensemble record with a trajectory axis.
 * Linear steady-state solver via the null space of L_r, batched over a
-  stack: one real SVD call decomposes the whole stack (the parameter sweep
-  passes one grid row at a time) and gives the steady states' x, and the
-  degeneracy and positivity rules are applied per cell in that one kernel,
-  so single solves and sweeps reach the same verdicts.
+  stack (the sweep passes one grid row): a values-only SVD sets the
+  degeneracy rule, one batched solve with x_0 fixed at its trace-one value
+  gives x, and the residual and positivity rules are applied per cell in
+  that one kernel, so single solves and sweeps reach the same verdicts.
 
 Trace conservation, Hermiticity and positivity are tracked at every
 master-equation sample, where rho = (1/2) x . G is formed (Hermitian by
@@ -191,26 +191,35 @@ def grid_liouvillian(h: np.ndarray, d: DampingParams | SpinDamping | None
 
 def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
     """Grid coordinates x, rho = (1/2) x . G, of the trace-one null vectors of
-    a stack (N, n, n) of real grid Liouvillians, by one batched real SVD (L_r
-    is unitarily similar to the vectorized L: same singular values).
+    a stack (N, n, n) of real grid Liouvillians: x_0 is fixed at its trace-one
+    value and one batched solve of L_r[1:, 1:] x[1:] = -x_0 L_r[1:, 0] gives
+    the rest.  One values-only SVD call gives the singular values (L_r is
+    unitarily similar to the vectorized L) for the degeneracy rule.
 
     Returns the rows x (N, n) and a boolean mask (N,) of degenerate cells,
     whose rows are NaN: a null space of dimension > 1 (singular values at or
-    below 1e-12 * max(s_0, 1)) or a traceless null vector.  A state with an
-    eigenvalue below -1e-8 raises StateHealthError.
+    below 1e-12 * max(s_0, 1)), or a trace-one solution that is not a null
+    vector, |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf (a traceless null vector
+    has no trace-one multiple and leaves a residual of order x_0; rounding
+    leaves ~1e-16).  An eigenvalue below -1e-8 raises StateHealthError.
     """
-    _, s, vh = np.linalg.svd(lr)
+    s = np.linalg.svd(lr, compute_uv=False)
     smax = np.maximum(s[:, 0], 1.0)
     degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
-    x = vh[:, -1]
-    dim = grid.d_a * grid.d_b
-    tr = dim * grid.half[0, 0].real * x[:, 0]  # G_0 is the only G with a trace
-    degenerate |= np.abs(tr) < 1e-10
+    a = lr[:, 1:, 1:].copy()
+    a[degenerate] = np.eye(len(a[0]))
+    try:
+        y = np.linalg.solve(a, lr[:, 1:, :1])
+    except np.linalg.LinAlgError:  # exactly singular blocks: their cells fail the residual rule
+        singular = np.linalg.slogdet(a)[0] == 0
+        a[singular] = np.eye(len(a[0]))
+        y = np.where(singular[:, None, None], np.nan, np.linalg.solve(a, lr[:, 1:, :1]))
+    dim = grid.d_a * grid.d_b  # G_0 is the only G with a trace
+    x = np.concatenate([np.ones((len(a), 1)), -y[..., 0]], axis=1) / (dim * grid.half[0, 0].real)
+    resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
+    degenerate |= ~(resid <= 1e-10 * smax * np.abs(x).max(axis=1))  # a NaN residual fails
     x[degenerate] = np.nan
-    ok = ~degenerate
-    x[ok] /= tr[ok, None]
-    x[ok, 0] = 1.0 / (dim * grid.half[0, 0].real)  # Tr rho = 1 exactly, not to the last bit
-    w0 = np.linalg.eigvalsh((x[ok] @ grid.half).reshape(-1, dim, dim))[:, 0]
+    w0 = np.linalg.eigvalsh((x[~degenerate] @ grid.half).reshape(-1, dim, dim))[:, 0]
     negative = w0[w0 < -1e-8]
     if negative.size:
         raise StateHealthError(0.0, float(negative[0]))
@@ -221,8 +230,8 @@ def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
     """Unique trace-one steady state of the linear GKSL generator for the
     two-spin system (4x4) or a single spin (2x2).
 
-    Solves the null space of the grid Liouvillian by SVD and returns
-    (1/2) x . G; a null space of dimension > 1 raises instead of being
+    Takes the null vector x of the grid Liouvillian from ``steady_states`` and
+    returns (1/2) x . G; a null space of dimension > 1 raises instead of being
     resolved silently.
     """
     h = as_complex_matrix(h)
@@ -552,8 +561,9 @@ class SdeModel:
         )
 
 
-#: Steps of per-trajectory noise drawn per generator call; fixed so that the
-#: byte stream consumed by each trajectory never depends on run partitioning.
+#: Steps of per-trajectory noise drawn per generator call.  A generator's
+#: stream does not depend on how its draws are split, so this only trades the
+#: dW buffer's memory (49 MB at n_traj = 2000) against the number of calls.
 _NOISE_CHUNK = 256
 #: Trajectories drawn into one float scratch before it is transposed into dW.
 _NOISE_BLOCK = 128

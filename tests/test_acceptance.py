@@ -320,9 +320,12 @@ EXPECTED_VERDICTS = {
 def test_criterion_10_attractor_verdicts(name, fig2_runs):
     # NOTE: the four blue-detuned limit-cycle cases fail in this
     # implementation: with the operator normalization pinned by criterion 2,
-    # the reachable fixed point stays linearly stable at gamma_D = 0.5 (see
-    # the decisions ledger for the threshold analysis).  The assertion is
-    # kept as specified rather than weakened.
+    # the reachable fixed point stays linearly stable at gamma_D = 0.5.
+    # Newton in x_1..x_15 with a central-difference Jacobian of the RK4 stage
+    # gives a largest Re lambda of -0.1752 (A2), -0.2725 (A3), -0.2737 (B2)
+    # and -0.3670 (B3), and a scan up to gamma_D = 50 found no unstable fixed
+    # point for corr-suppress or bloch-derank.  The assertion is kept as
+    # specified rather than weakened.
     verdict = classify_attractor(fig2_runs[name])
     expected = EXPECTED_VERDICTS[name]
     report(10, verdict.kind is expected,

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from disentsim import bases, qcore
+from disentsim import bases, dynamics, qcore
 from disentsim.bases import ID2, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from disentsim.dynamics import (
     DampingParams,
@@ -23,6 +23,7 @@ from disentsim.dynamics import (
     dissipator_superop,
     ensemble_mean_bloch,
     ensemble_mean_record,
+    grid_liouvillian,
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
@@ -35,6 +36,7 @@ from disentsim.dynamics import (
     steady_states,
     two_spin_jump_operators,
 )
+from disentsim.config import parse_config_dict
 from disentsim.entangle import (
     DisentanglementSpec,
     ThetaEngine,
@@ -44,7 +46,8 @@ from disentsim.entangle import (
     thermalization_operator,
 )
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
-from disentsim.twospin import TwoSpinParams, build_hamiltonian, single_spin_hamiltonian
+from disentsim.twospin import (TwoSpinParams, build_hamiltonian, experiment_preset,
+                               single_spin_hamiltonian)
 
 from conftest import analytic_driven_spin_bloch, literal_theta
 
@@ -245,6 +248,77 @@ def test_steady_states_verdict_rules():
     indefinite = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(StateHealthError):
         steady_states(grid.superop(np.stack([lv[0], _rank_one_deficient(indefinite)])), grid)
+
+
+def svd_steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Reference null-space kernel, literally: the last right singular vector
+    of a full SVD of each L_r, scaled to trace one, with the traceless rule
+    read off its trace."""
+    _, s, vh = np.linalg.svd(lr)
+    smax = np.maximum(s[:, 0], 1.0)
+    degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
+    x = vh[:, -1]
+    dim = grid.d_a * grid.d_b
+    tr = dim * grid.half[0, 0].real * x[:, 0]
+    degenerate |= np.abs(tr) < 1e-10
+    x[degenerate] = np.nan
+    ok = ~degenerate
+    x[ok] /= tr[ok, None]
+    x[ok, 0] = 1.0 / (dim * grid.half[0, 0].real)
+    return x, degenerate
+
+
+def _random_gksl(rng, pair: bool) -> np.ndarray:
+    n = 4 if pair else 2
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    spin = lambda: SpinDamping(*rng.uniform(0.01, 1.0, 3))  # noqa: E731
+    return grid_liouvillian(a + a.conj().T, DampingParams(spin(), spin()) if pair else spin())[1]
+
+
+def _fig1_rows():
+    """L_r of every Delta row of the fig1-sweep preset, built cell by cell."""
+    cfg = parse_config_dict(experiment_preset("fig1-sweep"))
+    p = cfg.model
+    for dv in cfg.sweep.delta_values:
+        yield np.stack([grid_liouvillian(build_hamiltonian(TwoSpinParams(
+            delta=float(dv), omega1=float(w), g=p.g, omega_a=p.omega_a)), cfg.damping)[1]
+            for w in cfg.sweep.omega1_values])
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(58)
+    pair, single = bases.observable_grid(2, 2), bases.observable_grid(2, 1)
+    yield "random two-spin", np.stack([_random_gksl(rng, True) for _ in range(20)]), pair
+    yield "random single-spin", np.stack([_random_gksl(rng, False) for _ in range(20)]), single
+    lv = np.stack([_rank_one_deficient(np.diag([0.25, 0.75]).astype(complex)),
+                   _rank_one_deficient(np.diag([1.0, -1.0]).astype(complex)),
+                   np.zeros((4, 4), dtype=complex)])
+    yield "synthetic", single.superop(lv), single
+    d = DampingParams(a=SpinDamping(0.0, 0.1, 0.0), b=SpinDamping(0.0, 0.1, 0.0))
+    yield "dephasing-only", np.stack([grid_liouvillian(build_hamiltonian(
+        TwoSpinParams(delta=dv, omega1=w1, g=0.0)), d)[1]
+        for dv in (-0.5, 0.0, 0.5) for w1 in (0.5, 1.0)]), pair
+    for i, lr in enumerate(_fig1_rows()):
+        yield f"fig1 row {i}", lr, pair
+
+
+def test_steady_states_match_full_svd_reference():
+    seen = set()
+    for name, lr, grid in _reference_inputs():
+        x, degenerate = steady_states(lr, grid)
+        ref, ref_degenerate = svd_steady_states(lr, grid)
+        assert np.array_equal(degenerate, ref_degenerate), name
+        assert np.isnan(x[degenerate]).all(), name
+        assert np.abs(x[~degenerate] - ref[~degenerate]).max(initial=0.0) < 1e-13, name
+        seen.update(degenerate.tolist())
+    assert seen == {False, True}
+
+
+def test_steady_states_exactly_singular_block_is_degenerate():
+    # the null vector e_1 is traceless and L_r[1:, 1:] is exactly singular
+    x, degenerate = steady_states(np.diag([1.0, 0.0, 1.0, 1.0])[None], bases.observable_grid(2, 1))
+    assert degenerate.tolist() == [True]
+    assert np.isnan(x).all()
 
 
 def test_liouvillian_matrix_action(rng):
@@ -560,6 +634,15 @@ def test_noise_chunks_are_the_per_trajectory_streams(n_traj, n_steps):
             (n_steps, n_ch, 2))
         ref = np.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
         assert np.ascontiguousarray(dw[:, :, k]).tobytes() == ref.tobytes(), k
+
+
+def test_noise_chunks_do_not_depend_on_chunk_length(monkeypatch):
+    # a generator's stream is the same however its draws are split into calls
+    def stream(chunk):
+        monkeypatch.setattr(dynamics, "_NOISE_CHUNK", chunk)
+        gens = [np.random.default_rng(np.random.SeedSequence([5, k])) for k in range(3)]
+        return np.concatenate([c.copy() for c in _noise_chunks(gens, 6, 500, 2e-4)])
+    assert stream(7).tobytes() == stream(_NOISE_CHUNK).tobytes()
 
 
 @pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS])
