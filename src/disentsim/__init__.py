@@ -35,10 +35,8 @@ from .entangle import (  # noqa: F401
     entanglement_l,
     measure_report,
     q_bloch_operators,
-    q_s_operator,
     state_matrix,
     tau_correlation,
-    thermalization_operator,
     weyl_t2_expectation,
 )
 from .dynamics import (  # noqa: F401
@@ -51,8 +49,6 @@ from .dynamics import (  # noqa: F401
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
-    mme_rhs,
-    sle_step,
     steady_state,
 )
 from .twospin import (  # noqa: F401

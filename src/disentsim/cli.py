@@ -171,11 +171,12 @@ def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     i, j = result.argmax_tau()
     dv = float(result.grid.delta_values[i])
     w1 = float(result.grid.omega1_values[j])
+    tau = float(result.tau_ab[i, j])  # NaN only when no cell has a finite tau
     return {
-        "tau_argmax": {
+        "tau_argmax": None if np.isnan(tau) else {
             "delta": dv, "omega1": w1,
             "omega_r": float(np.hypot(dv, w1)),
-            "tau_ab": float(result.tau_ab[i, j]),
+            "tau_ab": tau,
         },
         "base_temperature": result.base_temperature,
         "cells_failed": int((result.status != "").sum()),

@@ -73,12 +73,14 @@ def _min_int(name, lo):
 
 def parse_state_psi(raw: str) -> np.ndarray:
     """The normalized two-qubit state vector of a ``state.psi`` value; ValueError
-    unless it holds 4 finite complex amplitudes, not all zero."""
+    unless it holds 4 finite complex amplitudes, not all zero.  Dividing by the
+    largest real or imaginary part first keeps the norm from over/underflowing."""
     psi = np.array([complex(tok.strip().replace(" ", "")) for tok in raw.split(",")])
-    nrm = np.linalg.norm(psi)
-    if psi.size != 4 or not np.isfinite(psi).all() or nrm == 0:
+    scale = np.abs(psi.view(float)).max()
+    if psi.size != 4 or not np.isfinite(scale) or scale == 0:
         raise ValueError("need 4 finite complex amplitudes, not all zero")
-    return psi / nrm
+    psi = psi / scale
+    return psi / np.linalg.norm(psi)
 
 
 def _check_state_psi(raw: str) -> str | None:

@@ -4,10 +4,10 @@
 * The nonlinear modified master equation
       drho/dt = i[rho, H] - Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)
   integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage
-  applies the real grid Liouvillian L_r (``grid_liouvillian``, whose null
-  vector is the linear steady state) and the anticommutator of Theta, with
-  coefficients that ``ThetaEngine.grid`` rebuilds from x by the family
-  formulas ``ThetaEngine.matrix`` runs.
+  (``_mme_stage``) applies the real grid Liouvillian L_r (``grid_liouvillian``,
+  whose null vector is the linear steady state) and the anticommutator of
+  Theta, with coefficients that ``ThetaEngine.grid`` rebuilds from x by the
+  family formulas ``ThetaEngine.matrix`` runs.
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
@@ -17,8 +17,8 @@
   block: dW is laid out once per 256-step chunk in one reused, contiguous
   (step, channel, trajectory) buffer, and the linear part of a step is one
   gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the stack of psi and
-  dW_l psi; sle_step is the same kernel on one column.  Samples fill one
-  ensemble record with a trajectory axis.
+  dW_l psi (``_sle_block_step``).  Samples fill one ensemble record with a
+  trajectory axis.
 * Linear steady-state solver via the null space of L_r, batched over a
   stack (the sweep passes one grid row): a values-only SVD sets the
   degeneracy rule, one batched solve with x_0 fixed at its trace-one value
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, entangle
-from .entangle import DisentanglementSpec, ThetaEngine, ThetaOperator
+from .entangle import DisentanglementSpec, ThetaEngine
 from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
@@ -50,7 +50,6 @@ from .qcore import (
     QuantumState,
     TWO_QUBITS,
     as_complex_matrix,
-    herm_residual,
     kron,
 )
 
@@ -164,10 +163,6 @@ def dissipator_superop(ops: list[np.ndarray], dim: int) -> np.ndarray:
     return out
 
 
-def liouvillian_matrix(h: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    return hamiltonian_superop(h) + dissipator_superop(ops, as_complex_matrix(h).shape[0])
-
-
 @functools.lru_cache(maxsize=16)
 def damping_superop(d: DampingParams | SpinDamping) -> np.ndarray:
     """Read-only dissipator superoperator of the six two-spin channels (or the
@@ -252,14 +247,6 @@ def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
 # Modified master equation.
 
 
-def _theta_matrix(theta) -> np.ndarray | None:
-    if theta is None:
-        return None
-    if isinstance(theta, ThetaOperator):
-        return theta.matrix
-    return as_complex_matrix(theta)
-
-
 def _mme_stage(lr: np.ndarray, x: np.ndarray, c: np.ndarray | None,
                table: np.ndarray | None) -> np.ndarray:
     """One evaluation of the modified master equation in grid coordinates
@@ -274,43 +261,20 @@ def _mme_stage(lr: np.ndarray, x: np.ndarray, c: np.ndarray | None,
     return out
 
 
-def mme_rhs(
-    rho: np.ndarray,
-    h: np.ndarray,
-    theta: ThetaOperator | np.ndarray | None = None,
-    damping: DampingParams | None = None,
-) -> np.ndarray:
-    """Right-hand side of the modified master equation for a two-qubit state
-    (trace-free by construction): ``_mme_stage`` on B(rho), with B(Theta) as
-    the coefficients, mapped back to a matrix."""
-    rho = as_complex_matrix(rho)
-    h = as_complex_matrix(h)
-    if rho.shape != (4, 4) or h.shape != (4, 4):
-        raise DimensionError("mme_rhs needs a 4x4 two-qubit state and Hamiltonian")
-    tm = _theta_matrix(theta)
-    if tm is not None:
-        scale = max(float(np.abs(tm).max()), 1.0)
-        if herm_residual(tm) > 1e-10 * scale:
-            raise ValueError("Theta must be Hermitian")
-    grid, lr = grid_liouvillian(h, damping)
-    c = None if tm is None else bases._contract(tm, grid.expect).real
-    x = _mme_stage(lr, bases._contract(rho, grid.expect).real, c, grid.anticommutator.reshape(16, -1))
-    return (x @ grid.half).reshape(4, 4)
-
-
 def kraus_step_error(
     rho: np.ndarray,
     h: np.ndarray,
-    theta: ThetaOperator | np.ndarray,
+    theta: np.ndarray,
     tau: float,
 ) -> float:
     """Norm-conservation defect |<K0+ K0 + K1+ K1> - 1| of the Kraus pair
-    K0 = sqrt(2 <Theta> tau), K1 = 1 - (i H + Theta) tau.
+    K0 = sqrt(2 <Theta> tau), K1 = 1 - (i H + Theta) tau, for a Hermitian
+    matrix Theta.
 
     Exactly quadratic in tau, so halving the step divides the defect by 4.
     """
     rho = as_complex_matrix(rho)
-    tm = _theta_matrix(theta)
+    tm = as_complex_matrix(theta)
     texp = float(np.einsum("ij,ji->", tm, rho).real)
     if texp < 0.0:
         raise ValueError(
@@ -479,12 +443,6 @@ def _unitary_step(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-def noise_increments(rng: np.random.Generator, n_channels: int, dt: float) -> np.ndarray:
-    """Complex Wiener increments dW with E dW = 0, E |dW|^2 = dt, E dW^2 = 0."""
-    g = rng.standard_normal((n_channels, 2))
-    return np.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
-
-
 def _sle_step_matrix(h: np.ndarray, ops: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The one-step unitary U and the step matrix [U (I - dt/2 sum V^dag V) |
     U V_1 | ... | U V_m]; raises StateHealthError when dt * lambda_max(sum
@@ -518,29 +476,6 @@ def _sle_block_step(psi: np.ndarray, step_mat: np.ndarray, dw: np.ndarray, stack
     return out, nrm2
 
 
-def sle_step(psi: np.ndarray, h: np.ndarray, jump_ops: list[np.ndarray],
-             theta: ThetaOperator | np.ndarray | None, dt: float,
-             rng: np.random.Generator) -> np.ndarray:
-    """One stochastic step of the (modified) Schrodinger-Langevin equation.
-
-    Damping drift -(1/2) sum V^dag V, complex white noise sum xi_l V_l and
-    the nonlinear drift -(Theta - <Theta>) are applied Euler-Maruyama style;
-    the Hamiltonian acts through its exact one-step unitary.  This is the
-    ensemble's block step on one column, with noise drawn from ``rng``.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1, 1)
-    ops = [as_complex_matrix(x) for x in jump_ops]
-    u, step_mat = _sle_step_matrix(as_complex_matrix(h), ops, dt)
-    drift = None
-    tm = _theta_matrix(theta)
-    if tm is not None:
-        texp = float(np.vdot(psi, tm @ psi).real / np.vdot(psi, psi).real)
-        drift = -dt * (u @ (tm @ psi - texp * psi))
-    stack = np.empty((len(ops) + 1, *psi.shape), dtype=complex)
-    dw = noise_increments(rng, len(ops), dt)[:, None]
-    return _sle_block_step(psi, step_mat, dw, stack, drift)[0][:, 0]
-
-
 @dataclass(frozen=True)
 class SdeModel:
     """Operator bundle for stochastic trajectories."""
@@ -570,10 +505,10 @@ _NOISE_BLOCK = 128
 
 
 def _noise_chunks(gens: list[np.random.Generator], n_ch: int, n_steps: int, dt: float):
-    """The dW of every step as (chunk, n_ch, n_traj) arrays of up to
-    _NOISE_CHUNK steps; gens[k] draws each chunk with one (chunk, n_ch, 2)
-    standard-normal call, as noise_increments would.  Every chunk is a view
-    of one reused buffer (a short last chunk is its leading slice)."""
+    """The complex dW (E dW = 0, E |dW|^2 = dt, E dW^2 = 0) of every step as
+    (chunk, n_ch, n_traj) arrays of up to _NOISE_CHUNK steps; gens[k] draws
+    each chunk with one (chunk, n_ch, 2) standard-normal call.  Every chunk is
+    a view of one reused buffer (a short last chunk is its leading slice)."""
     n_traj = len(gens)
     size = min(_NOISE_CHUNK, n_steps)
     buf = np.empty((size, n_ch, n_traj), dtype=complex)

@@ -8,7 +8,8 @@ master equations:
   states); <Q_S> equals the entanglement entropy K.
 * ``bloch-derank-a`` / ``bloch-derank-b`` -- Q_a / Q_b, built from the log of
   the Bloch Gram matrices alpha = B B^T/2 and beta = B^T B/2; both have
-  expectation L, the Bloch-matrix entanglement measure.
+  expectation L, the Bloch-matrix entanglement measure.  Q_a = Q_b, since
+  f(B B^T) B = B f(B^T B) for any f, so both run one kernel.
 * ``corr-suppress`` -- Q_ab, the covariance-squared functional over the
   subsystem Gell-Mann bases; <Q_ab> = tau_ab in [0, 1] vanishes exactly on
   product states.
@@ -20,8 +21,8 @@ except thermalization; that no-op property is what makes the nonlinear
 dynamics leave uncorrelated physics untouched.
 
 Each kernel has one implementation.  Each Theta family is written once, in
-``ThetaEngine``: ``matrix`` builds it from a (..., D, D) stack for the public
-constructors and the stochastic drift (``matrix`` on the stack of
+``ThetaEngine``: ``matrix`` builds it from a (..., D, D) stack for
+``build_theta`` and the stochastic drift (``matrix`` on the stack of
 |psi><psi|), and ``grid`` reads the same formulas from the grid coordinates
 x = B(rho) the master equation is integrated in.  ``measures_from_bloch``
 computes every measure of a stack of Bloch matrices for the single-state
@@ -187,18 +188,8 @@ def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.
 # Theta constructors: unit-rate operators from the integrators' kernel.
 
 
-def _engine_operator(state: QuantumState, spec: DisentanglementSpec, **engine_kw) -> ThetaOperator:
-    return ThetaOperator(ThetaEngine(spec, state.factor, **engine_kw).matrix(state.density()))
-
-
 def _unit_rate(family: ThetaFamily) -> DisentanglementSpec:
     return DisentanglementSpec(family=family, gamma_d=1.0)
-
-
-def q_s_operator(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> ThetaOperator:
-    """State-matrix deranking operator Q_S = -log(G) (x) I_b, G the subsystem-a
-    Gram matrix (the sum of the subsystem embeddings of -log G); <Q_S> = K."""
-    return _engine_operator(state, _unit_rate(ThetaFamily.STATE_MATRIX_DERANK), floor=floor)
 
 
 def q_bloch_operators(
@@ -207,10 +198,9 @@ def q_bloch_operators(
     """Bloch deranking operators (Q_a, Q_b) with <Q_a> = <Q_b> = L.
 
     Q_a = -(1/2) sum_ab (log(alpha) B)_ab G_ab with alpha = B B^T/2, and
-    symmetrically for Q_b with beta = B^T B/2.
+    symmetrically for Q_b with beta = B^T B/2; the two are equal.
     """
-    return (_engine_operator(state, _unit_rate(ThetaFamily.BLOCH_DERANK_A), floor=floor),
-            _engine_operator(state, _unit_rate(ThetaFamily.BLOCH_DERANK_B), floor=floor))
+    return tuple(build_theta(state, _unit_rate(f), floor=floor) for f in _BLOCH_FAMILIES)
 
 
 def correlation_operator(state: QuantumState) -> ThetaOperator:
@@ -220,7 +210,7 @@ def correlation_operator(state: QuantumState) -> ThetaOperator:
     l_a (x) l_b - <l_a><l_b> I contracted with its own expectation values;
     <Q_ab> = tau_ab.
     """
-    return _engine_operator(state, _unit_rate(ThetaFamily.CORR_SUPPRESS))
+    return build_theta(state, _unit_rate(ThetaFamily.CORR_SUPPRESS))
 
 
 def tau_from_bloch(b: np.ndarray) -> np.ndarray:
@@ -234,23 +224,6 @@ def tau_from_bloch(b: np.ndarray) -> np.ndarray:
 def tau_correlation(state: QuantumState) -> float:
     """Correlation parameter tau_ab = ETA_TWO_QUBITS * sum of squared covariances."""
     return float(tau_from_bloch(bases.bloch_matrix(state)))
-
-
-def thermalization_operator(
-    state: QuantumState,
-    h: np.ndarray,
-    gamma_h: float,
-    beta: float,
-    floor: float = DEFAULT_LOG_FLOOR,
-) -> ThetaOperator:
-    """Free-energy drive gamma_h * beta * (H + log(rho)/beta).
-
-    Gibbs states of H at inverse temperature beta turn this into a multiple
-    of the identity, which the nonlinear equations ignore, so thermal
-    equilibrium is a fixed point.
-    """
-    spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=gamma_h, beta=beta)
-    return _engine_operator(state, spec, h=h, floor=floor)
 
 
 def weyl_t2_expectation(state: QuantumState) -> float:
@@ -334,22 +307,18 @@ class ThetaEngine:
     def coefficients(self, e: np.ndarray) -> np.ndarray:
         """Theta's coefficients over ``ops`` from the expectations e (..., n) of
         each state: the covariances and <l_a><l_b> . cov (corr-suppress), or
-        log(alpha) B or B log(beta) with alpha = B B^T/2, beta = B^T B/2."""
+        log(alpha) B, alpha = B B^T/2, which equals B log(B^T B/2) (Bloch)."""
         if self.spec.family is ThetaFamily.CORR_SUPPRESS:
             cov, ab = _covariances(e, self._split)
             return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
         b = e.reshape(*e.shape[:-1], *self._shape)
-        if self.spec.family is ThetaFamily.BLOCH_DERANK_A:
-            w = eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b
-        else:
-            w = b @ eig_log(*np.linalg.eigh(b.mT @ b / 2.0), self.floor)
-        return w.reshape(e.shape)
+        return (eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b).reshape(e.shape)
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
         matrix of a (..., D, D) stack.
 
-        ``drift`` and the public constructors call it, and tests compare it
+        ``drift`` and ``build_theta`` call it, and tests compare it
         with literal Pauli-product forms.
         """
         if self._expect is not None:
@@ -405,10 +374,10 @@ def build_theta(
     h: np.ndarray | None = None,
     floor: float = DEFAULT_LOG_FLOOR,
 ) -> ThetaOperator | None:
-    """Assemble the Theta operator a spec asks for, or None when inactive."""
+    """Theta of a state for a spec (``ThetaEngine.matrix``), None when inactive."""
     if not spec.active:
         return None
-    return _engine_operator(state, spec, h=h, floor=floor)
+    return ThetaOperator(ThetaEngine(spec, state.factor, h=h, floor=floor).matrix(state.density()))
 
 
 def measures_from_bloch(b: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:

@@ -1,13 +1,14 @@
 """Data-file writers: CSV sweep tables, NDJSON trajectories, JSON manifests.
 
 All output is deterministic: floats are written with 17 significant digits
-in CSV (scientific notation, '.' decimal) and via repr in JSON; no
-timestamps or environment-dependent content anywhere.
+in CSV (scientific notation, '.' decimal) and via repr in JSON (null if
+not finite); no timestamps or environment-dependent content anywhere.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +69,20 @@ def write_trajectory_ndjson(path: Path, rec: TrajectoryRecord) -> None:
     path.write_text("\n".join(trajectory_lines(rec)) + "\n", encoding="utf-8")
 
 
+def _null_if_not_finite(v):
+    """v with every non-finite float, nested in dicts and lists, replaced by None."""
+    if isinstance(v, dict):
+        return {k: _null_if_not_finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_null_if_not_finite(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def write_json(path: Path, payload: dict) -> None:
-    """A manifest or result document: sorted keys, two-space indent."""
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    """A manifest or result document: sorted keys, two-space indent.  JSON has
+    no NaN (RFC 8259), so a non-finite float (a value not measured) is null."""
+    text = json.dumps(_null_if_not_finite(payload), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def complex_pair(z: complex) -> list[float]:

@@ -149,7 +149,10 @@ def test_grid_tables_match_matrix_forms(rng):
     # in grid coordinates x = B(rho): rho = (1/2) x . G, L_r B(rho) = B(L rho)
     # for a Liouvillian L, and B({Theta, rho}) is the anticommutator tensor
     # contracted with B(Theta) and B(rho)
-    from disentsim.dynamics import liouvillian_matrix
+    from disentsim.dynamics import dissipator_superop, hamiltonian_superop
+
+    def liouvillian(h, jumps):
+        return hamiltonian_superop(h) + dissipator_superop(jumps, len(h))
 
     grid = observable_grid(2, 2)
     b = lambda m: bloch_matrix_from_rho(m, 2, 2).reshape(-1)  # noqa: E731
@@ -159,7 +162,7 @@ def test_grid_tables_match_matrix_forms(rng):
         theta, h = _random_hermitian(rng), _random_hermitian(rng)
         jumps = [0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
                  for _ in range(3)]
-        lv = liouvillian_matrix(h, jumps)
+        lv = liouvillian(h, jumps)
         x = b(rho)
         assert np.abs((x @ grid.half).reshape(4, 4) - rho).max() < 1e-14
         assert np.abs(b((x @ grid.half).reshape(4, 4)) - x).max() < 1e-14
@@ -175,7 +178,7 @@ def test_grid_tables_match_matrix_forms(rng):
         rho = qcore.random_density_matrix(2, rng)
         x = bloch_matrix_from_rho(rho, 2, 1).reshape(-1)
         jump = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lv = liouvillian_matrix(_random_hermitian(rng, 2), [jump])
+        lv = liouvillian(_random_hermitian(rng, 2), [jump])
         assert np.abs(grid.superop(lv) @ x
                       - bloch_matrix_from_rho((lv @ rho.reshape(-1)).reshape(2, 2), 2, 1).ravel()
                       ).max() < 1e-14

@@ -20,6 +20,13 @@ from disentsim.entangle import ThetaFamily
 from disentsim.output import SWEEP_COLUMNS
 
 
+def _read_json(path: Path) -> dict:
+    """A JSON output file, parsed strictly: NaN and Infinity are not JSON."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
 def _ndjson(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
@@ -149,7 +156,7 @@ def test_master_run_writes_outputs_and_manifest(tmp_path):
     assert (out / "trajectory.ndjson").exists()
     assert (out / "bloch_a.svg").exists()
     # manifest round-trips to the exact same config
-    stored = json.loads((out / "manifest.json").read_text())
+    stored = _read_json(out / "manifest.json")
     assert parse_config_dict(stored["config"]) == cfg
     assert stored["outputs"] == sorted(stored["outputs"])
 
@@ -173,8 +180,8 @@ def test_master_run_byte_identical(tmp_path):
     execute(parse_config(doc2))
     for name in ("trajectory.ndjson", "bloch_a.svg", "bloch_b.svg", "measures.svg"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    m1 = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    m2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    m1 = _read_json(tmp_path / "a" / "manifest.json")
+    m2 = _read_json(tmp_path / "b" / "manifest.json")
     m1["config"].pop("output.dir"); m2["config"].pop("output.dir")
     assert m1["results"] == m2["results"]
 
@@ -290,7 +297,7 @@ def test_steady_and_measures_commands(tmp_path):
         f"output.dir = {tmp_path / 'st'}",
     ]) + "\n"
     manifest = execute(parse_config(doc))
-    payload = json.loads((tmp_path / "st" / "steady.json").read_text())
+    payload = _read_json(tmp_path / "st" / "steady.json")
     assert payload["t_eff"] > 0
     assert 0.0 <= payload["measures"]["tau_ab"] <= 1.0
 
@@ -300,7 +307,7 @@ def test_steady_and_measures_commands(tmp_path):
         f"output.dir = {tmp_path / 'ms'}",
     ]) + "\n"
     execute(parse_config(mdoc))
-    payload = json.loads((tmp_path / "ms" / "measures.json").read_text())
+    payload = _read_json(tmp_path / "ms" / "measures.json")
     assert abs(payload["measures"]["tau_ab"] - 11.0 / 16.0) < 1e-9
     assert abs(payload["delta_pure"] - 0.75) < 1e-9
 
@@ -358,11 +365,39 @@ def test_bad_state_psi_is_a_config_error(tmp_path, capsys):
     # a wrong amplitude count or a non-finite amplitude ends the measures run
     # with the config exit, not a traceback, before the output directory is made
     doc = tmp_path / "m.cfg"
-    for amps in ("1,0,0", "1,0,0,0,0", "nan,0,0,0"):
+    for amps in ("1,0,0", "1,0,0,0,0", "nan,0,0,0", "0,0,0,0", "1e400,0,0,0"):
         doc.write_text(f"command = measures\nstate.psi = {amps}\noutput.dir = {tmp_path / 'm'}\n")
         assert main(["--config", str(doc)]) == EXIT_CONFIG, amps
         assert capsys.readouterr().err.startswith("config error:"), amps
         assert not (tmp_path / "m").exists(), amps
+
+
+def test_state_psi_scale_does_not_change_the_state(tmp_path):
+    # amplitudes whose squared norm overflows or underflows run as the state
+    # they scale, (1, 1, 0, 0)/sqrt(2)
+    doc = tmp_path / "m.cfg"
+    payloads = []
+    for k, amps in enumerate(("1,1,0,0", "1e300,1e300,0,0", "1e-200,1e-200,0,0")):
+        doc.write_text(f"command = measures\nstate.psi = {amps}\noutput.dir = {tmp_path / str(k)}\n")
+        assert main(["--config", str(doc)]) == EXIT_OK, amps
+        payloads.append(_read_json(tmp_path / str(k) / "measures.json"))
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+
+def test_undefined_values_are_written_as_null(tmp_path):
+    # k_az = -1 (n0 = 0, no drive, no coupling) has no effective temperature,
+    # and an undamped sweep has no cell with a finite tau
+    doc = tmp_path / "c.cfg"
+    doc.write_text(f"command = steady\ndamping.a.gamma1 = 0.1\ndamping.b.gamma1 = 0.1\n"
+                   f"output.dir = {tmp_path / 'st'}\n")
+    assert main(["--config", str(doc)]) == EXIT_OK
+    assert _read_json(tmp_path / "st" / "steady.json")["t_eff"] is None
+    assert _read_json(tmp_path / "st" / "manifest.json")["results"]["t_eff"] is None
+    doc.write_text(f"command = sweep\nsweep.delta_n = 3\nsweep.omega1_n = 3\n"
+                   f"output.dir = {tmp_path / 'sw'}\n")
+    assert main(["--config", str(doc), "--no-plots"]) == EXIT_OK
+    results = _read_json(tmp_path / "sw" / "manifest.json")["results"]
+    assert results["cells_failed"] == 9 and results["tau_argmax"] is None
 
 
 def test_non_finite_setting_and_negative_seed_are_config_errors(tmp_path, capsys):
@@ -419,7 +454,7 @@ def test_bloch_derank_b_family_runs(tmp_path, capsys):
     rc = main(["--config", str(doc), "--t-end", "0.02", "--no-plots",
                "--out", str(tmp_path / "b")])
     assert rc == EXIT_OK
-    stored = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    stored = _read_json(tmp_path / "b" / "manifest.json")
     assert stored["config"]["disentangle.family"] == "bloch-derank-b"
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -431,7 +466,7 @@ def test_flag_overrides(tmp_path):
     rc = main(["--preset", "fig2-B2", "--out", str(out), "--dt", "0.002",
                "--t-end", "2.0", "--no-plots", "--seed", "123"])
     assert rc == EXIT_OK
-    stored = json.loads((out / "manifest.json").read_text())
+    stored = _read_json(out / "manifest.json")
     assert stored["config"]["integrator.dt"] == 0.002
     assert stored["config"]["integrator.t_end"] == 2.0
     assert stored["config"]["integrator.seed"] == 123

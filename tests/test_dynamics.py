@@ -24,13 +24,10 @@ from disentsim.dynamics import (
     ensemble_mean_bloch,
     ensemble_mean_record,
     grid_liouvillian,
+    hamiltonian_superop,
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
-    liouvillian_matrix,
-    mme_rhs,
-    noise_increments,
-    sle_step,
     spin_jump_operators,
     steady_state,
     steady_states,
@@ -43,7 +40,6 @@ from disentsim.entangle import (
     ThetaFamily,
     build_theta,
     tau_from_bloch,
-    thermalization_operator,
 )
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
 from disentsim.twospin import (TwoSpinParams, build_hamiltonian, experiment_preset,
@@ -129,10 +125,23 @@ def test_damping_superop_is_cached_and_read_only():
         lv[0, 0] = 1.0
 
 
+def _bloch(m: np.ndarray) -> np.ndarray:
+    return bases.bloch_matrix_from_rho(m, 2, 2).reshape(-1)
+
+
+def stage_matrix(rho, h, theta=None, damping=None):
+    """``_mme_stage`` on x = B(rho), with B(Theta) as Theta's coefficients over
+    the grid's anticommutator table, mapped back to a matrix."""
+    grid, lr = grid_liouvillian(h, damping)
+    c = None if theta is None else _bloch(theta)
+    out = _mme_stage(lr, _bloch(rho), c, grid.anticommutator.reshape(16, -1))
+    return (out @ grid.half).reshape(4, 4)
+
+
 def test_mme_rhs_traceless_and_unitary_limit(rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
     rho = qcore.random_density_matrix(4, rng)
-    out = mme_rhs(rho, h)
+    out = stage_matrix(rho, h)
     assert abs(np.trace(out)) < 1e-10
     # purity is conserved by the bare commutator flow
     d_purity = 2.0 * np.trace(rho @ out).real
@@ -142,8 +151,8 @@ def test_mme_rhs_traceless_and_unitary_limit(rng):
 def test_mme_identity_theta_is_inert(rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.1, omega1=0.5, g=0.2))
     rho = qcore.random_density_matrix(4, rng)
-    base = mme_rhs(rho, h)
-    shifted = mme_rhs(rho, h, theta=3.7 * np.eye(4))
+    base = stage_matrix(rho, h)
+    shifted = stage_matrix(rho, h, theta=3.7 * np.eye(4))
     assert np.abs(base - shifted).max() < 1e-10
 
 
@@ -152,7 +161,7 @@ def test_mme_rhs_nonlinear_term_traceless(rng):
     rho = qcore.random_density_matrix(4, rng)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     theta = a + a.conj().T
-    out = mme_rhs(rho, h, theta=theta)
+    out = stage_matrix(rho, h, theta=theta)
     assert abs(np.trace(out)) < 1e-10
 
 
@@ -322,13 +331,15 @@ def test_steady_states_exactly_singular_block_is_degenerate():
 
 
 def test_liouvillian_matrix_action(rng):
+    # the vectorized Liouvillian and the linear stage the RK4 runs, against
+    # the literal i[rho, H] plus the six dissipators
     d = DampingParams(a=SpinDamping(0.3, 0.02, 2.0), b=SpinDamping(0.1, 0.05, 0.4))
     h = build_hamiltonian(TwoSpinParams(delta=0.2, omega1=0.4, g=0.3))
-    lv = liouvillian_matrix(h, two_spin_jump_operators(d))
+    lv = hamiltonian_superop(h) + dissipator_superop(two_spin_jump_operators(d), 4)
     rho = qcore.random_density_matrix(4, rng)
-    lhs = (lv @ rho.reshape(-1)).reshape(4, 4)
-    rhs = mme_rhs(rho, h, damping=d)
-    assert np.abs(lhs - rhs).max() < 1e-12
+    literal = 1j * (rho @ h - h @ rho) + two_spin_lindblad(rho, d)
+    assert np.abs((lv @ rho.reshape(-1)).reshape(4, 4) - literal).max() < 1e-12
+    assert np.abs(stage_matrix(rho, h, damping=d) - literal).max() < 1e-12
 
 
 FIG2_DAMPING = DampingParams(a=SpinDamping(0.1, 0.01, 5e-4),
@@ -409,34 +420,36 @@ def _spec(family: ThetaFamily) -> DisentanglementSpec:
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_integrator_stage_matches_mme_rhs(family, rng):
     # the stage integrate_master runs (the grid Liouvillian plus the engine's
-    # grid coefficients of Theta) against the public right-hand side, and that
-    # against the literal equation with a literal Theta
+    # grid coefficients of Theta) against the literal right-hand side of the
+    # modified master equation with a literal Theta
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
     spec = _spec(family)
-    grid = bases.observable_grid(2, 2)
-    lr = grid.superop(liouvillian_matrix(h, two_spin_jump_operators(FIG2_DAMPING)))
+    grid, lr = grid_liouvillian(h, FIG2_DAMPING)
     coeff, table = ThetaEngine(spec, TWO_QUBITS, h=h).grid()
     for _ in range(3):
         rho = qcore.random_density_matrix(4, rng)
-        state = QuantumState.mixed(rho, TWO_QUBITS)
-        x = bases.bloch_matrix_from_rho(rho, 2, 2).reshape(-1)
+        x = _bloch(rho)
         stage = (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
-        public = mme_rhs(rho, h, build_theta(state, spec, h), FIG2_DAMPING)
-        assert np.abs(stage - public).max() < 1e-12
         if family is ThetaFamily.THERMALIZATION:
             tm = literal_theta(family, rho, h, spec.gamma_h, spec.beta)
         else:
             tm = spec.gamma_d * literal_theta(family, rho, h)
         literal = (1j * (rho @ h - h @ rho) + two_spin_lindblad(rho, FIG2_DAMPING)
                    - tm @ rho - rho @ tm + 2.0 * np.trace(tm @ rho).real * rho)
-        assert np.abs(public - literal).max() < 1e-10
+        assert np.abs(stage - literal).max() < 1e-10
 
 
 def _reference_rk4(rho, h, spec, damping, dt, n_steps, stride):
-    """Plain RK4 on the public mme_rhs, Theta rebuilt by build_theta per stage."""
+    """Plain RK4 in rho space on the literal right-hand side i[rho, H] + the
+    six dissipators - {Theta, rho} + 2 <Theta> rho / Tr(rho), Theta rebuilt by
+    build_theta at every stage."""
     def rhs(r):
+        out = 1j * (r @ h - h @ r) + two_spin_lindblad(r, damping)
         theta = build_theta(QuantumState(factor=TWO_QUBITS, rho=r), spec, h)
-        return mme_rhs(r, h, theta, damping)
+        if theta is not None:
+            tm = theta.matrix
+            out += 2.0 * (np.trace(tm @ r).real / np.trace(r).real) * r - tm @ r - r @ tm
+        return out
 
     samples = [rho]
     for step in range(1, n_steps + 1):
@@ -569,16 +582,20 @@ def test_sle_noise_moments(rng):
 
 
 def test_sle_step_product_state_theta_noop(rng):
-    from disentsim.entangle import correlation_operator
-
+    # the block step with the engine's corr-suppress drift, and without it,
+    # under the same noise
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
-    psi = np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
-    st = QuantumState.pure(psi, TWO_QUBITS)
-    theta = correlation_operator(st)
-    r1 = np.random.default_rng(99)
-    r2 = np.random.default_rng(99)
-    with_theta = sle_step(psi, h, [], theta, 1e-3, r1)
-    without = sle_step(psi, h, [], None, 1e-3, r2)
+    ops = two_spin_jump_operators(FIG2_DAMPING)
+    dt = 1e-3
+    psi = np.stack([np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
+                    for _ in range(5)], axis=1)
+    dw = np.sqrt(dt / 2.0) * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+    engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0),
+                         TWO_QUBITS)
+    u, step_mat = _sle_step_matrix(h, ops, dt)
+    stack = np.empty((7, 4, 5), dtype=complex)
+    with_theta = _sle_block_step(psi, step_mat, dw, stack, dt * (u @ engine.drift(psi)))[0]
+    without = _sle_block_step(psi, step_mat, dw, stack)[0]
     assert np.abs(with_theta - without).max() < 1e-9
 
 
@@ -681,23 +698,6 @@ def test_block_step_matches_literal_formula(family, n_traj):
     out, nrm2 = _sle_block_step(psi.copy(), step_mat, dw, stack, drift)
     assert np.abs(out - ref).max() < 1e-13
     assert np.abs(nrm2 - nrm2_ref).max() < 1e-13
-
-
-def test_sle_step_is_the_block_step_on_one_column(rng):
-    # the single-state step draws its noise from the caller's generator
-    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=5.0))
-    ops = two_spin_jump_operators(FIG2_DAMPING)
-    psi = qcore.random_pure_state(4, rng)
-    tm = literal_theta(ThetaFamily.CORR_SUPPRESS, np.outer(psi, psi.conj()), h)
-    dt = 1e-3
-    out = sle_step(psi, h, ops, tm, dt, np.random.default_rng(5))
-    dw = noise_increments(np.random.default_rng(5), 6, dt)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    ref = u @ (psi - 0.5 * dt * sum(x.conj().T @ x for x in ops) @ psi
-               + sum(dw[l] * (ops[l] @ psi) for l in range(6))
-               - dt * (tm @ psi - np.vdot(psi, tm @ psi).real * psi))
-    assert np.abs(out - ref / np.linalg.norm(ref)).max() < 1e-13
 
 
 def test_sle_ensemble_holds_one_noise_buffer():

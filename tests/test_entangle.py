@@ -16,11 +16,9 @@ from disentsim.entangle import (
     measure_report,
     measures_from_bloch,
     q_bloch_operators,
-    q_s_operator,
     state_matrix,
     tau_correlation,
     tau_from_bloch,
-    thermalization_operator,
     weyl_t2_expectation,
 )
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
@@ -35,6 +33,15 @@ DERANK_FAMILIES = (
     ThetaFamily.BLOCH_DERANK_B,
     ThetaFamily.STATE_MATRIX_DERANK,
 )
+
+
+def _unit_theta(st, family, **kw):
+    return build_theta(st, DisentanglementSpec(family=family, gamma_d=1.0), **kw)
+
+
+def _thermalization_theta(st, h, gamma_h, beta):
+    spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=gamma_h, beta=beta)
+    return build_theta(st, spec, h=h)
 
 
 def _pure_columns(rng, n):
@@ -66,13 +73,16 @@ def test_entanglement_k_values(rng):
 
 
 def test_q_s_expectation_matches_k(rng):
+    def q_s(st):
+        return _unit_theta(st, ThetaFamily.STATE_MATRIX_DERANK)
+
     st = QuantumState.pure(BELL, TWO_QUBITS)
-    assert abs(q_s_operator(st).expectation(st) - LOG2) < 1e-8
+    assert abs(q_s(st).expectation(st) - LOG2) < 1e-8
     mm = QuantumState.mixed(np.eye(4) / 4, TWO_QUBITS)
-    assert abs(q_s_operator(mm).expectation(mm) - LOG2) < 1e-8
+    assert abs(q_s(mm).expectation(mm) - LOG2) < 1e-8
     for _ in range(20):
         st = QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS)
-        assert abs(q_s_operator(st).expectation(st) - entanglement_k(st)) < 1e-8
+        assert abs(q_s(st).expectation(st) - entanglement_k(st)) < 1e-8
 
 
 def test_entanglement_l_values(rng):
@@ -239,29 +249,33 @@ def test_weyl_t2_rejects_mixed(rng):
         weyl_t2_expectation(st)
 
 
+def _thermalization_stage(rho, h, beta):
+    """The undamped master stage integrate_master runs, with the thermalization
+    drive at gamma_h = 1, on x = B(rho), mapped back to a matrix."""
+    from disentsim.dynamics import _mme_stage, grid_liouvillian
+
+    spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=1.0, beta=beta)
+    coeff, table = ThetaEngine(spec, TWO_QUBITS, h=h).grid()
+    grid, lr = grid_liouvillian(h, None)
+    x = bases.bloch_matrix_from_rho(rho, 2, 2).reshape(-1)
+    return (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
+
+
 def test_thermalization_gibbs_inert():
     from disentsim.twospin import TwoSpinParams, build_hamiltonian
-    from disentsim.dynamics import mme_rhs
 
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.4, g=0.2))
     beta = 1.7
     w, v = np.linalg.eigh(h)
     rho = (v * np.exp(-beta * w)) @ v.conj().T
     rho /= rho.trace()
-    st = QuantumState.mixed(rho, TWO_QUBITS)
-    theta = thermalization_operator(st, h, gamma_h=1.0, beta=beta)
-    rhs = mme_rhs(rho, h, theta=theta)
-    assert np.abs(rhs).max() < 1e-9
+    assert np.abs(_thermalization_stage(rho, h, beta)).max() < 1e-9
 
 
 def test_thermalization_maximal_entropy_zero_drift():
-    from disentsim.dynamics import mme_rhs
-
     h = np.zeros((4, 4), dtype=complex)
     rho = np.eye(4, dtype=complex) / 4.0
-    st = QuantumState.mixed(rho, TWO_QUBITS)
-    theta = thermalization_operator(st, h, gamma_h=1.0, beta=1.0)
-    assert np.abs(mme_rhs(rho, h, theta=theta)).max() < 1e-9
+    assert np.abs(_thermalization_stage(rho, h, 1.0)).max() < 1e-9
 
 
 def test_thermalization_expectation_hand_value():
@@ -271,7 +285,7 @@ def test_thermalization_expectation_hand_value():
     h = kron(0.5 * SIGMA_Z, np.eye(2))
     rho = kron(np.diag([0.9, 0.1]).astype(complex), np.eye(2) / 2)
     st = QuantumState.mixed(rho, TWO_QUBITS)
-    theta = thermalization_operator(st, h, gamma_h=1.0, beta=1.0)
+    theta = _thermalization_theta(st, h, gamma_h=1.0, beta=1.0)
     # by hand: beta*Tr(rho H) + Tr(rho log rho)
     expect_h = 0.5 * 0.9 - 0.5 * 0.1
     expect_log = (0.9 * np.log(0.45) + 0.1 * np.log(0.05))
@@ -302,8 +316,9 @@ def test_theta_engine_matrix_matches_public_constructors(rng):
             ThetaFamily.CORR_SUPPRESS: correlation_operator(st).matrix,
             ThetaFamily.BLOCH_DERANK_A: q_bloch_operators(st)[0].matrix,
             ThetaFamily.BLOCH_DERANK_B: q_bloch_operators(st)[1].matrix,
-            ThetaFamily.STATE_MATRIX_DERANK: q_s_operator(st).matrix,
-            ThetaFamily.THERMALIZATION: thermalization_operator(st, h, 1.3, 0.8).matrix,
+            ThetaFamily.STATE_MATRIX_DERANK:
+                _unit_theta(st, ThetaFamily.STATE_MATRIX_DERANK).matrix,
+            ThetaFamily.THERMALIZATION: _thermalization_theta(st, h, 1.3, 0.8).matrix,
         }
         for fam, ref in pubs.items():
             if fam is ThetaFamily.THERMALIZATION:
@@ -394,8 +409,24 @@ def test_bloch_theta_reads_the_measured_bloch_matrix(rng):
     w = qcore.eig_log(*np.linalg.eigh(b @ b.mT / 2.0), qcore.DEFAULT_LOG_FLOOR) @ b
     pairs = -0.5 * 0.7 * bases.observable_grid(2, 2).entries.reshape(16, 16)
     want = (w.reshape(20, 16) @ pairs).reshape(rhos.shape)
-    spec = DisentanglementSpec(family=ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7)
-    assert np.array_equal(ThetaEngine(spec, TWO_QUBITS).matrix(rhos), want)
+    for fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
+        spec = DisentanglementSpec(family=fam, gamma_d=0.7)
+        assert np.array_equal(ThetaEngine(spec, TWO_QUBITS).matrix(rhos), want), fam
+
+
+def test_bloch_derank_b_is_the_beta_formula(rng):
+    # bloch-derank-b runs the alpha kernel log(B B^T/2) B; the literal
+    # operator takes B log(B^T B/2), which is the same matrix, since
+    # f(B B^T) B = B f(B^T B) for any f (and the floored log cuts both
+    # spectra at the same floor * w_max)
+    fam = ThetaFamily.BLOCH_DERANK_B
+    psi = [random_product_psi(rng) for _ in range(50)]
+    psi += [qcore.random_pure_state(4, rng) for _ in range(50)]
+    rhos = [np.outer(p, p.conj()) for p in psi]
+    rhos += [qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(100)]
+    engine = ThetaEngine(DisentanglementSpec(fam, gamma_d=1.0), TWO_QUBITS)
+    for k, rho in enumerate(rhos):
+        assert np.abs(engine.matrix(rho) - literal_theta(fam, rho, None)).max() < 1e-12, k
 
 
 @pytest.mark.parametrize("n", [1, 129])

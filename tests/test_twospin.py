@@ -8,7 +8,8 @@ from disentsim.dynamics import (
     DegenerateSteadyStateError,
     SpinDamping,
     TrajectoryRecord,
-    liouvillian_matrix,
+    dissipator_superop,
+    hamiltonian_superop,
     steady_state,
     steady_states,
     two_spin_jump_operators,
@@ -223,7 +224,8 @@ def test_batched_kernel_flags_degenerate_cells():
     ops = two_spin_jump_operators(d)
     cells = [TwoSpinParams(delta=float(dv), omega1=float(w1))
              for dv in grid.delta_values for w1 in grid.omega1_values]
-    lv = np.stack([liouvillian_matrix(build_hamiltonian(c), ops) for c in cells])
+    lv = np.stack([hamiltonian_superop(build_hamiltonian(c)) + dissipator_superop(ops, 4)
+                   for c in cells])
     obs = bases.observable_grid(2, 2)
     _, degenerate = steady_states(obs.superop(lv), obs)
     _, _, _, status = _per_cell_sweep(TwoSpinParams(g=0.0), d, grid)
