@@ -9,7 +9,11 @@ Library layout:
                   steady-state solver.
 * ``twospin``  -- the driven two-spin scenario, sweeps, presets, attractor
                   classification.
-* ``cli``      -- configuration parsing and the command-line front end.
+* ``config``   -- run configuration documents, their schema and validation.
+* ``output``   -- CSV, NDJSON and JSON writers for run results.
+* ``svgplot``  -- deterministic SVG line plots and heat maps.
+* ``cli``      -- the command-line front end: runs a command and writes its
+                  outputs.
 """
 
 __version__ = "0.1.0"

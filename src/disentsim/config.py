@@ -38,10 +38,13 @@ COMMANDS = ("sweep", "master", "sde", "steady", "measures", "preset")
 _FAMILIES = {f.value: f for f in ThetaFamily}
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "yes", "1"):
+def _parse_bool(raw: str | bool) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    word = str(raw).lower()
+    if word in ("true", "yes", "1"):
         return True
-    if raw.lower() in ("false", "no", "0"):
+    if word in ("false", "no", "0"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
 
@@ -54,21 +57,21 @@ class _Key:
     help: str = ""
 
 
-def _nonneg(name):
-    return lambda v: None if v >= 0 else f"{name} must be >= 0 (got {v!r})"
+def _nonneg(v):
+    return None if v >= 0 else f"must be >= 0 (got {v!r})"
 
 
-def _positive(name):
-    return lambda v: None if v > 0 else f"{name} must be > 0 (got {v!r})"
+def _positive(v):
+    return None if v > 0 else f"must be > 0 (got {v!r})"
 
 
-def _choice(name, options):
+def _choice(options):
     return lambda v: None if v in options else (
-        f"{name} must be one of {', '.join(options)} (got {v!r})")
+        f"must be one of {', '.join(options)} (got {v!r})")
 
 
-def _min_int(name, lo):
-    return lambda v: None if v >= lo else f"{name} must be >= {lo} (got {v!r})"
+def _min_int(lo):
+    return lambda v: None if v >= lo else f"must be >= {lo} (got {v!r})"
 
 
 def parse_state_psi(raw: str) -> np.ndarray:
@@ -88,55 +91,51 @@ def _check_state_psi(raw: str) -> str | None:
         if raw:  # empty: the measures command takes the linear steady state
             parse_state_psi(raw)
     except ValueError as exc:
-        return f"state.psi: {exc} (got {raw!r})"
+        return f"is invalid: {exc} (got {raw!r})"
     return None
 
 
 SCHEMA: dict[str, _Key] = {
-    "command": _Key(str, None, _choice("command", COMMANDS), "what to run"),
-    "model.omega_a": _Key(float, 1.0, _positive("model.omega_a"), "reference Larmor frequency"),
+    "command": _Key(str, None, _choice(COMMANDS), "what to run"),
+    "model.omega_a": _Key(float, 1.0, _positive, "reference Larmor frequency"),
     "model.delta": _Key(float, 0.0, help="drive detuning (units omega_a)"),
-    "model.omega1": _Key(float, 0.0, _nonneg("model.omega1"), "drive amplitude"),
+    "model.omega1": _Key(float, 0.0, _nonneg, "drive amplitude"),
     "model.g": _Key(float, 0.0, help="spin-spin coupling rate"),
-    "damping.a.gamma1": _Key(float, 0.0, _nonneg("damping.a.gamma1"), "spin-a relaxation rate"),
-    "damping.a.gamma_phi": _Key(float, 0.0, _nonneg("damping.a.gamma_phi"), "spin-a dephasing rate"),
-    "damping.a.n0": _Key(float, 0.0, _nonneg("damping.a.n0"), "spin-a thermal occupation"),
-    "damping.b.gamma1": _Key(float, 0.0, _nonneg("damping.b.gamma1"), "spin-b relaxation rate"),
-    "damping.b.gamma_phi": _Key(float, 0.0, _nonneg("damping.b.gamma_phi"), "spin-b dephasing rate"),
-    "damping.b.n0": _Key(float, 0.0, _nonneg("damping.b.n0"), "spin-b thermal occupation"),
-    "disentangle.family": _Key(str, "none", _choice("disentangle.family", tuple(_FAMILIES)),
+    "damping.a.gamma1": _Key(float, 0.0, _nonneg, "spin-a relaxation rate"),
+    "damping.a.gamma_phi": _Key(float, 0.0, _nonneg, "spin-a dephasing rate"),
+    "damping.a.n0": _Key(float, 0.0, _nonneg, "spin-a thermal occupation"),
+    "damping.b.gamma1": _Key(float, 0.0, _nonneg, "spin-b relaxation rate"),
+    "damping.b.gamma_phi": _Key(float, 0.0, _nonneg, "spin-b dephasing rate"),
+    "damping.b.n0": _Key(float, 0.0, _nonneg, "spin-b thermal occupation"),
+    "disentangle.family": _Key(str, "none", _choice(tuple(_FAMILIES)),
                                "nonlinear operator family: " + ", ".join(_FAMILIES)),
-    "disentangle.gamma_d": _Key(float, 0.0, _nonneg("disentangle.gamma_d"), "disentanglement rate"),
-    "disentangle.gamma_h": _Key(float, 0.0, _nonneg("disentangle.gamma_h"), "thermalization rate"),
-    "disentangle.beta": _Key(float, 1.0, _positive("disentangle.beta"), "inverse temperature"),
-    "integrator.dt": _Key(float, 1e-3, _positive("integrator.dt"), "time step (units 1/omega_a)"),
-    "integrator.t_end": _Key(float, 200.0, _positive("integrator.t_end"), "duration"),
-    "integrator.seed": _Key(int, 0, _nonneg("integrator.seed"), "RNG seed for stochastic runs"),
-    "integrator.log_floor": _Key(float, 1e-13, _positive("integrator.log_floor"),
+    "disentangle.gamma_d": _Key(float, 0.0, _nonneg, "disentanglement rate"),
+    "disentangle.gamma_h": _Key(float, 0.0, _nonneg, "thermalization rate"),
+    "disentangle.beta": _Key(float, 1.0, _positive, "inverse temperature"),
+    "integrator.dt": _Key(float, 1e-3, _positive, "time step (units 1/omega_a)"),
+    "integrator.t_end": _Key(float, 200.0, _positive, "duration"),
+    "integrator.seed": _Key(int, 0, _nonneg, "RNG seed for stochastic runs"),
+    "integrator.log_floor": _Key(float, 1e-13, _positive,
                                  "relative eigenvalue floor in matrix logs"),
-    "integrator.sample_every": _Key(int, 0, _nonneg("integrator.sample_every"),
-                                    "record every N steps (0 = auto)"),
+    "integrator.sample_every": _Key(int, 0, _nonneg, "record every N steps (0 = auto)"),
     "sweep.delta_min": _Key(float, -2.0, help="sweep detuning range start"),
     "sweep.delta_max": _Key(float, 2.0, help="sweep detuning range end"),
-    "sweep.delta_n": _Key(int, 81, _min_int("sweep.delta_n", 2), "sweep detuning points"),
-    "sweep.omega1_min": _Key(float, 2.0 / 81.0, _positive("sweep.omega1_min"),
-                             "sweep amplitude range start"),
-    "sweep.omega1_max": _Key(float, 2.0, _positive("sweep.omega1_max"), "sweep amplitude range end"),
-    "sweep.omega1_n": _Key(int, 81, _min_int("sweep.omega1_n", 2), "sweep amplitude points"),
-    "sde.n_traj": _Key(int, 2000, _min_int("sde.n_traj", 1), "ensemble size"),
-    "sde.emit_trajectories": _Key(int, 4, _nonneg("sde.emit_trajectories"),
-                                  "individual trajectory files to write"),
-    "sde.initial": _Key(str, "steady-dominant",
-                        _choice("sde.initial", ("steady-dominant", "ground")),
+    "sweep.delta_n": _Key(int, 81, _min_int(2), "sweep detuning points"),
+    "sweep.omega1_min": _Key(float, 2.0 / 81.0, _positive, "sweep amplitude range start"),
+    "sweep.omega1_max": _Key(float, 2.0, _positive, "sweep amplitude range end"),
+    "sweep.omega1_n": _Key(int, 81, _min_int(2), "sweep amplitude points"),
+    "sde.n_traj": _Key(int, 2000, _min_int(1), "ensemble size"),
+    "sde.emit_trajectories": _Key(int, 4, _nonneg, "individual trajectory files to write"),
+    "sde.initial": _Key(str, "steady-dominant", _choice(("steady-dominant", "ground")),
                         "initial pure state for stochastic runs"),
     "master.initial": _Key(str, "steady-linear",
-                           _choice("master.initial", ("steady-linear", "maximally-mixed", "ground")),
+                           _choice(("steady-linear", "maximally-mixed", "ground")),
                            "initial density matrix for master-equation runs"),
     "attractor.transient_fraction": _Key(float, 0.5,
                                          lambda v: None if 0.0 <= v < 1.0 else
-                                         f"attractor.transient_fraction must be in [0, 1) (got {v!r})",
+                                         f"must be in [0, 1) (got {v!r})",
                                          "fraction of the record discarded before classification"),
-    "attractor.amp_threshold": _Key(float, 0.02, _positive("attractor.amp_threshold"),
+    "attractor.amp_threshold": _Key(float, 0.02, _positive,
                                     "peak-to-peak threshold separating fixed points from cycles"),
     "state.psi": _Key(str, "", _check_state_psi,
                       "comma-separated complex amplitudes (measures command)"),
@@ -170,25 +169,18 @@ class RunConfig:
 def _coerce(key: str, raw: Any, line: int | None = None) -> Any:
     spec = SCHEMA[key]
     where = f" (line {line})" if line is not None else ""
-    if isinstance(raw, str):
-        try:
-            value = spec.parse(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {key}{where}: {raw!r}") from None
-    else:
-        value = spec.parse(str(raw)) if spec.parse in (str,) else raw
-        if spec.parse is float:
-            value = float(raw)
-        elif spec.parse is int:
-            if isinstance(raw, float) and not raw.is_integer():
-                raise ConfigError(f"bad value for {key}{where}: {raw!r} is not an integer")
-            value = int(raw)
-        elif spec.parse is _parse_bool and not isinstance(raw, bool):
-            value = _parse_bool(str(raw))
+    if spec.parse is int and isinstance(raw, float) and not raw.is_integer():
+        raise ConfigError(f"bad value for {key}{where}: {raw!r} is not an integer")
+    try:
+        if isinstance(raw, bool) and spec.parse in (int, float):
+            raise TypeError("a bool is not a number")
+        value = spec.parse(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"bad value for {key}{where}: {raw!r}") from None
     finite = spec.parse is not float or np.isfinite(value)
-    err = spec.check(value) if finite else f"{key} must be finite (got {value!r})"
+    err = spec.check(value) if finite else f"must be finite (got {value!r})"
     if err:
-        raise ConfigError(f"{err}{where}")
+        raise ConfigError(f"{key} {err}{where}")
     return value
 
 

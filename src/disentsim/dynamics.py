@@ -6,8 +6,9 @@
   integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage
   (``_mme_stage``) applies the real grid Liouvillian L_r (``grid_liouvillian``,
   whose null vector is the linear steady state) and the anticommutator of
-  Theta, with coefficients that ``ThetaEngine.grid`` rebuilds from x by the
-  family formulas ``ThetaEngine.matrix`` runs.
+  Theta, with coefficients that ``ThetaEngine.grid`` reads from x by the
+  family formulas ``ThetaEngine.matrix`` runs (``coefficients`` for every
+  family but thermalization, whose grid coefficients are B(Theta)).
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation

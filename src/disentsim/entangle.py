@@ -21,10 +21,10 @@ except thermalization; that no-op property is what makes the nonlinear
 dynamics leave uncorrelated physics untouched.
 
 Each kernel has one implementation.  Each Theta family is written once, in
-``ThetaEngine``: ``matrix`` builds it from a (..., D, D) stack for
-``build_theta`` and the stochastic drift (``matrix`` on the stack of
-|psi><psi|), and ``grid`` reads the same formulas from the grid coordinates
-x = B(rho) the master equation is integrated in.  ``measures_from_bloch``
+``ThetaEngine``, as ``coefficients(e) @ ops`` over expectations e read off B
+(thermalization alone builds its matrix directly).  ``matrix`` serves
+``build_theta`` and the stochastic drift (on a stack of |psi><psi|), ``grid``
+the master equation (on x = B(rho) or a stack of them).  ``measures_from_bloch``
 computes every measure of a stack of Bloch matrices for the single-state
 functions and both integrators' sample points; K, delta and Q_S read the
 reduced state off B (``bases.reduced_state_a``).  B comes from one contraction,
@@ -188,19 +188,18 @@ def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.
 # Theta constructors: unit-rate operators from the integrators' kernel.
 
 
-def _unit_rate(family: ThetaFamily) -> DisentanglementSpec:
-    return DisentanglementSpec(family=family, gamma_d=1.0)
-
-
 def q_bloch_operators(
     state: QuantumState, floor: float = DEFAULT_LOG_FLOOR
 ) -> tuple[ThetaOperator, ThetaOperator]:
     """Bloch deranking operators (Q_a, Q_b) with <Q_a> = <Q_b> = L.
 
     Q_a = -(1/2) sum_ab (log(alpha) B)_ab G_ab with alpha = B B^T/2, and
-    symmetrically for Q_b with beta = B^T B/2; the two are equal.
+    symmetrically for Q_b with beta = B^T B/2; the two are equal, so one
+    operator is built and returned twice.
     """
-    return tuple(build_theta(state, _unit_rate(f), floor=floor) for f in _BLOCH_FAMILIES)
+    q = build_theta(state, DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=1.0),
+                    floor=floor)
+    return q, q
 
 
 def correlation_operator(state: QuantumState) -> ThetaOperator:
@@ -210,7 +209,7 @@ def correlation_operator(state: QuantumState) -> ThetaOperator:
     l_a (x) l_b - <l_a><l_b> I contracted with its own expectation values;
     <Q_ab> = tau_ab.
     """
-    return build_theta(state, _unit_rate(ThetaFamily.CORR_SUPPRESS))
+    return build_theta(state, DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=1.0))
 
 
 def tau_from_bloch(b: np.ndarray) -> np.ndarray:
@@ -260,20 +259,18 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 # ---------------------------------------------------------------------------
 # Shared engine used by the integrators.
 
-_BLOCH_FAMILIES = (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B)
-
 
 class ThetaEngine:
     """Builds Theta for a fixed family/rate from density matrices (``matrix``)
     or grid coordinates x = B(rho) (``grid``), and the batched drift
     -(Theta - <Theta>)|psi> of a (D, N) block of state-vector columns.
 
-    corr-suppress and the Bloch families are ``coefficients(e) @ ops`` over
-    a rate-scaled operator stack, with e = x = B(rho) (Bloch families) or
-    e = x @ S (corr-suppress, ``_covariance_map``); ``matrix`` reads e from
-    rho through the grid's expectation matrix (times S).  The log families
-    build their matrix directly, and their grid coefficients are B(Theta) of
-    the matrix built from (1/2) x . G."""
+    Every family but thermalization is ``coefficients(e) @ ops`` over a
+    rate-scaled operator stack, with e = x = B(rho) (the deranking families)
+    or e = x @ S (corr-suppress, ``_covariance_map``); ``matrix`` reads e from
+    rho through the grid's expectation matrix (times S).  Thermalization
+    builds its matrix directly, and its grid coefficients are B(Theta) of the
+    matrices built from (1/2) x . G."""
 
     def __init__(
         self,
@@ -286,32 +283,44 @@ class ThetaEngine:
         self.factor = factor
         self.floor = floor
         self.h = None if h is None else as_complex_matrix(h)
-        if spec.family is ThetaFamily.THERMALIZATION and self.h is None:
+        fam = spec.family
+        if fam is ThetaFamily.NONE:
+            raise ValueError("family 'none' has no Theta")
+        if fam is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
-        # e's expectation matrix (grid.expect, times S for corr-suppress), held
-        # so that no call looks it up
-        self._expect = self._s = None
         grid = self._grid = bases.observable_grid(factor.d_a, factor.d_b)
         self._shape = grid.entries.shape[:2]
-        if spec.family is ThetaFamily.CORR_SUPPRESS:
+        # e's expectation matrix (grid.expect, times S for corr-suppress), held
+        # so that no call looks it up
+        self._expect, self._s = grid.expect, None
+        if fam is ThetaFamily.CORR_SUPPRESS:
             self._s, self._split = _covariance_map(factor.d_a, factor.d_b)
             self._expect = grid.expect @ self._s
             # l_a (x) l_b = sqrt(2) G[a, b] for a, b >= 1
             pairs = np.sqrt(2.0) * grid.entries[1:, 1:].reshape(-1, factor.dim ** 2)
             self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs,
                                                                   -np.eye(factor.dim).ravel()])
-        elif spec.family in _BLOCH_FAMILIES:
-            self._expect = grid.expect
+        elif fam is ThetaFamily.STATE_MATRIX_DERANK:
+            # -gamma_d (P_a / 2) (x) I_b over the single-factor grid P, which is
+            # (I, sigma_x, sigma_y, sigma_z) for a qubit
+            self._single = bases.observable_grid(factor.d_a, 1)
+            half = self._single.half.reshape(-1, factor.d_a, factor.d_a)
+            self.ops = -spec.gamma_d * np.kron(half, np.eye(factor.d_b)).reshape(len(half), -1)
+        elif fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
 
     def coefficients(self, e: np.ndarray) -> np.ndarray:
         """Theta's coefficients over ``ops`` from the expectations e (..., n) of
-        each state: the covariances and <l_a><l_b> . cov (corr-suppress), or
+        each state: the covariances and <l_a><l_b> . cov (corr-suppress), the
+        coefficients over P of log(G), G = Tr_b rho (state-matrix-derank), or
         log(alpha) B, alpha = B B^T/2, which equals B log(B^T B/2) (Bloch)."""
         if self.spec.family is ThetaFamily.CORR_SUPPRESS:
             cov, ab = _covariances(e, self._split)
             return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
         b = e.reshape(*e.shape[:-1], *self._shape)
+        if self.spec.family is ThetaFamily.STATE_MATRIX_DERANK:
+            log_g = eig_log(*np.linalg.eigh(bases.reduced_state_a(b)), self.floor)
+            return bases._contract(log_g, self._single.expect).real
         return (eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b).reshape(e.shape)
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
@@ -321,32 +330,24 @@ class ThetaEngine:
         ``drift`` and ``build_theta`` call it, and tests compare it
         with literal Pauli-product forms.
         """
-        if self._expect is not None:
-            e = bases._contract(rho, self._expect).real
-            return (self.coefficients(e) @ self.ops).reshape(rho.shape)
-        fam = self.spec.family
-        if fam is ThetaFamily.STATE_MATRIX_DERANK:
-            # -gamma_d log(G) (x) I_b in the (..., a, b, a', b') layout, G read off B
-            b = bases._contract(rho, self._grid.expect).real.reshape(*rho.shape[:-2], *self._shape)
-            log_g = eig_log(*np.linalg.eigh(bases.reduced_state_a(b)), self.floor)
-            out = -self.spec.gamma_d * log_g[..., :, None, :, None] * np.eye(self.factor.d_b)[:, None]
-            return out.reshape(rho.shape)
-        if fam is ThetaFamily.THERMALIZATION:
+        if self.spec.family is ThetaFamily.THERMALIZATION:
             return (self.spec.gamma_h * self.spec.beta * self.h
                     + self.spec.gamma_h * spectral_log(rho, self.floor))
-        raise ValueError(f"no Theta matrix for family {fam}")
+        e = bases._contract(rho, self._expect).real
+        return (self.coefficients(e) @ self.ops).reshape(rho.shape)
 
     def grid(self) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
         """Theta in grid coordinates: (x -> c, table), where
         B({Theta, rho}) = (c @ table).reshape(n, n) @ x and the (len(c), n^2)
-        table holds the anticommutator tensor of each operator c runs over."""
+        table holds the anticommutator tensor of each operator c runs over.
+        c takes x or a (..., n) stack of them."""
         grid = self._grid
         dim, table = self.factor.dim, grid.anticommutator.reshape(len(grid.half), -1)
-        if self._expect is None:
-            return (lambda x: bases._contract(self.matrix((x @ grid.half).reshape(dim, dim)),
-                                              grid.expect).real), table
+        if self.spec.family is ThetaFamily.THERMALIZATION:
+            return (lambda x: bases._contract(self.matrix(
+                (x @ grid.half).reshape(*x.shape[:-1], dim, dim)), grid.expect).real), table
         table = bases._contract(self.ops.reshape(-1, dim, dim), grid.expect).real @ table
-        if self._s is None:  # the Bloch families: e is x itself
+        if self._s is None:  # the deranking families: e is x itself
             return self.coefficients, table
         return (lambda x: self.coefficients(x @ self._s)), table
 

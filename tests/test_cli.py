@@ -58,6 +58,25 @@ def test_typed_int_setting_must_be_an_integer(value):
         parse_config_dict({"command": "sde", "sde.n_traj": value})
 
 
+@pytest.mark.parametrize("key, value", [("output.plots", 2), ("model.g", None),
+                                        ("sde.n_traj", True), ("model.g", False)])
+def test_typed_setting_of_the_wrong_type_is_a_config_error(key, value):
+    # a bool is not a number, and neither None nor 2 is a bool
+    with pytest.raises(ConfigError, match=rf"^bad value for {re.escape(key)}: {value!r}$"):
+        parse_config_dict({"command": "steady", key: value})
+
+
+_BAD = {float: -1.0, int: -1, str: "1,0,0"}
+
+
+@pytest.mark.parametrize("key", [k for k, spec in SCHEMA.items()
+                                 if spec.parse in _BAD and spec.check(_BAD[spec.parse])])
+def test_domain_errors_name_their_key_once(key):
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict({"command": "steady", key: _BAD[SCHEMA[key].parse]})
+    assert str(err.value).startswith(f"{key} ") and str(err.value).count(key) == 1
+
+
 def test_parse_rejects_empty_document():
     with pytest.raises(ConfigError, match="missing required key"):
         parse_config("")

@@ -138,7 +138,7 @@ def stage_matrix(rho, h, theta=None, damping=None):
     return (out @ grid.half).reshape(4, 4)
 
 
-def test_mme_rhs_traceless_and_unitary_limit(rng):
+def test_mme_stage_traceless_and_unitary_limit(rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
     rho = qcore.random_density_matrix(4, rng)
     out = stage_matrix(rho, h)
@@ -156,7 +156,7 @@ def test_mme_identity_theta_is_inert(rng):
     assert np.abs(base - shifted).max() < 1e-10
 
 
-def test_mme_rhs_nonlinear_term_traceless(rng):
+def test_mme_stage_nonlinear_term_traceless(rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.1, omega1=0.5, g=0.2))
     rho = qcore.random_density_matrix(4, rng)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -330,7 +330,7 @@ def test_steady_states_exactly_singular_block_is_degenerate():
     assert np.isnan(x).all()
 
 
-def test_liouvillian_matrix_action(rng):
+def test_liouvillian_superop_and_stage_match_literal_form(rng):
     # the vectorized Liouvillian and the linear stage the RK4 runs, against
     # the literal i[rho, H] plus the six dissipators
     d = DampingParams(a=SpinDamping(0.3, 0.02, 2.0), b=SpinDamping(0.1, 0.05, 0.4))
@@ -561,7 +561,7 @@ def _raw_norm2(psi, h, ops, dt, engine=None):
     return float(_sle_block_step(col, step_mat, dw, stack, drift)[1][0])
 
 
-def test_sle_step_unitary_limit(rng):
+def test_sle_block_step_unitary_limit(rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
     psi = qcore.random_pure_state(4, rng)
     assert abs(np.sqrt(_raw_norm2(psi, h, [], 1e-3)) - 1.0) < 1e-12
@@ -581,7 +581,7 @@ def test_sle_noise_moments(rng):
     assert abs((draws ** 2).mean()) < 3.0 * dt / np.sqrt(n)
 
 
-def test_sle_step_product_state_theta_noop(rng):
+def test_sle_block_step_product_state_theta_noop(rng):
     # the block step with the engine's corr-suppress drift, and without it,
     # under the same noise
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
@@ -599,7 +599,7 @@ def test_sle_step_product_state_theta_noop(rng):
     assert np.abs(with_theta - without).max() < 1e-9
 
 
-def test_sle_step_norm_drift_second_order(rng):
+def test_sle_block_step_norm_drift_second_order(rng):
     # the block step's deterministic damping drift alone (dW = 0, no
     # renormalization) changes the norm only at O(dt) with coefficient
     # <V+V>; after the analytic correction the residue is O(dt^2).  The

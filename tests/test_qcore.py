@@ -139,26 +139,26 @@ def test_quantum_state_validation():
 # eigvalsh return it.
 
 
-def _ref_clamped_log(w, floor):  # qcore._clamped_log, behind spectral_log
+def _ref_clamped_log(w, floor):  # the one-matrix clamp spectral_log used
     wmax = float(np.max(w)) if w.size else 0.0
     cut = floor * (wmax if wmax > 0.0 else 1.0)
     return np.log(np.maximum(w, cut))
 
 
-def _ref_neg_x_log_x(w, floor):  # entangle._neg_x_log_x, behind entanglement_l
+def _ref_neg_x_log_x(w, floor):  # the entropy sum entanglement_l used
     wmax = float(np.max(w)) if w.size else 0.0
     cut = floor * (wmax if wmax > 0.0 else 1.0)
     wp = np.maximum(w, 0.0)
     return float(-(wp * np.log(np.maximum(wp, cut))).sum())
 
 
-def _ref_log_eigs(w, floor):  # the sampler's _log_eigs; ThetaEngine._batched_log's clamp
+def _ref_log_eigs(w, floor):  # the stacked clamp of the sampler and of Theta's log
     wmax = np.maximum(w[..., -1], 0.0)
     cut = floor * np.where(wmax > 0.0, wmax, 1.0)
     return np.log(np.maximum(w, cut[..., None]))
 
 
-def _ref_sym_log_eigs(w, floor):  # ThetaEngine._sym_log's clamp
+def _ref_sym_log_eigs(w, floor):  # the one-matrix clamp of Theta's log
     wmax = max(float(w[-1]), 0.0)
     cut = floor * (wmax if wmax > 0.0 else 1.0)
     return np.log(np.maximum(w, cut))
