@@ -21,10 +21,20 @@
   dW_l psi (``_sle_block_step``).  Samples fill one ensemble record with a
   trajectory axis.
 * Linear steady-state solver via the null space of L_r, batched over a
-  stack (the sweep passes one grid row): a values-only SVD sets the
-  degeneracy rule, one batched solve with x_0 fixed at its trace-one value
-  gives x, and the residual and positivity rules are applied per cell in
-  that one kernel, so single solves and sweeps reach the same verdicts.
+  stack (the sweep passes one grid row): one batched solve with x_0 fixed
+  at its trace-one value gives x, and the degeneracy rule (more than one
+  singular value at or below 1e-12 max(s_0, 1)), the residual rule
+  (|L_r x|_inf <= 1e-10 max(s_0, 1) |x|_inf) and the positivity rule are
+  applied per cell in that one kernel, so single solves and sweeps reach
+  the same verdicts.  One batched inverse of A = L_r[1:, 1:] screens the
+  cells: s_{n-2} >= sigma_min(A) >= 1/|A^-1|_F by interlacing, and
+  s_0 in [F/sqrt(n), F] with F = |L_r|_F, so a cell with
+  1/|A^-1|_F > 1e-8 max(F, 1) passes the degeneracy rule (the margin over
+  its 1e-12 keeps cond(A) below about 1e8, where the computed |A^-1|_F is
+  good to about 1e-7), and its residual rule is settled unless the residual
+  falls between the bounds that s_0's range gives.  A values-only SVD runs
+  only on the cells the screen leaves open and applies both rules
+  unchanged; it never runs on the fig1, fig2 or fig3 models.
 
 Trace conservation, Hermiticity and positivity are tracked at every
 master-equation sample, where rho = (1/2) x . G is formed (Hermitian by
@@ -188,32 +198,68 @@ def grid_liouvillian(h: np.ndarray, d: DampingParams | SpinDamping | None
 def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
     """Grid coordinates x, rho = (1/2) x . G, of the trace-one null vectors of
     a stack (N, n, n) of real grid Liouvillians: x_0 is fixed at its trace-one
-    value and one batched solve of L_r[1:, 1:] x[1:] = -x_0 L_r[1:, 0] gives
-    the rest.  One values-only SVD call gives the singular values (L_r is
-    unitarily similar to the vectorized L) for the degeneracy rule.
+    value and one batched solve of A x[1:] = -x_0 L_r[1:, 0], A = L_r[1:, 1:],
+    gives the rest.
 
     Returns the rows x (N, n) and a boolean mask (N,) of degenerate cells,
-    whose rows are NaN: a null space of dimension > 1 (singular values at or
-    below 1e-12 * max(s_0, 1)), or a trace-one solution that is not a null
-    vector, |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf (a traceless null vector
-    has no trace-one multiple and leaves a residual of order x_0; rounding
-    leaves ~1e-16).  An eigenvalue below -1e-8 raises StateHealthError.
+    whose rows are NaN.  Two rules, on the singular values s of L_r (L_r is
+    unitarily similar to the vectorized L), make a cell degenerate: a null
+    space of dimension > 1 (more than one s at or below 1e-12 max(s_0, 1)),
+    or a trace-one solution that is not a null vector,
+    |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf (a traceless null vector has no
+    trace-one multiple and leaves a residual of order x_0; rounding leaves
+    ~1e-16).  An eigenvalue below -1e-8 raises StateHealthError.
+
+    Most cells get both verdicts without an SVD.  With A = L_r[1:, 1:] and
+    F = |L_r|_F, interlacing gives s_{n-2} >= sigma_min(A) >= 1/|A^-1|_F
+    (Horn & Johnson, Topics in Matrix Analysis, Thm 3.1.3), and
+    s_0 in [F/sqrt(n), F].  One batched inverse clears a cell when
+    1/|A^-1|_F > 1e-8 max(F, 1): then at most one s is at or below
+    1e-12 max(s_0, 1), so the degeneracy rule cannot flag it.  The margin of
+    1e-8 over the rule's 1e-12 caps cond(A) near 1e8, so the computed
+    |A^-1|_F is good to about 1e-7.  A cleared cell's residual passes below
+    1e-10 max(F/sqrt(n), 1) |x|_inf and fails above 1e-10 max(F, 1) |x|_inf
+    (or when NaN) whatever s_0 is; both bounds are widened by 1e-6 for the
+    rounding of F and s_0.  The values-only SVD runs on the cells that are
+    not cleared (all of them when A is exactly singular in any cell, as
+    the inverse then fails) and on cleared residuals between the bounds,
+    and applies both rules unchanged.  x is never taken from the inverse:
+    it is the same solve for every cell.  inf and NaN, from rates that
+    overflow, clear nothing and are compared without numpy warnings.
     """
-    s = np.linalg.svd(lr, compute_uv=False)
-    smax = np.maximum(s[:, 0], 1.0)
-    degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
+    n = lr.shape[-1]
     a = lr[:, 1:, 1:].copy()
-    a[degenerate] = np.eye(len(a[0]))
+    smax = np.full(len(lr), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN clear nothing
+        f = np.sqrt(np.einsum("kij,kij->k", lr, lr))
+        try:
+            inv = np.linalg.inv(a)
+            cleared = np.sqrt(np.einsum("kij,kij->k", inv, inv)) * (1e-8 * np.maximum(f, 1.0)) < 1.0
+        except np.linalg.LinAlgError:  # some A is exactly singular
+            cleared = np.zeros(len(lr), dtype=bool)
+    degenerate = np.zeros(len(lr), dtype=bool)
+    if not cleared.all():
+        s = np.linalg.svd(lr[~cleared], compute_uv=False)
+        smax[~cleared] = np.maximum(s[:, 0], 1.0)
+        degenerate[~cleared] = (s <= 1e-12 * smax[~cleared, None]).sum(axis=1) > 1
+    a[degenerate] = np.eye(n - 1)
     try:
         y = np.linalg.solve(a, lr[:, 1:, :1])
     except np.linalg.LinAlgError:  # exactly singular blocks: their cells fail the residual rule
         singular = np.linalg.slogdet(a)[0] == 0
-        a[singular] = np.eye(len(a[0]))
+        a[singular] = np.eye(n - 1)
         y = np.where(singular[:, None, None], np.nan, np.linalg.solve(a, lr[:, 1:, :1]))
     dim = grid.d_a * grid.d_b  # G_0 is the only G with a trace
     x = np.concatenate([np.ones((len(a), 1)), -y[..., 0]], axis=1) / (dim * grid.half[0, 0].real)
-    resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
-    degenerate |= ~(resid <= 1e-10 * smax * np.abs(x).max(axis=1))  # a NaN residual fails
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails
+        resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
+        xmax = np.abs(x).max(axis=1)
+        passes = resid <= 1e-10 * ((1 - 1e-6) * np.maximum(f / math.sqrt(n), 1.0)) * xmax
+        between = cleared & ~passes & (resid <= 1e-10 * ((1 + 1e-6) * np.maximum(f, 1.0)) * xmax)
+        if between.any():  # a cleared cell whose residual needs s_0
+            smax[between] = np.maximum(np.linalg.svd(lr[between], compute_uv=False)[:, 0], 1.0)
+        ok = np.where(cleared & ~between, passes, resid <= 1e-10 * smax * xmax)
+    degenerate |= ~ok
     x[degenerate] = np.nan
     w0 = np.linalg.eigvalsh((x[~degenerate] @ grid.half).reshape(-1, dim, dim))[:, 0]
     negative = w0[w0 < -1e-8]

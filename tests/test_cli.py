@@ -438,19 +438,48 @@ def test_non_finite_state_is_a_health_abort(tmp_path, capsys):
     assert "numerical-health abort" in capsys.readouterr().err
 
 
-def test_overflow_abort_prints_only_the_health_line(tmp_path):
-    # numpy's overflow warnings must not precede the abort message
+def _run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m disentsim ARGS`` in a fresh process, outside this suite's
+    warning filters, so that stderr is what a user sees."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "disentsim", "--preset", "fig2-B2", "--dt", "1e100",
-         "--t-end", "1e100", "--no-plots", "--out", str(tmp_path / "nf")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "disentsim", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_overflow_abort_prints_only_the_health_line(tmp_path):
+    # numpy's overflow warnings must not precede the abort message
+    proc = _run_module(["--preset", "fig2-B2", "--dt", "1e100", "--t-end", "1e100",
+                        "--no-plots", "--out", str(tmp_path / "nf")])
     assert proc.returncode == EXIT_NUMERICAL
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.splitlines() == [
         "numerical-health abort: density matrix is not finite at t = 0"]
+
+
+_OVERFLOWING_RATE = "preset = fig2-B2\ndamping.a.gamma1 = 1e200\ndamping.b.gamma1 = 1\n"
+
+
+def test_overflowing_rate_steady_state_prints_only_the_health_line(tmp_path):
+    cfg = tmp_path / "steady.cfg"
+    cfg.write_text(_OVERFLOWING_RATE + "command = steady\n", encoding="utf-8")
+    proc = _run_module(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr.splitlines() == [
+        "numerical-health abort: Liouvillian has no unique trace-one steady state "
+        "(null space of dimension > 1, or a traceless null vector)"]
+
+
+def test_overflowing_rate_sweep_marks_every_cell_degenerate(tmp_path):
+    # RuntimeWarnings are errors in this suite, so a warning fails the run
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_OVERFLOWING_RATE + "command = sweep\nsweep.delta_n = 3\n"
+                   "sweep.omega1_n = 4\noutput.plots = false\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 12
+    assert all(row.endswith(",degenerate") for row in rows)
 
 
 def test_stochastic_step_size_is_a_health_abort(tmp_path, capsys):

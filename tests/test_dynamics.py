@@ -294,6 +294,14 @@ def _fig1_rows():
             for w in cfg.sweep.omega1_values])
 
 
+def _dephasing_row():
+    """L_r of six driven cells with dephasing only: every cell is degenerate."""
+    d = DampingParams(a=SpinDamping(0.0, 0.1, 0.0), b=SpinDamping(0.0, 0.1, 0.0))
+    return np.stack([grid_liouvillian(build_hamiltonian(
+        TwoSpinParams(delta=dv, omega1=w1, g=0.0)), d)[1]
+        for dv in (-0.5, 0.0, 0.5) for w1 in (0.5, 1.0)])
+
+
 def _reference_inputs():
     rng = np.random.default_rng(58)
     pair, single = bases.observable_grid(2, 2), bases.observable_grid(2, 1)
@@ -303,10 +311,7 @@ def _reference_inputs():
                    _rank_one_deficient(np.diag([1.0, -1.0]).astype(complex)),
                    np.zeros((4, 4), dtype=complex)])
     yield "synthetic", single.superop(lv), single
-    d = DampingParams(a=SpinDamping(0.0, 0.1, 0.0), b=SpinDamping(0.0, 0.1, 0.0))
-    yield "dephasing-only", np.stack([grid_liouvillian(build_hamiltonian(
-        TwoSpinParams(delta=dv, omega1=w1, g=0.0)), d)[1]
-        for dv in (-0.5, 0.0, 0.5) for w1 in (0.5, 1.0)]), pair
+    yield "dephasing-only", _dephasing_row(), pair
     for i, lr in enumerate(_fig1_rows()):
         yield f"fig1 row {i}", lr, pair
 
@@ -328,6 +333,161 @@ def test_steady_states_exactly_singular_block_is_degenerate():
     x, degenerate = steady_states(np.diag([1.0, 0.0, 1.0, 1.0])[None], bases.observable_grid(2, 1))
     assert degenerate.tolist() == [True]
     assert np.isnan(x).all()
+
+
+def values_only_steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Grid coordinates x, rho = (1/2) x . G, of the trace-one null vectors of
+    a stack (N, n, n) of real grid Liouvillians: x_0 is fixed at its trace-one
+    value and one batched solve of L_r[1:, 1:] x[1:] = -x_0 L_r[1:, 0] gives
+    the rest.  One values-only SVD call gives the singular values (L_r is
+    unitarily similar to the vectorized L) for the degeneracy rule.
+
+    Returns the rows x (N, n) and a boolean mask (N,) of degenerate cells,
+    whose rows are NaN: a null space of dimension > 1 (singular values at or
+    below 1e-12 * max(s_0, 1)), or a trace-one solution that is not a null
+    vector, |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf (a traceless null vector
+    has no trace-one multiple and leaves a residual of order x_0; rounding
+    leaves ~1e-16).  An eigenvalue below -1e-8 raises StateHealthError.
+    """
+    s = np.linalg.svd(lr, compute_uv=False)
+    smax = np.maximum(s[:, 0], 1.0)
+    degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
+    a = lr[:, 1:, 1:].copy()
+    a[degenerate] = np.eye(len(a[0]))
+    try:
+        y = np.linalg.solve(a, lr[:, 1:, :1])
+    except np.linalg.LinAlgError:  # exactly singular blocks: their cells fail the residual rule
+        singular = np.linalg.slogdet(a)[0] == 0
+        a[singular] = np.eye(len(a[0]))
+        y = np.where(singular[:, None, None], np.nan, np.linalg.solve(a, lr[:, 1:, :1]))
+    dim = grid.d_a * grid.d_b  # G_0 is the only G with a trace
+    x = np.concatenate([np.ones((len(a), 1)), -y[..., 0]], axis=1) / (dim * grid.half[0, 0].real)
+    resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
+    degenerate |= ~(resid <= 1e-10 * smax * np.abs(x).max(axis=1))  # a NaN residual fails
+    x[degenerate] = np.nan
+    w0 = np.linalg.eigvalsh((x[~degenerate] @ grid.half).reshape(-1, dim, dim))[:, 0]
+    negative = w0[w0 < -1e-8]
+    if negative.size:
+        raise StateHealthError(0.0, float(negative[0]))
+    return x, degenerate
+
+
+def _with_null_vector(rng, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """U diag(s) V^T with random orthogonal U and V, where V's last column is
+    x / |x| (so x is the null vector when s[-1] = 0)."""
+    n = len(x)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.roll(np.linalg.qr(np.column_stack([x, rng.standard_normal((n, n - 1))]))[0], -1, axis=1)
+    return (u * s) @ v.T
+
+
+def _near_singular_cells(rng, second=(3e-12, 1e-11, 1e-10, 1e-9, 5e-9)) -> np.ndarray:
+    """Two-spin grid generators with a positive null vector and singular
+    values s_0 = 2 down to 0.5, then r for each r of ``second``, then 0.  The
+    default r lie above the degeneracy threshold 2e-12 and below what the
+    inverse screen can clear, so each cell has a unique steady state that
+    the SVD judges."""
+    pair = bases.observable_grid(2, 2)
+    x = steady_states(np.stack([_random_gksl(rng, True) for _ in second]), pair)[0]
+    return np.stack([_with_null_vector(rng, xi, np.r_[np.geomspace(2.0, 0.5, 14), r, 0.0])
+                     for xi, r in zip(x, second)])
+
+
+def _mixed_stack(singular: bool = False) -> np.ndarray:
+    """Two-spin cells of every kind in one stack: five fig1 cells, which the
+    screen clears, and, for the SVD to judge, near-singular cells on both
+    sides of the degeneracy threshold and a null space of dimension 2.  With
+    ``singular``, also cells whose A is exactly singular, so that the stack
+    has no inverse: the dephasing-only row and a traceless null vector e_1."""
+    rng = np.random.default_rng(7)
+    x = steady_states(_random_gksl(rng, True)[None], bases.observable_grid(2, 2))[0][0]
+    cells = [next(_fig1_rows())[::20], _near_singular_cells(rng, (5e-13, 1.5e-12, 3e-12, 1e-9)),
+             _with_null_vector(rng, x, np.r_[np.geomspace(2.0, 0.5, 14), 0.0, 0.0])[None]]
+    if singular:
+        cells += [_dephasing_row(), np.diag(np.r_[1.0, 0.0, np.ones(14)])[None]]
+    return np.concatenate(cells)
+
+
+def _equivalence_inputs():
+    pair = bases.observable_grid(2, 2)
+    yield from _reference_inputs()
+    yield "near-singular", _near_singular_cells(np.random.default_rng(19)), pair
+    yield "mixed", _mixed_stack(), pair
+    yield "mixed with a singular A", _mixed_stack(singular=True), pair
+
+
+def test_steady_states_match_values_only_svd_kernel():
+    # the inverse screen and its SVD fallback reach the values-only kernel's
+    # verdicts, and the same solve gives the same bits
+    for name, lr, grid in _equivalence_inputs():
+        x, degenerate = steady_states(lr, grid)
+        ref, ref_degenerate = values_only_steady_states(lr, grid)
+        assert np.array_equal(degenerate, ref_degenerate), name
+        assert np.array_equal(x, ref, equal_nan=True), name
+        if name == "near-singular":
+            assert not degenerate.any()
+
+
+@pytest.fixture
+def svd_rows(monkeypatch):
+    """Count the matrices np.linalg.svd is given."""
+    rows = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return rows
+
+
+def test_steady_states_runs_the_svd_only_where_the_screen_fails(svd_rows):
+    pair = bases.observable_grid(2, 2)
+    steady_states(next(_fig1_rows()), pair)
+    assert svd_rows == []
+    dephasing = _dephasing_row()
+    steady_states(dephasing, pair)
+    assert sum(svd_rows) == len(dephasing)
+    svd_rows.clear()
+    mixed = _mixed_stack()
+    steady_states(mixed, pair)
+    assert sum(svd_rows) == len(mixed) - 5  # all but the five fig1 cells
+
+
+def test_steady_states_without_an_inverse_keep_the_svd_verdicts(svd_rows):
+    lr = _mixed_stack(singular=True)
+    pair = bases.observable_grid(2, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(lr[:, 1:, 1:])
+    x, degenerate = steady_states(lr, pair)
+    assert sum(svd_rows) == len(lr)
+    ref, ref_degenerate = values_only_steady_states(lr, pair)
+    assert np.array_equal(degenerate, ref_degenerate)
+    assert np.array_equal(x, ref, equal_nan=True)
+
+
+def test_steady_states_residual_between_the_s0_bounds_reads_s0(svd_rows):
+    # well-conditioned A, smallest singular value eps: the trace-one solution
+    # leaves a residual of order eps, which passes, needs s_0 or fails as eps grows
+    rng = np.random.default_rng(3)
+    pair = bases.observable_grid(2, 2)
+    x = steady_states(_random_gksl(rng, True)[None], pair)[0][0]
+    eps = np.geomspace(1e-12, 1e-8, 41)
+    lr = np.stack([_with_null_vector(rng, x, np.r_[np.geomspace(8.0, 2.0, 15), e]) for e in eps])
+    got, degenerate = steady_states(lr, pair)
+    assert 0 < sum(svd_rows) < len(lr)
+    ref, ref_degenerate = values_only_steady_states(lr, pair)
+    assert np.array_equal(degenerate, ref_degenerate)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert degenerate.any() and not degenerate.all()
+
+
+def test_steady_state_overflowing_rates_is_degenerate_without_warnings():
+    d = DampingParams(a=SpinDamping(1e200, 0.01, 5e-4), b=SpinDamping(1.0, 0.1, 1e-5))
+    h = build_hamiltonian(TwoSpinParams(delta=-0.4, omega1=0.9, g=1.0))
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(h, d)  # RuntimeWarnings are errors in this suite
 
 
 def test_liouvillian_superop_and_stage_match_literal_form(rng):
