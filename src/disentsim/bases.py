@@ -44,17 +44,10 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-@dataclass(frozen=True)
-class GellMannSet:
-    """The d^2 - 1 traceless Hermitian generators for dimension d."""
-
-    dim: int
-    matrices: tuple[np.ndarray, ...]
-
-
 @lru_cache(maxsize=None)
-def gell_mann(d: int) -> GellMannSet:
-    """Generalized Gell-Mann set for a d-level system.
+def gell_mann(d: int) -> tuple[np.ndarray, ...]:
+    """The d^2 - 1 traceless Hermitian generalized Gell-Mann matrices of a
+    d-level system.
 
     Entries are 0, +-1, +-i and real diagonal normalization factors; the
     orthogonality relation Tr(l l')/2 = delta holds exactly.
@@ -82,14 +75,14 @@ def gell_mann(d: int) -> GellMannSet:
         mats.append(m)
     for m in mats:
         m.setflags(write=False)
-    return GellMannSet(dim=d, matrices=tuple(mats))
+    return tuple(mats)
 
 
 def _gamma_elements(d: int) -> list[np.ndarray]:
     """Scaled subsystem basis [Gamma_0, Gamma_1, ...] for one factor (Gamma_0
     alone for d = 1)."""
     g0 = (2.0 ** 0.25 / np.sqrt(d)) * np.eye(d, dtype=complex)
-    return [g0] + [(2.0 ** -0.25) * lam for lam in (gell_mann(d).matrices if d > 1 else ())]
+    return [g0] + [(2.0 ** -0.25) * lam for lam in (gell_mann(d) if d > 1 else ())]
 
 
 def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:

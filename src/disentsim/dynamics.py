@@ -21,20 +21,10 @@
   dW_l psi (``_sle_block_step``).  Samples fill one ensemble record with a
   trajectory axis.
 * Linear steady-state solver via the null space of L_r, batched over a
-  stack (the sweep passes one grid row): one batched solve with x_0 fixed
-  at its trace-one value gives x, and the degeneracy rule (more than one
-  singular value at or below 1e-12 max(s_0, 1)), the residual rule
-  (|L_r x|_inf <= 1e-10 max(s_0, 1) |x|_inf) and the positivity rule are
-  applied per cell in that one kernel, so single solves and sweeps reach
-  the same verdicts.  One batched inverse of A = L_r[1:, 1:] screens the
-  cells: s_{n-2} >= sigma_min(A) >= 1/|A^-1|_F by interlacing, and
-  s_0 in [F/sqrt(n), F] with F = |L_r|_F, so a cell with
-  1/|A^-1|_F > 1e-8 max(F, 1) passes the degeneracy rule (the margin over
-  its 1e-12 keeps cond(A) below about 1e8, where the computed |A^-1|_F is
-  good to about 1e-7), and its residual rule is settled unless the residual
-  falls between the bounds that s_0's range gives.  A values-only SVD runs
-  only on the cells the screen leaves open and applies both rules
-  unchanged; it never runs on the fig1, fig2 or fig3 models.
+  stack (the sweep passes one grid row): ``steady_states`` is the one
+  kernel, and its docstring states its flow (an inverse screen, one solve,
+  at most one values-only SVD, the degeneracy, residual and positivity
+  rules), so single solves and sweeps reach the same verdicts.
 
 Trace conservation, Hermiticity and positivity are tracked at every
 master-equation sample, where rho = (1/2) x . G is formed (Hermitian by
@@ -62,6 +52,7 @@ from .qcore import (
     TWO_QUBITS,
     as_complex_matrix,
     kron,
+    require_hermitian,
 )
 
 POSITIVITY_ABORT = -1e-6
@@ -189,77 +180,82 @@ def grid_liouvillian(h: np.ndarray, d: DampingParams | SpinDamping | None
                      ) -> tuple[bases.ObservableGrid, np.ndarray]:
     """The observable grid of a two-spin (DampingParams or None) or single-spin
     (SpinDamping) model, and the real grid form L_r of its Liouvillian
-    rho -> i[rho, H] + (damping dissipator)."""
+    rho -> i[rho, H] + (damping dissipator).  L_r is real because the map
+    preserves Hermiticity, so a non-Hermitian H raises HermiticityError."""
     grid = bases.observable_grid(2, 1 if isinstance(d, SpinDamping) else 2)
+    h = as_complex_matrix(h)
+    require_hermitian(h, "Hamiltonian")
     lv = hamiltonian_superop(h)
     return grid, grid.superop(lv if d is None else lv + damping_superop(d))
 
 
 def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
     """Grid coordinates x, rho = (1/2) x . G, of the trace-one null vectors of
-    a stack (N, n, n) of real grid Liouvillians: x_0 is fixed at its trace-one
-    value and one batched solve of A x[1:] = -x_0 L_r[1:, 0], A = L_r[1:, 1:],
-    gives the rest.
+    a stack (N, n, n) of real grid Liouvillians, and a boolean mask (N,) of
+    the degenerate cells, whose rows are NaN.  One pass over the stack:
 
-    Returns the rows x (N, n) and a boolean mask (N,) of degenerate cells,
-    whose rows are NaN.  Two rules, on the singular values s of L_r (L_r is
-    unitarily similar to the vectorized L), make a cell degenerate: a null
-    space of dimension > 1 (more than one s at or below 1e-12 max(s_0, 1)),
-    or a trace-one solution that is not a null vector,
-    |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf (a traceless null vector has no
-    trace-one multiple and leaves a residual of order x_0; rounding leaves
-    ~1e-16).  An eigenvalue below -1e-8 raises StateHealthError.
+    1. Screen: F = |L_r|_F and one batched inverse of A = L_r[1:, 1:].  A
+       cell is cleared when 1/|A^-1|_F > 1e-8 max(F, 1).  If the inverse
+       raises, the exactly singular blocks (a zero LU pivot) become identity
+       blocks and no cell is cleared.
+    2. Solve: x_0 is fixed at its trace-one value and one batched solve of
+       A x[1:] = -x_0 L_r[1:, 0] gives the rest; the rows of exactly singular
+       blocks are NaN.  inv and solve factor the same A, so the solve cannot
+       raise, and x is never taken from the inverse.
+    3. Bounds: a cleared cell's residual |L_r x|_inf passes at or below
+       1e-10 max(F/sqrt(n), 1) |x|_inf and fails above 1e-10 max(F, 1) |x|_inf
+       (or when NaN), whatever s_0 is; both bounds are widened by 1e-6 for the
+       rounding of F and s_0.
+    4. SVD: one values-only SVD of the cells the screen leaves open (not
+       cleared, or a cleared residual between the bounds) applies both
+       rules on the singular values s of L_r, which is unitarily similar to
+       the vectorized L.  Degeneracy: more than one s at or below
+       1e-12 max(s_0, 1).  Residual: |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf.
+    5. Positivity: an eigenvalue below -1e-8 raises StateHealthError.
 
-    Most cells get both verdicts without an SVD.  With A = L_r[1:, 1:] and
-    F = |L_r|_F, interlacing gives s_{n-2} >= sigma_min(A) >= 1/|A^-1|_F
-    (Horn & Johnson, Topics in Matrix Analysis, Thm 3.1.3), and
-    s_0 in [F/sqrt(n), F].  One batched inverse clears a cell when
-    1/|A^-1|_F > 1e-8 max(F, 1): then at most one s is at or below
-    1e-12 max(s_0, 1), so the degeneracy rule cannot flag it.  The margin of
-    1e-8 over the rule's 1e-12 caps cond(A) near 1e8, so the computed
-    |A^-1|_F is good to about 1e-7.  A cleared cell's residual passes below
-    1e-10 max(F/sqrt(n), 1) |x|_inf and fails above 1e-10 max(F, 1) |x|_inf
-    (or when NaN) whatever s_0 is; both bounds are widened by 1e-6 for the
-    rounding of F and s_0.  The values-only SVD runs on the cells that are
-    not cleared (all of them when A is exactly singular in any cell, as
-    the inverse then fails) and on cleared residuals between the bounds,
-    and applies both rules unchanged.  x is never taken from the inverse:
-    it is the same solve for every cell.  inf and NaN, from rates that
-    overflow, clear nothing and are compared without numpy warnings.
+    A cleared cell gets the verdicts the SVD would give.  Interlacing
+    gives s_{n-2} >= sigma_min(A) >= 1/|A^-1|_F (Horn & Johnson, Topics in
+    Matrix Analysis, Thm 3.1.3), so a cleared cell has at most one s at or
+    below 1e-12 max(s_0, 1); the margin of 1e-8 over that 1e-12 caps
+    cond(A) near 1e8, where the computed |A^-1|_F is good to about 1e-7.
+    And s_0 lies in [F/sqrt(n), F], which gives the bounds of step 3.
+
+    A traceless null vector has no trace-one multiple.  When A is exactly
+    singular its row is NaN and fails the residual rule.  When A is only
+    numerically singular the solve returns a non-physical x of order
+    1/sigma_min(A), whose residual can pass; its rho has trace one and a
+    huge norm, so the positivity rule raises.  The GKSL generators of the
+    CLI have no traceless null vector.  Rates that overflow make F,
+    |A^-1|_F or the residual inf or NaN: such a cell is not cleared, a NaN
+    residual fails, and no numpy warning is printed.
     """
     n = lr.shape[-1]
     a = lr[:, 1:, 1:].copy()
-    smax = np.full(len(lr), np.nan)
+    singular = np.zeros(len(lr), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN clear nothing
         f = np.sqrt(np.einsum("kij,kij->k", lr, lr))
         try:
             inv = np.linalg.inv(a)
             cleared = np.sqrt(np.einsum("kij,kij->k", inv, inv)) * (1e-8 * np.maximum(f, 1.0)) < 1.0
-        except np.linalg.LinAlgError:  # some A is exactly singular
+        except np.linalg.LinAlgError:  # exactly singular blocks: their cells fail the residual rule
+            singular = np.linalg.slogdet(a)[0] == 0
+            a[singular] = np.eye(n - 1)
             cleared = np.zeros(len(lr), dtype=bool)
-    degenerate = np.zeros(len(lr), dtype=bool)
-    if not cleared.all():
-        s = np.linalg.svd(lr[~cleared], compute_uv=False)
-        smax[~cleared] = np.maximum(s[:, 0], 1.0)
-        degenerate[~cleared] = (s <= 1e-12 * smax[~cleared, None]).sum(axis=1) > 1
-    a[degenerate] = np.eye(n - 1)
-    try:
-        y = np.linalg.solve(a, lr[:, 1:, :1])
-    except np.linalg.LinAlgError:  # exactly singular blocks: their cells fail the residual rule
-        singular = np.linalg.slogdet(a)[0] == 0
-        a[singular] = np.eye(n - 1)
-        y = np.where(singular[:, None, None], np.nan, np.linalg.solve(a, lr[:, 1:, :1]))
+    y = np.linalg.solve(a, lr[:, 1:, :1])
+    y[singular] = np.nan
     dim = grid.d_a * grid.d_b  # G_0 is the only G with a trace
     x = np.concatenate([np.ones((len(a), 1)), -y[..., 0]], axis=1) / (dim * grid.half[0, 0].real)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails
         resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
         xmax = np.abs(x).max(axis=1)
-        passes = resid <= 1e-10 * ((1 - 1e-6) * np.maximum(f / math.sqrt(n), 1.0)) * xmax
-        between = cleared & ~passes & (resid <= 1e-10 * ((1 + 1e-6) * np.maximum(f, 1.0)) * xmax)
-        if between.any():  # a cleared cell whose residual needs s_0
-            smax[between] = np.maximum(np.linalg.svd(lr[between], compute_uv=False)[:, 0], 1.0)
-        ok = np.where(cleared & ~between, passes, resid <= 1e-10 * smax * xmax)
-    degenerate |= ~ok
+        ok = resid <= 1e-10 * ((1 - 1e-6) * np.maximum(f / math.sqrt(n), 1.0)) * xmax
+        open_ = ~cleared | (~ok & (resid <= 1e-10 * ((1 + 1e-6) * np.maximum(f, 1.0)) * xmax))
+        if open_.any():
+            s = np.linalg.svd(lr[open_], compute_uv=False)
+            smax = np.maximum(s[:, 0], 1.0)
+            ok[open_] = ((resid[open_] <= 1e-10 * smax * xmax[open_])
+                         & ((s <= 1e-12 * smax[:, None]).sum(axis=1) <= 1))
+    degenerate = ~ok
     x[degenerate] = np.nan
     w0 = np.linalg.eigvalsh((x[~degenerate] @ grid.half).reshape(-1, dim, dim))[:, 0]
     negative = w0[w0 < -1e-8]
@@ -601,6 +597,7 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
     h = as_complex_matrix(model.h)
     if h.shape[0] != dim:
         raise DimensionError("initial state and Hamiltonian dimensions differ")
+    require_hermitian(h, "Hamiltonian")
 
     ops = [as_complex_matrix(x) for x in model.jump_ops]
     u, step_mat = _sle_step_matrix(h, ops, cfg.dt)

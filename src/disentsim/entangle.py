@@ -53,7 +53,6 @@ from .qcore import (
     eig_log,
     expectation,
     floored_log,
-    kron,
     spectral_log,
 )
 
@@ -237,22 +236,12 @@ def weyl_t2_expectation(state: QuantumState) -> float:
     if state.factor.d_a != state.factor.d_b:
         raise DimensionError("T2 needs equal subsystem dimensions")
     d = state.factor.d_a
-    rho = state.density()
     w = bases.weyl_ops(d).reshape(d * d, d, d)
-    pair = np.empty((d * d, d * d, d * d, d * d), dtype=complex)
-    for i in range(d * d):
-        for j in range(d * d):
-            pair[i, j] = kron(w[i], w[j])
-    acc = np.zeros_like(rho)
-    for q2 in range(d * d):
-        for q1 in range(d * d):
-            left = pair[q2, q1].conj().T @ rho
-            for q3 in range(d * d):
-                mid = left @ pair[q2, q3] @ rho
-                for q4 in range(d * d):
-                    acc += mid @ pair[q4, q3].conj().T @ rho @ pair[q4, q1]
-    t2 = acc / float(d ** 4)
-    val = complex(np.vdot(state.psi, t2 @ state.psi))
+    pair = np.einsum("iac,jbd->ijabcd", w, w).reshape((d * d,) * 4)  # pair[i, j] = w_i (x) w_j
+    rho, psi = state.density(), state.psi
+    # <psi| sum_{q1..q4} P[q2,q1]^dag rho P[q2,q3] rho P[q4,q3]^dag rho P[q4,q1] |psi> / d^4
+    val = np.einsum("a,ijca,cd,ikde,ef,lkgf,gh,ljhb,b->", psi.conj(), pair.conj(), rho, pair,
+                    rho, pair.conj(), rho, pair, psi, optimize=True) / float(d ** 4)
     return float(val.real)
 
 

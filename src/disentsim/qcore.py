@@ -48,9 +48,11 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def herm_residual(a: np.ndarray) -> float:
-    """max|A - A^dag|, the absolute deviation from Hermiticity."""
-    return float(np.abs(a - a.conj().T).max())
+def require_hermitian(a: np.ndarray, what: str) -> None:
+    """Raise HermiticityError unless max|A - A^dag| <= 1e-12 max(max|A|, 1)."""
+    scale = max(float(np.abs(a).max()), 1.0)
+    if float(np.abs(a - a.conj().T).max()) > HERMITICITY_TOL * scale:
+        raise HermiticityError(f"{what} is not Hermitian")
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,7 @@ class QuantumState:
         tr = float(m.trace().real)
         if abs(tr - 1.0) > MIXED_TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        scale = max(float(np.abs(m).max()), 1.0)
-        if herm_residual(m) > HERMITICITY_TOL * scale:
-            raise HermiticityError("density matrix is not Hermitian")
+        require_hermitian(m, "density matrix")
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         if w[0] < MIN_EIGENVALUE_TOL:
             raise PSDViolationError(f"density matrix has eigenvalue {w[0]!r}")

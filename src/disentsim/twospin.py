@@ -28,7 +28,6 @@ from .dynamics import (
     DampingParams,
     TrajectoryRecord,
     grid_liouvillian,
-    hamiltonian_superop,
     steady_states,
 )
 from .qcore import kron
@@ -173,8 +172,8 @@ def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResul
     teff = np.empty(shape)
     status = np.full(shape, "", dtype=object)
     obs, l_0 = grid_liouvillian(build_hamiltonian(TwoSpinParams(g=p.g, omega_a=p.omega_a)), d)
-    l_delta = obs.superop(hamiltonian_superop(_H_DELTA))
-    l_drive = grid.omega1_values[:, None, None] * obs.superop(hamiltonian_superop(_H_OMEGA1))
+    l_delta = grid_liouvillian(_H_DELTA, None)[1]
+    l_drive = grid.omega1_values[:, None, None] * grid_liouvillian(_H_OMEGA1, None)[1]
     for i, dv in enumerate(grid.delta_values):
         x, degenerate = steady_states(l_0 + dv * l_delta + l_drive, obs)
         bloch[i] = b = x.reshape(-1, 4, 4)

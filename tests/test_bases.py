@@ -21,7 +21,7 @@ from conftest import BELL
 
 
 def test_gell_mann_d2_is_pauli():
-    mats = gell_mann(2).matrices
+    mats = gell_mann(2)
     assert np.array_equal(mats[0], SIGMA_X)
     assert np.array_equal(mats[1], SIGMA_Y)
     assert np.array_equal(mats[2], SIGMA_Z)
@@ -29,7 +29,7 @@ def test_gell_mann_d2_is_pauli():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gell_mann_orthogonality(d):
-    mats = gell_mann(d).matrices
+    mats = gell_mann(d)
     assert len(mats) == d * d - 1
     for i, a in enumerate(mats):
         assert abs(np.trace(a)) < 1e-14
@@ -41,7 +41,7 @@ def test_gell_mann_orthogonality(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gell_mann_norm_sum(d):
-    total = sum(np.trace(m @ m).real for m in gell_mann(d).matrices)
+    total = sum(np.trace(m @ m).real for m in gell_mann(d))
     assert abs(total - 2 * (d * d - 1)) < 1e-12
 
 

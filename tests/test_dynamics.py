@@ -428,30 +428,51 @@ def test_steady_states_match_values_only_svd_kernel():
             assert not degenerate.any()
 
 
+class _LinalgCalls(list):
+    """The matrix count of each np.linalg.svd call; ``solves`` counts the
+    np.linalg.solve calls."""
+
+    solves = 0
+
+
 @pytest.fixture
 def svd_rows(monkeypatch):
-    """Count the matrices np.linalg.svd is given."""
-    rows = []
-    svd = np.linalg.svd
+    """Count the matrices np.linalg.svd is given, and the np.linalg.solve calls."""
+    rows = _LinalgCalls()
+    svd, solve = np.linalg.svd, np.linalg.solve
 
     def counted(a, *args, **kwargs):
         rows.append(len(a))
         return svd(a, *args, **kwargs)
 
+    def counted_solve(*args, **kwargs):
+        rows.solves += 1
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     return rows
+
+
+def _one_pass(calls: _LinalgCalls, lr: np.ndarray, grid: bases.ObservableGrid):
+    """steady_states(lr, grid), checking that it makes at most one SVD call
+    and exactly one solve call."""
+    svds, solves = len(calls), calls.solves
+    out = steady_states(lr, grid)
+    assert len(calls) - svds <= 1 and calls.solves - solves == 1
+    return out
 
 
 def test_steady_states_runs_the_svd_only_where_the_screen_fails(svd_rows):
     pair = bases.observable_grid(2, 2)
-    steady_states(next(_fig1_rows()), pair)
+    _one_pass(svd_rows, next(_fig1_rows()), pair)
     assert svd_rows == []
     dephasing = _dephasing_row()
-    steady_states(dephasing, pair)
+    _one_pass(svd_rows, dephasing, pair)
     assert sum(svd_rows) == len(dephasing)
     svd_rows.clear()
     mixed = _mixed_stack()
-    steady_states(mixed, pair)
+    _one_pass(svd_rows, mixed, pair)
     assert sum(svd_rows) == len(mixed) - 5  # all but the five fig1 cells
 
 
@@ -460,7 +481,7 @@ def test_steady_states_without_an_inverse_keep_the_svd_verdicts(svd_rows):
     pair = bases.observable_grid(2, 2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(lr[:, 1:, 1:])
-    x, degenerate = steady_states(lr, pair)
+    x, degenerate = _one_pass(svd_rows, lr, pair)
     assert sum(svd_rows) == len(lr)
     ref, ref_degenerate = values_only_steady_states(lr, pair)
     assert np.array_equal(degenerate, ref_degenerate)
@@ -475,7 +496,7 @@ def test_steady_states_residual_between_the_s0_bounds_reads_s0(svd_rows):
     x = steady_states(_random_gksl(rng, True)[None], pair)[0][0]
     eps = np.geomspace(1e-12, 1e-8, 41)
     lr = np.stack([_with_null_vector(rng, x, np.r_[np.geomspace(8.0, 2.0, 15), e]) for e in eps])
-    got, degenerate = steady_states(lr, pair)
+    got, degenerate = _one_pass(svd_rows, lr, pair)
     assert 0 < sum(svd_rows) < len(lr)
     ref, ref_degenerate = values_only_steady_states(lr, pair)
     assert np.array_equal(degenerate, ref_degenerate)
@@ -564,6 +585,24 @@ def test_integrate_master_non_finite_abort(family):
             integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
                              spec, FIG2_DAMPING, cfg)
     assert np.isnan(err.value.min_eig)
+
+
+def test_non_hermitian_hamiltonian_is_rejected():
+    # grid.superop keeps the real part, which is exact only for maps that
+    # preserve Hermiticity, and the unitary step reads one triangle of H
+    h = build_hamiltonian(TwoSpinParams(0.7, 0.7, 1.0))
+    h[0, 1] += 0.3
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(qcore.HermiticityError):
+        steady_state(h, FIG2_DAMPING)
+    with pytest.raises(qcore.HermiticityError):
+        integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, None, FIG2_DAMPING,
+                         IntegratorConfig(dt=1e-3, t_end=1e-2))
+    with pytest.raises(qcore.HermiticityError):
+        integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex),
+                               SdeModel.two_spin(h, FIG2_DAMPING),
+                               IntegratorConfig(dt=1e-3, t_end=1e-2, method="euler-maruyama"),
+                               n_traj=2)
 
 
 ALL_FAMILIES = [ThetaFamily.CORR_SUPPRESS, ThetaFamily.BLOCH_DERANK_A,

@@ -172,7 +172,7 @@ def test_tau_and_q_ab_match_literal_gell_mann_forms(rng, dims):
 
     factor = Factorization(*dims)
     ia, ib = np.eye(dims[0]), np.eye(dims[1])
-    lam_a, lam_b = bases.gell_mann(dims[0]).matrices, bases.gell_mann(dims[1]).matrices
+    lam_a, lam_b = bases.gell_mann(dims[0]), bases.gell_mann(dims[1])
     engine = ThetaEngine(DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=1.0), factor)
     psi = qcore.random_pure_state(factor.dim, rng)
     for rho in (np.outer(psi, psi.conj()), qcore.random_density_matrix(factor.dim, rng)):
@@ -229,6 +229,23 @@ def test_measure_bounds_random_states(rng):
         assert -1e-12 <= t <= 1.0 + 1e-9
 
 
+def _literal_weyl_t2(state: QuantumState) -> float:
+    """The quadruple Weyl-pair sum of weyl_t2_expectation as explicit loops."""
+    d = state.factor.d_a
+    rho = state.density()
+    w = bases.weyl_ops(d).reshape(d * d, d, d)
+    pair = [[kron(wi, wj) for wj in w] for wi in w]
+    acc = np.zeros_like(rho)
+    for q2 in range(d * d):
+        for q1 in range(d * d):
+            left = pair[q2][q1].conj().T @ rho
+            for q3 in range(d * d):
+                mid = left @ pair[q2][q3] @ rho
+                for q4 in range(d * d):
+                    acc += mid @ pair[q4][q3].conj().T @ rho @ pair[q4][q1]
+    return float(np.vdot(state.psi, acc @ state.psi).real) / d ** 4
+
+
 def test_weyl_t2_cases(rng):
     from disentsim.bases import weyl_s_matrix
 
@@ -242,6 +259,9 @@ def test_weyl_t2_cases(rng):
         s = weyl_s_matrix(st)
         sds = s.conj().T @ s
         assert abs(weyl_t2_expectation(st) - np.trace(sds @ sds).real) < 1e-9
+        assert abs(weyl_t2_expectation(st) - _literal_weyl_t2(st)) < 1e-13
+    st = QuantumState.pure(qcore.random_pure_state(9, rng), qcore.Factorization(3, 3))
+    assert abs(weyl_t2_expectation(st) - _literal_weyl_t2(st)) < 1e-13
 
 
 def test_weyl_t2_rejects_mixed(rng):
