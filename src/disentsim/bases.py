@@ -115,6 +115,15 @@ class ObservableGrid:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Read-only spectral norms |G_k|_2 (n,): |B(rho)_k| = |Tr(G_k rho)|
+        is at most |G_k|_2 for every trace-one positive semidefinite rho."""
+        g = self.entries.reshape(-1, *self.entries.shape[2:])
+        out = np.abs(np.linalg.eigvalsh(g)).max(axis=1)
+        out.setflags(write=False)
+        return out
+
     def superop(self, lv: np.ndarray) -> np.ndarray:
         """Real grid form L_r (..., n, n) of a vectorized superoperator or a stack
         of them, B(L rho) = L_r B(rho); exact for Hermiticity-preserving L."""

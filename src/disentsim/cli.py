@@ -20,6 +20,7 @@ from . import __version__, bases, entangle, svgplot
 from .config import (ConfigError, RunConfig, parse_config_dict, parse_document, parse_state_psi,
                      render_config, schema_help)
 from .dynamics import (
+    MIN_BLOCK,
     DegenerateSteadyStateError,
     SdeModel,
     StateHealthError,
@@ -28,6 +29,7 @@ from .dynamics import (
     integrate_master,
     integrate_sle_ensemble,
     steady_state,
+    usable_cores,
 )
 from .output import (
     matrix_json,
@@ -125,12 +127,12 @@ def _run_master(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     }
 
 
-def _run_sde(config: RunConfig, out: Path, outputs: list[str]) -> dict:
+def _run_sde(config: RunConfig, out: Path, outputs: list[str], workers: int) -> dict:
     h = build_hamiltonian(config.model)
     psi0 = _initial_psi(config, h)
     model = SdeModel.two_spin(h, config.damping, config.disentangle)
     mean_rho, records = integrate_sle_ensemble(psi0, model, config.integrator,
-                                               config["sde.n_traj"])
+                                               config["sde.n_traj"], workers)
     mean_rec = ensemble_mean_record(records)
     write_trajectory_ndjson(out / "trajectory_mean.ndjson", mean_rec)
     outputs.append("trajectory_mean.ndjson")
@@ -225,15 +227,16 @@ def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     return payload["measures"]
 
 
-def execute(config: RunConfig) -> dict:
-    """Run a validated config; returns the manifest contents."""
+def execute(config: RunConfig, workers: int = 1) -> dict:
+    """Run a validated config; returns the manifest contents.  ``workers``
+    caps the processes a stochastic ensemble runs in; no output depends on it."""
     out = Path(config["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
     if config.command == "master":
         results = _run_master(config, out, outputs)
     elif config.command == "sde":
-        results = _run_sde(config, out, outputs)
+        results = _run_sde(config, out, outputs, workers)
     elif config.command == "sweep":
         results = _run_sweep_cmd(config, out, outputs)
     elif config.command == "steady":
@@ -256,6 +259,13 @@ def execute(config: RunConfig) -> dict:
     return manifest
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one process, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disentsim",
@@ -268,8 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", help="named experiment preset")
     parser.add_argument("--seed", type=int, help="override integrator.seed")
     parser.add_argument("--out", help="override output.dir")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; results never depend on it")
+    parser.add_argument("--threads", type=_worker_count, default=usable_cores(),
+                        help="processes a stochastic ensemble may run in (default: the "
+                             "cores this process may use); only ensembles of at least "
+                             f"{2 * MIN_BLOCK} trajectories split, and on the same machine "
+                             "and BLAS the output bytes never depend on it")
     parser.add_argument("--dt", type=float, help="override integrator.dt")
     parser.add_argument("--t-end", type=float, help="override integrator.t_end")
     parser.add_argument("--no-plots", action="store_true", help="skip SVG output")
@@ -306,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config_dict(_load_entries(args))
-        manifest = execute(config)
+        manifest = execute(config, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

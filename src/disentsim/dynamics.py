@@ -14,17 +14,23 @@
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
   applied through its exact unitary (the coupling g can exceed the damping
   rates by orders of magnitude, and a plain first-order treatment of H is
-  unstable there).  The ensemble steps its trajectories as the columns of one
-  block: dW is laid out once per 256-step chunk in one reused, contiguous
-  (step, channel, trajectory) buffer, and the linear part of a step is one
-  gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the stack of psi and
-  dW_l psi (``_sle_block_step``).  Samples fill one ensemble record with a
-  trajectory axis.
+  unstable there).  The ensemble steps its trajectories as the columns of
+  contiguous blocks (``trajectory_blocks``: starts at multiples of 8, at
+  least 256 trajectories each, one per process up to ``workers`` and the
+  usable cores).  The calling process steps block 0 and forked workers the
+  others (``_sle_block``, run by ``workers.run_blocks``), each with its own
+  generators and its own dW, laid out once per 256-step chunk in one
+  reused, contiguous (step, channel, trajectory) buffer; the linear part of
+  a step is one gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the
+  stack of psi and dW_l psi (``_sle_block_step``).  The blocks' final psi, raw log weights and record
+  columns are merged into one ensemble record with a trajectory axis, and
+  the weights are normalized over the whole ensemble, so any split gives
+  the bytes of one block.
 * Linear steady-state solver via the null space of L_r, batched over a
   stack (the sweep passes one grid row): ``steady_states`` is the one
   kernel, and its docstring states its flow (an inverse screen, one solve,
-  at most one values-only SVD, the degeneracy, residual and positivity
-  rules), so single solves and sweeps reach the same verdicts.
+  at most one values-only SVD, the degeneracy, residual, size and
+  positivity rules), so single solves and sweeps reach the same verdicts.
 
 Trace conservation, Hermiticity and positivity are tracked at every
 master-equation sample, where rho = (1/2) x . G is formed (Hermitian by
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +73,7 @@ class StateHealthError(RuntimeError):
     """
 
     def __init__(self, t: float, min_eig: float, reason: str | None = None):
+        self.reason = reason
         if reason is not None:
             msg = f"{reason} at t = {t:.6g}"
         elif math.isnan(min_eig):
@@ -75,6 +83,9 @@ class StateHealthError(RuntimeError):
         super().__init__(msg)
         self.t = t
         self.min_eig = min_eig
+
+    def __reduce__(self):  # a worker process sends it back pickled
+        return type(self), (self.t, self.min_eig, self.reason)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -211,7 +222,8 @@ def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarra
        rules on the singular values s of L_r, which is unitarily similar to
        the vectorized L.  Degeneracy: more than one s at or below
        1e-12 max(s_0, 1).  Residual: |L_r x|_inf > 1e-10 max(s_0, 1) |x|_inf.
-    5. Positivity: an eigenvalue below -1e-8 raises StateHealthError.
+    5. Size: a cell with some |x_k| > 1e10 |G_k|_2 is degenerate.
+    6. Positivity: an eigenvalue below -1e-8 raises StateHealthError.
 
     A cleared cell gets the verdicts the SVD would give.  Interlacing
     gives s_{n-2} >= sigma_min(A) >= 1/|A^-1|_F (Horn & Johnson, Topics in
@@ -222,12 +234,22 @@ def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarra
 
     A traceless null vector has no trace-one multiple.  When A is exactly
     singular its row is NaN and fails the residual rule.  When A is only
-    numerically singular the solve returns a non-physical x of order
-    1/sigma_min(A), whose residual can pass; its rho has trace one and a
-    huge norm, so the positivity rule raises.  The GKSL generators of the
-    CLI have no traceless null vector.  Rates that overflow make F,
-    |A^-1|_F or the residual inf or NaN: such a cell is not cleared, a NaN
-    residual fails, and no numpy warning is printed.
+    numerically singular the solve returns an x of order x_0/sigma_min(A)
+    along that vector, whose residual is rounding relative to |x|_inf and
+    passes; the size rule marks it.  Every trace-one positive semidefinite
+    rho has |x_k| = |Tr(G_k rho)| <= |G_k|_2 (and x_0 = |G_0|_2), so a
+    physical cell is never near the bound's margin of 1e10.  That margin is
+    the reciprocal of the residual tolerance 1e-10: beyond it x is more than
+    1e10 times its own trace coordinate, the residual rule (relative to
+    |x|_inf) cannot tell it from a null vector, and its unit vector has a
+    trace below 1e-10, which a full SVD would call traceless.  Below it, a
+    trace-one x with a negative eigenvalue stays a positivity abort (a
+    non-physical unique steady state).  Any x the size rule marks has
+    |rho|_1 > 1e10 and would fail the positivity rule, so the rule turns
+    that abort into a degenerate cell and leaves every other verdict.  The
+    GKSL generators of the CLI have no traceless null vector.  Rates that
+    overflow make F, |A^-1|_F or the residual inf or NaN: such a cell is
+    not cleared, a NaN residual fails, and no numpy warning is printed.
     """
     n = lr.shape[-1]
     a = lr[:, 1:, 1:].copy()
@@ -255,7 +277,7 @@ def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarra
             smax = np.maximum(s[:, 0], 1.0)
             ok[open_] = ((resid[open_] <= 1e-10 * smax * xmax[open_])
                          & ((s <= 1e-12 * smax[:, None]).sum(axis=1) <= 1))
-    degenerate = ~ok
+    degenerate = ~ok | (np.abs(x) > 1e10 * grid.norms).any(axis=1)
     x[degenerate] = np.nan
     w0 = np.linalg.eigvalsh((x[~degenerate] @ grid.half).reshape(-1, dim, dim))[:, 0]
     negative = w0[w0 < -1e-8]
@@ -541,10 +563,24 @@ class SdeModel:
 
 #: Steps of per-trajectory noise drawn per generator call.  A generator's
 #: stream does not depend on how its draws are split, so this only trades the
-#: dW buffer's memory (49 MB at n_traj = 2000) against the number of calls.
+#: memory of a trajectory block's dW buffer (49 MB for a block of 2000
+#: trajectories) against the number of calls.
 _NOISE_CHUNK = 256
 #: Trajectories drawn into one float scratch before it is transposed into dW.
 _NOISE_BLOCK = 128
+#: Fewest trajectories a worker process steps.  The fixed cost of a step
+#: (Python and numpy calls) does not shrink with the block, so splitting a
+#: small ensemble gains little or loses.  On the fig3 model (2-core x86-64,
+#: one BLAS thread, medians of 7), two processes against one took: 16
+#: trajectories as 8 + 8, 5000 steps, 0.183 against 0.120 s linear and 0.340
+#: against 0.355 s corr-suppress; 128 + 128, 2000 steps, 0.173 against 0.252
+#: and 0.490 against 0.488 s; 256 + 256, 1000 steps, 0.187 against 0.239 and
+#: 0.307 against 0.444 s.
+MIN_BLOCK = 256
+#: Block starts are multiples of this: the zgemm kernels of the block step
+#: treat every aligned group of 8 columns alike, so a trajectory's bits do
+#: not depend on the split.
+_BLOCK_ALIGN = 8
 
 
 def _noise_chunks(gens: list[np.random.Generator], n_ch: int, n_steps: int, dt: float):
@@ -569,62 +605,58 @@ def _noise_chunks(gens: list[np.random.Generator], n_ch: int, n_steps: int, dt: 
         yield buf[:c]
 
 
-def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: IntegratorConfig,
-                           n_traj: int) -> tuple[np.ndarray, TrajectoryRecord]:
-    """Evolve an ensemble of trajectories and average the projectors.
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
-    Returns the ensemble mean density matrix at the final time plus one
-    ensemble record of contiguous (n_traj, n_samples, ...) columns.
-    Trajectory k draws its noise from its own generator, seeded from
-    (cfg.seed, k), so its noise does not depend on n_traj.  The same seed
-    and the same n_traj give the same bytes on the same machine; across
-    different n_traj a trajectory's state agrees only to the last few ulps,
-    because the BLAS kernels of the block step depend on the column count,
-    and its weight is relative to the ensemble.
 
-    States are renormalized every step, and the discarded squared norm is
-    accumulated as a per-trajectory weight: the stochastic equation is a
-    linear unravelling, so the noise-average that reproduces the master
-    equation is the weighted mean of projectors, sum(w |psi><psi|)/sum(w).
-    An unweighted mean of renormalized projectors is a biased estimator.
-    """
-    if cfg.method != "euler-maruyama":
-        raise ValueError("the stochastic integrator is Euler-Maruyama only")
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
-    psi0 = np.asarray(initial, dtype=complex).reshape(-1)
+def trajectory_blocks(n_traj: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) trajectory blocks, one per worker process:
+    min(workers, usable cores, n_traj // MIN_BLOCK) of them, and at least
+    one.  Every start is a multiple of _BLOCK_ALIGN, and the sizes differ by
+    at most _BLOCK_ALIGN (the last block takes the n_traj % 8 remainder)."""
+    n = max(1, min(workers, usable_cores(), n_traj // MIN_BLOCK))
+    groups, rest = divmod(n_traj, _BLOCK_ALIGN)
+    q, r = divmod(groups, n)
+    stops = np.cumsum([_BLOCK_ALIGN * (q + (k < r)) for k in range(n)])
+    stops[-1] += rest
+    return [(int(a), int(b)) for a, b in zip(np.r_[0, stops[:-1]], stops)]
+
+
+def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray, u: np.ndarray,
+               engine: ThetaEngine | None, cfg: IntegratorConfig, halt: np.ndarray,
+               i: int, start: int, stop: int):
+    """Trajectories start..stop-1 of an ensemble, block i of a run, stepped
+    as the columns of one block.  Returns the final psi (dim, n), the raw
+    log weight log_w at each sample (n_samples, n), and the record columns
+    (n, n_samples, ...) of every TrajectoryRecord field but ``weight``.
+
+    ``halt`` is shared by the blocks of a run: a block that fails sets
+    halt[i] to the step of its StateHealthError (-1 for any other error),
+    and a block whose next noise chunk starts after min(halt) returns None,
+    because an earlier failure decides the run."""
     dim = psi0.size
-    h = as_complex_matrix(model.h)
-    if h.shape[0] != dim:
-        raise DimensionError("initial state and Hamiltonian dimensions differ")
-    require_hermitian(h, "Hamiltonian")
-
-    ops = [as_complex_matrix(x) for x in model.jump_ops]
-    u, step_mat = _sle_step_matrix(h, ops, cfg.dt)
-
-    engine = None
-    if model.dspec.active:
-        if model.factor is None:
-            raise ValueError("nonlinear families need a factorization")
-        engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
-
+    n = stop - start
     dt = cfg.dt
     n_steps = cfg.n_steps
     sample_steps = cfg.sample_steps
     n_samp = len(sample_steps)
 
     gens = [np.random.default_rng(np.random.SeedSequence([int(cfg.seed), k]))
-            for k in range(n_traj)]
-    psi = np.tile(psi0[:, None], (1, n_traj))
-    stack = np.empty((len(ops) + 1, dim, n_traj), dtype=complex)
-    log_w = np.zeros(n_traj)
+            for k in range(start, stop)]
+    psi = np.tile(psi0[:, None], (1, n))
+    stack = np.empty((len(model.jump_ops) + 1, dim, n), dtype=complex)
+    log_w = np.zeros(n)
+    log_w_samples = np.empty((n_samp, n))
 
     # per-trajectory, per-sample record columns, named as TrajectoryRecord fields
-    times = np.array([s * dt for s in sample_steps])
-    cols = {f: np.zeros((n_traj, n_samp, 3)) for f in ("k_a", "k_b")}
-    cols.update((f, np.zeros((n_traj, n_samp)))
+    cols = {f: np.zeros((n, n_samp, 3)) for f in ("k_a", "k_b")}
+    cols.update((f, np.zeros((n, n_samp)))
                 for f in ("k_entropy", "l_entropy", "delta", "tau_ab", "trace_err"))
-    cols.update((f, np.ones((n_traj, n_samp))) for f in ("purity", "weight"))
+    cols["purity"] = np.ones((n, n_samp))
 
     si = step = 0
 
@@ -633,8 +665,7 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
         if not (np.isfinite(psi).all() and np.isfinite(log_w).all()):
             raise StateHealthError(step * dt, math.nan,
                                    reason="state vector or weight is not finite")
-        rel = np.exp(log_w - log_w.max())
-        cols["weight"][:, si] = rel / rel.mean()
+        log_w_samples[si] = log_w
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
         cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
         rho = np.einsum("in,jn->nij", psi, psi.conj())
@@ -647,24 +678,92 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
             cols["k_a"][:, si] = bases.bloch_matrix_from_rho(rho, 2, 1)[:, 1:, 0]
         si += 1
 
-    # an overflowing step is reported by a StateHealthError, not by warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for chunk in _noise_chunks(gens, len(ops), n_steps, dt):
-            for dw in chunk:
-                if step == sample_steps[si]:
-                    sample()
-                try:
-                    drift = None if engine is None else dt * (u @ engine.drift(psi))
-                except np.linalg.LinAlgError:  # Theta of a state that overflowed
-                    raise StateHealthError(step * dt, math.nan,
-                                           reason="state vector or weight is not finite") from None
-                psi, nrm2 = _sle_block_step(psi, step_mat, dw, stack, drift)
-                log_w += np.log(nrm2)
-                step += 1
-        sample()
+    try:
+        # an overflowing step is reported by a StateHealthError, not by warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for chunk in _noise_chunks(gens, len(model.jump_ops), n_steps, dt):
+                if step > halt.min():
+                    return None
+                for dw in chunk:
+                    if step == sample_steps[si]:
+                        sample()
+                    try:
+                        drift = None if engine is None else dt * (u @ engine.drift(psi))
+                    except np.linalg.LinAlgError:  # Theta of a state that overflowed
+                        raise StateHealthError(step * dt, math.nan,
+                                               reason="state vector or weight is not finite"
+                                               ) from None
+                    psi, nrm2 = _sle_block_step(psi, step_mat, dw, stack, drift)
+                    log_w += np.log(nrm2)
+                    step += 1
+            sample()
+    except Exception as exc:
+        halt[i] = step if isinstance(exc, StateHealthError) else -1
+        raise
+    return psi, log_w_samples, cols
 
-    w_final = np.exp(log_w - log_w.max())
+
+def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: IntegratorConfig,
+                           n_traj: int, workers: int = 1) -> tuple[np.ndarray, TrajectoryRecord]:
+    """Evolve an ensemble of trajectories and average the projectors.
+
+    Returns the ensemble mean density matrix at the final time plus one
+    ensemble record of contiguous (n_traj, n_samples, ...) columns.
+    Trajectory k draws its noise from its own generator, seeded from
+    (cfg.seed, k), so its noise does not depend on n_traj.  The same seed
+    and the same n_traj give the same bytes on the same machine and BLAS,
+    for any ``workers``; across different n_traj a trajectory's state
+    agrees only to the last few ulps, because the BLAS kernels of the block
+    step depend on the column count, and its weight is relative to the
+    ensemble.
+
+    The trajectories are stepped in ``trajectory_blocks(n_traj, workers)``:
+    block 0 in this process and the others in forked worker processes.
+    Blocks start at multiples of 8, so each trajectory gets the bits one
+    block of all of them would give it; the raw log weights of all blocks
+    are merged before the weights are shifted and normalized.
+
+    States are renormalized every step, and the discarded squared norm is
+    accumulated as a per-trajectory weight: the stochastic equation is a
+    linear unravelling, so the noise-average that reproduces the master
+    equation is the weighted mean of projectors, sum(w |psi><psi|)/sum(w).
+    An unweighted mean of renormalized projectors is a biased estimator.
+    """
+    if cfg.method != "euler-maruyama":
+        raise ValueError("the stochastic integrator is Euler-Maruyama only")
+    if n_traj < 1:
+        raise ValueError("need at least one trajectory")
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    psi0 = np.asarray(initial, dtype=complex).reshape(-1)
+    h = as_complex_matrix(model.h)
+    if h.shape[0] != psi0.size:
+        raise DimensionError("initial state and Hamiltonian dimensions differ")
+    require_hermitian(h, "Hamiltonian")
+
+    u, step_mat = _sle_step_matrix(h, [as_complex_matrix(x) for x in model.jump_ops], cfg.dt)
+
+    engine = None
+    if model.dspec.active:
+        if model.factor is None:
+            raise ValueError("nonlinear families need a factorization")
+        engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
+
+    run = functools.partial(_sle_block, model, psi0, step_mat, u, engine, cfg)
+    bounds = trajectory_blocks(n_traj, workers)
+    if len(bounds) == 1:
+        parts = [run(np.full(1, cfg.n_steps), 0, 0, n_traj)]
+    else:  # the process plumbing is imported, and compiled, only here
+        from .workers import run_blocks
+        parts = run_blocks(run, bounds)
+    psi, log_w = (np.concatenate([p[k] for p in parts], axis=1) for k in (0, 1))
+    cols = {f: np.concatenate([p[2][f] for p in parts]) for f in parts[0][2]}
+
+    rel = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    cols["weight"] = np.ascontiguousarray((rel / rel.mean(axis=1, keepdims=True)).T)
+    w_final = rel[-1]  # the last sample is the final step
     mean_rho = np.einsum("in,jn,n->ij", psi, psi.conj(), w_final) / w_final.sum()
+    times = np.array([s * cfg.dt for s in cfg.sample_steps])
     return mean_rho, TrajectoryRecord(times=times, **cols)
 
 

@@ -1,0 +1,123 @@
+"""The trajectory blocks of one stochastic ensemble, run in forked processes.
+
+``dynamics.integrate_sle_ensemble`` imports this module only when it splits
+an ensemble, so a run that does not split neither imports
+``multiprocessing`` nor compiles this file.  Block 0 runs in the calling
+process and every other block in a forked worker, which sends its result
+back over a pipe.  Workers are forked, not spawned: a spawned worker would
+import numpy and disentsim again, about 0.2 s on a 2-core x86-64 host,
+where one process steps a 2000-trajectory, 500-step linear ensemble in
+0.4 s.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import math
+import mmap
+import multiprocessing
+import sys
+
+import numpy as np
+
+
+def _block_worker(conn, run, i: int, start: int, stop: int) -> None:
+    """A forked worker: sends run(i, start, stop), or the exception it raised."""
+    try:
+        result = run(i, start, stop)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, or None where none is found (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)  # already loaded: the same handle
+        for name in ("scipy_openblas{}64_", "openblas{}64_", "openblas{}", "scipy_openblas{}"):
+            get = getattr(lib, name.format("_get_num_threads"), None)
+            put = getattr(lib, name.format("_set_num_threads"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body, and the workers it forks, with OpenBLAS on one thread.
+    Each block is one process; a BLAS thread pool in every process would
+    put more spinning threads than cores on the machine."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def run_blocks(run, bounds: list[tuple[int, int]]) -> list:
+    """[run(halt, i, start, stop) for every block i of ``bounds``]: block 0
+    in this process and the others in forked worker processes.  The blocks
+    share the int64 ``halt`` array (see ``dynamics._sle_block``).  Every
+    worker is joined on every path.  When blocks fail, the error with the
+    smallest t is raised (an error without a t first; on a tie, the lowest
+    block's), which is the error one block of all trajectories raises."""
+    halt = np.frombuffer(mmap.mmap(-1, 8 * len(bounds)), dtype=np.int64)  # anonymous, shared
+    halt[:] = np.iinfo(np.int64).max
+    run = functools.partial(run, halt)
+    ctx = multiprocessing.get_context("fork")
+    sys.stdout.flush()  # a buffered line would be printed once more by each worker
+    sys.stderr.flush()
+    workers = []
+    with _one_blas_thread():
+        try:
+            for i, (start, stop) in enumerate(bounds[1:], 1):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_block_worker, args=(send, run, i, start, stop),
+                                   daemon=True)
+                proc.start()
+                send.close()  # so that recv sees EOF when the worker ends
+                workers.append((proc, recv))
+            try:
+                results = [run(0, *bounds[0])]
+            except Exception as exc:
+                results = [exc]
+            for i, (proc, recv) in enumerate(workers, 1):
+                try:
+                    results.append(recv.recv())
+                except EOFError:
+                    proc.join()
+                    start, stop = bounds[i]
+                    results.append(RuntimeError(
+                        f"the worker of trajectory block {i} (trajectories {start}..{stop - 1}) "
+                        f"ended without a result (exit code {proc.exitcode})"))
+                    break
+        finally:
+            for proc, recv in workers:
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
+                recv.close()
+    errors = [(getattr(r, "t", -math.inf), i, r) for i, r in enumerate(results)
+              if isinstance(r, Exception)]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    return results

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,19 @@ def pytest_collection_modifyitems(config, items):
     if unmarked:
         raise pytest.UsageError(
             f"tests on {', '.join(SLOW_FIXTURES)} need @pytest.mark.slow: " + ", ".join(unmarked))
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a worker process alive, after ending it: no
+    worker may outlive the run that started it."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    if left:
+        pytest.fail(f"worker processes left running: {left}")
 
 
 @pytest.fixture

@@ -112,7 +112,8 @@ def unravelling_pair():
     sde_cfg = IntegratorConfig(dt=2e-4, t_end=t_end, method="euler-maruyama",
                                seed=20260810, sample_every=1000)
     model = SdeModel.two_spin(h, FIG3_DAMPING)
-    _, records = integrate_sle_ensemble(psi0, model, sde_cfg, n_traj=2000)
+    # two worker processes give the bytes of one (tests/test_dynamics.py)
+    _, records = integrate_sle_ensemble(psi0, model, sde_cfg, n_traj=2000, workers=2)
     times, ka_sde, kb_sde = ensemble_mean_bloch(records)
 
     mcfg = IntegratorConfig(dt=2e-4, t_end=t_end, sample_every=1000)

@@ -286,6 +286,35 @@ def test_sde_run_outputs_and_determinism(tmp_path):
         (tmp_path / "z" / "trajectory_mean.ndjson").read_bytes()
 
 
+def test_sde_output_does_not_depend_on_threads(tmp_path, monkeypatch):
+    # 512 trajectories split into two blocks of 256 at --threads 2; every
+    # output byte, the manifest included, is that of --threads 1
+    from disentsim import dynamics
+
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
+    assert len(dynamics.trajectory_blocks(512, 2)) == 2
+    doc = tmp_path / "sde.cfg"
+    doc.write_text(_sde_doc(tmp_path / "out").replace("sde.n_traj = 12", "sde.n_traj = 512")
+                   .replace("integrator.t_end = 1.0", "integrator.t_end = 0.1"), encoding="utf-8")
+    files = []
+    for threads in ("1", "2"):
+        assert main(["--config", str(doc), "--threads", threads]) == EXIT_OK
+        files.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
+    assert "manifest.json" in files[0] and len(files[0]) > 4
+    assert files[0] == files[1]
+
+
+def test_threads_flag_defaults_to_usable_cores_and_rejects_zero(capsys):
+    from disentsim.cli import build_parser
+    from disentsim.dynamics import usable_cores
+
+    assert build_parser().parse_args(["--preset", "fig3-A"]).threads == usable_cores()
+    with pytest.raises(SystemExit) as exc:
+        main(["--preset", "fig3-A", "--threads", "0"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "at least one process" in capsys.readouterr().err
+
+
 def test_unmeasured_diagnostics_are_null(tmp_path):
     # stochastic records hold pure states: Hermiticity and positivity are not
     # measured there, while the master equation measures both at every sample

@@ -1,3 +1,7 @@
+import math
+import multiprocessing
+import os
+import signal
 import tracemalloc
 import warnings
 
@@ -10,6 +14,7 @@ from disentsim.dynamics import (
     DampingParams,
     DegenerateSteadyStateError,
     IntegratorConfig,
+    MIN_BLOCK,
     SdeModel,
     SpinDamping,
     StateHealthError,
@@ -31,6 +36,7 @@ from disentsim.dynamics import (
     spin_jump_operators,
     steady_state,
     steady_states,
+    trajectory_blocks,
     two_spin_jump_operators,
 )
 from disentsim.config import parse_config_dict
@@ -44,6 +50,7 @@ from disentsim.entangle import (
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
 from disentsim.twospin import (TwoSpinParams, build_hamiltonian, experiment_preset,
                                single_spin_hamiltonian)
+from disentsim.workers import run_blocks
 
 from conftest import analytic_driven_spin_bloch, literal_theta
 
@@ -333,6 +340,33 @@ def test_steady_states_exactly_singular_block_is_degenerate():
     x, degenerate = steady_states(np.diag([1.0, 0.0, 1.0, 1.0])[None], bases.observable_grid(2, 1))
     assert degenerate.tolist() == [True]
     assert np.isnan(x).all()
+
+
+def test_steady_states_numerically_singular_traceless_null_vector_is_degenerate():
+    # L_r = U diag(2 ... 0.5, 0) V^T whose null vector has x_0 = 0: A = L_r[1:, 1:]
+    # is singular only to rounding, so the solve returns a huge trace-one x
+    # whose residual passes; the size rule |x_k| <= 1e10 |G_k|_2 marks it
+    # before the positivity rule would abort
+    rng = np.random.default_rng(0)
+    pair = bases.observable_grid(2, 2)
+    traceless = [_with_null_vector(rng, np.r_[0.0, rng.standard_normal(15)],
+                                   np.r_[np.geomspace(2.0, 0.5, 15), 0.0]) for _ in range(5)]
+    lr = np.stack(traceless + [_random_gksl(rng, True)])
+    assert (np.linalg.svd(lr[:5, 1:, 1:], compute_uv=False)[:, -1] > 0).all()
+    x, degenerate = steady_states(lr, pair)
+    assert degenerate.tolist() == [True] * 5 + [False]
+    assert np.isnan(x[:5]).all()
+    assert (np.abs(x[5]) <= pair.norms * (1 + 1e-12)).all()
+
+
+def test_grid_norms_bound_every_state(rng):
+    for grid in (bases.observable_grid(2, 2), bases.observable_grid(2, 1)):
+        dim = grid.d_a * grid.d_b
+        rhos = np.stack([qcore.random_density_matrix(dim, rng, rank=1 + k % dim)
+                         for k in range(50)])
+        x = rhos.reshape(len(rhos), -1) @ grid.expect
+        assert (np.abs(x) <= grid.norms * (1 + 1e-12)).all()
+        assert np.isclose(x[0, 0].real, grid.norms[0])  # x_0 = |G_0|_2 = Tr(G_0 rho)
 
 
 def values_only_steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -946,6 +980,138 @@ def test_ensemble_deterministic_for_fixed_seed():
                             sample_every=100)
     rho3, _ = integrate_sle_ensemble(psi0, model, cfg3, n_traj=7)
     assert np.abs(rho1 - rho3).max() > 0
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """Let trajectory_blocks use four cores, so that splits into up to four
+    blocks run as asked on any host."""
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 4)
+
+
+def test_trajectory_blocks_split_at_multiples_of_eight(monkeypatch):
+    def no_fork():
+        raise AssertionError("trajectory_blocks started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for cores in (1, 2, 3, 16):
+        monkeypatch.setattr(dynamics, "usable_cores", lambda: cores)
+        for n_traj in (1, 7, 255, 511, 512, 768, 1001, 2000, 4099):
+            for workers in (1, 2, 3, 10_000):
+                bounds = trajectory_blocks(n_traj, workers)
+                assert len(bounds) == max(1, min(workers, cores, n_traj // MIN_BLOCK))
+                starts, stops = np.array(bounds).T
+                assert starts[0] == 0 and stops[-1] == n_traj
+                assert (starts[1:] == stops[:-1]).all() and (starts % 8 == 0).all()
+                sizes = stops - starts
+                assert sizes.max() - sizes.min() <= 8
+                if len(bounds) > 1:
+                    assert sizes.min() >= MIN_BLOCK
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 3)
+    assert trajectory_blocks(10_000, 10_000) == [(0, 3336), (3336, 6672), (6672, 10_000)]
+    assert len(trajectory_blocks(600, 10_000)) == 2
+
+
+def _split_model(family):
+    d = DampingParams(a=SpinDamping(0.05, 0.01, 0.1), b=SpinDamping(0.1, 0.02, 0.05))
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    gamma_d = 0.0 if family is ThetaFamily.NONE else 0.7
+    return SdeModel.two_spin(h, d, DisentanglementSpec(family=family, gamma_d=gamma_d))
+
+
+@pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS,
+                                    ThetaFamily.BLOCH_DERANK_A])
+def test_split_ensemble_is_byte_identical(family, four_cores):
+    model = _split_model(family)
+    psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.06, method="euler-maruyama", seed=5,
+                           sample_every=20)
+    runs = []
+    for workers in (1, 2, 3):
+        assert len(trajectory_blocks(768, workers)) == workers
+        runs.append(integrate_sle_ensemble(psi0, model, cfg, n_traj=768, workers=workers))
+    (rho, rec), rest = runs[0], runs[1:]
+    for other_rho, other in rest:
+        assert other_rho.tobytes() == rho.tobytes()
+        for f, v in vars(rec).items():
+            w = getattr(other, f)
+            assert (v is None and w is None) or (
+                w.shape == v.shape and w.tobytes() == v.tobytes() and w.flags.c_contiguous), f
+
+
+@pytest.mark.parametrize("family", [ThetaFamily.THERMALIZATION, ThetaFamily.BLOCH_DERANK_A])
+def test_split_ensemble_overflow_ends_as_one_block(family, four_cores):
+    model, cfg, t_abort = _overflowing_ensemble(family)
+    errors = []
+    for workers in (1, 2, 4):  # four blocks on fewer cores share the halt steps too
+        with pytest.raises(StateHealthError, match="not finite") as err:
+            integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=1024,
+                                   workers=workers)
+        errors.append(err.value)
+        assert not multiprocessing.active_children()
+    assert len({str(e) for e in errors}) == 1 and {e.t for e in errors} == {t_abort}
+
+
+def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores):
+    parent, block = os.getpid(), dynamics._sle_block
+
+    def dies_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return block(*args)
+
+    def hung(*_):
+        raise TimeoutError("the parent waited for a worker that had ended")
+
+    monkeypatch.setattr(dynamics, "_sle_block", dies_in_worker)
+    model = _split_model(ThetaFamily.NONE)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01, method="euler-maruyama", seed=5)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError,
+                           match=r"block 1 \(trajectories 256\.\.511\).*exit code 7"):
+            integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), model, cfg,
+                                   n_traj=768, workers=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not multiprocessing.active_children()
+
+
+def test_sle_block_records_its_failure_and_stops_after_an_earlier_one():
+    model, cfg, t_abort = _overflowing_ensemble(ThetaFamily.BLOCH_DERANK_A)
+    u, step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
+    engine = ThetaEngine(model.dspec, model.factor, h=model.h, floor=cfg.log_floor)
+    halt = np.full(2, cfg.n_steps)
+    with pytest.raises(StateHealthError):
+        dynamics._sle_block(model, np.full(4, 0.5, dtype=complex), step_mat, u, engine, cfg,
+                            halt, 1, 8, 16)
+    assert halt.tolist() == [cfg.n_steps, round(t_abort / cfg.dt)]
+
+    # a block stops at the first noise chunk that starts after a failure,
+    # and runs every step up to it
+    model = _split_model(ThetaFamily.NONE)
+    cfg = IntegratorConfig(dt=1e-3, t_end=(_NOISE_CHUNK + 1) * 1e-3, method="euler-maruyama")
+    u, step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
+    for failed_at, stops in ((cfg.n_steps, False), (_NOISE_CHUNK, False),
+                             (_NOISE_CHUNK - 1, True), (0, True), (-1, True)):
+        out = dynamics._sle_block(model, np.array([1.0, 0, 0, 0], dtype=complex), step_mat, u,
+                                  None, cfg, np.array([cfg.n_steps, failed_at]), 0, 0, 8)
+        assert (out is None) is stops, failed_at
+
+
+def test_split_errors_raise_the_earliest():
+    # each block fails at its own time: the run raises the smallest t, and on
+    # a tie the lowest block's error
+    times = {0: 0.5, 1: 0.25, 2: 0.25}
+
+    def run(halt, i, start, stop):
+        raise StateHealthError(times[i], math.nan, reason=f"block {i}")
+
+    with pytest.raises(StateHealthError, match="block 1 at t = 0.25"):
+        run_blocks(run, [(0, 256), (256, 512), (512, 768)])
+    assert not multiprocessing.active_children()
 
 
 def _list_ensemble_mean(records):
