@@ -11,8 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-health abort,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
+import tempfile
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -25,9 +29,11 @@ from .dynamics import (
     SdeModel,
     StateHealthError,
     TrajectoryRecord,
+    block_bounds,
     ensemble_mean_record,
     integrate_master,
     integrate_sle_ensemble,
+    run_in_blocks,
     steady_state,
     usable_cores,
 )
@@ -35,16 +41,18 @@ from .output import (
     matrix_json,
     write_json,
     write_sweep_csv,
+    write_sweep_rows,
     write_trajectory_ndjson,
 )
 from .qcore import PSDViolationError, QuantumState, TWO_QUBITS
 from .twospin import (
+    SweepResult,
     TemperatureDomainError,
     build_hamiltonian,
     classify_attractor,
     effective_temperature,
     rabi_frequency,
-    run_sweep,
+    sweep_rows,
 )
 
 EXIT_OK = 0
@@ -152,24 +160,72 @@ def _run_sde(config: RunConfig, out: Path, outputs: list[str], workers: int) -> 
     }
 
 
-def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str]) -> dict:
-    result = run_sweep(config.model, config.damping, config.sweep)
-    write_sweep_csv(out / "sweep.csv", result)
+#: Fewest sweep cells (Delta rows times omega1 points) a block of rows takes;
+#: the heat maps split into as many blocks as the rows.  A split costs a few
+#: ms (forks, pipes, the arrays sent back), so a small sweep gains little or
+#: loses.  On the fig1 model (2-core x86-64, one BLAS thread, medians of 40
+#: alternating runs), two processes against one took, without plots: 14x14
+#: cells 20.8 against 17.9 ms, 18x18 25.8 against 26.1 ms, 20x20 28.7
+#: against 29.1 ms, 24x24 34.5 against 40.9 ms and 30x30 43.8 against 58.7
+#: ms; with plots, 14x14 43.5 against 40.8 ms and 20x20 55.8 against 68.7 ms.
+MIN_SWEEP_CELLS = 200
+
+
+def _sweep_row_block(config: RunConfig, scratch: list[BinaryIO], _halt, i: int, start: int,
+                     stop: int) -> tuple[np.ndarray, ...]:
+    """The ``sweep_rows`` arrays of Delta rows start..stop-1; their CSV lines
+    go to scratch[i]."""
+    rows = sweep_rows(config.model, config.damping, config.sweep, start, stop)
+    write_sweep_rows(scratch[i], config.sweep, start, *rows)
+    return rows
+
+
+def _heatmaps(result: SweepResult) -> dict[str, np.ndarray]:
+    """The quantities of the sweep heat maps, by name, in output order."""
+    maps = {f"b_{a}{b}": result.bloch[:, :, a, b] for a in range(4) for b in range(4)}
+    maps["tau_ab"] = result.tau_ab
+    maps["t_eff"] = result.t_eff
+    return maps
+
+
+def _write_heatmaps(out: Path, result: SweepResult, omega_a: float, _halt, _i: int,
+                    start: int, stop: int) -> None:
+    """Heat maps start..stop-1 of ``_heatmaps``, each written to NAME.svg."""
+    x = result.grid.delta_values
+    y = result.grid.omega1_values
+    for name, vals in list(_heatmaps(result).items())[start:stop]:
+        svg = svgplot.heatmap_svg(vals, x, y, title=name, xlabel="delta/omega_a",
+                                  ylabel="omega1/omega_a", overlay_circle=omega_a)
+        (out / f"{name}.svg").write_text(svg, encoding="utf-8")
+
+
+def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str], workers: int) -> dict:
+    """The sweep in two phases of blocks, as many as ``block_bounds`` gives
+    Delta rows of at least MIN_SWEEP_CELLS cells: the rows, then the heat maps.
+
+    Each row block writes its CSV lines to its own unnamed, unbuffered
+    scratch file, opened here before any worker is forked and written only
+    by that block, so that the lines are neither held in memory nor sent
+    back over a pipe.  sweep.csv is written from them once every block is
+    done, and the scratch files are then closed (and gone): nothing is
+    written when a row aborts, and no file is open when the heat-map
+    workers are forked."""
+    grid = config.sweep
+    bounds = block_bounds(grid.delta_n, workers, -(-MIN_SWEEP_CELLS // grid.omega1_n), 1)
+    with contextlib.ExitStack() as stack:
+        scratch = [stack.enter_context(tempfile.TemporaryFile(dir=out, buffering=0))
+                   for _ in bounds]
+        parts = run_in_blocks(functools.partial(_sweep_row_block, config, scratch), bounds,
+                              lambda start, stop: f"delta rows {start}..{stop - 1}")
+        write_sweep_csv(out / "sweep.csv", scratch)
     outputs.append("sweep.csv")
+    result = SweepResult.from_rows(config.model, config.damping, grid, parts)
     if config["output.plots"]:
-        x = result.grid.delta_values
-        y = result.grid.omega1_values
-        quantities = {f"b_{a}{b}": result.bloch[:, :, a, b]
-                      for a in range(4) for b in range(4)}
-        quantities["tau_ab"] = result.tau_ab
-        quantities["t_eff"] = result.t_eff
-        for name, vals in quantities.items():
-            svg = svgplot.heatmap_svg(
-                vals, x, y, title=name, xlabel="delta/omega_a",
-                ylabel="omega1/omega_a", overlay_circle=config.model.omega_a,
-            )
-            (out / f"{name}.svg").write_text(svg, encoding="utf-8")
-            outputs.append(f"{name}.svg")
+        names = list(_heatmaps(result))
+        run_in_blocks(functools.partial(_write_heatmaps, out, result, config.model.omega_a),
+                      block_bounds(len(names), len(bounds), 1, 1),
+                      lambda start, stop: "heat maps " + ", ".join(names[start:stop]))
+        outputs.extend(f"{name}.svg" for name in names)
     i, j = result.argmax_tau()
     dv = float(result.grid.delta_values[i])
     w1 = float(result.grid.omega1_values[j])
@@ -229,7 +285,8 @@ def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
 
 def execute(config: RunConfig, workers: int = 1) -> dict:
     """Run a validated config; returns the manifest contents.  ``workers``
-    caps the processes a stochastic ensemble runs in; no output depends on it."""
+    caps the processes a stochastic ensemble or a sweep runs in; no output
+    depends on it."""
     out = Path(config["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
@@ -238,7 +295,7 @@ def execute(config: RunConfig, workers: int = 1) -> dict:
     elif config.command == "sde":
         results = _run_sde(config, out, outputs, workers)
     elif config.command == "sweep":
-        results = _run_sweep_cmd(config, out, outputs)
+        results = _run_sweep_cmd(config, out, outputs, workers)
     elif config.command == "steady":
         results = _run_steady(config, out, outputs)
     elif config.command == "measures":
@@ -279,10 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override integrator.seed")
     parser.add_argument("--out", help="override output.dir")
     parser.add_argument("--threads", type=_worker_count, default=usable_cores(),
-                        help="processes a stochastic ensemble may run in (default: the "
-                             "cores this process may use); only ensembles of at least "
-                             f"{2 * MIN_BLOCK} trajectories split, and on the same machine "
-                             "and BLAS the output bytes never depend on it")
+                        help="processes a stochastic ensemble or a sweep may run in "
+                             "(default: the cores this process may use); only ensembles "
+                             f"of at least {2 * MIN_BLOCK} trajectories and sweeps of at "
+                             f"least {2 * MIN_SWEEP_CELLS} cells split (a sweep in blocks "
+                             f"of whole Delta rows, at least {MIN_SWEEP_CELLS} cells each), "
+                             "and on the same machine and BLAS the output bytes never "
+                             "depend on it")
     parser.add_argument("--dt", type=float, help="override integrator.dt")
     parser.add_argument("--t-end", type=float, help="override integrator.t_end")
     parser.add_argument("--no-plots", action="store_true", help="skip SVG output")

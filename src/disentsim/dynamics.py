@@ -15,10 +15,10 @@
   applied through its exact unitary (the coupling g can exceed the damping
   rates by orders of magnitude, and a plain first-order treatment of H is
   unstable there).  The ensemble steps its trajectories as the columns of
-  contiguous blocks (``trajectory_blocks``: starts at multiples of 8, at
+  contiguous blocks (``block_bounds``: starts at multiples of 8, at
   least 256 trajectories each, one per process up to ``workers`` and the
   usable cores).  The calling process steps block 0 and forked workers the
-  others (``_sle_block``, run by ``workers.run_blocks``), each with its own
+  others (``_sle_block``, run by ``run_in_blocks``), each with its own
   generators and its own dW, laid out once per 256-step chunk in one
   reused, contiguous (step, channel, trajectory) buffer; the linear part of
   a step is one gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the
@@ -613,17 +613,32 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def trajectory_blocks(n_traj: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) trajectory blocks, one per worker process:
-    min(workers, usable cores, n_traj // MIN_BLOCK) of them, and at least
-    one.  Every start is a multiple of _BLOCK_ALIGN, and the sizes differ by
-    at most _BLOCK_ALIGN (the last block takes the n_traj % 8 remainder)."""
-    n = max(1, min(workers, usable_cores(), n_traj // MIN_BLOCK))
-    groups, rest = divmod(n_traj, _BLOCK_ALIGN)
-    q, r = divmod(groups, n)
-    stops = np.cumsum([_BLOCK_ALIGN * (q + (k < r)) for k in range(n)])
+def block_bounds(n: int, workers: int, min_size: int = MIN_BLOCK,
+                 align: int = _BLOCK_ALIGN) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) blocks of range(n), one per worker process:
+    min(workers, usable cores, n // min_size) of them, and at least one.
+    Every start is a multiple of ``align``, and the sizes differ by at most
+    ``align`` (the last block takes the n % align remainder).  The defaults
+    are the trajectory blocks of a stochastic ensemble."""
+    k = max(1, min(workers, usable_cores(), n // min_size))
+    groups, rest = divmod(n, align)
+    q, r = divmod(groups, k)
+    stops = np.cumsum([align * (q + (j < r)) for j in range(k)])
     stops[-1] += rest
     return [(int(a), int(b)) for a, b in zip(np.r_[0, stops[:-1]], stops)]
+
+
+def run_in_blocks(run, bounds: list[tuple[int, int]], what) -> list:
+    """[run(halt, i, start, stop) for every block i of ``bounds``], in block
+    order.  A single block runs in this process.  More run through
+    ``workers.run_blocks``: block 0 here and the others in forked worker
+    processes.  That module, and ``multiprocessing`` with it, is imported
+    and compiled only then.  ``what(start, stop)`` names the items of a block
+    whose worker ends without a result."""
+    if len(bounds) == 1:
+        return [run(np.full(1, np.iinfo(np.int64).max), 0, *bounds[0])]
+    from .workers import run_blocks
+    return run_blocks(run, bounds, what)
 
 
 def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray, u: np.ndarray,
@@ -717,7 +732,7 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
     step depend on the column count, and its weight is relative to the
     ensemble.
 
-    The trajectories are stepped in ``trajectory_blocks(n_traj, workers)``:
+    The trajectories are stepped in ``block_bounds(n_traj, workers)``:
     block 0 in this process and the others in forked worker processes.
     Blocks start at multiples of 8, so each trajectory gets the bits one
     block of all of them would give it; the raw log weights of all blocks
@@ -750,12 +765,8 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
         engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
 
     run = functools.partial(_sle_block, model, psi0, step_mat, u, engine, cfg)
-    bounds = trajectory_blocks(n_traj, workers)
-    if len(bounds) == 1:
-        parts = [run(np.full(1, cfg.n_steps), 0, 0, n_traj)]
-    else:  # the process plumbing is imported, and compiled, only here
-        from .workers import run_blocks
-        parts = run_blocks(run, bounds)
+    parts = run_in_blocks(run, block_bounds(n_traj, workers),
+                          lambda start, stop: f"trajectories {start}..{stop - 1}")
     psi, log_w = (np.concatenate([p[k] for p in parts], axis=1) for k in (0, 1))
     cols = {f: np.concatenate([p[2][f] for p in parts]) for f in parts[0][2]}
 

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+from collections.abc import Iterable
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .dynamics import TrajectoryRecord
-from .twospin import SweepResult
+from .twospin import SweepGrid
 
 
 SWEEP_COLUMNS = (
@@ -27,19 +30,29 @@ SWEEP_COLUMNS = (
 _SWEEP_LINE = ",".join(["%.16e"] * 20) + ",%s\n"
 
 
-def write_sweep_csv(path: Path, result: SweepResult) -> None:
-    """The sweep table in grid order, formatted and written one Delta row
-    (all omega1 cells) at a time."""
-    omega1s = result.grid.omega1_values
+def write_sweep_rows(f: BinaryIO, grid: SweepGrid, start: int, bloch: np.ndarray,
+                     tau: np.ndarray, t_eff: np.ndarray, status: np.ndarray) -> None:
+    """The CSV lines of the ``sweep_rows`` arrays of Delta rows start.., as
+    UTF-8 into the binary file f: all omega1 cells of a row in grid order,
+    formatted and written one row at a time."""
+    omega1s = grid.omega1_values
     ny = len(omega1s)
     row_format = _SWEEP_LINE * ny
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(SWEEP_COLUMNS) + "\n")
-        for i, dv in enumerate(result.grid.delta_values):
-            cells = np.column_stack([np.full(ny, dv), omega1s, result.bloch[i].reshape(ny, 16),
-                                     result.tau_ab[i], result.t_eff[i],
-                                     result.status[i].astype(object)])
-            f.write(row_format % tuple(cells.ravel().tolist()))
+    for i, dv in enumerate(grid.delta_values[start:start + len(bloch)]):
+        cells = np.column_stack([np.full(ny, dv), omega1s, bloch[i].reshape(ny, 16), tau[i],
+                                 t_eff[i], status[i].astype(object)])
+        f.write((row_format % tuple(cells.ravel().tolist())).encode())
+
+
+def write_sweep_csv(path: Path, blocks: Iterable[BinaryIO]) -> None:
+    """The sweep table: the header, then the ``write_sweep_rows`` lines of
+    consecutive row blocks that cover the grid, each block's file copied
+    from its start."""
+    with path.open("wb") as f:
+        f.write((",".join(SWEEP_COLUMNS) + "\n").encode())
+        for block in blocks:
+            block.seek(0)
+            shutil.copyfileobj(block, f)
 
 
 def trajectory_lines(rec: TrajectoryRecord):

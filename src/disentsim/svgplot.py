@@ -3,6 +3,7 @@ inputs (no timestamps, no hashes, fixed float formatting)."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,6 +38,11 @@ def _colors(frac: np.ndarray) -> np.ndarray:
     return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
 
 
+#: The fills of the colour bar's 40 cells, bottom to top.
+_BAR_FILLS = tuple(_colors(np.arange(40) / 39))
+
+
+@functools.lru_cache(maxsize=4)  # a sweep's map grid and colour bar
 def _rect_template(nx: int, ny: int, left: float, top: float, pw: float, ph: float) -> str:
     """The rects of a heat-map grid, row-major in (i, j), one per line, with a
     '%s' where each fill goes.  Joined per column, so no Python runs per cell."""
@@ -152,8 +158,7 @@ def heatmap_svg(
     svg.text(mleft + pw / 2, 18, title, size=13, anchor="middle")
     bx = mleft + pw + 20
     # the colour bar: one column of 40 cells, 13.5 + 0.5 wide
-    svg.parts.append(_rect_template(1, 40, bx, mtop, 13.5, ph)
-                     % tuple(_colors(np.arange(40) / 39)))
+    svg.parts.append(_rect_template(1, 40, bx, mtop, 13.5, ph) % _BAR_FILLS)
     svg.text(bx + 18, mtop + ph, _fmt(lo))
     svg.text(bx + 18, mtop + 10, _fmt(hi))
     return svg.render()

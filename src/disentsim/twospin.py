@@ -145,6 +145,14 @@ class SweepResult:
     t_eff: np.ndarray      # (delta_n, omega1_n)
     status: np.ndarray     # (delta_n, omega1_n) of strings, "" = ok
 
+    @classmethod
+    def from_rows(cls, p: TwoSpinParams, d: DampingParams, grid: SweepGrid,
+                  blocks: list[tuple[np.ndarray, ...]]) -> SweepResult:
+        """The result of consecutive ``sweep_rows`` blocks that cover the grid."""
+        bloch, tau, teff, status = (np.concatenate(a) for a in zip(*blocks))
+        return cls(grid=grid, template=p, damping=d,
+                   bloch=bloch, tau_ab=tau, t_eff=teff, status=status)
+
     @property
     def base_temperature(self) -> float:
         return bath_temperature(self.damping.a.n0, self.template.omega_a)
@@ -155,18 +163,21 @@ class SweepResult:
         return int(i), int(j)
 
 
-def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResult:
-    """Solve the linear steady state on every grid cell.
+def sweep_rows(p: TwoSpinParams, d: DampingParams, grid: SweepGrid,
+               start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The (bloch, tau_ab, t_eff, status) arrays of Delta rows start..stop-1
+    of the grid, each row's cells solved for their linear steady state.
 
     The real grid Liouvillian is affine in the drive, L_r = L_0 + Delta
     L_Delta + omega_1 L_omega1, so its three pieces are mapped to the grid
-    once; each Delta row of the grid is then solved by one batched null-space
-    kernel call, whose rows are the Bloch matrices.  Solver degeneracies
-    (NaN rows) and out-of-domain effective temperatures are recorded in the
-    cell's status column; a cell whose steady state has an eigenvalue below
-    -1e-8 ends the sweep with a StateHealthError (exit 3).
+    once per call; each Delta row is then solved by one batched null-space
+    kernel call, whose rows are the Bloch matrices.  A row's cells do not
+    depend on which rows are solved with it.  Solver degeneracies (NaN rows)
+    and out-of-domain effective temperatures are recorded in the cell's
+    status column; a cell whose steady state has an eigenvalue below -1e-8
+    raises a StateHealthError (exit 3), and no later row is solved.
     """
-    shape = (grid.delta_n, grid.omega1_n)
+    shape = (stop - start, grid.omega1_n)
     bloch = np.empty((*shape, 4, 4))
     tau = np.empty(shape)
     teff = np.empty(shape)
@@ -174,15 +185,21 @@ def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResul
     obs, l_0 = grid_liouvillian(build_hamiltonian(TwoSpinParams(g=p.g, omega_a=p.omega_a)), d)
     l_delta = grid_liouvillian(_H_DELTA, None)[1]
     l_drive = grid.omega1_values[:, None, None] * grid_liouvillian(_H_OMEGA1, None)[1]
-    for i, dv in enumerate(grid.delta_values):
+    for i, dv in enumerate(grid.delta_values[start:stop]):
         x, degenerate = steady_states(l_0 + dv * l_delta + l_drive, obs)
         bloch[i] = b = x.reshape(-1, 4, 4)
         tau[i] = entangle.tau_from_bloch(b)
         teff[i] = _temperature(bases.single_spin_bloch_vectors(b)[0][:, 2], p.omega_a)
         status[i, degenerate] = "degenerate"
         status[i, ~degenerate & np.isnan(teff[i])] = "t_eff_domain"
-    return SweepResult(grid=grid, template=p, damping=d,
-                       bloch=bloch, tau_ab=tau, t_eff=teff, status=status)
+    return bloch, tau, teff, status
+
+
+def run_sweep(p: TwoSpinParams, d: DampingParams, grid: SweepGrid) -> SweepResult:
+    """Solve the linear steady state on every grid cell: ``sweep_rows`` of
+    all rows, in this process (the ``sweep`` command splits the rows over
+    ``--threads`` processes)."""
+    return SweepResult.from_rows(p, d, grid, [sweep_rows(p, d, grid, 0, grid.delta_n)])
 
 
 # ---------------------------------------------------------------------------

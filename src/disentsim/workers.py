@@ -1,13 +1,17 @@
-"""The trajectory blocks of one stochastic ensemble, run in forked processes.
+"""Blocks of independent work, run in forked processes.
 
-``dynamics.integrate_sle_ensemble`` imports this module only when it splits
-an ensemble, so a run that does not split neither imports
-``multiprocessing`` nor compiles this file.  Block 0 runs in the calling
-process and every other block in a forked worker, which sends its result
-back over a pipe.  Workers are forked, not spawned: a spawned worker would
-import numpy and disentsim again, about 0.2 s on a 2-core x86-64 host,
-where one process steps a 2000-trajectory, 500-step linear ensemble in
-0.4 s.
+Two callers split their work into contiguous blocks through
+``dynamics.run_in_blocks``: a stochastic ensemble its trajectories
+(``dynamics._sle_block``), and the ``sweep`` command its Delta rows and then
+its heat maps (``cli._sweep_row_block`` and ``cli._write_heatmaps``).  That
+function imports this module only when the work splits, so a run that does
+not split neither imports ``multiprocessing`` nor compiles this file.
+Block 0 runs in the calling process and every other block in a forked
+worker, which sends its result back over a pipe.  Workers are forked, not
+spawned: a spawned worker would import numpy and disentsim again, about
+0.2 s on a 2-core x86-64 host, where one process steps a 2000-trajectory,
+500-step linear ensemble in 0.4 s and solves and writes the 81x81 fig1
+sweep in about 0.3 s.
 """
 
 from __future__ import annotations
@@ -73,13 +77,16 @@ def _one_blas_thread():
         put(before)
 
 
-def run_blocks(run, bounds: list[tuple[int, int]]) -> list:
+def run_blocks(run, bounds: list[tuple[int, int]], what) -> list:
     """[run(halt, i, start, stop) for every block i of ``bounds``]: block 0
     in this process and the others in forked worker processes.  The blocks
-    share the int64 ``halt`` array (see ``dynamics._sle_block``).  Every
-    worker is joined on every path.  When blocks fail, the error with the
-    smallest t is raised (an error without a t first; on a tie, the lowest
-    block's), which is the error one block of all trajectories raises."""
+    share the int64 ``halt`` array, one slot per block, which starts at the
+    int64 maximum (see ``dynamics._sle_block``).  Every worker is joined on
+    every path; one that ends without a result is reported with
+    ``what(start, stop)``, which names its items.  When blocks fail, the
+    error with the smallest t is raised (an error without a t first; on a
+    tie, the lowest block's).  That is the error one block of all
+    trajectories raises, and the error of the lowest failing sweep row."""
     halt = np.frombuffer(mmap.mmap(-1, 8 * len(bounds)), dtype=np.int64)  # anonymous, shared
     halt[:] = np.iinfo(np.int64).max
     run = functools.partial(run, halt)
@@ -107,7 +114,7 @@ def run_blocks(run, bounds: list[tuple[int, int]]) -> list:
                     proc.join()
                     start, stop = bounds[i]
                     results.append(RuntimeError(
-                        f"the worker of trajectory block {i} (trajectories {start}..{stop - 1}) "
+                        f"the worker of block {i} ({what(start, stop)}) "
                         f"ended without a result (exit code {proc.exitcode})"))
                     break
         finally:

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disentsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, execute, main
+from disentsim import cli, dynamics, twospin, workers
+from disentsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MIN_SWEEP_CELLS, execute,
+                           main)
 from disentsim.config import (
     SCHEMA,
     ConfigError,
@@ -16,6 +20,7 @@ from disentsim.config import (
     parse_config_dict,
     render_config,
 )
+from disentsim.dynamics import StateHealthError
 from disentsim.entangle import ThetaFamily
 from disentsim.output import SWEEP_COLUMNS
 
@@ -292,7 +297,7 @@ def test_sde_output_does_not_depend_on_threads(tmp_path, monkeypatch):
     from disentsim import dynamics
 
     monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
-    assert len(dynamics.trajectory_blocks(512, 2)) == 2
+    assert len(dynamics.block_bounds(512, 2)) == 2
     doc = tmp_path / "sde.cfg"
     doc.write_text(_sde_doc(tmp_path / "out").replace("sde.n_traj = 12", "sde.n_traj = 512")
                    .replace("integrator.t_end = 1.0", "integrator.t_end = 0.1"), encoding="utf-8")
@@ -302,6 +307,126 @@ def test_sde_output_does_not_depend_on_threads(tmp_path, monkeypatch):
         files.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
     assert "manifest.json" in files[0] and len(files[0]) > 4
     assert files[0] == files[1]
+
+
+def _split_sweep_doc(out_dir: Path) -> str:
+    """24 Delta rows of 25 cells: up to three blocks of MIN_SWEEP_CELLS cells."""
+    return (_sweep_doc(out_dir).replace("sweep.delta_n = 5", "sweep.delta_n = 24")
+            .replace("sweep.omega1_n = 4", "sweep.omega1_n = 25"))
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Let block_bounds use four cores, and record the block count of every
+    split run (each phase of a sweep is one)."""
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 4)
+    calls, run_blocks = [], workers.run_blocks
+
+    def recording(run, bounds, what):
+        calls.append(len(bounds))
+        return run_blocks(run, bounds, what)
+
+    monkeypatch.setattr(workers, "run_blocks", recording)
+    return calls
+
+
+def test_sweep_output_does_not_depend_on_threads(tmp_path, split_calls):
+    # rows and heat maps split into 1, 2 and 3 blocks; every output byte, the
+    # manifest included, is that of one block
+    assert -(-MIN_SWEEP_CELLS // 25) * 3 <= 24
+    doc = tmp_path / "sweep.cfg"
+    doc.write_text(_split_sweep_doc(tmp_path / "out"), encoding="utf-8")
+    files = []
+    for threads in (1, 2, 3):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        split_calls.clear()
+        assert main(["--config", str(doc), "--threads", str(threads)]) == EXIT_OK
+        assert split_calls == ([] if threads == 1 else [threads, threads])
+        files.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
+    assert len(files[0]) == 20 and "manifest.json" in files[0] and "sweep.csv" in files[0]
+    assert files[0] == files[1] == files[2]
+
+
+def test_sweep_below_the_minimum_block_does_not_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a sweep below the minimum block size started a process")
+
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    # the suite's 5x4 sweep, a 3x3 one, and 2 * MIN_SWEEP_CELLS cells in 5
+    # rows, which make no two blocks of whole rows
+    for rows, cols in ((5, 4), (3, 3), (5, 2 * MIN_SWEEP_CELLS // 5)):
+        out = tmp_path / f"{rows}x{cols}"
+        doc = tmp_path / "sweep.cfg"
+        doc.write_text(_sweep_doc(out).replace("sweep.delta_n = 5", f"sweep.delta_n = {rows}")
+                       .replace("sweep.omega1_n = 4", f"sweep.omega1_n = {cols}"),
+                       encoding="utf-8")
+        assert main(["--config", str(doc), "--threads", "4"]) == EXIT_OK
+        assert len(list(out.glob("*.svg"))) == 18
+
+
+def test_split_sweep_abort_is_that_of_one_block(tmp_path, split_calls, monkeypatch, capsys):
+    # rows 4 and 15, in blocks 0 and 1 of two, abort: both runs raise row 4's
+    # error and write no sweep.csv and no SVG
+    config = parse_config(_split_sweep_doc(tmp_path / "ref"))
+    real, keys = twospin.steady_states, []
+
+    def recording(lr, grid):
+        keys.append(lr[0].tobytes())
+        return real(lr, grid)
+
+    monkeypatch.setattr(twospin, "steady_states", recording)
+    twospin.run_sweep(config.model, config.damping, config.sweep)
+    min_eig = {keys[4]: -0.25, keys[15]: -0.5}
+
+    def aborting(lr, grid):
+        if lr[0].tobytes() in min_eig:
+            raise StateHealthError(0.0, min_eig[lr[0].tobytes()])
+        return real(lr, grid)
+
+    monkeypatch.setattr(twospin, "steady_states", aborting)
+    doc = tmp_path / "sweep.cfg"
+    doc.write_text(_split_sweep_doc(tmp_path / "out"), encoding="utf-8")
+    errors = []
+    for threads in ("1", "2"):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        assert main(["--config", str(doc), "--threads", threads]) == EXIT_NUMERICAL
+        errors.append(capsys.readouterr().err)
+        assert list((tmp_path / "out").iterdir()) == []
+    assert split_calls == [2]
+    assert errors[0] == errors[1]
+    assert "min eigenvalue -2.500e-01" in errors[0]
+
+
+def test_split_sweep_worker_without_result_is_named(tmp_path, split_calls, monkeypatch):
+    parent = os.getpid()
+    config = parse_config(_split_sweep_doc(tmp_path / "out"))
+
+    def hung(*_):
+        raise TimeoutError("the parent waited for a worker that had ended")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        for name, message in (
+                ("_sweep_row_block", r"block 1 \(delta rows 12\.\.23\).*exit code 7"),
+                ("_write_heatmaps",
+                 r"block 1 \(heat maps b_21, b_22, .*, tau_ab, t_eff\).*exit code 7")):
+            block = getattr(cli, name)
+
+            def dies_in_worker(*args, block=block):
+                if os.getpid() != parent:
+                    os._exit(7)
+                return block(*args)
+
+            monkeypatch.setattr(cli, name, dies_in_worker)
+            with pytest.raises(RuntimeError, match=message):
+                execute(config, 2)
+            monkeypatch.setattr(cli, name, block)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert split_calls == [2, 2, 2]
 
 
 def test_threads_flag_defaults_to_usable_cores_and_rejects_zero(capsys):
@@ -467,14 +592,38 @@ def test_non_finite_state_is_a_health_abort(tmp_path, capsys):
     assert "numerical-health abort" in capsys.readouterr().err
 
 
-def _run_module(args: list[str]) -> subprocess.CompletedProcess:
-    """``python -m disentsim ARGS`` in a fresh process, outside this suite's
-    warning filters, so that stderr is what a user sees."""
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh process that imports this checkout's
+    disentsim, outside this suite's warning filters and imports."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "disentsim", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m disentsim ARGS`` in a fresh process, so that stderr is
+    what a user sees."""
+    return _run_python(["-m", "disentsim", *args])
+
+
+def test_runs_that_do_not_split_import_no_process_plumbing(tmp_path):
+    # a small sweep and a 32-trajectory ensemble run in one process, and
+    # neither imports disentsim.workers nor multiprocessing
+    (tmp_path / "sweep.cfg").write_text(_sweep_doc(tmp_path / "s"), encoding="utf-8")
+    (tmp_path / "sde.cfg").write_text(
+        _sde_doc(tmp_path / "e").replace("sde.n_traj = 12", "sde.n_traj = 32")
+        .replace("integrator.t_end = 1.0", "integrator.t_end = 0.1"), encoding="utf-8")
+    code = ("import sys\n"
+            "from disentsim.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m == 'disentsim.workers' or m.startswith('multiprocessing')))\n")
+    for doc in ("sweep.cfg", "sde.cfg"):
+        proc = _run_python(["-c", code, "--config", str(tmp_path / doc), "--threads", "4"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", doc
 
 
 def test_overflow_abort_prints_only_the_health_line(tmp_path):

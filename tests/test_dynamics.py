@@ -24,6 +24,7 @@ from disentsim.dynamics import (
     _noise_chunks,
     _sle_block_step,
     _sle_step_matrix,
+    block_bounds,
     damping_superop,
     dissipator_superop,
     ensemble_mean_bloch,
@@ -36,7 +37,6 @@ from disentsim.dynamics import (
     spin_jump_operators,
     steady_state,
     steady_states,
-    trajectory_blocks,
     two_spin_jump_operators,
 )
 from disentsim.config import parse_config_dict
@@ -984,21 +984,21 @@ def test_ensemble_deterministic_for_fixed_seed():
 
 @pytest.fixture
 def four_cores(monkeypatch):
-    """Let trajectory_blocks use four cores, so that splits into up to four
+    """Let block_bounds use four cores, so that splits into up to four
     blocks run as asked on any host."""
     monkeypatch.setattr(dynamics, "usable_cores", lambda: 4)
 
 
 def test_trajectory_blocks_split_at_multiples_of_eight(monkeypatch):
     def no_fork():
-        raise AssertionError("trajectory_blocks started a process")
+        raise AssertionError("block_bounds started a process")
 
     monkeypatch.setattr(os, "fork", no_fork)
     for cores in (1, 2, 3, 16):
         monkeypatch.setattr(dynamics, "usable_cores", lambda: cores)
         for n_traj in (1, 7, 255, 511, 512, 768, 1001, 2000, 4099):
             for workers in (1, 2, 3, 10_000):
-                bounds = trajectory_blocks(n_traj, workers)
+                bounds = block_bounds(n_traj, workers)
                 assert len(bounds) == max(1, min(workers, cores, n_traj // MIN_BLOCK))
                 starts, stops = np.array(bounds).T
                 assert starts[0] == 0 and stops[-1] == n_traj
@@ -1008,8 +1008,28 @@ def test_trajectory_blocks_split_at_multiples_of_eight(monkeypatch):
                 if len(bounds) > 1:
                     assert sizes.min() >= MIN_BLOCK
     monkeypatch.setattr(dynamics, "usable_cores", lambda: 3)
-    assert trajectory_blocks(10_000, 10_000) == [(0, 3336), (3336, 6672), (6672, 10_000)]
-    assert len(trajectory_blocks(600, 10_000)) == 2
+    assert block_bounds(10_000, 10_000) == [(0, 3336), (3336, 6672), (6672, 10_000)]
+    assert len(block_bounds(600, 10_000)) == 2
+
+
+def test_row_blocks_split_at_any_row(monkeypatch):
+    # a sweep's blocks of whole Delta rows: align 1, at least min_size rows each
+    for cores in (1, 2, 3, 16):
+        monkeypatch.setattr(dynamics, "usable_cores", lambda: cores)
+        for n in (1, 2, 5, 19, 81):
+            for min_size in (1, 3, 10):
+                for workers in (1, 2, 3, 10_000):
+                    bounds = block_bounds(n, workers, min_size, 1)
+                    assert len(bounds) == max(1, min(workers, cores, n // min_size))
+                    starts, stops = np.array(bounds).T
+                    assert starts[0] == 0 and stops[-1] == n
+                    assert (starts[1:] == stops[:-1]).all()
+                    sizes = stops - starts
+                    assert sizes.max() - sizes.min() <= 1
+                    if len(bounds) > 1:
+                        assert sizes.min() >= min_size
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
+    assert block_bounds(81, 2, 3, 1) == [(0, 41), (41, 81)]
 
 
 def _split_model(family):
@@ -1028,7 +1048,7 @@ def test_split_ensemble_is_byte_identical(family, four_cores):
                            sample_every=20)
     runs = []
     for workers in (1, 2, 3):
-        assert len(trajectory_blocks(768, workers)) == workers
+        assert len(block_bounds(768, workers)) == workers
         runs.append(integrate_sle_ensemble(psi0, model, cfg, n_traj=768, workers=workers))
     (rho, rec), rest = runs[0], runs[1:]
     for other_rho, other in rest:
@@ -1110,7 +1130,7 @@ def test_split_errors_raise_the_earliest():
         raise StateHealthError(times[i], math.nan, reason=f"block {i}")
 
     with pytest.raises(StateHealthError, match="block 1 at t = 0.25"):
-        run_blocks(run, [(0, 256), (256, 512), (512, 768)])
+        run_blocks(run, [(0, 256), (256, 512), (512, 768)], str)
     assert not multiprocessing.active_children()
 
 

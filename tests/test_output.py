@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 
 from disentsim.dynamics import DampingParams
-from disentsim.output import SWEEP_COLUMNS, write_sweep_csv
+from disentsim.output import SWEEP_COLUMNS, write_sweep_csv, write_sweep_rows
 from disentsim.twospin import SweepGrid, SweepResult, TwoSpinParams
 
 
@@ -46,7 +48,15 @@ def test_sweep_csv_matches_per_field_reference(tmp_path):
     result = SweepResult(grid=grid, template=TwoSpinParams(), damping=DampingParams(),
                          bloch=bloch, tau_ab=tau, t_eff=t_eff, status=status)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, result)
+    rows = io.BytesIO()
+    write_sweep_rows(rows, grid, 0, bloch, tau, t_eff, status)
+    write_sweep_csv(path, [rows])
     text = path.read_text(encoding="utf-8")
     assert text == _reference_csv(result)
+    # the same table from two row blocks, written to their own files
+    blocks = [io.BytesIO(), io.BytesIO()]
+    for f, rows in zip(blocks, (slice(0, 1), slice(1, 3))):
+        write_sweep_rows(f, grid, rows.start, bloch[rows], tau[rows], t_eff[rows], status[rows])
+    write_sweep_csv(path, blocks)
+    assert path.read_text(encoding="utf-8") == text
     assert ",-0.0000000000000000e+00," in text and ",inf," in text and ",-inf," in text
