@@ -5,7 +5,7 @@ the requested command and writes a manifest plus data files (CSV / NDJSON /
 SVG) into the output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-health abort,
-4 I/O error.
+4 I/O or worker-process error.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _run_sde(config: RunConfig, out: Path, outputs: list[str], workers: int) -> 
 MIN_SWEEP_CELLS = 200
 
 
-def _sweep_row_block(config: RunConfig, scratch: list[BinaryIO], _halt, i: int, start: int,
+def _sweep_row_block(config: RunConfig, scratch: list[BinaryIO], i: int, start: int,
                      stop: int) -> tuple[np.ndarray, ...]:
     """The ``sweep_rows`` arrays of Delta rows start..stop-1; their CSV lines
     go to scratch[i]."""
@@ -188,8 +188,8 @@ def _heatmaps(result: SweepResult) -> dict[str, np.ndarray]:
     return maps
 
 
-def _write_heatmaps(out: Path, result: SweepResult, omega_a: float, _halt, _i: int,
-                    start: int, stop: int) -> None:
+def _write_heatmaps(out: Path, result: SweepResult, omega_a: float, _i: int, start: int,
+                    stop: int) -> None:
     """Heat maps start..stop-1 of ``_heatmaps``, each written to NAME.svg."""
     x = result.grid.delta_values
     y = result.grid.omega1_values

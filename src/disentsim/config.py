@@ -250,10 +250,8 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
         return {**{k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)},
                 **given}
 
-    command = values["command"]
     try:
-        integrator = IntegratorConfig(**section(
-            "integrator.", method="euler-maruyama" if command == "sde" else "rk4"))
+        integrator = IntegratorConfig(**section("integrator."))
         model = TwoSpinParams(**section("model."))
         damping = DampingParams(a=SpinDamping(**section("damping.a.")),
                                 b=SpinDamping(**section("damping.b.")))
@@ -262,8 +260,9 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    return RunConfig(command=command, model=model, damping=damping, disentangle=disentangle,
-                     integrator=integrator, sweep=sweep, values=tuple(sorted(values.items())))
+    return RunConfig(command=values["command"], model=model, damping=damping,
+                     disentangle=disentangle, integrator=integrator, sweep=sweep,
+                     values=tuple(sorted(values.items())))
 
 
 def parse_config(text: str) -> RunConfig:

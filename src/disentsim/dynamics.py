@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -358,7 +359,6 @@ def kraus_step_error(
 class IntegratorConfig:
     dt: float = 1e-3
     t_end: float = 200.0
-    method: str = "rk4"  # "rk4" or "euler-maruyama"
     seed: int = 0
     log_floor: float = DEFAULT_LOG_FLOOR
     sample_every: int = 0  # 0 = choose automatically (~2000 samples)
@@ -368,8 +368,6 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
-        if self.method not in ("rk4", "euler-maruyama"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
 
     @property
     def n_steps(self) -> int:
@@ -436,8 +434,6 @@ def integrate_master(
     Diagnostics are recorded at each sample; a minimum eigenvalue below
     -1e-6, or a state that is no longer finite, aborts with a StateHealthError.
     """
-    if cfg.method != "rk4":
-        raise ValueError("the master equation integrator is RK4 only")
     if initial.factor != TWO_QUBITS:
         raise DimensionError("integrate_master drives the two-qubit system")
     h = as_complex_matrix(h)
@@ -629,14 +625,15 @@ def block_bounds(n: int, workers: int, min_size: int = MIN_BLOCK,
 
 
 def run_in_blocks(run, bounds: list[tuple[int, int]], what) -> list:
-    """[run(halt, i, start, stop) for every block i of ``bounds``], in block
-    order.  A single block runs in this process.  More run through
+    """[run(i, start, stop) for every block i of ``bounds``], in block order.
+    A single block runs in this process.  More run through
     ``workers.run_blocks``: block 0 here and the others in forked worker
     processes.  That module, and ``multiprocessing`` with it, is imported
     and compiled only then.  ``what(start, stop)`` names the items of a block
-    whose worker ends without a result."""
+    whose worker ends without a result.  Anything the blocks share (such as
+    an ensemble's halt array) is bound into ``run`` by the caller."""
     if len(bounds) == 1:
-        return [run(np.full(1, np.iinfo(np.int64).max), 0, *bounds[0])]
+        return [run(0, *bounds[0])]
     from .workers import run_blocks
     return run_blocks(run, bounds, what)
 
@@ -649,10 +646,13 @@ def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray, u: np.nd
     log weight log_w at each sample (n_samples, n), and the record columns
     (n, n_samples, ...) of every TrajectoryRecord field but ``weight``.
 
-    ``halt`` is shared by the blocks of a run: a block that fails sets
-    halt[i] to the step of its StateHealthError (-1 for any other error),
-    and a block whose next noise chunk starts after min(halt) returns None,
-    because an earlier failure decides the run."""
+    ``halt`` is the run's shared int64 array, one slot per block, which
+    ``integrate_sle_ensemble`` makes before any fork (every slot at the int64
+    maximum) and binds, with the arguments before it, into the
+    run(i, start, stop) that ``run_in_blocks`` calls.  A block that fails
+    sets halt[i] to the step of its StateHealthError (-1 for any other
+    error), and a block whose next noise chunk starts after min(halt)
+    returns None, because an earlier failure decides the run."""
     dim = psi0.size
     n = stop - start
     dt = cfg.dt
@@ -744,8 +744,6 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
     equation is the weighted mean of projectors, sum(w |psi><psi|)/sum(w).
     An unweighted mean of renormalized projectors is a biased estimator.
     """
-    if cfg.method != "euler-maruyama":
-        raise ValueError("the stochastic integrator is Euler-Maruyama only")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     if workers < 1:
@@ -764,11 +762,14 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
             raise ValueError("nonlinear families need a factorization")
         engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
 
-    run = functools.partial(_sle_block, model, psi0, step_mat, u, engine, cfg)
-    parts = run_in_blocks(run, block_bounds(n_traj, workers),
-                          lambda start, stop: f"trajectories {start}..{stop - 1}")
+    bounds = block_bounds(n_traj, workers)
+    halt = np.frombuffer(mmap.mmap(-1, 8 * len(bounds)), dtype=np.int64)  # anonymous, shared
+    halt[:] = np.iinfo(np.int64).max
+    run = functools.partial(_sle_block, model, psi0, step_mat, u, engine, cfg, halt)
+    parts = run_in_blocks(run, bounds, lambda start, stop: f"trajectories {start}..{stop - 1}")
     psi, log_w = (np.concatenate([p[k] for p in parts], axis=1) for k in (0, 1))
-    cols = {f: np.concatenate([p[2][f] for p in parts]) for f in parts[0][2]}
+    # each block's column is dropped as it is merged: one column is held twice, not all
+    cols = {f: np.concatenate([p[2].pop(f) for p in parts]) for f in list(parts[0][2])}
 
     rel = np.exp(log_w - log_w.max(axis=1, keepdims=True))
     cols["weight"] = np.ascontiguousarray((rel / rel.mean(axis=1, keepdims=True)).T)
@@ -776,12 +777,6 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
     mean_rho = np.einsum("in,jn,n->ij", psi, psi.conj(), w_final) / w_final.sum()
     times = np.array([s * cfg.dt for s in cfg.sample_steps])
     return mean_rho, TrajectoryRecord(times=times, **cols)
-
-
-def ensemble_mean_bloch(rec: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted ensemble averages (times, mean k_a, mean k_b) of an ensemble record."""
-    mean = ensemble_mean_record(rec)
-    return mean.times, mean.k_a, mean.k_b
 
 
 def ensemble_mean_record(rec: TrajectoryRecord) -> TrajectoryRecord:

@@ -6,12 +6,14 @@ Two callers split their work into contiguous blocks through
 its heat maps (``cli._sweep_row_block`` and ``cli._write_heatmaps``).  That
 function imports this module only when the work splits, so a run that does
 not split neither imports ``multiprocessing`` nor compiles this file.
-Block 0 runs in the calling process and every other block in a forked
-worker, which sends its result back over a pipe.  Workers are forked, not
-spawned: a spawned worker would import numpy and disentsim again, about
-0.2 s on a 2-core x86-64 host, where one process steps a 2000-trajectory,
-500-step linear ensemble in 0.4 s and solves and writes the 81x81 fig1
-sweep in about 0.3 s.
+Each block is one call run(i, start, stop).  What the blocks share, the
+caller binds into ``run``: the ensemble binds its array of failure steps,
+which only ``dynamics._sle_block`` reads.  Block 0 runs in the calling
+process and every other block in a forked worker, which sends its result
+back over a pipe.  Workers are forked, not spawned: a spawned worker would
+import numpy and disentsim again, about 0.2 s on a 2-core x86-64 host,
+where one process steps a 2000-trajectory, 500-step linear ensemble in
+0.4 s and solves and writes the 81x81 fig1 sweep in about 0.3 s.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ import contextlib
 import ctypes
 import functools
 import math
-import mmap
 import multiprocessing
 import sys
-
-import numpy as np
 
 
 def _block_worker(conn, run, i: int, start: int, stop: int) -> None:
@@ -78,18 +77,15 @@ def _one_blas_thread():
 
 
 def run_blocks(run, bounds: list[tuple[int, int]], what) -> list:
-    """[run(halt, i, start, stop) for every block i of ``bounds``]: block 0
-    in this process and the others in forked worker processes.  The blocks
-    share the int64 ``halt`` array, one slot per block, which starts at the
-    int64 maximum (see ``dynamics._sle_block``).  Every worker is joined on
-    every path; one that ends without a result is reported with
-    ``what(start, stop)``, which names its items.  When blocks fail, the
-    error with the smallest t is raised (an error without a t first; on a
-    tie, the lowest block's).  That is the error one block of all
-    trajectories raises, and the error of the lowest failing sweep row."""
-    halt = np.frombuffer(mmap.mmap(-1, 8 * len(bounds)), dtype=np.int64)  # anonymous, shared
-    halt[:] = np.iinfo(np.int64).max
-    run = functools.partial(run, halt)
+    """[run(i, start, stop) for every block i of ``bounds``]: block 0 in
+    this process and the others in forked worker processes.  Shared state
+    is the caller's to bind into ``run``.  Every worker is joined on every
+    path; one that ends without a result is a ChildProcessError (an
+    OSError, so the CLI's exit 4) that names its items with
+    ``what(start, stop)``.  When blocks fail, the error with the smallest t
+    is raised (an error without a t first; on a tie, the lowest block's).
+    That is the error one block of all trajectories raises, and the error of
+    the lowest failing sweep row."""
     ctx = multiprocessing.get_context("fork")
     sys.stdout.flush()  # a buffered line would be printed once more by each worker
     sys.stderr.flush()
@@ -113,7 +109,7 @@ def run_blocks(run, bounds: list[tuple[int, int]], what) -> list:
                 except EOFError:
                     proc.join()
                     start, stop = bounds[i]
-                    results.append(RuntimeError(
+                    results.append(ChildProcessError(
                         f"the worker of block {i} ({what(start, stop)}) "
                         f"ended without a result (exit code {proc.exitcode})"))
                     break

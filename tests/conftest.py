@@ -1,4 +1,5 @@
 import multiprocessing
+import signal
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ def no_process_left_running():
         proc.join()
     if left:
         pytest.fail(f"worker processes left running: {left}")
+
+
+@pytest.fixture
+def hang_guard():
+    """End the test with a TimeoutError after 60 s: a parent that waits for a
+    worker which ended without a result would otherwise hang the suite."""
+    def hung(*_):
+        raise TimeoutError("the parent waited for a worker that had ended")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

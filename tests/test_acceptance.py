@@ -16,7 +16,7 @@ from disentsim.dynamics import (
     IntegratorConfig,
     SdeModel,
     SpinDamping,
-    ensemble_mean_bloch,
+    ensemble_mean_record,
     integrate_master,
     integrate_sle_ensemble,
     kraus_step_error,
@@ -109,19 +109,18 @@ def unravelling_pair():
     psi0 = psi0 * np.exp(-1j * np.angle(psi0[int(np.argmax(np.abs(psi0)))]))
 
     t_end = 40.0
-    sde_cfg = IntegratorConfig(dt=2e-4, t_end=t_end, method="euler-maruyama",
-                               seed=20260810, sample_every=1000)
+    sde_cfg = IntegratorConfig(dt=2e-4, t_end=t_end, seed=20260810, sample_every=1000)
     model = SdeModel.two_spin(h, FIG3_DAMPING)
     # two worker processes give the bytes of one (tests/test_dynamics.py)
     _, records = integrate_sle_ensemble(psi0, model, sde_cfg, n_traj=2000, workers=2)
-    times, ka_sde, kb_sde = ensemble_mean_bloch(records)
+    mean = ensemble_mean_record(records)
 
     mcfg = IntegratorConfig(dt=2e-4, t_end=t_end, sample_every=1000)
     rec_master = integrate_master(
         QuantumState(factor=TWO_QUBITS, rho=np.outer(psi0, psi0.conj())),
         h, None, FIG3_DAMPING, mcfg)
-    assert np.abs(times - rec_master.times).max() < 1e-9
-    return times, ka_sde, kb_sde, rec_master
+    assert np.abs(mean.times - rec_master.times).max() < 1e-9
+    return mean.times, mean.k_a, mean.k_b, rec_master
 
 
 # ---------------------------------------------------------------------------

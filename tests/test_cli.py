@@ -2,7 +2,6 @@ import json
 import os
 import re
 import shutil
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -41,7 +40,6 @@ def test_parse_minimal_preset_document():
     assert cfg.command == "master"
     assert cfg.disentangle.gamma_d == 0.5
     assert cfg.model.g == 1.0
-    assert cfg.integrator.method == "rk4"
 
 
 def test_parse_rejects_negative_rate():
@@ -145,7 +143,6 @@ def test_section_keys_land_on_run_object_fields():
                 landed += 1
     assert landed == 25
     assert cfg["command"] == cfg.command == "sde"
-    assert cfg.integrator.method == "euler-maruyama"
     with pytest.raises(KeyError):
         cfg["model.gamma"]
 
@@ -398,35 +395,51 @@ def test_split_sweep_abort_is_that_of_one_block(tmp_path, split_calls, monkeypat
     assert "min eigenvalue -2.500e-01" in errors[0]
 
 
-def test_split_sweep_worker_without_result_is_named(tmp_path, split_calls, monkeypatch):
+def test_split_sweep_worker_without_result_is_named(tmp_path, split_calls, monkeypatch,
+                                                    hang_guard):
     parent = os.getpid()
     config = parse_config(_split_sweep_doc(tmp_path / "out"))
+    for name, message in (
+            ("_sweep_row_block", r"block 1 \(delta rows 12\.\.23\).*exit code 7"),
+            ("_write_heatmaps",
+             r"block 1 \(heat maps b_21, b_22, .*, tau_ab, t_eff\).*exit code 7")):
+        block = getattr(cli, name)
 
-    def hung(*_):
-        raise TimeoutError("the parent waited for a worker that had ended")
+        def dies_in_worker(*args, block=block):
+            if os.getpid() != parent:
+                os._exit(7)
+            return block(*args)
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        for name, message in (
-                ("_sweep_row_block", r"block 1 \(delta rows 12\.\.23\).*exit code 7"),
-                ("_write_heatmaps",
-                 r"block 1 \(heat maps b_21, b_22, .*, tau_ab, t_eff\).*exit code 7")):
-            block = getattr(cli, name)
-
-            def dies_in_worker(*args, block=block):
-                if os.getpid() != parent:
-                    os._exit(7)
-                return block(*args)
-
-            monkeypatch.setattr(cli, name, dies_in_worker)
-            with pytest.raises(RuntimeError, match=message):
-                execute(config, 2)
-            monkeypatch.setattr(cli, name, block)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        monkeypatch.setattr(cli, name, dies_in_worker)
+        with pytest.raises(ChildProcessError, match=message):
+            execute(config, 2)
+        monkeypatch.setattr(cli, name, block)
     assert split_calls == [2, 2, 2]
+
+
+def test_dead_worker_is_an_io_error(tmp_path, monkeypatch, capsys, hang_guard):
+    # a worker that ends without a result ends a split sweep or ensemble with
+    # exit 4 and one line on stderr, not with a traceback
+    monkeypatch.setattr(dynamics, "usable_cores", lambda: 4)
+    parent = os.getpid()
+    sde = (_sde_doc(tmp_path / "sde").replace("sde.n_traj = 12", "sde.n_traj = 512")
+           .replace("integrator.t_end = 1.0", "integrator.t_end = 0.1"))
+    for module, name, text in ((cli, "_sweep_row_block", _split_sweep_doc(tmp_path / "sweep")),
+                               (dynamics, "_sle_block", sde)):
+        block = getattr(module, name)
+
+        def dies_in_worker(*args, block=block):
+            if os.getpid() != parent:
+                os._exit(7)
+            return block(*args)
+
+        monkeypatch.setattr(module, name, dies_in_worker)
+        doc = tmp_path / "run.cfg"
+        doc.write_text(text, encoding="utf-8")
+        assert main(["--config", str(doc), "--threads", "2"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: the worker of block 1 (") and "exit code 7" in err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_threads_flag_defaults_to_usable_cores_and_rejects_zero(capsys):

@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import signal
 import tracemalloc
 import warnings
 
@@ -27,7 +26,6 @@ from disentsim.dynamics import (
     block_bounds,
     damping_superop,
     dissipator_superop,
-    ensemble_mean_bloch,
     ensemble_mean_record,
     grid_liouvillian,
     hamiltonian_superop,
@@ -635,8 +633,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
     with pytest.raises(qcore.HermiticityError):
         integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex),
                                SdeModel.two_spin(h, FIG2_DAMPING),
-                               IntegratorConfig(dt=1e-3, t_end=1e-2, method="euler-maruyama"),
-                               n_traj=2)
+                               IntegratorConfig(dt=1e-3, t_end=1e-2), n_traj=2)
 
 
 ALL_FAMILIES = [ThetaFamily.CORR_SUPPRESS, ThetaFamily.BLOCH_DERANK_A,
@@ -740,10 +737,10 @@ def test_sle_ensemble_rejects_non_positive_damping_factor():
         sum(x.conj().T @ x for x in two_spin_jump_operators(FIG2_DAMPING)))[-1]
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
     for dt in (1.0 / rate, 1e100):
-        cfg = IntegratorConfig(dt=dt, t_end=dt, method="euler-maruyama")
+        cfg = IntegratorConfig(dt=dt, t_end=dt)
         with pytest.raises(StateHealthError, match="damping factor"):
             integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
-    cfg = IntegratorConfig(dt=0.9 / rate, t_end=0.9 / rate, method="euler-maruyama")
+    cfg = IntegratorConfig(dt=0.9 / rate, t_end=0.9 / rate)
     integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
 
 
@@ -756,9 +753,9 @@ def _overflowing_ensemble(family):
     if family is ThetaFamily.THERMALIZATION:
         model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
                          dspec=DisentanglementSpec(family=family, gamma_h=1.0))
-        return model, IntegratorConfig(dt=1e300, t_end=1e300, method="euler-maruyama"), 1e300
+        return model, IntegratorConfig(dt=1e300, t_end=1e300), 1e300
     model = SdeModel.two_spin(h, FIG2_DAMPING, DisentanglementSpec(family=family, gamma_d=1e300))
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.01, method="euler-maruyama", sample_every=5)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01, sample_every=5)
     return model, cfg, 0.003
 
 
@@ -939,8 +936,7 @@ def test_sle_ensemble_holds_one_noise_buffer():
     h = build_hamiltonian(TwoSpinParams(delta=0.7, omega1=0.7, g=100.0))
     model = SdeModel.two_spin(h, FIG3_DAMPING)
     n_steps = 2 * _NOISE_CHUNK - 1
-    cfg = IntegratorConfig(dt=2e-4, t_end=n_steps * 2e-4, method="euler-maruyama",
-                           seed=3, sample_every=n_steps)
+    cfg = IntegratorConfig(dt=2e-4, t_end=n_steps * 2e-4, seed=3, sample_every=n_steps)
     psi0 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     buffer_bytes = _NOISE_CHUNK * len(model.jump_ops) * 2000 * 16
     tracemalloc.start()
@@ -950,6 +946,22 @@ def test_sle_ensemble_holds_one_noise_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * buffer_bytes, (peak / 1e6, buffer_bytes / 1e6)
+
+
+def test_sle_ensemble_merge_copies_one_record_column_at_a_time():
+    # each block's record column is dropped as it is merged, so the run does
+    # not hold the blocks' columns and the merged record at once
+    model = _split_model(ThetaFamily.NONE)
+    cfg = IntegratorConfig(dt=1e-3, t_end=2.0, seed=5, sample_every=1)
+    tracemalloc.start()
+    try:
+        _, rec = integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), model, cfg,
+                                        n_traj=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    record_bytes = sum(v.nbytes for v in vars(rec).values() if v is not None)
+    assert peak < 1.6 * record_bytes, peak / record_bytes
 
 
 def test_classify_linear_runs_always_fixed_point():
@@ -969,15 +981,13 @@ def test_ensemble_deterministic_for_fixed_seed():
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
     model = SdeModel.two_spin(h, d)
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.8, method="euler-maruyama", seed=42,
-                           sample_every=100)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.8, seed=42, sample_every=100)
     rho1, recs1 = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
     rho2, recs2 = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
     assert np.array_equal(rho1, rho2)
     for a, b in zip(recs1, recs2):
         assert np.array_equal(a.k_a, b.k_a)
-    cfg3 = IntegratorConfig(dt=1e-3, t_end=0.8, method="euler-maruyama", seed=43,
-                            sample_every=100)
+    cfg3 = IntegratorConfig(dt=1e-3, t_end=0.8, seed=43, sample_every=100)
     rho3, _ = integrate_sle_ensemble(psi0, model, cfg3, n_traj=7)
     assert np.abs(rho1 - rho3).max() > 0
 
@@ -1044,8 +1054,7 @@ def _split_model(family):
 def test_split_ensemble_is_byte_identical(family, four_cores):
     model = _split_model(family)
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.06, method="euler-maruyama", seed=5,
-                           sample_every=20)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.06, seed=5, sample_every=20)
     runs = []
     for workers in (1, 2, 3):
         assert len(block_bounds(768, workers)) == workers
@@ -1072,7 +1081,7 @@ def test_split_ensemble_overflow_ends_as_one_block(family, four_cores):
     assert len({str(e) for e in errors}) == 1 and {e.t for e in errors} == {t_abort}
 
 
-def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores):
+def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores, hang_guard):
     parent, block = os.getpid(), dynamics._sle_block
 
     def dies_in_worker(*args):
@@ -1080,22 +1089,13 @@ def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores):
             os._exit(7)
         return block(*args)
 
-    def hung(*_):
-        raise TimeoutError("the parent waited for a worker that had ended")
-
     monkeypatch.setattr(dynamics, "_sle_block", dies_in_worker)
     model = _split_model(ThetaFamily.NONE)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.01, method="euler-maruyama", seed=5)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(RuntimeError,
-                           match=r"block 1 \(trajectories 256\.\.511\).*exit code 7"):
-            integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), model, cfg,
-                                   n_traj=768, workers=3)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01, seed=5)
+    with pytest.raises(ChildProcessError,
+                       match=r"block 1 \(trajectories 256\.\.511\).*exit code 7"):
+        integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), model, cfg,
+                               n_traj=768, workers=3)
     assert not multiprocessing.active_children()
 
 
@@ -1112,7 +1112,7 @@ def test_sle_block_records_its_failure_and_stops_after_an_earlier_one():
     # a block stops at the first noise chunk that starts after a failure,
     # and runs every step up to it
     model = _split_model(ThetaFamily.NONE)
-    cfg = IntegratorConfig(dt=1e-3, t_end=(_NOISE_CHUNK + 1) * 1e-3, method="euler-maruyama")
+    cfg = IntegratorConfig(dt=1e-3, t_end=(_NOISE_CHUNK + 1) * 1e-3)
     u, step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
     for failed_at, stops in ((cfg.n_steps, False), (_NOISE_CHUNK, False),
                              (_NOISE_CHUNK - 1, True), (0, True), (-1, True)):
@@ -1126,7 +1126,7 @@ def test_split_errors_raise_the_earliest():
     # a tie the lowest block's error
     times = {0: 0.5, 1: 0.25, 2: 0.25}
 
-    def run(halt, i, start, stop):
+    def run(i, start, stop):
         raise StateHealthError(times[i], math.nan, reason=f"block {i}")
 
     with pytest.raises(StateHealthError, match="block 1 at t = 0.25"):
@@ -1155,8 +1155,7 @@ def test_ensemble_record_views_and_mean(family):
     gamma_d = 0.0 if family is ThetaFamily.NONE else 0.7
     model = SdeModel.two_spin(h, d, DisentanglementSpec(family=family, gamma_d=gamma_d))
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.8, method="euler-maruyama", seed=42,
-                           sample_every=100)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.8, seed=42, sample_every=100)
     _, rec = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
     assert rec.herm_err is None and rec.min_eig is None
     copies = []
@@ -1177,9 +1176,6 @@ def test_ensemble_record_views_and_mean(family):
         assert getattr(mean, f).tobytes() == v.tobytes(), f
     assert mean.times is rec.times
     assert mean.herm_err is None and mean.min_eig is None
-    times, ka, kb = ensemble_mean_bloch(rec)
-    assert times is rec.times
-    assert ka.tobytes() == ref["k_a"].tobytes() and kb.tobytes() == ref["k_b"].tobytes()
 
 
 def test_ensemble_single_driven_spin_matches_analytic():
@@ -1189,8 +1185,7 @@ def test_ensemble_single_driven_spin_matches_analytic():
     h = single_spin_hamiltonian(delta, omega1)
     model = SdeModel(h=h, jump_ops=tuple(spin_jump_operators(d)))
     psi0 = np.array([0.0, 1.0], dtype=complex)
-    cfg = IntegratorConfig(dt=1e-3, t_end=30.0, method="euler-maruyama", seed=7,
-                           sample_every=50)
+    cfg = IntegratorConfig(dt=1e-3, t_end=30.0, seed=7, sample_every=50)
     _, recs = integrate_sle_ensemble(psi0, model, cfg, n_traj=1024)
     times = recs[0].times
     mask = times >= 12.0
@@ -1212,17 +1207,14 @@ def test_ensemble_mean_matches_master_without_theta():
     h = build_hamiltonian(p)
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
-    cfg = IntegratorConfig(dt=1e-3, t_end=6.0, method="euler-maruyama", seed=11,
-                           sample_every=500)
+    cfg = IntegratorConfig(dt=1e-3, t_end=6.0, seed=11, sample_every=500)
     model = SdeModel.two_spin(h, d)
     _, recs = integrate_sle_ensemble(psi0, model, cfg, n_traj=800)
     mcfg = IntegratorConfig(dt=5e-4, t_end=6.0, sample_every=1000)
     rec_master = integrate_master(
         QuantumState(factor=TWO_QUBITS, rho=np.outer(psi0, psi0.conj())),
         h, None, d, mcfg)
-    from disentsim.dynamics import ensemble_mean_bloch
-
-    _, ka_sde, _ = ensemble_mean_bloch(recs)
+    ka_sde = ensemble_mean_record(recs).k_a
     tol = 4.0 / np.sqrt(800)
     assert np.abs(ka_sde[-1] - rec_master.k_a[-1]).max() < tol
 
@@ -1232,5 +1224,3 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=-1e-3)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1.0, t_end=0.5)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="heun")
