@@ -67,16 +67,12 @@ def _initial_density(config: RunConfig, h: np.ndarray) -> np.ndarray:
         return steady_state(h, config.damping)
     if kind == "maximally-mixed":
         return np.eye(4, dtype=complex) / 4.0
-    rho = np.zeros((4, 4), dtype=complex)  # "ground"; parse_config_dict rejects other kinds
-    rho[3, 3] = 1.0
-    return rho
+    return np.diag(np.array([0, 0, 0, 1], dtype=complex))  # "ground"; no other kind parses
 
 
 def _initial_psi(config: RunConfig, h: np.ndarray) -> np.ndarray:
     if config["sde.initial"] == "ground":
-        psi = np.zeros(4, dtype=complex)
-        psi[3] = 1.0
-        return psi
+        return np.array([0, 0, 0, 1], dtype=complex)
     # "steady-dominant"; parse_config_dict rejects other kinds
     rho = steady_state(h, config.damping)
     psi = np.linalg.eigh(rho)[1][:, -1]
@@ -208,8 +204,8 @@ def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str], workers: in
     by that block, so that the lines are neither held in memory nor sent
     back over a pipe.  sweep.csv is written from them once every block is
     done, and the scratch files are then closed (and gone): nothing is
-    written when a row aborts, and no file is open when the heat-map
-    workers are forked."""
+    written when a row aborts, and no file is open when the heat-map workers
+    are forked.  A failed heat-map block removes sweep.csv and the maps."""
     grid = config.sweep
     bounds = block_bounds(grid.delta_n, workers, -(-MIN_SWEEP_CELLS // grid.omega1_n), 1)
     with contextlib.ExitStack() as stack:
@@ -222,9 +218,14 @@ def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str], workers: in
     result = SweepResult.from_rows(config.model, config.damping, grid, parts)
     if config["output.plots"]:
         names = list(_heatmaps(result))
-        run_in_blocks(functools.partial(_write_heatmaps, out, result, config.model.omega_a),
-                      block_bounds(len(names), len(bounds), 1, 1),
-                      lambda start, stop: "heat maps " + ", ".join(names[start:stop]))
+        try:
+            run_in_blocks(functools.partial(_write_heatmaps, out, result, config.model.omega_a),
+                          block_bounds(len(names), len(bounds), 1, 1),
+                          lambda start, stop: "heat maps " + ", ".join(names[start:stop]))
+        except Exception:  # as after a row abort, no output stays without a manifest
+            for name in ["sweep.csv"] + [f"{name}.svg" for name in names]:
+                (out / name).unlink(missing_ok=True)
+            raise
         outputs.extend(f"{name}.svg" for name in names)
     i, j = result.argmax_tau()
     dv = float(result.grid.delta_values[i])

@@ -204,12 +204,7 @@ def parse_document(text: str) -> dict[str, tuple[Any, int]]:
 
 def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
     """Validate a flat mapping (values may be strings or already typed)."""
-    pending: dict[str, tuple[Any, int | None]] = {}
-    for key, value in entries.items():
-        if isinstance(value, tuple):
-            pending[key] = value
-        else:
-            pending[key] = (value, None)
+    pending = {k: v if isinstance(v, tuple) else (v, None) for k, v in entries.items()}
 
     if "preset" in pending:
         name, line = pending.pop("preset")
@@ -233,13 +228,8 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
             + " (a minimal document is 'command = steady' or 'preset = fig1-sweep')"
         )
 
-    values: dict[str, Any] = {}
-    for key, spec in SCHEMA.items():
-        if key in pending:
-            raw, line = pending[key]
-            values[key] = _coerce(key, raw, line)
-        else:
-            values[key] = spec.default
+    values = {key: _coerce(key, *pending[key]) if key in pending else spec.default
+              for key, spec in SCHEMA.items()}
 
     family = _FAMILIES[values["disentangle.family"]]
     if family is ThetaFamily.NONE and values["disentangle.gamma_d"] != 0.0:

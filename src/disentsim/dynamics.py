@@ -20,9 +20,9 @@
   usable cores).  The calling process steps block 0 and forked workers the
   others (``_sle_block``, run by ``run_in_blocks``), each with its own
   generators and its own dW, laid out once per 256-step chunk in one
-  reused, contiguous (step, channel, trajectory) buffer; the linear part of
-  a step is one gemm of [U (I - dt/2 sum V^dag V) | U V_1 | ...] with the
-  stack of psi and dW_l psi (``_sle_block_step``).  The blocks' final psi, raw log weights and record
+  reused, contiguous (step, channel, trajectory) buffer.  A step is one gemm
+  of [U (I - dt/2 sum V^dag V) | U V_1 | ... | -dt U O_1 | ... | dt U] with the
+  stack of psi, dW_l psi, c_k psi and <Theta> psi (``_sle_block_step``).  The blocks' final psi, raw log weights and record
   columns are merged into one ensemble record with a trajectory axis, and
   the weights are normalized over the whole ensemble, so any split gives
   the bytes of one block.
@@ -499,15 +499,12 @@ def integrate_master(
 # Stochastic Schrodinger-Langevin trajectories.
 
 
-def _unitary_step(h: np.ndarray, dt: float) -> np.ndarray:
-    w, v = np.linalg.eigh(as_complex_matrix(h))
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
-
-
-def _sle_step_matrix(h: np.ndarray, ops: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one-step unitary U and the step matrix [U (I - dt/2 sum V^dag V) |
-    U V_1 | ... | U V_m]; raises StateHealthError when dt * lambda_max(sum
-    V^dag V / 2) >= 1, where the Euler-Maruyama damping factor turns negative."""
+def _sle_step_matrix(h: np.ndarray, ops: list, dt: float,
+                     theta_ops: np.ndarray | None = None) -> np.ndarray:
+    """The step matrix [U (I - dt/2 sum V^dag V) | U V_1 | ... | U V_m], U =
+    exp(-i H dt), and for a Theta [-dt U O_1 | ... | -dt U O_K | dt U] after it
+    (O_k: ``ThetaEngine.drift_ops``); raises StateHealthError when dt *
+    lambda_max(sum V^dag V / 2) >= 1, where the damping factor turns negative."""
     dim = h.shape[0]
     half = sum((x.conj().T @ x for x in ops), np.zeros((dim, dim), dtype=complex))
     rate = 0.5 * float(np.linalg.eigvalsh(half)[-1])
@@ -515,23 +512,26 @@ def _sle_step_matrix(h: np.ndarray, ops: list, dt: float) -> tuple[np.ndarray, n
         raise StateHealthError(0.0, math.nan, reason=(
             f"step dt = {dt:.6g} makes the damping factor I - dt/2 sum V^dag V "
             f"non-positive (dt * lambda_max = {dt * rate:.3g} >= 1)"))
-    u = _unitary_step(h, dt)
-    return u, np.concatenate([u @ (np.eye(dim) - 0.5 * dt * half)] + [u @ x for x in ops], axis=1)
+    w, v = np.linalg.eigh(as_complex_matrix(h))
+    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
+    blocks = [u @ (np.eye(dim) - 0.5 * dt * half)] + [u @ x for x in ops]
+    if theta_ops is not None:
+        blocks += [-dt * (u @ x) for x in theta_ops] + [dt * u]
+    return np.concatenate(blocks, axis=1)
 
 
 def _sle_block_step(psi: np.ndarray, step_mat: np.ndarray, dw: np.ndarray, stack: np.ndarray,
-                    drift: np.ndarray | None = None):
-    """One Euler-Maruyama step of a (dim, n) block of state columns.
-
-    ``stack`` is (m + 1, dim, n) scratch for psi and dW_l psi, so the linear
-    part is one gemm with ``step_mat``; ``drift`` (dt U drift(psi)) is added
-    as given.  Returns the new block, renormalized in place, and the squared
-    norms it was divided by."""
+                    weights: np.ndarray | None = None):
+    """One Euler-Maruyama step of a (dim, n) block of state columns: one gemm of
+    ``step_mat`` with the stack of psi, dW_l psi and, for a Theta, w_k psi for
+    each row w_k of ``weights`` (``ThetaEngine.drift``: the c_k, then <Theta>),
+    in ``stack`` (columns of step_mat / dim, dim, n).  Returns the new block,
+    renormalized in place, and the squared norms it was divided by."""
     stack[0] = psi
-    np.multiply(dw[:, None, :], psi, out=stack[1:])
+    np.multiply(dw[:, None, :], psi, out=stack[1:len(dw) + 1])
+    if weights is not None:
+        np.multiply(weights[:, None, :], psi, out=stack[len(dw) + 1:])
     out = step_mat @ stack.reshape(-1, psi.shape[1])
-    if drift is not None:
-        out += drift
     nrm2 = (out.real * out.real + out.imag * out.imag).sum(axis=0)
     out *= 1.0 / np.sqrt(nrm2)  # the bits of out /= sqrt(nrm2), without complex division
     return out, nrm2
@@ -638,7 +638,7 @@ def run_in_blocks(run, bounds: list[tuple[int, int]], what) -> list:
     return run_blocks(run, bounds, what)
 
 
-def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray, u: np.ndarray,
+def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray,
                engine: ThetaEngine | None, cfg: IntegratorConfig, halt: np.ndarray,
                i: int, start: int, stop: int):
     """Trajectories start..stop-1 of an ensemble, block i of a run, stepped
@@ -656,14 +656,13 @@ def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray, u: np.nd
     dim = psi0.size
     n = stop - start
     dt = cfg.dt
-    n_steps = cfg.n_steps
     sample_steps = cfg.sample_steps
     n_samp = len(sample_steps)
 
     gens = [np.random.default_rng(np.random.SeedSequence([int(cfg.seed), k]))
             for k in range(start, stop)]
     psi = np.tile(psi0[:, None], (1, n))
-    stack = np.empty((len(model.jump_ops) + 1, dim, n), dtype=complex)
+    stack = np.empty((step_mat.shape[1] // dim, dim, n), dtype=complex)
     log_w = np.zeros(n)
     log_w_samples = np.empty((n_samp, n))
 
@@ -696,19 +695,19 @@ def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray, u: np.nd
     try:
         # an overflowing step is reported by a StateHealthError, not by warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for chunk in _noise_chunks(gens, len(model.jump_ops), n_steps, dt):
+            for chunk in _noise_chunks(gens, len(model.jump_ops), cfg.n_steps, dt):
                 if step > halt.min():
                     return None
                 for dw in chunk:
                     if step == sample_steps[si]:
                         sample()
                     try:
-                        drift = None if engine is None else dt * (u @ engine.drift(psi))
+                        weights = None if engine is None else engine.drift(psi)
                     except np.linalg.LinAlgError:  # Theta of a state that overflowed
                         raise StateHealthError(step * dt, math.nan,
                                                reason="state vector or weight is not finite"
                                                ) from None
-                    psi, nrm2 = _sle_block_step(psi, step_mat, dw, stack, drift)
+                    psi, nrm2 = _sle_block_step(psi, step_mat, dw, stack, weights)
                     log_w += np.log(nrm2)
                     step += 1
             sample()
@@ -754,18 +753,18 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
         raise DimensionError("initial state and Hamiltonian dimensions differ")
     require_hermitian(h, "Hamiltonian")
 
-    u, step_mat = _sle_step_matrix(h, [as_complex_matrix(x) for x in model.jump_ops], cfg.dt)
-
     engine = None
     if model.dspec.active:
         if model.factor is None:
             raise ValueError("nonlinear families need a factorization")
         engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
+    step_mat = _sle_step_matrix(h, [as_complex_matrix(x) for x in model.jump_ops], cfg.dt,
+                                None if engine is None else engine.drift_ops)
 
     bounds = block_bounds(n_traj, workers)
     halt = np.frombuffer(mmap.mmap(-1, 8 * len(bounds)), dtype=np.int64)  # anonymous, shared
     halt[:] = np.iinfo(np.int64).max
-    run = functools.partial(_sle_block, model, psi0, step_mat, u, engine, cfg, halt)
+    run = functools.partial(_sle_block, model, psi0, step_mat, engine, cfg, halt)
     parts = run_in_blocks(run, bounds, lambda start, stop: f"trajectories {start}..{stop - 1}")
     psi, log_w = (np.concatenate([p[k] for p in parts], axis=1) for k in (0, 1))
     # each block's column is dropped as it is merged: one column is held twice, not all

@@ -23,8 +23,9 @@ dynamics leave uncorrelated physics untouched.
 Each kernel has one implementation.  Each Theta family is written once, in
 ``ThetaEngine``, as ``coefficients(e) @ ops`` over expectations e read off B
 (thermalization alone builds its matrix directly).  ``matrix`` serves
-``build_theta`` and the stochastic drift (on a stack of |psi><psi|), ``grid``
-the master equation (on x = B(rho) or a stack of them).  ``measures_from_bloch``
+``build_theta``, ``grid`` the master equation (on x = B(rho) or a stack of
+them), ``drift`` the weights the stochastic step applies Theta with, read from
+a stack of |psi><psi|.  ``measures_from_bloch``
 computes every measure of a stack of Bloch matrices for the single-state
 functions and both integrators' sample points; K, delta and Q_S read the
 reduced state off B (``bases.reduced_state_a``).  B comes from one contraction,
@@ -251,15 +252,17 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 
 class ThetaEngine:
     """Builds Theta for a fixed family/rate from density matrices (``matrix``)
-    or grid coordinates x = B(rho) (``grid``), and the batched drift
-    -(Theta - <Theta>)|psi> of a (D, N) block of state-vector columns.
+    or grid coordinates x = B(rho) (``grid``), and the weights of the drift
+    (<Theta> - Theta)|psi> of a (D, N) block of state-vector columns.
 
     Every family but thermalization is ``coefficients(e) @ ops`` over a
     rate-scaled operator stack, with e = x = B(rho) (the deranking families)
     or e = x @ S (corr-suppress, ``_covariance_map``); ``matrix`` reads e from
     rho through the grid's expectation matrix (times S).  Thermalization
     builds its matrix directly, and its grid coefficients are B(Theta) of the
-    matrices built from (1/2) x . G."""
+    matrices built from (1/2) x . G.  ``drift_ops`` are ``ops`` (thermalization:
+    gamma_h beta H) but the multiples of I (corr-suppress's -I, the Bloch and
+    state-matrix grids' identity), which cancel in <Theta> psi - Theta psi."""
 
     def __init__(
         self,
@@ -297,6 +300,12 @@ class ThetaEngine:
             self.ops = -spec.gamma_d * np.kron(half, np.eye(factor.d_b)).reshape(len(half), -1)
         elif fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
+        ops = (spec.gamma_h * spec.beta * self.h).reshape(1, -1) if (
+            fam is ThetaFamily.THERMALIZATION) else self.ops
+        self._keep = np.flatnonzero((ops != ops[:, :1] * np.eye(factor.dim).ravel()).any(axis=1))
+        self.drift_ops = ops[self._keep].reshape(-1, factor.dim, factor.dim)
+        # rows of e and of each <O_k> = Tr(rho O_k) (O_k Hermitian) for rho.ravel()
+        self._drift_expect = np.vstack([self._expect.T, ops[self._keep].conj()])
 
     def coefficients(self, e: np.ndarray) -> np.ndarray:
         """Theta's coefficients over ``ops`` from the expectations e (..., n) of
@@ -314,11 +323,7 @@ class ThetaEngine:
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
-        matrix of a (..., D, D) stack.
-
-        ``drift`` and ``build_theta`` call it, and tests compare it
-        with literal Pauli-product forms.
-        """
+        matrix of a (..., D, D) stack (``build_theta``, thermalization's ``grid``)."""
         if self.spec.family is ThetaFamily.THERMALIZATION:
             return (self.spec.gamma_h * self.spec.beta * self.h
                     + self.spec.gamma_h * spectral_log(rho, self.floor))
@@ -341,21 +346,25 @@ class ThetaEngine:
         return (lambda x: self.coefficients(x @ self._s)), table
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
-        """Batched drift -(Theta - <Theta>) psi for the unit-norm columns of a
-        (D, N) block: ``matrix`` on the stack of |psi><psi|.
-
-        Thermalization uses the pure-state identity instead: the floored log
-        of |psi><psi| annihilates psi and has zero expectation in it, so only
-        gamma_h beta H drifts a pure state.  The log path agrees with it to
-        about 1e-14 max(gamma_h, 1) but costs one eigendecomposition per column.
-        """
-        if self.spec.family is ThetaFamily.THERMALIZATION:
-            qpsi = (self.spec.gamma_h * self.spec.beta * self.h) @ psi_block
+        """The real (K + 1, N) weights of the drift <Theta> psi - Theta psi of
+        the unit-norm columns of a (D, N) block, which ``dynamics._sle_block_step``
+        applies: Theta's coefficients c_k over ``drift_ops``, then <Theta> =
+        sum_k c_k <O_k>, read from one contraction of the stack of |psi><psi|.
+        Thermalization's c is 1: the floored log of |psi><psi| annihilates psi
+        and has zero expectation in it, so only gamma_h beta H drifts a pure
+        state (the log path agrees to about 1e-14 max(gamma_h, 1))."""
+        n, cols = self._expect.shape[1], psi_block.shape[1]
+        rho = (psi_block[:, None] * psi_block.conj()[None]).reshape(-1, cols)
+        e = (self._drift_expect @ rho).real  # e and <O_k>, one row each
+        w = np.empty((len(self._keep) + 1, cols))
+        if self.spec.family is ThetaFamily.CORR_SUPPRESS:  # the pairs' coefficients
+            w[:-1] = _covariances(e[:n].T, self._split)[0].T
+        elif self.spec.family is ThetaFamily.THERMALIZATION:
+            w[:-1] = 1.0
         else:
-            cols = psi_block.T
-            tm = self.matrix(cols[:, :, None] * cols.conj()[:, None, :])
-            qpsi = np.einsum("nij,jn->in", tm, psi_block)
-        return np.einsum("in,in->n", psi_block.conj(), qpsi).real * psi_block - qpsi
+            w[:-1] = self.coefficients(e[:n].T)[:, self._keep].T
+        np.vecdot(w[:-1], e[n:], axis=0, out=w[-1])
+        return w
 
 
 def build_theta(

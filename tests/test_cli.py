@@ -419,12 +419,14 @@ def test_split_sweep_worker_without_result_is_named(tmp_path, split_calls, monke
 
 def test_dead_worker_is_an_io_error(tmp_path, monkeypatch, capsys, hang_guard):
     # a worker that ends without a result ends a split sweep or ensemble with
-    # exit 4 and one line on stderr, not with a traceback
+    # exit 4 and one line on stderr, not with a traceback, and leaves no
+    # output of the run behind
     monkeypatch.setattr(dynamics, "usable_cores", lambda: 4)
     parent = os.getpid()
     sde = (_sde_doc(tmp_path / "sde").replace("sde.n_traj = 12", "sde.n_traj = 512")
            .replace("integrator.t_end = 1.0", "integrator.t_end = 0.1"))
-    for module, name, text in ((cli, "_sweep_row_block", _split_sweep_doc(tmp_path / "sweep")),
+    for module, name, text in ((cli, "_sweep_row_block", _split_sweep_doc(tmp_path / "rows")),
+                               (cli, "_write_heatmaps", _split_sweep_doc(tmp_path / "maps")),
                                (dynamics, "_sle_block", sde)):
         block = getattr(module, name)
 
@@ -440,6 +442,9 @@ def test_dead_worker_is_an_io_error(tmp_path, monkeypatch, capsys, hang_guard):
         err = capsys.readouterr().err
         assert err.startswith("i/o error: the worker of block 1 (") and "exit code 7" in err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+        monkeypatch.setattr(module, name, block)
+    for out in ("rows", "maps", "sde"):  # no sweep.csv, *.svg or other output
+        assert not list((tmp_path / out).glob("*")), out
 
 
 def test_threads_flag_defaults_to_usable_cores_and_rejects_zero(capsys):

@@ -748,7 +748,10 @@ def _overflowing_ensemble(family):
     """(model, cfg, abort time) of an ensemble whose state overflows:
     thermalization without jump operators in one step of 1e300, caught by the
     sample-point check; bloch-derank-a at gamma_d = 1e300, whose Theta
-    eigendecomposition fails between sample points."""
+    eigendecomposition fails between sample points: the first step, from a
+    product state, overflows the squared norm (the rounding of sum_k c_k U O_k
+    psi against <Theta> U psi, each about dt * 1e300 * 1e-16) and leaves psi
+    zero, the second leaves it NaN, and the third step's eigh fails."""
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
     if family is ThetaFamily.THERMALIZATION:
         model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
@@ -756,7 +759,7 @@ def _overflowing_ensemble(family):
         return model, IntegratorConfig(dt=1e300, t_end=1e300), 1e300
     model = SdeModel.two_spin(h, FIG2_DAMPING, DisentanglementSpec(family=family, gamma_d=1e300))
     cfg = IntegratorConfig(dt=1e-3, t_end=0.01, sample_every=5)
-    return model, cfg, 0.003
+    return model, cfg, 0.002
 
 
 def test_sle_ensemble_non_finite_abort():
@@ -782,13 +785,13 @@ def test_sle_ensemble_overflow_is_silent():
 
 def _raw_norm2(psi, h, ops, dt, engine=None):
     """Squared norm of one noiseless block step of psi before renormalization,
-    with the drift dt U drift(psi) of ``engine`` as the ensemble adds it."""
-    u, step_mat = _sle_step_matrix(h, ops, dt)
+    with the drift of ``engine`` folded in as the ensemble folds it."""
+    step_mat = _sle_step_matrix(h, ops, dt, None if engine is None else engine.drift_ops)
     col = psi[:, None]
-    drift = None if engine is None else dt * (u @ engine.drift(col))
-    stack = np.empty((len(ops) + 1, *col.shape), dtype=complex)
+    weights = None if engine is None else engine.drift(col)
+    stack = np.empty((step_mat.shape[1] // 4, *col.shape), dtype=complex)
     dw = np.zeros((len(ops), 1), dtype=complex)
-    return float(_sle_block_step(col, step_mat, dw, stack, drift)[1][0])
+    return float(_sle_block_step(col, step_mat, dw, stack, weights)[1][0])
 
 
 def test_sle_block_step_unitary_limit(rng):
@@ -822,10 +825,10 @@ def test_sle_block_step_product_state_theta_noop(rng):
     dw = np.sqrt(dt / 2.0) * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
     engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0),
                          TWO_QUBITS)
-    u, step_mat = _sle_step_matrix(h, ops, dt)
-    stack = np.empty((7, 4, 5), dtype=complex)
-    with_theta = _sle_block_step(psi, step_mat, dw, stack, dt * (u @ engine.drift(psi)))[0]
-    without = _sle_block_step(psi, step_mat, dw, stack)[0]
+    step_mat = _sle_step_matrix(h, ops, dt, engine.drift_ops)
+    stack = np.empty((step_mat.shape[1] // 4, 4, 5), dtype=complex)
+    with_theta = _sle_block_step(psi, step_mat, dw, stack, engine.drift(psi))[0]
+    without = _sle_block_step(psi, _sle_step_matrix(h, ops, dt), dw, stack[:7])[0]
     assert np.abs(with_theta - without).max() < 1e-9
 
 
@@ -892,11 +895,11 @@ def test_noise_chunks_do_not_depend_on_chunk_length(monkeypatch):
     assert stream(7).tobytes() == stream(_NOISE_CHUNK).tobytes()
 
 
-@pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS])
+@pytest.mark.parametrize("family", [ThetaFamily.NONE, *ALL_FAMILIES])
 @pytest.mark.parametrize("n_traj", [1, _NOISE_BLOCK + 1])
 def test_block_step_matches_literal_formula(family, n_traj):
-    # det_step psi + sum_l dW_l (U X_l) psi + dt U drift(psi), renormalized,
-    # with U = expm(-i H dt) and the drift from the literal Theta
+    # det_step psi + sum_l dW_l (U X_l) psi + dt U (<Theta> - Theta) psi,
+    # renormalized, with U = expm(-i H dt) and the literal Theta
     rng = np.random.default_rng(31)
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=5.0))
     ops = two_spin_jump_operators(DampingParams(a=SpinDamping(0.3, 0.1, 0.2),
@@ -912,22 +915,64 @@ def test_block_step_matches_literal_formula(family, n_traj):
     half = sum(x.conj().T @ x for x in ops)
     ref = (u @ (np.eye(4) - 0.5 * dt * half)) @ psi
     ref += sum(dw[l] * (u @ ops[l] @ psi) for l in range(6))
-    drift = None
+    theta_ops = weights = None
     if family is not ThetaFamily.NONE:
-        engine = ThetaEngine(DisentanglementSpec(family=family, gamma_d=gamma_d), TWO_QUBITS, h=h)
-        drift = dt * (u @ engine.drift(psi))
+        thermal = family is ThetaFamily.THERMALIZATION
+        spec = (_spec(family) if thermal
+                else DisentanglementSpec(family=family, gamma_d=gamma_d))
+        engine = ThetaEngine(spec, TWO_QUBITS, h=h)
+        theta_ops, weights = engine.drift_ops, engine.drift(psi)
         for k in range(n_traj):
             p = psi[:, k]
-            tm = gamma_d * literal_theta(family, np.outer(p, p.conj()), h)
+            rho = np.outer(p, p.conj())
+            tm = (literal_theta(family, rho, h, spec.gamma_h, spec.beta) if thermal
+                  else gamma_d * literal_theta(family, rho, h))
             ref[:, k] -= dt * (u @ (tm @ p - np.vdot(p, tm @ p).real * p))
     nrm2_ref = np.linalg.norm(ref, axis=0) ** 2
     ref /= np.sqrt(nrm2_ref)
 
-    _, step_mat = _sle_step_matrix(h, ops, dt)
-    stack = np.empty((7, 4, n_traj), dtype=complex)
-    out, nrm2 = _sle_block_step(psi.copy(), step_mat, dw, stack, drift)
+    step_mat = _sle_step_matrix(h, ops, dt, theta_ops)
+    stack = np.empty((step_mat.shape[1] // 4, 4, n_traj), dtype=complex)
+    out, nrm2 = _sle_block_step(psi.copy(), step_mat, dw, stack, weights)
     assert np.abs(out - ref).max() < 1e-13
     assert np.abs(nrm2 - nrm2_ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_folded_drift_drops_exactly_the_multiples_of_identity(family, rng):
+    # the step folds every rate-scaled operator of Theta into its gemm but the
+    # multiples of I, which cancel in <Theta> psi - Theta psi: putting a * I
+    # back into Theta leaves the step as it is
+    h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=5.0))
+    spec = _spec(family)
+    engine = ThetaEngine(spec, TWO_QUBITS, h=h)
+    if family is ThetaFamily.THERMALIZATION:
+        ops = [spec.gamma_h * spec.beta * h]
+    else:
+        ops = list(engine.ops.reshape(-1, 4, 4))
+    kept = [any((o == k).all() for k in engine.drift_ops) for o in ops]
+    assert sum(kept) == len(engine.drift_ops)
+    for o, k in zip(ops, kept):
+        traceless = o - np.trace(o) / 4.0 * np.eye(4)
+        assert bool(np.abs(traceless).max() > 0.0) == k
+        assert k or np.count_nonzero(o - o[0, 0] * np.eye(4)) == 0
+    assert len(ops) - sum(kept) == (family is not ThetaFamily.THERMALIZATION)
+
+    jump = two_spin_jump_operators(FIG2_DAMPING)
+    dt, n = 1e-3, 9
+    psi = np.stack([qcore.random_pure_state(4, rng) for _ in range(n)], axis=1)
+    dw = np.sqrt(dt / 2.0) * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+    weights = engine.drift(psi)
+    step_mat = _sle_step_matrix(h, jump, dt, engine.drift_ops)
+    stack = np.empty((step_mat.shape[1] // 4 + 1, 4, n), dtype=complex)
+    out, nrm2 = _sle_block_step(psi, step_mat, dw, stack[:-1], weights)
+    with_identity = _sle_step_matrix(h, jump, dt, np.concatenate([engine.drift_ops,
+                                                                  np.eye(4)[None]]))
+    for a in (-2.5, 0.3, 40.0):
+        shifted = np.vstack([weights[:-1], np.full((1, n), a), weights[-1:] + a])
+        out_a, nrm2_a = _sle_block_step(psi, with_identity, dw, stack, shifted)
+        assert np.abs(out_a - out).max() <= 1e-15, a
+        assert np.abs(nrm2_a - nrm2).max() <= 1e-15, a
 
 
 def test_sle_ensemble_holds_one_noise_buffer():
@@ -1045,12 +1090,16 @@ def test_row_blocks_split_at_any_row(monkeypatch):
 def _split_model(family):
     d = DampingParams(a=SpinDamping(0.05, 0.01, 0.1), b=SpinDamping(0.1, 0.02, 0.05))
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    if family in (ThetaFamily.STATE_MATRIX_DERANK, ThetaFamily.THERMALIZATION):
+        return SdeModel.two_spin(h, d, _spec(family))
     gamma_d = 0.0 if family is ThetaFamily.NONE else 0.7
     return SdeModel.two_spin(h, d, DisentanglementSpec(family=family, gamma_d=gamma_d))
 
 
 @pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS,
-                                    ThetaFamily.BLOCH_DERANK_A])
+                                    ThetaFamily.BLOCH_DERANK_A,
+                                    ThetaFamily.STATE_MATRIX_DERANK,
+                                    ThetaFamily.THERMALIZATION])
 def test_split_ensemble_is_byte_identical(family, four_cores):
     model = _split_model(family)
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0], dtype=complex)
@@ -1101,11 +1150,11 @@ def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores, 
 
 def test_sle_block_records_its_failure_and_stops_after_an_earlier_one():
     model, cfg, t_abort = _overflowing_ensemble(ThetaFamily.BLOCH_DERANK_A)
-    u, step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
     engine = ThetaEngine(model.dspec, model.factor, h=model.h, floor=cfg.log_floor)
+    step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt, engine.drift_ops)
     halt = np.full(2, cfg.n_steps)
     with pytest.raises(StateHealthError):
-        dynamics._sle_block(model, np.full(4, 0.5, dtype=complex), step_mat, u, engine, cfg,
+        dynamics._sle_block(model, np.full(4, 0.5, dtype=complex), step_mat, engine, cfg,
                             halt, 1, 8, 16)
     assert halt.tolist() == [cfg.n_steps, round(t_abort / cfg.dt)]
 
@@ -1113,10 +1162,10 @@ def test_sle_block_records_its_failure_and_stops_after_an_earlier_one():
     # and runs every step up to it
     model = _split_model(ThetaFamily.NONE)
     cfg = IntegratorConfig(dt=1e-3, t_end=(_NOISE_CHUNK + 1) * 1e-3)
-    u, step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
+    step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
     for failed_at, stops in ((cfg.n_steps, False), (_NOISE_CHUNK, False),
                              (_NOISE_CHUNK - 1, True), (0, True), (-1, True)):
-        out = dynamics._sle_block(model, np.array([1.0, 0, 0, 0], dtype=complex), step_mat, u,
+        out = dynamics._sle_block(model, np.array([1.0, 0, 0, 0], dtype=complex), step_mat,
                                   None, cfg, np.array([cfg.n_steps, failed_at]), 0, 0, 8)
         assert (out is None) is stops, failed_at
 

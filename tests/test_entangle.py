@@ -339,6 +339,14 @@ def test_theta_engine_matrix_matches_literal_operators(rng):
             assert np.abs(got - literal_theta(fam, rho, h, 1.3, 0.8)).max() < 1e-11, fam
 
 
+def _drift_vectors(eng: ThetaEngine, psi: np.ndarray) -> np.ndarray:
+    """(<Theta> - Theta) psi of each column of psi, from the weights of
+    ``eng.drift`` over ``eng.drift_ops``, as the block step applies them."""
+    w = eng.drift(psi)
+    assert w.shape == (len(eng.drift_ops) + 1, psi.shape[1])
+    return w[-1] * psi - np.einsum("kij,jn,kn->in", eng.drift_ops, psi, w[:-1])
+
+
 def test_theta_engine_drift_matches_matrix(rng):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     psi = qcore.random_pure_state(4, rng)
@@ -348,7 +356,7 @@ def test_theta_engine_drift_matches_matrix(rng):
         eng = ThetaEngine(spec, TWO_QUBITS, h=h)
         tm = eng.matrix(st.density())
         expected = -(tm @ psi - np.vdot(psi, tm @ psi).real * psi)
-        got = eng.drift(psi[:, None])[:, 0]
+        got = _drift_vectors(eng, psi[:, None])[:, 0]
         assert np.abs(got - expected).max() < 1e-10, fam
 
 
@@ -457,7 +465,8 @@ def test_theta_engine_drift_matches_literal_operators(rng, n):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     psi = _pure_columns(rng, n)
     for fam in DERANK_FAMILIES:
-        got = ThetaEngine(DisentanglementSpec(family=fam, gamma_d=0.7), TWO_QUBITS, h=h).drift(psi)
+        got = _drift_vectors(ThetaEngine(DisentanglementSpec(family=fam, gamma_d=0.7),
+                                         TWO_QUBITS, h=h), psi)
         assert got.shape == psi.shape
         for k in range(n):
             p = psi[:, k]
@@ -476,7 +485,7 @@ def test_thermalization_drift_is_the_pure_state_identity(rng):
     for gamma_h in (0.05, 1.0, 40.0):
         spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=gamma_h, beta=0.8)
         eng = ThetaEngine(spec, TWO_QUBITS, h=h)
-        got = eng.drift(psi)
+        got = _drift_vectors(eng, psi)
         for k in range(psi.shape[1]):
             p = psi[:, k]
             tm = eng.matrix(np.outer(p, p.conj()))
