@@ -4,11 +4,10 @@
 * The nonlinear modified master equation
       drho/dt = i[rho, H] - Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)
   integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage
-  (``_mme_stage``) applies the real grid Liouvillian L_r (``grid_liouvillian``,
-  whose null vector is the linear steady state) and the anticommutator of
-  Theta, with coefficients that ``ThetaEngine.grid`` reads from x by the
-  family formulas ``ThetaEngine.matrix`` runs (``coefficients`` for every
-  family but thermalization, whose grid coefficients are B(Theta)).
+  (``_mme_stage``) is one matvec of L_r - A, L_r the real grid Liouvillian
+  (``grid_liouvillian``, whose null vector is the linear steady state) and A
+  the anticommutator with Theta less its multiple of I (``ThetaEngine.grid``);
+  <Theta> comes off the result's trace entry, as L_r's trace row is zero.
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
@@ -314,17 +313,17 @@ def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
 
 
 def _mme_stage(lr: np.ndarray, x: np.ndarray, c: np.ndarray | None,
-               table: np.ndarray | None) -> np.ndarray:
-    """One evaluation of the modified master equation in grid coordinates
-    x = B(rho): the real grid Liouvillian ``lr`` applied to x, plus
-    B(-Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)) when Theta's
-    coefficients c over the operators of ``table`` (``ThetaEngine.grid``)
-    are given.  y = B({Theta, rho}) gives 2 <Theta> / Tr(rho) = y_0 / x_0."""
-    out = lr @ x
-    if c is not None:
-        y = (c @ table).reshape(len(x), len(x)) @ x
-        out += (y[0] / x[0]) * x - y
-    return out
+               table: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+    """One evaluation of the modified master equation in x = B(rho), into
+    ``out`` if given: L_r x, plus B(-{Theta, rho} + 2 <Theta> rho / Tr(rho))
+    for Theta's coefficients c over the operators of ``table``
+    (``ThetaEngine.grid``), in one matvec z = (L_r - A) x, A = (c @ table):
+    2 <Theta> / Tr(rho) = -z_0 / x_0, since L_r's trace row is zero."""
+    if c is None:
+        return np.matmul(lr, x, out=out)
+    z = np.matmul(lr - (c @ table).reshape(len(x), len(x)), x, out=out)
+    z -= (z[0] / x[0]) * x
+    return z
 
 
 def kraus_step_error(
@@ -430,27 +429,28 @@ def integrate_master(
     cfg: IntegratorConfig,
 ) -> TrajectoryRecord:
     """RK4 integration of the (possibly nonlinear) master equation in grid
-    coordinates x = B(rho); Theta is rebuilt from x at every RK4 stage.
-    Diagnostics are recorded at each sample; a minimum eigenvalue below
-    -1e-6, or a state that is no longer finite, aborts with a StateHealthError.
-    """
+    coordinates x = B(rho), with L_r's trace row (rounding) set to 0; Theta is
+    rebuilt from x at every stage, and a step is x + (dt/6) (1, 2, 2, 1) . K,
+    K the (4, n) stage vectors (``_mme_stage``).  Diagnostics are recorded at
+    each sample; a minimum eigenvalue below -1e-6, or a state that is no
+    longer finite, aborts with a StateHealthError."""
     if initial.factor != TWO_QUBITS:
         raise DimensionError("integrate_master drives the two-qubit system")
     h = as_complex_matrix(h)
     grid, lr = grid_liouvillian(h, damping)
+    lr[0] = 0.0
     x = bases.bloch_matrix(initial).reshape(-1)
 
-    dspec = dspec or DisentanglementSpec()
     coeff, table = (lambda x: None), None
-    if dspec.active:
+    if dspec is not None and dspec.active:
         coeff, table = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).grid()
 
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    sample_steps = cfg.sample_steps
+    dt, n_steps, sample_steps = cfg.dt, cfg.n_steps, cfg.sample_steps
     x_samples = np.empty((len(sample_steps), len(x)))
     times = np.empty(len(sample_steps))
     min_eig = np.empty(len(sample_steps))
+    k = np.empty((4, len(x)))
+    w, nodes = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0]), (0.0, 0.5 * dt, 0.5 * dt, dt)
     si = 0
 
     # an overflowing step is reported by the health checks below, not by
@@ -470,18 +470,14 @@ def integrate_master(
             if step == n_steps:
                 break
             try:
-                k1 = _mme_stage(lr, x, coeff(x), table)
-                r = x + 0.5 * dt * k1
-                k2 = _mme_stage(lr, r, coeff(r), table)
-                r = x + 0.5 * dt * k2
-                k3 = _mme_stage(lr, r, coeff(r), table)
-                r = x + dt * k3
-                k4 = _mme_stage(lr, r, coeff(r), table)
+                for i in range(4):
+                    r = x + nodes[i] * k[i - 1] if i else x
+                    _mme_stage(lr, r, coeff(r), table, k[i])
             except np.linalg.LinAlgError:
                 # Theta's eigendecomposition fails only on a stage state that
                 # overflowed to inf/NaN
                 raise StateHealthError(step * dt, math.nan) from None
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = x + w @ k
 
     b = x_samples.reshape(-1, 4, 4)
     k_a, k_b = bases.single_spin_bloch_vectors(b)

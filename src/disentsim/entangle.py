@@ -251,18 +251,16 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 
 
 class ThetaEngine:
-    """Builds Theta for a fixed family/rate from density matrices (``matrix``)
-    or grid coordinates x = B(rho) (``grid``), and the weights of the drift
-    (<Theta> - Theta)|psi> of a (D, N) block of state-vector columns.
+    """Theta of a fixed family/rate: from density matrices (``matrix``), in grid
+    form for the master equation (``grid``) and as the weights of the drift
+    (<Theta> - Theta)|psi> of a (D, N) block of state vectors (``drift``).
 
     Every family but thermalization is ``coefficients(e) @ ops`` over a
-    rate-scaled operator stack, with e = x = B(rho) (the deranking families)
-    or e = x @ S (corr-suppress, ``_covariance_map``); ``matrix`` reads e from
-    rho through the grid's expectation matrix (times S).  Thermalization
-    builds its matrix directly, and its grid coefficients are B(Theta) of the
-    matrices built from (1/2) x . G.  ``drift_ops`` are ``ops`` (thermalization:
-    gamma_h beta H) but the multiples of I (corr-suppress's -I, the Bloch and
-    state-matrix grids' identity), which cancel in <Theta> psi - Theta psi."""
+    rate-scaled operator stack, e = x = B(rho) (the deranking families) or
+    x @ S (corr-suppress, ``_covariance_map``), which ``matrix`` reads from rho
+    through the grid's expectation matrix; thermalization builds its matrix.
+    ``drift``/``grid`` run over ``ops`` but the multiples of I (``drift_ops``;
+    thermalization: gamma_h beta H / G_k, k >= 1), which cancel in both."""
 
     def __init__(
         self,
@@ -331,19 +329,25 @@ class ThetaEngine:
         return (self.coefficients(e) @ self.ops).reshape(rho.shape)
 
     def grid(self) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-        """Theta in grid coordinates: (x -> c, table), where
-        B({Theta, rho}) = (c @ table).reshape(n, n) @ x and the (len(c), n^2)
-        table holds the anticommutator tensor of each operator c runs over.
-        c takes x or a (..., n) stack of them."""
+        """Theta but its multiple of I (which cancels in the master equation) in
+        grid coordinates: (x -> c, table), with B({Theta', rho}) =
+        (c @ table).reshape(n, n) @ x; table's rows are the anticommutator tensors
+        of ``drift_ops`` (thermalization: G_k / 2, k >= 1, c_k = B(Theta)_k).
+        c takes x or a (..., n) stack, with bits that do not depend on its size."""
         grid = self._grid
-        dim, table = self.factor.dim, grid.anticommutator.reshape(len(grid.half), -1)
+        table = grid.anticommutator.reshape(len(grid.half), -1)
         if self.spec.family is ThetaFamily.THERMALIZATION:
-            return (lambda x: bases._contract(self.matrix(
-                (x @ grid.half).reshape(*x.shape[:-1], dim, dim)), grid.expect).real), table
-        table = bases._contract(self.ops.reshape(-1, dim, dim), grid.expect).real @ table
-        if self._s is None:  # the deranking families: e is x itself
-            return self.coefficients, table
-        return (lambda x: self.coefficients(x @ self._s)), table
+            half, g = grid.half.view(float), grid.entries.reshape(len(table), -1)[1:].view(float)
+
+            def coeff(x):  # real dots, one per entry (not gemv, or gemm for a stack)
+                rho = np.vecdot(x[..., None], half, axis=-2).view(complex)
+                theta = self.matrix(rho.reshape(*x.shape[:-1], self.factor.dim, -1))
+                return np.vecdot(theta.reshape(rho.shape).view(float)[..., None, :], g)
+            return coeff, table[1:]
+        table = bases._contract(self.drift_ops, grid.expect).real @ table
+        if self._s is not None:  # corr-suppress: the pairs' covariances
+            return (lambda x: _covariances(x @ self._s, self._split)[0]), table
+        return (lambda x: self.coefficients(x)[..., 1:]), table  # drop G_00 or P_0 = I
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """The real (K + 1, N) weights of the drift <Theta> psi - Theta psi of

@@ -975,6 +975,53 @@ def test_folded_drift_drops_exactly_the_multiples_of_identity(family, rng):
         assert np.abs(nrm2_a - nrm2).max() <= 1e-15, a
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_master_stage_drops_exactly_the_multiples_of_identity(family, rng):
+    # the master stage applies Theta over every operator but the multiples of
+    # I, which cancel in -{Theta, rho} + 2 <Theta> rho / Tr(rho): the full
+    # grid table with B(Theta), and with B(Theta + a I), gives the same stage
+    h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
+    engine = ThetaEngine(_spec(family), TWO_QUBITS, h=h)
+    grid, lr = grid_liouvillian(h, FIG2_DAMPING)
+    lr[0] = 0.0  # as integrate_master runs it
+    full = grid.anticommutator.reshape(16, -1)
+    coeff, table = engine.grid()
+    if family is ThetaFamily.THERMALIZATION:
+        ops = grid.half.reshape(16, 4, 4)  # Theta = B(Theta) . G / 2
+    else:
+        ops = engine.ops.reshape(-1, 4, 4)
+    identity = np.array([np.count_nonzero(o - o[0, 0] * np.eye(4)) == 0 for o in ops])
+    assert identity.sum() == 1
+    kept = bases.bloch_matrix_from_rho(ops[~identity], 2, 2).reshape(-1, 16) @ full
+    assert table.shape == kept.shape
+    assert np.abs(table - kept).max() <= 1e-14 * np.abs(kept).max()
+
+    b_identity = _bloch(np.eye(4))
+    for _ in range(3):
+        rho = qcore.random_density_matrix(4, rng)
+        x = _bloch(rho)
+        stage = _mme_stage(lr, x, coeff(x), table)
+        c = _bloch(engine.matrix(rho))
+        assert np.abs(_mme_stage(lr, x, c, full) - stage).max() <= 1e-13
+        for a in (-2.5, 0.3, 40.0):
+            shifted = _mme_stage(lr, x, c + a * b_identity, full)
+            assert np.abs(shifted - stage).max() <= 1e-13, a
+
+
+@pytest.mark.parametrize("case", ["fig1-sweep", "fig2-A2", "fig3-A", "random", "spin"])
+def test_grid_liouvillian_trace_row_is_zero(case, rng):
+    # a GKSL generator preserves Tr(rho) = x_0 Tr(G_0) / 2, so row 0 of L_r is
+    # rounding: the master stage reads 2 <Theta> / Tr(rho) off it as -z_0 / x_0
+    if case == "random":
+        lr = _random_gksl(rng, pair=True)
+    elif case == "spin":
+        lr = grid_liouvillian(bases.SIGMA_X + 0.3 * bases.SIGMA_Z, SpinDamping(0.2, 0.05, 0.3))[1]
+    else:
+        cfg = parse_config_dict(experiment_preset(case))
+        lr = grid_liouvillian(build_hamiltonian(cfg.model), cfg.damping)[1]
+    assert np.abs(lr[0]).max() <= 1e-15 * np.sqrt((lr * lr).sum())
+
+
 def test_sle_ensemble_holds_one_noise_buffer():
     # a second, shorter chunk reuses the first chunk's dW buffer, so the run
     # never holds two of them
