@@ -12,8 +12,8 @@ Library layout:
 * ``config``   -- run configuration documents, their schema and validation.
 * ``output``   -- CSV, NDJSON and JSON writers for run results.
 * ``svgplot``  -- deterministic SVG line plots and heat maps.
-* ``cli``      -- the command-line front end: runs a command and writes its
-                  outputs.
+* ``workers``  -- fork/join of a split ensemble's or sweep's blocks.
+* ``cli``      -- command-line front end: runs a command, writes its outputs.
 """
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ from .entangle import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     DampingParams,
     IntegratorConfig,
-    SdeModel,
     SpinDamping,
     StateHealthError,
     TrajectoryRecord,

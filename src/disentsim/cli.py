@@ -26,7 +26,6 @@ from .config import (ConfigError, RunConfig, parse_config_dict, parse_document, 
 from .dynamics import (
     MIN_BLOCK,
     DegenerateSteadyStateError,
-    SdeModel,
     StateHealthError,
     TrajectoryRecord,
     block_bounds,
@@ -134,9 +133,8 @@ def _run_master(config: RunConfig, out: Path, outputs: list[str]) -> dict:
 def _run_sde(config: RunConfig, out: Path, outputs: list[str], workers: int) -> dict:
     h = build_hamiltonian(config.model)
     psi0 = _initial_psi(config, h)
-    model = SdeModel.two_spin(h, config.damping, config.disentangle)
-    mean_rho, records = integrate_sle_ensemble(psi0, model, config.integrator,
-                                               config["sde.n_traj"], workers)
+    mean_rho, records = integrate_sle_ensemble(psi0, h, config.disentangle, config.damping,
+                                               config.integrator, config["sde.n_traj"], workers)
     mean_rec = ensemble_mean_record(records)
     write_trajectory_ndjson(out / "trajectory_mean.ndjson", mean_rec)
     outputs.append("trajectory_mean.ndjson")

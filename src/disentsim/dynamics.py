@@ -45,7 +45,7 @@ import functools
 import math
 import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .entangle import DisentanglementSpec, ThetaEngine
 from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
-    Factorization,
     QuantumState,
     TWO_QUBITS,
     as_complex_matrix,
@@ -155,6 +154,22 @@ def two_spin_jump_operators(d: DampingParams) -> list[np.ndarray]:
     return ops
 
 
+def jump_operators(d: DampingParams | SpinDamping | None) -> list[np.ndarray]:
+    """The channels of a two-spin (DampingParams, or None: none) or single-spin damping."""
+    if isinstance(d, DampingParams):
+        return two_spin_jump_operators(d)
+    return [] if d is None else spin_jump_operators(d)
+
+
+def _system_dim(h: np.ndarray, d: DampingParams | SpinDamping | None) -> int:
+    """The state dimension a damping drives: 2 for a SpinDamping, 4 for two
+    spins (DampingParams or None); an H of another shape raises DimensionError."""
+    n = 2 if isinstance(d, SpinDamping) else 4
+    if np.shape(h) != (n, n):
+        raise DimensionError(f"a {'single' if n == 2 else 'two'}-spin model needs a {n}x{n} H")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Superoperators (row-major vec convention: vec(A rho B) = (A kron B^T) vec(rho)).
 
@@ -180,9 +195,7 @@ def dissipator_superop(ops: list[np.ndarray], dim: int) -> np.ndarray:
 def damping_superop(d: DampingParams | SpinDamping) -> np.ndarray:
     """Read-only dissipator superoperator of the six two-spin channels (or the
     three single-spin ones), built once per (frozen, hashable) damping."""
-    pair = isinstance(d, DampingParams)
-    out = dissipator_superop(two_spin_jump_operators(d) if pair else spin_jump_operators(d),
-                             4 if pair else 2)
+    out = dissipator_superop(jump_operators(d), 4 if isinstance(d, DampingParams) else 2)
     out.flags.writeable = False
     return out
 
@@ -294,10 +307,7 @@ def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
     returns (1/2) x . G; a null space of dimension > 1 raises instead of being
     resolved silently.
     """
-    h = as_complex_matrix(h)
-    n = 4 if isinstance(d, DampingParams) else 2
-    if h.shape != (n, n):
-        raise DimensionError(f"{type(d).__name__} damping needs a {n}x{n} Hamiltonian")
+    n = _system_dim(h, d)
     grid, lr = grid_liouvillian(h, d)
     x, degenerate = steady_states(lr[None], grid)
     if degenerate[0]:
@@ -434,9 +444,8 @@ def integrate_master(
     K the (4, n) stage vectors (``_mme_stage``).  Diagnostics are recorded at
     each sample; a minimum eigenvalue below -1e-6, or a state that is no
     longer finite, aborts with a StateHealthError."""
-    if initial.factor != TWO_QUBITS:
+    if initial.factor != TWO_QUBITS or _system_dim(h, damping) != 4:
         raise DimensionError("integrate_master drives the two-qubit system")
-    h = as_complex_matrix(h)
     grid, lr = grid_liouvillian(h, damping)
     lr[0] = 0.0
     x = bases.bloch_matrix(initial).reshape(-1)
@@ -533,26 +542,6 @@ def _sle_block_step(psi: np.ndarray, step_mat: np.ndarray, dw: np.ndarray, stack
     return out, nrm2
 
 
-@dataclass(frozen=True)
-class SdeModel:
-    """Operator bundle for stochastic trajectories."""
-
-    h: np.ndarray
-    jump_ops: tuple[np.ndarray, ...]
-    dspec: DisentanglementSpec = field(default_factory=DisentanglementSpec)
-    factor: Factorization | None = None
-
-    @staticmethod
-    def two_spin(h: np.ndarray, damping: DampingParams,
-                 dspec: DisentanglementSpec | None = None) -> "SdeModel":
-        return SdeModel(
-            h=as_complex_matrix(h),
-            jump_ops=tuple(two_spin_jump_operators(damping)),
-            dspec=dspec or DisentanglementSpec(),
-            factor=TWO_QUBITS,
-        )
-
-
 #: Steps of per-trajectory noise drawn per generator call.  A generator's
 #: stream does not depend on how its draws are split, so this only trades the
 #: memory of a trajectory block's dW buffer (49 MB for a block of 2000
@@ -634,12 +623,13 @@ def run_in_blocks(run, bounds: list[tuple[int, int]], what) -> list:
     return run_blocks(run, bounds, what)
 
 
-def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray,
+def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
                engine: ThetaEngine | None, cfg: IntegratorConfig, halt: np.ndarray,
                i: int, start: int, stop: int):
     """Trajectories start..stop-1 of an ensemble, block i of a run, stepped
-    as the columns of one block.  Returns the final psi (dim, n), the raw
-    log weight log_w at each sample (n_samples, n), and the record columns
+    as the columns of one block, with ``n_ch`` noise channels (a single
+    spin, dim 2, records only ``k_a``).  Returns the final psi (dim, n), the
+    raw log weight log_w at each sample (n_samples, n), and the record columns
     (n, n_samples, ...) of every TrajectoryRecord field but ``weight``.
 
     ``halt`` is the run's shared int64 array, one slot per block, which
@@ -679,19 +669,19 @@ def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray,
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
         cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
         rho = np.einsum("in,jn->nij", psi, psi.conj())
-        if model.factor == TWO_QUBITS:
+        if dim == 4:
             b = bases.bloch_matrix_from_rho(rho, 2, 2)
             cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
             for f, v in vars(entangle.measures_from_bloch(b, cfg.log_floor)).items():
                 cols[f][:, si] = v
-        elif dim == 2:  # the single-spin grid is (I, sigma_x, sigma_y, sigma_z)
+        else:  # the single-spin grid is (I, sigma_x, sigma_y, sigma_z)
             cols["k_a"][:, si] = bases.bloch_matrix_from_rho(rho, 2, 1)[:, 1:, 0]
         si += 1
 
     try:
         # an overflowing step is reported by a StateHealthError, not by warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for chunk in _noise_chunks(gens, len(model.jump_ops), cfg.n_steps, dt):
+            for chunk in _noise_chunks(gens, n_ch, cfg.n_steps, dt):
                 if step > halt.min():
                     return None
                 for dw in chunk:
@@ -713,9 +703,13 @@ def _sle_block(model: SdeModel, psi0: np.ndarray, step_mat: np.ndarray,
     return psi, log_w_samples, cols
 
 
-def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: IntegratorConfig,
+def integrate_sle_ensemble(initial: np.ndarray, h: np.ndarray,
+                           dspec: DisentanglementSpec | None,
+                           damping: DampingParams | SpinDamping | None, cfg: IntegratorConfig,
                            n_traj: int, workers: int = 1) -> tuple[np.ndarray, TrajectoryRecord]:
-    """Evolve an ensemble of trajectories and average the projectors.
+    """Evolve an ensemble of trajectories and average the projectors, of two
+    spins (DampingParams, or None: no jump channels) or of one (SpinDamping,
+    which has no Theta family), as the damping's type says.
 
     Returns the ensemble mean density matrix at the final time plus one
     ensemble record of contiguous (n_traj, n_samples, ...) columns.
@@ -744,23 +738,23 @@ def integrate_sle_ensemble(initial: np.ndarray, model: SdeModel, cfg: Integrator
     if workers < 1:
         raise ValueError("need at least one worker")
     psi0 = np.asarray(initial, dtype=complex).reshape(-1)
-    h = as_complex_matrix(model.h)
-    if h.shape[0] != psi0.size:
+    h = as_complex_matrix(h)
+    if _system_dim(h, damping) != psi0.size:
         raise DimensionError("initial state and Hamiltonian dimensions differ")
     require_hermitian(h, "Hamiltonian")
 
     engine = None
-    if model.dspec.active:
-        if model.factor is None:
-            raise ValueError("nonlinear families need a factorization")
-        engine = ThetaEngine(model.dspec, model.factor, h=h, floor=cfg.log_floor)
-    step_mat = _sle_step_matrix(h, [as_complex_matrix(x) for x in model.jump_ops], cfg.dt,
-                                None if engine is None else engine.drift_ops)
+    if dspec is not None and dspec.active:
+        if isinstance(damping, SpinDamping):
+            raise ValueError("nonlinear families need two spins")
+        engine = ThetaEngine(dspec, TWO_QUBITS, h=h, floor=cfg.log_floor)
+    ops = jump_operators(damping)
+    step_mat = _sle_step_matrix(h, ops, cfg.dt, None if engine is None else engine.drift_ops)
 
     bounds = block_bounds(n_traj, workers)
     halt = np.frombuffer(mmap.mmap(-1, 8 * len(bounds)), dtype=np.int64)  # anonymous, shared
     halt[:] = np.iinfo(np.int64).max
-    run = functools.partial(_sle_block, model, psi0, step_mat, engine, cfg, halt)
+    run = functools.partial(_sle_block, len(ops), psi0, step_mat, engine, cfg, halt)
     parts = run_in_blocks(run, bounds, lambda start, stop: f"trajectories {start}..{stop - 1}")
     psi, log_w = (np.concatenate([p[k] for p in parts], axis=1) for k in (0, 1))
     # each block's column is dropped as it is merged: one column is held twice, not all

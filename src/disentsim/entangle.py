@@ -300,7 +300,9 @@ class ThetaEngine:
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
         ops = (spec.gamma_h * spec.beta * self.h).reshape(1, -1) if (
             fam is ThetaFamily.THERMALIZATION) else self.ops
-        self._keep = np.flatnonzero((ops != ops[:, :1] * np.eye(factor.dim).ravel()).any(axis=1))
+        keep = np.flatnonzero((ops != ops[:, :1] * np.eye(factor.dim).ravel()).any(axis=1))
+        # one run of rows in every family, so the kept coefficients are a view
+        self._keep = slice(keep[0], keep[-1] + 1) if keep.size else slice(0)
         self.drift_ops = ops[self._keep].reshape(-1, factor.dim, factor.dim)
         # rows of e and of each <O_k> = Tr(rho O_k) (O_k Hermitian) for rho.ravel()
         self._drift_expect = np.vstack([self._expect.T, ops[self._keep].conj()])
@@ -345,9 +347,15 @@ class ThetaEngine:
                 return np.vecdot(theta.reshape(rho.shape).view(float)[..., None, :], g)
             return coeff, table[1:]
         table = bases._contract(self.drift_ops, grid.expect).real @ table
-        if self._s is not None:  # corr-suppress: the pairs' covariances
-            return (lambda x: _covariances(x @ self._s, self._split)[0]), table
-        return (lambda x: self.coefficients(x)[..., 1:]), table  # drop G_00 or P_0 = I
+        return (self._kept if self._s is None else lambda x: self._kept(x @ self._s)), table
+
+    def _kept(self, e: np.ndarray) -> np.ndarray:
+        """Theta's coefficients over ``drift_ops`` from the expectations e
+        (..., n): corr-suppress's covariances of the pairs, or ``coefficients``
+        less the one of G_00 or P_0 = I (every other family but thermalization)."""
+        if self._s is not None:
+            return _covariances(e, self._split)[0]
+        return self.coefficients(e)[..., self._keep]
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """The real (K + 1, N) weights of the drift <Theta> psi - Theta psi of
@@ -360,13 +368,8 @@ class ThetaEngine:
         n, cols = self._expect.shape[1], psi_block.shape[1]
         rho = (psi_block[:, None] * psi_block.conj()[None]).reshape(-1, cols)
         e = (self._drift_expect @ rho).real  # e and <O_k>, one row each
-        w = np.empty((len(self._keep) + 1, cols))
-        if self.spec.family is ThetaFamily.CORR_SUPPRESS:  # the pairs' coefficients
-            w[:-1] = _covariances(e[:n].T, self._split)[0].T
-        elif self.spec.family is ThetaFamily.THERMALIZATION:
-            w[:-1] = 1.0
-        else:
-            w[:-1] = self.coefficients(e[:n].T)[:, self._keep].T
+        w = np.empty((len(self.drift_ops) + 1, cols))
+        w[:-1] = 1.0 if self.spec.family is ThetaFamily.THERMALIZATION else self._kept(e[:n].T).T
         np.vecdot(w[:-1], e[n:], axis=0, out=w[-1])
         return w
 

@@ -16,6 +16,8 @@ _CMAP_RGB = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98),
 _HEX = np.array([f"{v:02x}" for v in range(256)], dtype=object)
 
 _NAN_COLOR = "#b0b0b0"
+#: A line plot draws at most about this many points: longer inputs are decimated.
+_MAX_POINTS = 4000
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -97,6 +99,28 @@ class _Svg:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def _axes(svg: _Svg, box: tuple, px, py, x_range: tuple, y_range: tuple, title: str,
+          xlabel: str, ylabel: str, zero_line: bool = False, marks=lambda: None) -> None:
+    """The axes of the plot box (left, top, width, height), px/py mapping data
+    to pixels: two axis lines, a dashed y = 0 line if ``zero_line`` and 0 is
+    inside y_range, the ticks of each range, ``marks()``, and the labels."""
+    left, top, pw, ph = box
+    svg.line(left, top + ph, left + pw, top + ph)
+    svg.line(left, top, left, top + ph)
+    if zero_line and y_range[0] < 0.0 < y_range[1]:
+        svg.line(left, py(0.0), left + pw, py(0.0), stroke="#cccccc", dash="4,3")
+    for tv in _ticks(*x_range):
+        svg.line(px(tv), top + ph, px(tv), top + ph + 4)
+        svg.text(px(tv), top + ph + 16, _fmt(tv), anchor="middle")
+    for tv in _ticks(*y_range):
+        svg.line(left - 4, py(tv), left, py(tv))
+        svg.text(left - 7, py(tv) + 4, _fmt(tv), anchor="end")
+    marks()
+    svg.text(left + pw / 2, top + ph + 34, xlabel, anchor="middle")
+    svg.text(16, top + ph / 2, ylabel, anchor="middle", rotate=True)
+    svg.text(left + pw / 2, 18, title, size=13, anchor="middle")
+
+
 def heatmap_svg(
     values: np.ndarray,
     x: np.ndarray,
@@ -145,17 +169,7 @@ def heatmap_svg(
                 pts.append((px(xv), py(yv)))
         if len(pts) > 1:
             svg.polyline(pts, stroke="#ffffff", width=1.5)
-    svg.line(mleft, mtop + ph, mleft + pw, mtop + ph)
-    svg.line(mleft, mtop, mleft, mtop + ph)
-    for tv in _ticks(x0, x1):
-        svg.line(px(tv), mtop + ph, px(tv), mtop + ph + 4)
-        svg.text(px(tv), mtop + ph + 16, _fmt(tv), anchor="middle")
-    for tv in _ticks(y0, y1):
-        svg.line(mleft - 4, py(tv), mleft, py(tv))
-        svg.text(mleft - 7, py(tv) + 4, _fmt(tv), anchor="end")
-    svg.text(mleft + pw / 2, mtop + ph + 34, xlabel, anchor="middle")
-    svg.text(16, mtop + ph / 2, ylabel, anchor="middle", rotate=True)
-    svg.text(mleft + pw / 2, 18, title, size=13, anchor="middle")
+    _axes(svg, (mleft, mtop, pw, ph), px, py, (x0, x1), (y0, y1), title, xlabel, ylabel)
     bx = mleft + pw + 20
     # the colour bar: one column of 40 cells, 13.5 + 0.5 wide
     svg.parts.append(_rect_template(1, 40, bx, mtop, 13.5, ph) % _BAR_FILLS)
@@ -170,11 +184,10 @@ def line_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    max_points: int = 4000,
 ) -> str:
     """Time-series plot with a small legend; long inputs are decimated."""
     t = np.asarray(t, dtype=float)
-    stride = max(1, len(t) // max_points)
+    stride = max(1, len(t) // _MAX_POINTS)
     t = t[::stride]
     mleft, mright, mtop, mbot = 60, 120, 30, 45
     pw, ph = 560, 300
@@ -195,25 +208,16 @@ def line_svg(
     def py(v):
         return mtop + ph - (v - lo) / (hi - lo) * ph
 
-    svg.line(mleft, mtop + ph, mleft + pw, mtop + ph)
-    svg.line(mleft, mtop, mleft, mtop + ph)
-    if lo < 0.0 < hi:
-        svg.line(mleft, py(0.0), mleft + pw, py(0.0), stroke="#cccccc", dash="4,3")
-    for tv in _ticks(x0, x1):
-        svg.line(px(tv), mtop + ph, px(tv), mtop + ph + 4)
-        svg.text(px(tv), mtop + ph + 16, _fmt(tv), anchor="middle")
-    for tv in _ticks(lo, hi):
-        svg.line(mleft - 4, py(tv), mleft, py(tv))
-        svg.text(mleft - 7, py(tv) + 4, _fmt(tv), anchor="end")
-    for k, ((label, _), y) in enumerate(zip(series, ys)):
-        color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-        pts = [(px(tv), py(yv)) for tv, yv in zip(t, y) if math.isfinite(yv)]
-        if len(pts) > 1:
-            svg.polyline(pts, stroke=color)
-        ly = mtop + 14 + 16 * k
-        svg.line(mleft + pw + 10, ly - 4, mleft + pw + 30, ly - 4, stroke=color, width=2)
-        svg.text(mleft + pw + 34, ly, label)
-    svg.text(mleft + pw / 2, mtop + ph + 34, xlabel, anchor="middle")
-    svg.text(16, mtop + ph / 2, ylabel, anchor="middle", rotate=True)
-    svg.text(mleft + pw / 2, 18, title, size=13, anchor="middle")
+    def curves():  # each series and its legend entry
+        for k, ((label, _), y) in enumerate(zip(series, ys)):
+            color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
+            pts = [(px(tv), py(yv)) for tv, yv in zip(t, y) if math.isfinite(yv)]
+            if len(pts) > 1:
+                svg.polyline(pts, stroke=color)
+            ly = mtop + 14 + 16 * k
+            svg.line(mleft + pw + 10, ly - 4, mleft + pw + 30, ly - 4, stroke=color, width=2)
+            svg.text(mleft + pw + 34, ly, label)
+
+    _axes(svg, (mleft, mtop, pw, ph), px, py, (x0, x1), (lo, hi), title, xlabel, ylabel,
+          zero_line=True, marks=curves)
     return svg.render()

@@ -14,7 +14,6 @@ from disentsim.bases import weyl_s_matrix
 from disentsim.dynamics import (
     DampingParams,
     IntegratorConfig,
-    SdeModel,
     SpinDamping,
     ensemble_mean_record,
     integrate_master,
@@ -110,9 +109,9 @@ def unravelling_pair():
 
     t_end = 40.0
     sde_cfg = IntegratorConfig(dt=2e-4, t_end=t_end, seed=20260810, sample_every=1000)
-    model = SdeModel.two_spin(h, FIG3_DAMPING)
     # two worker processes give the bytes of one (tests/test_dynamics.py)
-    _, records = integrate_sle_ensemble(psi0, model, sde_cfg, n_traj=2000, workers=2)
+    _, records = integrate_sle_ensemble(psi0, h, None, FIG3_DAMPING, sde_cfg, n_traj=2000,
+                                        workers=2)
     mean = ensemble_mean_record(records)
 
     mcfg = IntegratorConfig(dt=2e-4, t_end=t_end, sample_every=1000)

@@ -14,7 +14,6 @@ from disentsim.dynamics import (
     DegenerateSteadyStateError,
     IntegratorConfig,
     MIN_BLOCK,
-    SdeModel,
     SpinDamping,
     StateHealthError,
     _NOISE_BLOCK,
@@ -631,8 +630,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
         integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, None, FIG2_DAMPING,
                          IntegratorConfig(dt=1e-3, t_end=1e-2))
     with pytest.raises(qcore.HermiticityError):
-        integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex),
-                               SdeModel.two_spin(h, FIG2_DAMPING),
+        integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), h, None, FIG2_DAMPING,
                                IntegratorConfig(dt=1e-3, t_end=1e-2), n_traj=2)
 
 
@@ -732,32 +730,30 @@ def test_sle_ensemble_rejects_non_positive_damping_factor():
     # dt * lambda_max(sum V^dag V / 2) >= 1 flips the sign of the
     # Euler-Maruyama damping factor; the run must not start
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
-    model = SdeModel.two_spin(h, FIG2_DAMPING)
     rate = 0.5 * np.linalg.eigvalsh(
         sum(x.conj().T @ x for x in two_spin_jump_operators(FIG2_DAMPING)))[-1]
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
     for dt in (1.0 / rate, 1e100):
         cfg = IntegratorConfig(dt=dt, t_end=dt)
         with pytest.raises(StateHealthError, match="damping factor"):
-            integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
+            integrate_sle_ensemble(psi0, h, None, FIG2_DAMPING, cfg, n_traj=2)
     cfg = IntegratorConfig(dt=0.9 / rate, t_end=0.9 / rate)
-    integrate_sle_ensemble(psi0, model, cfg, n_traj=2)
+    integrate_sle_ensemble(psi0, h, None, FIG2_DAMPING, cfg, n_traj=2)
 
 
 def _overflowing_ensemble(family):
-    """(model, cfg, abort time) of an ensemble whose state overflows:
-    thermalization without jump operators in one step of 1e300, caught by the
-    sample-point check; bloch-derank-a at gamma_d = 1e300, whose Theta
+    """((h, dspec, damping), cfg, abort time) of an ensemble whose state
+    overflows: thermalization without jump operators (damping None) in one
+    step of 1e300, caught by the sample-point check; bloch-derank-a at gamma_d = 1e300, whose Theta
     eigendecomposition fails between sample points: the first step, from a
     product state, overflows the squared norm (the rounding of sum_k c_k U O_k
     psi against <Theta> U psi, each about dt * 1e300 * 1e-16) and leaves psi
     zero, the second leaves it NaN, and the third step's eigh fails."""
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
     if family is ThetaFamily.THERMALIZATION:
-        model = SdeModel(h=h, jump_ops=(), factor=TWO_QUBITS,
-                         dspec=DisentanglementSpec(family=family, gamma_h=1.0))
+        model = (h, DisentanglementSpec(family=family, gamma_h=1.0), None)
         return model, IntegratorConfig(dt=1e300, t_end=1e300), 1e300
-    model = SdeModel.two_spin(h, FIG2_DAMPING, DisentanglementSpec(family=family, gamma_d=1e300))
+    model = (h, DisentanglementSpec(family=family, gamma_d=1e300), FIG2_DAMPING)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.01, sample_every=5)
     return model, cfg, 0.002
 
@@ -767,7 +763,7 @@ def test_sle_ensemble_non_finite_abort():
         model, cfg, t_abort = _overflowing_ensemble(family)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StateHealthError, match="not finite") as err:
-                integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=2)
+                integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), *model, cfg, n_traj=2)
         assert err.value.t == t_abort, family
 
 
@@ -779,7 +775,7 @@ def test_sle_ensemble_overflow_is_silent():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(StateHealthError, match="not finite"):
-                integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=2)
+                integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), *model, cfg, n_traj=2)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], family
 
 
@@ -1026,14 +1022,13 @@ def test_sle_ensemble_holds_one_noise_buffer():
     # a second, shorter chunk reuses the first chunk's dW buffer, so the run
     # never holds two of them
     h = build_hamiltonian(TwoSpinParams(delta=0.7, omega1=0.7, g=100.0))
-    model = SdeModel.two_spin(h, FIG3_DAMPING)
     n_steps = 2 * _NOISE_CHUNK - 1
     cfg = IntegratorConfig(dt=2e-4, t_end=n_steps * 2e-4, seed=3, sample_every=n_steps)
     psi0 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    buffer_bytes = _NOISE_CHUNK * len(model.jump_ops) * 2000 * 16
+    buffer_bytes = _NOISE_CHUNK * len(two_spin_jump_operators(FIG3_DAMPING)) * 2000 * 16
     tracemalloc.start()
     try:
-        integrate_sle_ensemble(psi0, model, cfg, n_traj=2000)
+        integrate_sle_ensemble(psi0, h, None, FIG3_DAMPING, cfg, n_traj=2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1047,7 +1042,7 @@ def test_sle_ensemble_merge_copies_one_record_column_at_a_time():
     cfg = IntegratorConfig(dt=1e-3, t_end=2.0, seed=5, sample_every=1)
     tracemalloc.start()
     try:
-        _, rec = integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), model, cfg,
+        _, rec = integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), *model, cfg,
                                         n_traj=128)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1071,16 +1066,15 @@ def test_classify_linear_runs_always_fixed_point():
 def test_ensemble_deterministic_for_fixed_seed():
     d = DampingParams(a=SpinDamping(0.05, 0.01, 0.1), b=SpinDamping(0.1, 0.02, 0.05))
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
-    model = SdeModel.two_spin(h, d)
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.8, seed=42, sample_every=100)
-    rho1, recs1 = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
-    rho2, recs2 = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
+    rho1, recs1 = integrate_sle_ensemble(psi0, h, None, d, cfg, n_traj=7)
+    rho2, recs2 = integrate_sle_ensemble(psi0, h, None, d, cfg, n_traj=7)
     assert np.array_equal(rho1, rho2)
     for a, b in zip(recs1, recs2):
         assert np.array_equal(a.k_a, b.k_a)
     cfg3 = IntegratorConfig(dt=1e-3, t_end=0.8, seed=43, sample_every=100)
-    rho3, _ = integrate_sle_ensemble(psi0, model, cfg3, n_traj=7)
+    rho3, _ = integrate_sle_ensemble(psi0, h, None, d, cfg3, n_traj=7)
     assert np.abs(rho1 - rho3).max() > 0
 
 
@@ -1135,12 +1129,13 @@ def test_row_blocks_split_at_any_row(monkeypatch):
 
 
 def _split_model(family):
+    """(h, dspec, damping) of the split-ensemble tests."""
     d = DampingParams(a=SpinDamping(0.05, 0.01, 0.1), b=SpinDamping(0.1, 0.02, 0.05))
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
     if family in (ThetaFamily.STATE_MATRIX_DERANK, ThetaFamily.THERMALIZATION):
-        return SdeModel.two_spin(h, d, _spec(family))
+        return h, _spec(family), d
     gamma_d = 0.0 if family is ThetaFamily.NONE else 0.7
-    return SdeModel.two_spin(h, d, DisentanglementSpec(family=family, gamma_d=gamma_d))
+    return h, DisentanglementSpec(family=family, gamma_d=gamma_d), d
 
 
 @pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.CORR_SUPPRESS,
@@ -1154,7 +1149,7 @@ def test_split_ensemble_is_byte_identical(family, four_cores):
     runs = []
     for workers in (1, 2, 3):
         assert len(block_bounds(768, workers)) == workers
-        runs.append(integrate_sle_ensemble(psi0, model, cfg, n_traj=768, workers=workers))
+        runs.append(integrate_sle_ensemble(psi0, *model, cfg, n_traj=768, workers=workers))
     (rho, rec), rest = runs[0], runs[1:]
     for other_rho, other in rest:
         assert other_rho.tobytes() == rho.tobytes()
@@ -1170,7 +1165,7 @@ def test_split_ensemble_overflow_ends_as_one_block(family, four_cores):
     errors = []
     for workers in (1, 2, 4):  # four blocks on fewer cores share the halt steps too
         with pytest.raises(StateHealthError, match="not finite") as err:
-            integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), model, cfg, n_traj=1024,
+            integrate_sle_ensemble(np.full(4, 0.5, dtype=complex), *model, cfg, n_traj=1024,
                                    workers=workers)
         errors.append(err.value)
         assert not multiprocessing.active_children()
@@ -1190,29 +1185,31 @@ def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores, 
     cfg = IntegratorConfig(dt=1e-3, t_end=0.01, seed=5)
     with pytest.raises(ChildProcessError,
                        match=r"block 1 \(trajectories 256\.\.511\).*exit code 7"):
-        integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), model, cfg,
+        integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), *model, cfg,
                                n_traj=768, workers=3)
     assert not multiprocessing.active_children()
 
 
 def test_sle_block_records_its_failure_and_stops_after_an_earlier_one():
-    model, cfg, t_abort = _overflowing_ensemble(ThetaFamily.BLOCH_DERANK_A)
-    engine = ThetaEngine(model.dspec, model.factor, h=model.h, floor=cfg.log_floor)
-    step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt, engine.drift_ops)
+    (h, dspec, d), cfg, t_abort = _overflowing_ensemble(ThetaFamily.BLOCH_DERANK_A)
+    engine = ThetaEngine(dspec, TWO_QUBITS, h=h, floor=cfg.log_floor)
+    ops = two_spin_jump_operators(d)
+    step_mat = _sle_step_matrix(h, ops, cfg.dt, engine.drift_ops)
     halt = np.full(2, cfg.n_steps)
     with pytest.raises(StateHealthError):
-        dynamics._sle_block(model, np.full(4, 0.5, dtype=complex), step_mat, engine, cfg,
+        dynamics._sle_block(len(ops), np.full(4, 0.5, dtype=complex), step_mat, engine, cfg,
                             halt, 1, 8, 16)
     assert halt.tolist() == [cfg.n_steps, round(t_abort / cfg.dt)]
 
     # a block stops at the first noise chunk that starts after a failure,
     # and runs every step up to it
-    model = _split_model(ThetaFamily.NONE)
+    h, _, d = _split_model(ThetaFamily.NONE)
     cfg = IntegratorConfig(dt=1e-3, t_end=(_NOISE_CHUNK + 1) * 1e-3)
-    step_mat = _sle_step_matrix(model.h, list(model.jump_ops), cfg.dt)
+    ops = two_spin_jump_operators(d)
+    step_mat = _sle_step_matrix(h, ops, cfg.dt)
     for failed_at, stops in ((cfg.n_steps, False), (_NOISE_CHUNK, False),
                              (_NOISE_CHUNK - 1, True), (0, True), (-1, True)):
-        out = dynamics._sle_block(model, np.array([1.0, 0, 0, 0], dtype=complex), step_mat,
+        out = dynamics._sle_block(len(ops), np.array([1.0, 0, 0, 0], dtype=complex), step_mat,
                                   None, cfg, np.array([cfg.n_steps, failed_at]), 0, 0, 8)
         assert (out is None) is stops, failed_at
 
@@ -1249,10 +1246,10 @@ def test_ensemble_record_views_and_mean(family):
     d = DampingParams(a=SpinDamping(0.05, 0.01, 0.1), b=SpinDamping(0.1, 0.02, 0.05))
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
     gamma_d = 0.0 if family is ThetaFamily.NONE else 0.7
-    model = SdeModel.two_spin(h, d, DisentanglementSpec(family=family, gamma_d=gamma_d))
+    spec = DisentanglementSpec(family=family, gamma_d=gamma_d)
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.8, seed=42, sample_every=100)
-    _, rec = integrate_sle_ensemble(psi0, model, cfg, n_traj=7)
+    _, rec = integrate_sle_ensemble(psi0, h, spec, d, cfg, n_traj=7)
     assert rec.herm_err is None and rec.min_eig is None
     copies = []
     for k in range(7):
@@ -1279,10 +1276,9 @@ def test_ensemble_single_driven_spin_matches_analytic():
     delta, omega1 = 0.6, 0.9
     d = SpinDamping(gamma1=0.25, gamma_phi=0.05, n0=0.15)
     h = single_spin_hamiltonian(delta, omega1)
-    model = SdeModel(h=h, jump_ops=tuple(spin_jump_operators(d)))
     psi0 = np.array([0.0, 1.0], dtype=complex)
     cfg = IntegratorConfig(dt=1e-3, t_end=30.0, seed=7, sample_every=50)
-    _, recs = integrate_sle_ensemble(psi0, model, cfg, n_traj=1024)
+    _, recs = integrate_sle_ensemble(psi0, h, None, d, cfg, n_traj=1024)
     times = recs[0].times
     mask = times >= 12.0
     w = np.stack([r.weight[mask] for r in recs])
@@ -1297,6 +1293,41 @@ def test_ensemble_single_driven_spin_matches_analytic():
     assert np.abs(k_mean - ref).max() < max(3.0 * se, 0.05)
 
 
+def test_single_spin_ensemble_rejects_an_active_theta():
+    # a SpinDamping picks the single spin, which no Theta family acts on
+    h = single_spin_hamiltonian(0.6, 0.9)
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-2)
+    psi0 = np.array([0.0, 1.0], dtype=complex)
+    for family in ALL_FAMILIES:
+        with pytest.raises(ValueError, match="two spins"):
+            integrate_sle_ensemble(psi0, h, _spec(family), SpinDamping(0.25, 0.05, 0.15), cfg,
+                                   n_traj=2)
+    integrate_sle_ensemble(psi0, h, DisentanglementSpec(), SpinDamping(0.25, 0.05, 0.15), cfg,
+                           n_traj=2)
+
+
+def test_integrators_check_the_hamiltonian_against_the_damping():
+    # the rule steady_state applies: two spins need a 4x4 H, one spin a 2x2 H
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-2)
+    rho0 = QuantumState(factor=TWO_QUBITS, rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    h2 = single_spin_hamiltonian(0.6, 0.9)
+    h4 = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
+    for h, d in ((h2, FIG2_DAMPING), (h2, None), (h4, SpinDamping(0.25, 0.05, 0.15))):
+        with pytest.raises(qcore.DimensionError, match="-spin model needs"):
+            integrate_sle_ensemble(np.ones(len(h), dtype=complex) / np.sqrt(len(h)), h, None, d,
+                                   cfg, n_traj=2)
+        with pytest.raises(qcore.DimensionError, match="-spin model needs"):
+            integrate_master(rho0, h, None, d, cfg)
+        if d is not None:
+            with pytest.raises(qcore.DimensionError, match="-spin model needs"):
+                steady_state(h, d)
+    with pytest.raises(qcore.DimensionError, match="two-qubit"):  # a single spin's H and damping
+        integrate_master(rho0, h2, None, SpinDamping(0.25, 0.05, 0.15), cfg)
+    with pytest.raises(qcore.DimensionError, match="initial state"):
+        integrate_sle_ensemble(np.array([0.0, 1.0], dtype=complex), h4, None, FIG2_DAMPING, cfg,
+                               n_traj=2)
+
+
 def test_ensemble_mean_matches_master_without_theta():
     d = DampingParams(a=SpinDamping(0.2, 0.05, 0.3), b=SpinDamping(0.3, 0.1, 0.1))
     p = TwoSpinParams(delta=0.4, omega1=0.8, g=0.6)
@@ -1304,8 +1335,7 @@ def test_ensemble_mean_matches_master_without_theta():
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
     cfg = IntegratorConfig(dt=1e-3, t_end=6.0, seed=11, sample_every=500)
-    model = SdeModel.two_spin(h, d)
-    _, recs = integrate_sle_ensemble(psi0, model, cfg, n_traj=800)
+    _, recs = integrate_sle_ensemble(psi0, h, None, d, cfg, n_traj=800)
     mcfg = IntegratorConfig(dt=5e-4, t_end=6.0, sample_every=1000)
     rec_master = integrate_master(
         QuantumState(factor=TWO_QUBITS, rho=np.outer(psi0, psi0.conj())),
