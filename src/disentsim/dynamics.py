@@ -21,10 +21,10 @@
   generators and its own dW, laid out once per 256-step chunk in one
   reused, contiguous (step, channel, trajectory) buffer.  A step is one gemm
   of [U (I - dt/2 sum V^dag V) | U V_1 | ... | -dt U O_1 | ... | dt U] with the
-  stack of psi, dW_l psi, c_k psi and <Theta> psi (``_sle_block_step``).  The blocks' final psi, raw log weights and record
-  columns are merged into one ensemble record with a trajectory axis, and
-  the weights are normalized over the whole ensemble, so any split gives
-  the bytes of one block.
+  stack of psi, dW_l psi, c_k psi and <Theta> psi (``_sle_block_step``).  The
+  blocks' final psi, raw log weights and record columns are merged into one
+  ensemble record with a trajectory axis, and the weights are normalized
+  over the whole ensemble, so any split gives the bytes of one block.
 * Linear steady-state solver via the null space of L_r, batched over a
   stack (the sweep passes one grid row): ``steady_states`` is the one
   kernel, and its docstring states its flow (an inverse screen, one solve,
@@ -463,8 +463,8 @@ def integrate_master(
     si = 0
 
     # an overflowing step is reported by the health checks below, not by
-    # numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy warnings (an inf stage state sets divide in Theta's eigh)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(n_steps + 1):
             if step == sample_steps[si]:
                 t = step * dt
@@ -628,9 +628,10 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
                i: int, start: int, stop: int):
     """Trajectories start..stop-1 of an ensemble, block i of a run, stepped
     as the columns of one block, with ``n_ch`` noise channels (a single
-    spin, dim 2, records only ``k_a``).  Returns the final psi (dim, n), the
-    raw log weight log_w at each sample (n_samples, n), and the record columns
-    (n, n_samples, ...) of every TrajectoryRecord field but ``weight``.
+    spin, dim 2, records only ``k_a`` and ``trace_err``, and its other
+    columns are NaN).  Returns the final psi (dim, n), the raw log weight
+    log_w at each sample (n_samples, n), and the record columns (n,
+    n_samples, ...) of every TrajectoryRecord field but ``weight``.
 
     ``halt`` is the run's shared int64 array, one slot per block, which
     ``integrate_sle_ensemble`` makes before any fork (every slot at the int64
@@ -652,11 +653,12 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
     log_w = np.zeros(n)
     log_w_samples = np.empty((n_samp, n))
 
-    # per-trajectory, per-sample record columns, named as TrajectoryRecord fields
-    cols = {f: np.zeros((n, n_samp, 3)) for f in ("k_a", "k_b")}
-    cols.update((f, np.zeros((n, n_samp)))
-                for f in ("k_entropy", "l_entropy", "delta", "tau_ab", "trace_err"))
-    cols["purity"] = np.ones((n, n_samp))
+    # per-trajectory, per-sample record columns, named as TrajectoryRecord
+    # fields, each filled at every sample; a single spin measures only k_a
+    # and trace_err, and its other columns stay NaN (not measured)
+    cols = {f: np.full((n, n_samp, 3), math.nan) for f in ("k_a", "k_b")}
+    cols.update((f, np.full((n, n_samp), math.nan)) for f in (
+        "k_entropy", "l_entropy", "delta", "tau_ab", "purity", "trace_err"))
 
     si = step = 0
 

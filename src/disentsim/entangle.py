@@ -52,6 +52,7 @@ from .qcore import (
     QuantumState,
     as_complex_matrix,
     eig_log,
+    eigh,
     expectation,
     floored_log,
     spectral_log,
@@ -317,9 +318,11 @@ class ThetaEngine:
             return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
         b = e.reshape(*e.shape[:-1], *self._shape)
         if self.spec.family is ThetaFamily.STATE_MATRIX_DERANK:
-            log_g = eig_log(*np.linalg.eigh(bases.reduced_state_a(b)), self.floor)
+            log_g = eig_log(*eigh(bases.reduced_state_a(b)), self.floor)
             return bases._contract(log_g, self._single.expect).real
-        return (eig_log(*np.linalg.eigh(b @ b.mT / 2.0), self.floor) @ b).reshape(e.shape)
+        a = b @ b.mT
+        a *= 0.5
+        return (eig_log(*eigh(a), self.floor) @ b).reshape(e.shape)
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each

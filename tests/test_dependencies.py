@@ -22,3 +22,52 @@ def test_package_imports_only_numpy_and_the_standard_library():
             found += [f"{path.name}:{node.lineno} {n}" for n in names
                       if n.split(".")[0] not in ALLOWED]
     assert not found, found
+
+
+def _private_numpy_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, dotted name) of every import of a private numpy module or name
+    (a part after ``numpy`` that starts with one underscore), and of every
+    attribute chain on ``np``/``numpy`` that reaches one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                parts.append(base.attr)
+                base = base.value
+            if not (isinstance(base, ast.Name) and base.id in ("np", "numpy")):
+                continue
+            names = [".".join(["numpy", *reversed(parts)])]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] == "numpy" and any(
+            p.startswith("_") and not p.startswith("__") for p in n.split(".")[1:])]
+    return found
+
+
+def test_only_qcore_touches_private_numpy():
+    # qcore.eigh calls the LAPACK gufunc behind np.linalg.eigh.  qcore imports
+    # it with the package, so a numpy release that moves it makes
+    # `import disentsim` fail; this test keeps the name in that one module
+    found = []
+    for path in sorted(Path(disentsim.__file__).parent.glob("*.py")):
+        names = _private_numpy_names(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name == "qcore.py":
+            assert [n for _, n in names] == ["numpy.linalg._umath_linalg"], names
+        else:
+            found += [f"{path.name}:{line} {n}" for line, n in names]
+    assert not found, found
+
+
+def test_private_numpy_guard_sees_every_form():
+    src = ("import numpy._core\nfrom numpy.linalg import _umath_linalg, LinAlgError\n"
+           "from numpy.linalg._umath_linalg import eigh_lo\nx = np.linalg._umath_linalg.eigh_lo\n"
+           "import numpy.linalg\ny = np.__version__\nz = np.linalg.eigh\n")
+    assert [n for _, n in _private_numpy_names(ast.parse(src))] == [
+        "numpy._core", "numpy.linalg._umath_linalg", "numpy.linalg._umath_linalg.eigh_lo",
+        "numpy.linalg._umath_linalg.eigh_lo", "numpy.linalg._umath_linalg"]

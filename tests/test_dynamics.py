@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -44,6 +45,7 @@ from disentsim.entangle import (
     build_theta,
     tau_from_bloch,
 )
+from disentsim.output import trajectory_lines
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
 from disentsim.twospin import (TwoSpinParams, build_hamiltonian, experiment_preset,
                                single_spin_hamiltonian)
@@ -602,20 +604,47 @@ def test_integrate_master_positivity_abort():
     assert "min eigenvalue" in str(err.value)
 
 
-@pytest.mark.parametrize("family", [ThetaFamily.NONE, ThetaFamily.BLOCH_DERANK_A])
+@pytest.mark.parametrize("family", [
+    ThetaFamily.NONE, ThetaFamily.BLOCH_DERANK_A, ThetaFamily.STATE_MATRIX_DERANK,
+    pytest.param(ThetaFamily.THERMALIZATION, marks=pytest.mark.xfail(
+        raises=qcore.PSDViolationError, strict=True,
+        reason="known defect: Theta's positivity check rejects the finite, overflowing "
+               "stage state with a PSDViolationError that names no time"))])
 def test_integrate_master_non_finite_abort(family):
-    # one step of 1e100 overflows the state; the linear run meets it at the
-    # sample point, the nonlinear one inside Theta's eigendecomposition
+    # one step of 1e100 overflows the state.  The linear run meets it at the
+    # sample point, and so does state-matrix deranking, whose complex
+    # eigendecomposition of an overflowed G returns NaN; Bloch deranking's
+    # real one of alpha fails inside the first step.  Thermalization should
+    # abort in the first step too, with a StateHealthError naming t.
+    t_abort = 1e100 if family in (ThetaFamily.NONE, ThetaFamily.STATE_MATRIX_DERANK) else 0.0
     h = build_hamiltonian(TwoSpinParams(delta=0.5, omega1=0.7, g=1.0))
     rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    spec = DisentanglementSpec(family=family,
-                               gamma_d=0.0 if family is ThetaFamily.NONE else 0.5)
+    spec = DisentanglementSpec() if family is ThetaFamily.NONE else _spec(family)
     cfg = IntegratorConfig(dt=1e100, t_end=1e100)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StateHealthError, match="not finite") as err:
+        with pytest.raises(StateHealthError) as err:
             integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
                              spec, FIG2_DAMPING, cfg)
-    assert np.isnan(err.value.min_eig)
+    assert err.value.t == t_abort
+    if family is not ThetaFamily.THERMALIZATION:
+        assert "not finite" in str(err.value)
+        assert np.isnan(err.value.min_eig)
+
+
+def test_integrate_master_overflow_is_silent():
+    # without an errstate around the call the health abort is the only
+    # report; at dt = 1e50 a Bloch stage's alpha overflows to inf, which
+    # sets divide as well as invalid in the eigendecomposition's gufunc
+    h = build_hamiltonian(TwoSpinParams(delta=0.5, omega1=0.7, g=1.0))
+    rho0 = QuantumState(factor=TWO_QUBITS, rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    for family in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.STATE_MATRIX_DERANK):
+        for dt in (1e50, 1e100):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(StateHealthError, match="not finite"):
+                    integrate_master(rho0, h, _spec(family), FIG2_DAMPING,
+                                     IntegratorConfig(dt=dt, t_end=dt))
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (family, dt)
 
 
 def test_non_hermitian_hamiltonian_is_rejected():
@@ -1291,6 +1320,27 @@ def test_ensemble_single_driven_spin_matches_analytic():
         / (mask.sum() * d.t2)
     se = 1.0 / np.sqrt(max(ess, 1.0))
     assert np.abs(k_mean - ref).max() < max(3.0 * se, 0.05)
+
+
+def test_single_spin_ensemble_leaves_what_it_does_not_measure_nan():
+    # a single spin records k_a and the norm error; k_b, the entropies, delta,
+    # tau_ab and the purity are not measured, so they are NaN in every
+    # trajectory, in the weighted mean, and null in NDJSON
+    h = single_spin_hamiltonian(0.6, 0.9)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.05, seed=3, sample_every=10)
+    psi0 = np.array([0.0, 1.0], dtype=complex)
+    _, rec = integrate_sle_ensemble(psi0, h, None, SpinDamping(0.25, 0.05, 0.15), cfg, n_traj=4)
+    mean = ensemble_mean_record(rec)
+    unmeasured = ("k_b", "k_entropy", "l_entropy", "delta", "tau_ab", "purity")
+    for r in (rec, mean):
+        assert all(np.isnan(getattr(r, f)).all() for f in unmeasured)
+        assert np.isfinite(r.k_a).all() and np.isfinite(r.trace_err).all()
+        assert (np.linalg.norm(r.k_a, axis=-1) <= 1.0 + 1e-9).all()
+    for line in trajectory_lines(mean):
+        entry = json.loads(line)
+        assert entry["k_b"] == [None] * 3
+        assert set(entry["measures"].values()) == {None}
+        assert None not in entry["k_a"] and entry["diagnostics"]["trace_err"] is not None
 
 
 def test_single_spin_ensemble_rejects_an_active_theta():

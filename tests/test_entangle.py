@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,56 @@ def test_grid_coefficients_on_a_stack_match_per_state_calls(rng, fam, r):
     assert stacked.shape == (r, len(table))
     for xk, got in zip(x, stacked):
         assert np.abs(got - coeff(xk)).max() < 1e-12, fam
+
+
+def _parent_eig_log(w, v):  # eig_log before qcore.eigh: a masked-store clamp, V^dag
+    cut = qcore.DEFAULT_LOG_FLOOR * w[..., -1:]
+    cut[cut <= 0.0] = qcore.DEFAULT_LOG_FLOOR
+    return (v * np.log(np.maximum(w, cut))[..., None, :]) @ v.mT.conj()
+
+
+@pytest.mark.parametrize("r", [1, 3, 17])
+def test_theta_eigendecompositions_keep_the_wrappers_bits(rng, r):
+    # the Bloch, state-matrix-derank and thermalization kernels run qcore.eigh;
+    # their literal np.linalg.eigh forms are the references, bit for bit
+    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+    rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(r)])
+    psi = random_product_psi(rng)  # singular G and alpha: the floor clamps
+    rhos[0] = np.outer(psi, psi.conj())
+    b = bases.bloch_matrix_from_rho(rhos, 2, 2)
+    x = b.reshape(r, 16)
+    for x_in, b_in in ((x, b), (x[0], b[0])):  # a stack and one state
+        bloch = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7),
+                            TWO_QUBITS)
+        want = (_parent_eig_log(*np.linalg.eigh(b_in @ b_in.mT / 2.0)) @ b_in).reshape(x_in.shape)
+        assert bloch.coefficients(x_in).tobytes() == want.tobytes()
+        smd = ThetaEngine(DisentanglementSpec(ThetaFamily.STATE_MATRIX_DERANK, gamma_d=0.7),
+                          TWO_QUBITS)
+        log_g = _parent_eig_log(*np.linalg.eigh(bases.reduced_state_a(b_in)))
+        want = bases._contract(log_g, bases.observable_grid(2, 1).expect).real
+        assert smd.coefficients(x_in).tobytes() == want.tobytes()
+    spec = DisentanglementSpec(ThetaFamily.THERMALIZATION, gamma_h=1.3, beta=0.8)
+    m = 0.5 * (rhos + rhos.mT.conj())
+    want = 1.3 * 0.8 * h + 1.3 * _parent_eig_log(*np.linalg.eigh(m))
+    assert ThetaEngine(spec, TWO_QUBITS, h=h).matrix(rhos).tobytes() == want.tobytes()
+
+
+def test_theta_matrix_of_a_nan_state_follows_the_callers_errstate():
+    # the real eigendecomposition of alpha fails with LinAlgError; with no
+    # errstate around the call numpy warns about the gufunc's flags first,
+    # and under the integrators' errstate it does not (thermalization's
+    # complex one goes through spectral_log, tested in test_qcore)
+    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7),
+                         TWO_QUBITS)
+    rho = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.warns(RuntimeWarning, match="eigh_lo"):
+        with pytest.raises(np.linalg.LinAlgError):
+            engine.matrix(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                engine.matrix(rho)
 
 
 def test_bloch_theta_reads_the_measured_bloch_matrix(rng):

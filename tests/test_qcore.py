@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,96 @@ def test_spectral_log_on_a_stack_checks_every_matrix(rng):
     bad[3] = np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]])
     with pytest.raises(HermiticityError):
         spectral_log(bad)
+
+
+# The integrators' errstate around every Theta stage and step.
+INTEGRATOR_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _symmetric(rng, shape):
+    a = rng.standard_normal(shape)
+    return a @ a.mT
+
+
+def _hermitian(rng, shape):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return a @ a.mT.conj()
+
+
+@pytest.mark.parametrize("make,shape", [(_symmetric, (4, 4)), (_symmetric, (3, 4, 4)),
+                                        (_hermitian, (2, 2)), (_hermitian, (5, 2, 2))])
+def test_eigh_is_the_wrappers_bits(rng, make, shape):
+    a = make(rng, shape)
+    w, v = qcore.eigh(a)
+    want_w, want_v = np.linalg.eigh(a)
+    assert w.dtype == want_w.dtype and v.dtype == want_v.dtype
+    assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+    # rank-deficient inputs, as the deranking kernels meet on product states
+    a = a[..., :1] @ a[..., :1].mT.conj()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(qcore.eigh(a), np.linalg.eigh(a)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_raises_where_the_wrapper_does(rng, bad):
+    # a real stack with a NaN or inf matrix fails in LAPACK; the integrators'
+    # errstate keeps the gufunc silent and the helper raises, as the wrapper does
+    a = _symmetric(rng, (3, 4, 4))
+    a[1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(**INTEGRATOR_ERRSTATE):
+            with pytest.raises(np.linalg.LinAlgError):
+                qcore.eigh(a)
+            with pytest.raises(np.linalg.LinAlgError):
+                qcore.eigh(a[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_returns_nan_where_the_wrapper_does(rng, bad):
+    # the complex gufunc decomposes a NaN or inf matrix without failing, and
+    # the wrapper hands its NaN back: so does the helper
+    a = _hermitian(rng, (5, 2, 2))
+    a[3] = bad
+    want = np.linalg.eigh(a)
+    assert np.isnan(want[0][3]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(**INTEGRATOR_ERRSTATE):
+            got = qcore.eigh(a)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def _parent_floored_log(w, floor):  # the masked-store clamp floored_log replaced
+    cut = floor * w[..., -1:]
+    cut[cut <= 0.0] = floor
+    return np.log(np.maximum(w, cut))
+
+
+def test_floored_log_keeps_the_masked_store_bits_on_nan_and_non_positive_cuts(rng):
+    spectra = np.concatenate([_spectra(rng), np.array([[0.1, 0.2, 0.3, np.nan],
+                                                       [np.nan, 0.2, 0.3, 0.4]])])
+    with np.errstate(invalid="ignore"):
+        want = _parent_floored_log(spectra, 1e-13)
+        assert qcore.floored_log(spectra, 1e-13).tobytes() == want.tobytes()
+        for w, row in zip(spectra, want):
+            assert qcore.floored_log(w, 1e-13).tobytes() == row.tobytes()
+    assert np.isnan(want[-2]).all()
+
+
+def test_public_eigendecompositions_follow_the_callers_errstate():
+    # with no errstate around the call, numpy warns about the gufunc's flags
+    # on a NaN matrix and the LinAlgError follows; under the integrators'
+    # errstate it is silent (an inf matrix already warns in the Hermiticity
+    # check's subtraction, inf - inf)
+    a = np.full((4, 4), np.nan, dtype=complex)
+    for fn in (herm_eig, spectral_log):
+        with pytest.warns(RuntimeWarning, match="eigh_lo"):
+            with pytest.raises(np.linalg.LinAlgError):
+                fn(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(**INTEGRATOR_ERRSTATE):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(a)
