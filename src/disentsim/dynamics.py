@@ -1,4 +1,9 @@
-"""Time evolution engines.
+"""Time evolution engines of the driven spin pair.
+
+Every model entry point (``grid_liouvillian``, ``steady_state``,
+``integrate_master`` and ``integrate_sle_ensemble``) takes a 4x4 H and a
+``DampingParams`` (None: no damping).  A lone driven spin is the pair at
+g = 0, whose steady state is rho_a (x) rho_b.
 
 * GKSL master equation with per-spin decay, pumping and dephasing channels.
 * The nonlinear modified master equation
@@ -54,6 +59,7 @@ from .entangle import DisentanglementSpec, ThetaEngine
 from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
+    PSDViolationError,
     QuantumState,
     TWO_QUBITS,
     as_complex_matrix,
@@ -97,7 +103,8 @@ class DegenerateSteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpinDamping:
-    """Single-spin bath coupling: relaxation, dephasing and thermal occupation."""
+    """One spin's bath coupling (a field of DampingParams): relaxation, dephasing
+    and thermal occupation."""
 
     gamma1: float = 0.0
     gamma_phi: float = 0.0
@@ -154,20 +161,14 @@ def two_spin_jump_operators(d: DampingParams) -> list[np.ndarray]:
     return ops
 
 
-def jump_operators(d: DampingParams | SpinDamping | None) -> list[np.ndarray]:
-    """The channels of a two-spin (DampingParams, or None: none) or single-spin damping."""
-    if isinstance(d, DampingParams):
-        return two_spin_jump_operators(d)
-    return [] if d is None else spin_jump_operators(d)
-
-
-def _system_dim(h: np.ndarray, d: DampingParams | SpinDamping | None) -> int:
-    """The state dimension a damping drives: 2 for a SpinDamping, 4 for two
-    spins (DampingParams or None); an H of another shape raises DimensionError."""
-    n = 2 if isinstance(d, SpinDamping) else 4
-    if np.shape(h) != (n, n):
-        raise DimensionError(f"a {'single' if n == 2 else 'two'}-spin model needs a {n}x{n} H")
-    return n
+def _pair_hamiltonian(h: np.ndarray) -> np.ndarray:
+    """H as a complex matrix: anything but a 4x4 H raises DimensionError, and
+    a non-Hermitian one HermiticityError."""
+    h = as_complex_matrix(h)
+    if h.shape != (4, 4):
+        raise DimensionError("the two-spin model needs a 4x4 H")
+    require_hermitian(h, "Hamiltonian")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +193,22 @@ def dissipator_superop(ops: list[np.ndarray], dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def damping_superop(d: DampingParams | SpinDamping) -> np.ndarray:
-    """Read-only dissipator superoperator of the six two-spin channels (or the
-    three single-spin ones), built once per (frozen, hashable) damping."""
-    out = dissipator_superop(jump_operators(d), 4 if isinstance(d, DampingParams) else 2)
+def damping_superop(d: DampingParams) -> np.ndarray:
+    """Read-only dissipator superoperator of the six two-spin channels, built
+    once per (frozen, hashable) damping."""
+    out = dissipator_superop(two_spin_jump_operators(d), 4)
     out.flags.writeable = False
     return out
 
 
-def grid_liouvillian(h: np.ndarray, d: DampingParams | SpinDamping | None
+def grid_liouvillian(h: np.ndarray, d: DampingParams | None
                      ) -> tuple[bases.ObservableGrid, np.ndarray]:
-    """The observable grid of a two-spin (DampingParams or None) or single-spin
-    (SpinDamping) model, and the real grid form L_r of its Liouvillian
-    rho -> i[rho, H] + (damping dissipator).  L_r is real because the map
-    preserves Hermiticity, so a non-Hermitian H raises HermiticityError."""
-    grid = bases.observable_grid(2, 1 if isinstance(d, SpinDamping) else 2)
-    h = as_complex_matrix(h)
-    require_hermitian(h, "Hamiltonian")
-    lv = hamiltonian_superop(h)
+    """The two-spin observable grid and the real grid form L_r of the
+    Liouvillian rho -> i[rho, H] + (damping dissipator; none for None).  L_r
+    is real because the map preserves Hermiticity, so a non-Hermitian H
+    raises HermiticityError (and an H that is not 4x4 DimensionError)."""
+    grid = bases.observable_grid(2, 2)
+    lv = hamiltonian_superop(_pair_hamiltonian(h))
     return grid, grid.superop(lv if d is None else lv + damping_superop(d))
 
 
@@ -299,15 +298,14 @@ def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarra
     return x, degenerate
 
 
-def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
-    """Unique trace-one steady state of the linear GKSL generator for the
-    two-spin system (4x4) or a single spin (2x2).
+def steady_state(h: np.ndarray, d: DampingParams | None) -> np.ndarray:
+    """Unique trace-one steady state (4x4) of the linear GKSL generator of the
+    two-spin system.
 
     Takes the null vector x of the grid Liouvillian from ``steady_states`` and
     returns (1/2) x . G; a null space of dimension > 1 raises instead of being
     resolved silently.
     """
-    n = _system_dim(h, d)
     grid, lr = grid_liouvillian(h, d)
     x, degenerate = steady_states(lr[None], grid)
     if degenerate[0]:
@@ -315,7 +313,7 @@ def steady_state(h: np.ndarray, d: DampingParams | SpinDamping) -> np.ndarray:
             "Liouvillian has no unique trace-one steady state "
             "(null space of dimension > 1, or a traceless null vector)"
         )
-    return (x[0] @ grid.half).reshape(n, n)
+    return (x[0] @ grid.half).reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +441,10 @@ def integrate_master(
     rebuilt from x at every stage, and a step is x + (dt/6) (1, 2, 2, 1) . K,
     K the (4, n) stage vectors (``_mme_stage``).  Diagnostics are recorded at
     each sample; a minimum eigenvalue below -1e-6, or a state that is no
-    longer finite, aborts with a StateHealthError."""
-    if initial.factor != TWO_QUBITS or _system_dim(h, damping) != 4:
+    longer finite, aborts with a StateHealthError, as does a stage state
+    that Theta rejects (not finite, or not positive semi-definite for
+    thermalization's log) at its step's t."""
+    if initial.factor != TWO_QUBITS:
         raise DimensionError("integrate_master drives the two-qubit system")
     grid, lr = grid_liouvillian(h, damping)
     lr[0] = 0.0
@@ -486,6 +486,11 @@ def integrate_master(
                 # Theta's eigendecomposition fails only on a stage state that
                 # overflowed to inf/NaN
                 raise StateHealthError(step * dt, math.nan) from None
+            except PSDViolationError:
+                # thermalization's log rejects a finite stage state r that is
+                # not positive semi-definite
+                raise StateHealthError(step * dt, float(
+                    np.linalg.eigvalsh((r @ grid.half).reshape(4, 4))[0])) from None
             x = x + w @ k
 
     b = x_samples.reshape(-1, 4, 4)
@@ -627,11 +632,10 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
                engine: ThetaEngine | None, cfg: IntegratorConfig, halt: np.ndarray,
                i: int, start: int, stop: int):
     """Trajectories start..stop-1 of an ensemble, block i of a run, stepped
-    as the columns of one block, with ``n_ch`` noise channels (a single
-    spin, dim 2, records only ``k_a`` and ``trace_err``, and its other
-    columns are NaN).  Returns the final psi (dim, n), the raw log weight
-    log_w at each sample (n_samples, n), and the record columns (n,
-    n_samples, ...) of every TrajectoryRecord field but ``weight``.
+    as the columns of one block, with ``n_ch`` noise channels.  Returns the
+    final psi (4, n), the raw log weight log_w at each sample (n_samples, n),
+    and the record columns (n, n_samples, ...) of every TrajectoryRecord
+    field but ``weight``.
 
     ``halt`` is the run's shared int64 array, one slot per block, which
     ``integrate_sle_ensemble`` makes before any fork (every slot at the int64
@@ -640,7 +644,6 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
     sets halt[i] to the step of its StateHealthError (-1 for any other
     error), and a block whose next noise chunk starts after min(halt)
     returns None, because an earlier failure decides the run."""
-    dim = psi0.size
     n = stop - start
     dt = cfg.dt
     sample_steps = cfg.sample_steps
@@ -649,15 +652,14 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
     gens = [np.random.default_rng(np.random.SeedSequence([int(cfg.seed), k]))
             for k in range(start, stop)]
     psi = np.tile(psi0[:, None], (1, n))
-    stack = np.empty((step_mat.shape[1] // dim, dim, n), dtype=complex)
+    stack = np.empty((step_mat.shape[1] // 4, 4, n), dtype=complex)
     log_w = np.zeros(n)
     log_w_samples = np.empty((n_samp, n))
 
     # per-trajectory, per-sample record columns, named as TrajectoryRecord
-    # fields, each filled at every sample; a single spin measures only k_a
-    # and trace_err, and its other columns stay NaN (not measured)
-    cols = {f: np.full((n, n_samp, 3), math.nan) for f in ("k_a", "k_b")}
-    cols.update((f, np.full((n, n_samp), math.nan)) for f in (
+    # fields, each filled at every sample
+    cols = {f: np.empty((n, n_samp, 3)) for f in ("k_a", "k_b")}
+    cols.update((f, np.empty((n, n_samp))) for f in (
         "k_entropy", "l_entropy", "delta", "tau_ab", "purity", "trace_err"))
 
     si = step = 0
@@ -670,14 +672,10 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
         log_w_samples[si] = log_w
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
         cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
-        rho = np.einsum("in,jn->nij", psi, psi.conj())
-        if dim == 4:
-            b = bases.bloch_matrix_from_rho(rho, 2, 2)
-            cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
-            for f, v in vars(entangle.measures_from_bloch(b, cfg.log_floor)).items():
-                cols[f][:, si] = v
-        else:  # the single-spin grid is (I, sigma_x, sigma_y, sigma_z)
-            cols["k_a"][:, si] = bases.bloch_matrix_from_rho(rho, 2, 1)[:, 1:, 0]
+        b = bases.bloch_matrix_from_rho(np.einsum("in,jn->nij", psi, psi.conj()), 2, 2)
+        cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
+        for f, v in vars(entangle.measures_from_bloch(b, cfg.log_floor)).items():
+            cols[f][:, si] = v
         si += 1
 
     try:
@@ -707,11 +705,10 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
 
 def integrate_sle_ensemble(initial: np.ndarray, h: np.ndarray,
                            dspec: DisentanglementSpec | None,
-                           damping: DampingParams | SpinDamping | None, cfg: IntegratorConfig,
+                           damping: DampingParams | None, cfg: IntegratorConfig,
                            n_traj: int, workers: int = 1) -> tuple[np.ndarray, TrajectoryRecord]:
-    """Evolve an ensemble of trajectories and average the projectors, of two
-    spins (DampingParams, or None: no jump channels) or of one (SpinDamping,
-    which has no Theta family), as the damping's type says.
+    """Evolve an ensemble of two-spin trajectories (None: no jump channels)
+    and average the projectors.
 
     Returns the ensemble mean density matrix at the final time plus one
     ensemble record of contiguous (n_traj, n_samples, ...) columns.
@@ -740,17 +737,14 @@ def integrate_sle_ensemble(initial: np.ndarray, h: np.ndarray,
     if workers < 1:
         raise ValueError("need at least one worker")
     psi0 = np.asarray(initial, dtype=complex).reshape(-1)
-    h = as_complex_matrix(h)
-    if _system_dim(h, damping) != psi0.size:
+    h = _pair_hamiltonian(h)
+    if psi0.size != 4:
         raise DimensionError("initial state and Hamiltonian dimensions differ")
-    require_hermitian(h, "Hamiltonian")
 
     engine = None
     if dspec is not None and dspec.active:
-        if isinstance(damping, SpinDamping):
-            raise ValueError("nonlinear families need two spins")
         engine = ThetaEngine(dspec, TWO_QUBITS, h=h, floor=cfg.log_floor)
-    ops = jump_operators(damping)
+    ops = [] if damping is None else two_spin_jump_operators(damping)
     step_mat = _sle_step_matrix(h, ops, cfg.dt, None if engine is None else engine.drift_ops)
 
     bounds = block_bounds(n_traj, workers)

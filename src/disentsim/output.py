@@ -56,8 +56,7 @@ def write_sweep_csv(path: Path, blocks: Iterable[BinaryIO]) -> None:
 
 
 def trajectory_lines(rec: TrajectoryRecord):
-    """NDJSON lines, one sample per line, stable field order; None and a
-    non-finite float (a value not measured) are null, as in ``write_json``."""
+    """NDJSON lines, one sample per line, stable field order; None is null."""
     for i in range(rec.n_samples):
         entry = {
             "t": float(rec.times[i]),
@@ -76,7 +75,7 @@ def trajectory_lines(rec: TrajectoryRecord):
                 "min_eig": None if rec.min_eig is None else float(rec.min_eig[i]),
             },
         }
-        yield json.dumps(_null_if_not_finite(entry), allow_nan=False)
+        yield json.dumps(entry, allow_nan=False)
 
 
 def write_trajectory_ndjson(path: Path, rec: TrajectoryRecord) -> None:

@@ -68,11 +68,6 @@ def build_hamiltonian(p: TwoSpinParams) -> np.ndarray:
     )
 
 
-def single_spin_hamiltonian(delta: float, omega1: float) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the driven spin alone (2x2)."""
-    return 0.5 * delta * bases.SIGMA_Z + 0.5 * omega1 * bases.SIGMA_X
-
-
 def rabi_frequency(p: TwoSpinParams) -> float:
     """omega_R = sqrt(omega_1^2 + Delta^2); matching means omega_R = omega_a."""
     return math.hypot(p.omega1, p.delta)

@@ -44,7 +44,6 @@ from disentsim.twospin import (
     build_hamiltonian,
     classify_attractor,
     run_sweep,
-    single_spin_hamiltonian,
 )
 
 from conftest import analytic_driven_spin_bloch
@@ -136,9 +135,12 @@ def test_criterion_01_steady_state_oracle():
         d = SpinDamping(gamma1=rng.uniform(0.01, 0.5),
                         gamma_phi=rng.uniform(0.0, 0.3),
                         n0=rng.uniform(0.0, 10.0))
-        rho = steady_state(single_spin_hamiltonian(delta, omega1), d)
+        # the pair at g = 0 holds the driven spin as spin b, rho = rho_a (x) rho_b;
+        # spin a is damped too, as an undamped one leaves a degenerate null space
+        rho = steady_state(build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1)),
+                           DampingParams(a=d, b=d))
         got = np.array([
-            np.trace(m @ rho).real
+            np.trace(kron(np.eye(2), m) @ rho).real
             for m in (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                       np.diag([1.0, -1.0]))
         ])

@@ -1,4 +1,3 @@
-import json
 import math
 import multiprocessing
 import os
@@ -45,10 +44,8 @@ from disentsim.entangle import (
     build_theta,
     tau_from_bloch,
 )
-from disentsim.output import trajectory_lines
 from disentsim.qcore import QuantumState, TWO_QUBITS, kron
-from disentsim.twospin import (TwoSpinParams, build_hamiltonian, experiment_preset,
-                               single_spin_hamiltonian)
+from disentsim.twospin import TwoSpinParams, build_hamiltonian, experiment_preset
 from disentsim.workers import run_blocks
 
 from conftest import analytic_driven_spin_bloch, literal_theta
@@ -222,23 +219,25 @@ def test_steady_state_single_spin_matches_analytic(rng):
         omega1 = rng.uniform(0.05, 2)
         d = SpinDamping(gamma1=rng.uniform(0.01, 0.5), gamma_phi=rng.uniform(0.0, 0.3),
                         n0=rng.uniform(0.0, 5.0))
-        rho = steady_state(single_spin_hamiltonian(delta, omega1), d)
-        got = np.array([np.trace(s @ rho).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+        rho = steady_state(build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1)),
+                           DampingParams(a=d, b=d))
+        got = np.array([np.trace(kron(ID2, s) @ rho).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
         ref = analytic_driven_spin_bloch(delta, omega1, d)
         assert np.abs(got - ref).max() < 1e-9
 
 
 def test_steady_state_zero_detuning_kills_dispersive():
     d = SpinDamping(gamma1=0.1, gamma_phi=0.02, n0=0.3)
-    rho = steady_state(single_spin_hamiltonian(0.0, 0.7), d)
-    assert abs(np.trace(SIGMA_X @ rho).real) < 1e-10
+    rho = steady_state(build_hamiltonian(TwoSpinParams(delta=0.0, omega1=0.7)),
+                       DampingParams(a=d, b=d))
+    assert abs(np.trace(kron(ID2, SIGMA_X) @ rho).real) < 1e-10
 
 
 def test_steady_state_degenerate_reported():
     # pure dephasing with no drive leaves every population distribution steady
     d = SpinDamping(gamma1=0.0, gamma_phi=0.3, n0=0.0)
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state(0.5 * SIGMA_Z, d)
+        steady_state(build_hamiltonian(TwoSpinParams()), DampingParams(a=d, b=d))
 
 
 def _rank_one_deficient(rho: np.ndarray) -> np.ndarray:
@@ -286,8 +285,12 @@ def svd_steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.nd
 def _random_gksl(rng, pair: bool) -> np.ndarray:
     n = 4 if pair else 2
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = a + a.conj().T
     spin = lambda: SpinDamping(*rng.uniform(0.01, 1.0, 3))  # noqa: E731
-    return grid_liouvillian(a + a.conj().T, DampingParams(spin(), spin()) if pair else spin())[1]
+    if pair:
+        return grid_liouvillian(h, DampingParams(spin(), spin()))[1]
+    return bases.observable_grid(2, 1).superop(
+        hamiltonian_superop(h) + dissipator_superop(spin_jump_operators(spin()), 2))
 
 
 def _fig1_rows():
@@ -606,16 +609,13 @@ def test_integrate_master_positivity_abort():
 
 @pytest.mark.parametrize("family", [
     ThetaFamily.NONE, ThetaFamily.BLOCH_DERANK_A, ThetaFamily.STATE_MATRIX_DERANK,
-    pytest.param(ThetaFamily.THERMALIZATION, marks=pytest.mark.xfail(
-        raises=qcore.PSDViolationError, strict=True,
-        reason="known defect: Theta's positivity check rejects the finite, overflowing "
-               "stage state with a PSDViolationError that names no time"))])
+    ThetaFamily.THERMALIZATION])
 def test_integrate_master_non_finite_abort(family):
     # one step of 1e100 overflows the state.  The linear run meets it at the
     # sample point, and so does state-matrix deranking, whose complex
     # eigendecomposition of an overflowed G returns NaN; Bloch deranking's
-    # real one of alpha fails inside the first step.  Thermalization should
-    # abort in the first step too, with a StateHealthError naming t.
+    # real one of alpha fails inside the first step.  Thermalization's log
+    # rejects the first step's finite stage state, which is not positive.
     t_abort = 1e100 if family in (ThetaFamily.NONE, ThetaFamily.STATE_MATRIX_DERANK) else 0.0
     h = build_hamiltonian(TwoSpinParams(delta=0.5, omega1=0.7, g=1.0))
     rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -629,6 +629,9 @@ def test_integrate_master_non_finite_abort(family):
     if family is not ThetaFamily.THERMALIZATION:
         assert "not finite" in str(err.value)
         assert np.isnan(err.value.min_eig)
+    else:
+        assert "positivity violated at t = 0: min eigenvalue" in str(err.value)
+        assert err.value.min_eig < dynamics.POSITIVITY_ABORT
 
 
 def test_integrate_master_overflow_is_silent():
@@ -1033,14 +1036,12 @@ def test_master_stage_drops_exactly_the_multiples_of_identity(family, rng):
             assert np.abs(shifted - stage).max() <= 1e-13, a
 
 
-@pytest.mark.parametrize("case", ["fig1-sweep", "fig2-A2", "fig3-A", "random", "spin"])
+@pytest.mark.parametrize("case", ["fig1-sweep", "fig2-A2", "fig3-A", "random"])
 def test_grid_liouvillian_trace_row_is_zero(case, rng):
     # a GKSL generator preserves Tr(rho) = x_0 Tr(G_0) / 2, so row 0 of L_r is
     # rounding: the master stage reads 2 <Theta> / Tr(rho) off it as -z_0 / x_0
     if case == "random":
         lr = _random_gksl(rng, pair=True)
-    elif case == "spin":
-        lr = grid_liouvillian(bases.SIGMA_X + 0.3 * bases.SIGMA_Z, SpinDamping(0.2, 0.05, 0.3))[1]
     else:
         cfg = parse_config_dict(experiment_preset(case))
         lr = grid_liouvillian(build_hamiltonian(cfg.model), cfg.damping)[1]
@@ -1301,18 +1302,22 @@ def test_ensemble_record_views_and_mean(family):
 
 
 def test_ensemble_single_driven_spin_matches_analytic():
-    # weighted time-and-ensemble average vs the closed-form steady state
+    # weighted time-and-ensemble average vs the closed-form steady state of
+    # spin b in the pair at g = 0: spin a's zero-rate channels leave it in
+    # its ground state and the weights to spin b
     delta, omega1 = 0.6, 0.9
     d = SpinDamping(gamma1=0.25, gamma_phi=0.05, n0=0.15)
-    h = single_spin_hamiltonian(delta, omega1)
-    psi0 = np.array([0.0, 1.0], dtype=complex)
+    h = build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1))
+    psi0 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     cfg = IntegratorConfig(dt=1e-3, t_end=30.0, seed=7, sample_every=50)
-    _, recs = integrate_sle_ensemble(psi0, h, None, d, cfg, n_traj=1024)
+    # two worker processes give the bytes of one (the test_split_ensemble_* tests)
+    _, recs = integrate_sle_ensemble(psi0, h, None, DampingParams(a=SpinDamping(), b=d), cfg,
+                                     n_traj=1024, workers=2)
     times = recs[0].times
     mask = times >= 12.0
     w = np.stack([r.weight[mask] for r in recs])
     w = w / w.sum()
-    k_mean = np.einsum("rs,rsj->j", w, np.stack([r.k_a[mask] for r in recs]))
+    k_mean = np.einsum("rs,rsj->j", w, np.stack([r.k_b[mask] for r in recs]))
     ref = analytic_driven_spin_bloch(delta, omega1, d)
     # 3 standard errors with the effective (weight-degraded, time-correlated)
     # sample count: ~one independent draw per T2 per trajectory
@@ -1322,57 +1327,24 @@ def test_ensemble_single_driven_spin_matches_analytic():
     assert np.abs(k_mean - ref).max() < max(3.0 * se, 0.05)
 
 
-def test_single_spin_ensemble_leaves_what_it_does_not_measure_nan():
-    # a single spin records k_a and the norm error; k_b, the entropies, delta,
-    # tau_ab and the purity are not measured, so they are NaN in every
-    # trajectory, in the weighted mean, and null in NDJSON
-    h = single_spin_hamiltonian(0.6, 0.9)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.05, seed=3, sample_every=10)
-    psi0 = np.array([0.0, 1.0], dtype=complex)
-    _, rec = integrate_sle_ensemble(psi0, h, None, SpinDamping(0.25, 0.05, 0.15), cfg, n_traj=4)
-    mean = ensemble_mean_record(rec)
-    unmeasured = ("k_b", "k_entropy", "l_entropy", "delta", "tau_ab", "purity")
-    for r in (rec, mean):
-        assert all(np.isnan(getattr(r, f)).all() for f in unmeasured)
-        assert np.isfinite(r.k_a).all() and np.isfinite(r.trace_err).all()
-        assert (np.linalg.norm(r.k_a, axis=-1) <= 1.0 + 1e-9).all()
-    for line in trajectory_lines(mean):
-        entry = json.loads(line)
-        assert entry["k_b"] == [None] * 3
-        assert set(entry["measures"].values()) == {None}
-        assert None not in entry["k_a"] and entry["diagnostics"]["trace_err"] is not None
-
-
-def test_single_spin_ensemble_rejects_an_active_theta():
-    # a SpinDamping picks the single spin, which no Theta family acts on
-    h = single_spin_hamiltonian(0.6, 0.9)
-    cfg = IntegratorConfig(dt=1e-3, t_end=1e-2)
-    psi0 = np.array([0.0, 1.0], dtype=complex)
-    for family in ALL_FAMILIES:
-        with pytest.raises(ValueError, match="two spins"):
-            integrate_sle_ensemble(psi0, h, _spec(family), SpinDamping(0.25, 0.05, 0.15), cfg,
-                                   n_traj=2)
-    integrate_sle_ensemble(psi0, h, DisentanglementSpec(), SpinDamping(0.25, 0.05, 0.15), cfg,
-                           n_traj=2)
-
-
 def test_integrators_check_the_hamiltonian_against_the_damping():
-    # the rule steady_state applies: two spins need a 4x4 H, one spin a 2x2 H
+    # the rule steady_state applies: the two-spin model needs a 4x4 H
     cfg = IntegratorConfig(dt=1e-3, t_end=1e-2)
     rho0 = QuantumState(factor=TWO_QUBITS, rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    h2 = single_spin_hamiltonian(0.6, 0.9)
+    h2 = np.array([[0.3, 0.45], [0.45, -0.3]], dtype=complex)
     h4 = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
-    for h, d in ((h2, FIG2_DAMPING), (h2, None), (h4, SpinDamping(0.25, 0.05, 0.15))):
+    for d in (FIG2_DAMPING, None):
         with pytest.raises(qcore.DimensionError, match="-spin model needs"):
-            integrate_sle_ensemble(np.ones(len(h), dtype=complex) / np.sqrt(len(h)), h, None, d,
+            integrate_sle_ensemble(np.ones(2, dtype=complex) / np.sqrt(2), h2, None, d,
                                    cfg, n_traj=2)
         with pytest.raises(qcore.DimensionError, match="-spin model needs"):
-            integrate_master(rho0, h, None, d, cfg)
+            integrate_master(rho0, h2, None, d, cfg)
         if d is not None:
             with pytest.raises(qcore.DimensionError, match="-spin model needs"):
-                steady_state(h, d)
-    with pytest.raises(qcore.DimensionError, match="two-qubit"):  # a single spin's H and damping
-        integrate_master(rho0, h2, None, SpinDamping(0.25, 0.05, 0.15), cfg)
+                steady_state(h2, d)
+    qutrits = QuantumState.mixed(np.eye(9) / 9, qcore.Factorization(3, 3))
+    with pytest.raises(qcore.DimensionError, match="two-qubit"):
+        integrate_master(qutrits, h4, None, FIG2_DAMPING, cfg)
     with pytest.raises(qcore.DimensionError, match="initial state"):
         integrate_sle_ensemble(np.array([0.0, 1.0], dtype=complex), h4, None, FIG2_DAMPING, cfg,
                                n_traj=2)
