@@ -90,7 +90,8 @@ def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:
     For N >= 2 matrices each row is bitwise independent of N; one matrix goes
     through gemv and can differ in its last bit (up to 2.2e-16 over 400 states),
     which the log in the Bloch families' Theta magnifies to up to 3.6e-12."""
-    return rho.reshape(*rho.shape[:-2], expect.shape[0]) @ expect
+    flat = rho.reshape(rho.shape[:-2] + expect.shape[:1])
+    return np.dot(flat, expect) if flat.ndim == 1 else flat @ expect
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,9 @@ def reduced_state_a(b: np.ndarray) -> np.ndarray:
     (..., d_a, d_a): only G[a, 0] has a nonzero partial trace over b, so
     Tr_b rho = sqrt(d_b) B[:, 0] . (the single-factor grid (d_a, 1) / 2)."""
     d_a, d_b = math.isqrt(b.shape[-2]), math.isqrt(b.shape[-1])
-    flat = math.sqrt(d_b) * (b[..., :, 0] @ observable_grid(d_a, 1).half)
-    return flat.reshape(*b.shape[:-2], d_a, d_a)
+    col, half = b[..., :, 0], observable_grid(d_a, 1).half
+    flat = math.sqrt(d_b) * (np.dot(col, half) if col.ndim == 1 else col @ half)
+    return flat.reshape(b.shape[:-2] + (d_a, d_a))
 
 
 def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -234,6 +234,10 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
     family = _FAMILIES[values["disentangle.family"]]
     if family is ThetaFamily.NONE and values["disentangle.gamma_d"] != 0.0:
         raise ConfigError("disentangle.family = none forces disentangle.gamma_d = 0")
+    t_end, dt = values["integrator.t_end"], values["integrator.dt"]
+    if t_end < dt:
+        raise ConfigError(f"integrator.t_end = {t_end!r} must be at least one step "
+                          f"of integrator.dt = {dt!r}")
 
     def section(prefix: str, **given: Any) -> dict[str, Any]:
         # the last part of a section key is its run object's field name

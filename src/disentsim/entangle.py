@@ -31,7 +31,10 @@ functions and both integrators' sample points; K, delta and Q_S read the
 reduced state off B (``bases.reduced_state_a``).  B comes from one contraction,
 ``bases._contract``; tau and Q_ab read the expectations <l_a>, <l_b> and
 <l_a (x) l_b> from B through one cached, read-only map S (``_covariance_map``),
-so the measures, the sweep and Theta share B.
+so the measures, the sweep and Theta share B.  The products of one state's
+Theta (B B^T, log(alpha) B, x S and the reduced state's contractions) and
+the drift's contraction go through ``np.dot``, the BLAS call of ``@`` with
+its bits, without matmul's gufunc dispatch; stacks keep ``@``.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.
     """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>), shape (..., n_a n_b) each, from the
     expectations e (..., n) = x @ S split at ``split`` (``_covariance_map``)."""
     i, j = split
-    ab = (e[..., :i, None] * e[..., None, i:j]).reshape(*e.shape[:-1], i * (j - i))
+    ab = (e[..., :i, None] * e[..., None, i:j]).reshape(e.shape[:-1] + (i * (j - i),))
     return e[..., j:] - ab, ab
 
 
@@ -312,17 +315,20 @@ class ThetaEngine:
         """Theta's coefficients over ``ops`` from the expectations e (..., n) of
         each state: the covariances and <l_a><l_b> . cov (corr-suppress), the
         coefficients over P of log(G), G = Tr_b rho (state-matrix-derank), or
-        log(alpha) B, alpha = B B^T/2, which equals B log(B^T B/2) (Bloch)."""
+        log(alpha) B, alpha = B B^T/2, which equals B log(B^T B/2) (Bloch).
+        One state's products go through ``np.dot`` (matmul's BLAS call and
+        bits, without its gufunc dispatch); a stack's through ``np.matmul``."""
         if self.spec.family is ThetaFamily.CORR_SUPPRESS:
             cov, ab = _covariances(e, self._split)
             return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
-        b = e.reshape(*e.shape[:-1], *self._shape)
+        b = e.reshape(e.shape[:-1] + self._shape)
         if self.spec.family is ThetaFamily.STATE_MATRIX_DERANK:
             log_g = eig_log(*eigh(bases.reduced_state_a(b)), self.floor)
             return bases._contract(log_g, self._single.expect).real
-        a = b @ b.mT
+        mm = np.dot if e.ndim == 1 else np.matmul
+        a = mm(b, b.mT)
         a *= 0.5
-        return (eig_log(*eigh(a), self.floor) @ b).reshape(e.shape)
+        return mm(eig_log(*eigh(a), self.floor), b).reshape(e.shape)
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
@@ -350,7 +356,10 @@ class ThetaEngine:
                 return np.vecdot(theta.reshape(rho.shape).view(float)[..., None, :], g)
             return coeff, table[1:]
         table = bases._contract(self.drift_ops, grid.expect).real @ table
-        return (self._kept if self._s is None else lambda x: self._kept(x @ self._s)), table
+        if self._s is None:
+            return self._kept, table
+        s = self._s
+        return (lambda x: self._kept(np.dot(x, s) if x.ndim == 1 else x @ s)), table
 
     def _kept(self, e: np.ndarray) -> np.ndarray:
         """Theta's coefficients over ``drift_ops`` from the expectations e
@@ -358,7 +367,8 @@ class ThetaEngine:
         less the one of G_00 or P_0 = I (every other family but thermalization)."""
         if self._s is not None:
             return _covariances(e, self._split)[0]
-        return self.coefficients(e)[..., self._keep]
+        c = self.coefficients(e)
+        return c[self._keep] if c.ndim == 1 else c[..., self._keep]
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """The real (K + 1, N) weights of the drift <Theta> psi - Theta psi of
@@ -370,7 +380,7 @@ class ThetaEngine:
         state (the log path agrees to about 1e-14 max(gamma_h, 1))."""
         n, cols = self._expect.shape[1], psi_block.shape[1]
         rho = (psi_block[:, None] * psi_block.conj()[None]).reshape(-1, cols)
-        e = (self._drift_expect @ rho).real  # e and <O_k>, one row each
+        e = np.dot(self._drift_expect, rho).real  # e and <O_k>, one row each
         w = np.empty((len(self.drift_ops) + 1, cols))
         w[:-1] = 1.0 if self.spec.family is ThetaFamily.THERMALIZATION else self._kept(e[:n].T).T
         np.vecdot(w[:-1], e[n:], axis=0, out=w[-1])

@@ -563,6 +563,17 @@ def test_bad_state_psi_is_a_config_error(tmp_path, capsys):
         assert not (tmp_path / "m").exists(), amps
 
 
+def test_run_shorter_than_one_step_names_both_keys(tmp_path, capsys):
+    # t_end < dt is a domain violation of two keys: the message names each
+    # with its value, and no output directory is made
+    out = tmp_path / "short"
+    assert main(["--preset", "fig2-B2", "--t-end", "0.0005", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: integrator.t_end = 0.0005 must be at least one step of "
+        "integrator.dt = 0.001\n")
+    assert not out.exists()
+
+
 def test_state_psi_scale_does_not_change_the_state(tmp_path):
     # amplitudes whose squared norm overflows or underflows run as the state
     # they scale, (1, 1, 0, 0)/sqrt(2)

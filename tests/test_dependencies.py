@@ -2,6 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import disentsim
 
 ALLOWED = {"numpy", "disentsim"} | set(sys.stdlib_module_names)
@@ -71,3 +73,34 @@ def test_private_numpy_guard_sees_every_form():
     assert [n for _, n in _private_numpy_names(ast.parse(src))] == [
         "numpy._core", "numpy.linalg._umath_linalg", "numpy.linalg._umath_linalg.eigh_lo",
         "numpy.linalg._umath_linalg.eigh_lo", "numpy.linalg._umath_linalg"]
+
+
+def _matmuls(tree: ast.AST) -> list[int]:
+    """Lines of every ``a @ b`` and ``a @= b`` in a tree."""
+    return sorted(node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+
+
+def _function(module: str, qualname: str) -> ast.AST:
+    """The definition of a module-level function or a method (``Class.name``)."""
+    tree = ast.parse((Path(disentsim.__file__).parent / module).read_text(encoding="utf-8"))
+    *owner, name = qualname.split(".")
+    scope = tree.body
+    if owner:
+        scope = next(n for n in scope if isinstance(n, ast.ClassDef) and n.name == owner[0]).body
+    return next(n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+@pytest.mark.parametrize("module, qualname", [("dynamics.py", "_mme_stage"),
+                                              ("dynamics.py", "_sle_block_step"),
+                                              ("entangle.py", "ThetaEngine.coefficients")])
+def test_hot_path_products_skip_matmul_dispatch(module, qualname):
+    # these kernels' one-state (or always 2-D) products go through np.dot: the
+    # BLAS call of @ with its bits, without matmul's gufunc dispatch, which
+    # costs about 0.3 us a product at these sizes; a stack takes np.matmul
+    assert _matmuls(_function(module, qualname)) == [], (module, qualname)
+
+
+def test_matmul_guard_sees_every_form():
+    src = "def f(a, b):\n    c = a @ b\n    c @= b\n    return np.dot(a, b), np.matmul(a, b)\n"
+    assert _matmuls(ast.parse(src)) == [2, 3]

@@ -1327,6 +1327,31 @@ def test_ensemble_single_driven_spin_matches_analytic():
     assert np.abs(k_mean - ref).max() < max(3.0 * se, 0.05)
 
 
+def test_ensemble_drops_zero_rate_channels(monkeypatch):
+    # spin a's three channels and spin b's pumping (n0 = 0) are all-zero V:
+    # they get no gemm block and draw no noise
+    seen = {}
+    step_matrix, noise = dynamics._sle_step_matrix, dynamics._noise_chunks
+
+    def record_ops(h, ops, dt, theta_ops=None):
+        seen["ops"] = ops
+        return step_matrix(h, ops, dt, theta_ops)
+
+    def record_channels(gens, n_ch, n_steps, dt):
+        seen["n_ch"] = n_ch
+        return noise(gens, n_ch, n_steps, dt)
+    monkeypatch.setattr(dynamics, "_sle_step_matrix", record_ops)
+    monkeypatch.setattr(dynamics, "_noise_chunks", record_channels)
+    d = SpinDamping(gamma1=0.25, gamma_phi=0.05, n0=0.0)
+    h = build_hamiltonian(TwoSpinParams(delta=0.6, omega1=0.9))
+    integrate_sle_ensemble(np.array([0.0, 0.0, 0.0, 1.0], dtype=complex), h, None,
+                           DampingParams(a=SpinDamping(), b=d), IntegratorConfig(dt=1e-3, t_end=0.01),
+                           n_traj=2)
+    want = two_spin_jump_operators(DampingParams(a=SpinDamping(), b=d))
+    assert [np.array_equal(v, want[k]) for k, v in zip((3, 5), seen["ops"])] == [True, True]
+    assert len(seen["ops"]) == seen["n_ch"] == 2
+
+
 def test_integrators_check_the_hamiltonian_against_the_damping():
     # the rule steady_state applies: the two-spin model needs a 4x4 H
     cfg = IntegratorConfig(dt=1e-3, t_end=1e-2)
