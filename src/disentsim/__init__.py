@@ -2,8 +2,10 @@
 
 Library layout:
 
-* ``qcore``    -- dense complex linear algebra, spectral calculus, states.
-* ``bases``    -- Gell-Mann / Weyl operator bases, Bloch matrices.
+* ``qcore``    -- dense complex linear algebra, spectral calculus, states of
+                  the spin pair (the one Hilbert space).
+* ``bases``    -- Pauli matrices, the pair and one-spin observable grids,
+                  Bloch matrices, Weyl operators.
 * ``entangle`` -- entanglement measures and the nonlinear Theta operators.
 * ``dynamics`` -- GKSL / modified master equation, stochastic trajectories,
                   steady-state solver.
@@ -19,12 +21,9 @@ Library layout:
 __version__ = "0.1.0"
 
 from .qcore import (  # noqa: F401
-    Factorization,
     QuantumState,
-    TWO_QUBITS,
     expectation,
     herm_eig,
-    kron,
     spectral_log,
 )
 from .entangle import (  # noqa: F401

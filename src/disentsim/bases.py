@@ -1,20 +1,20 @@
-"""Operator bases: generalized Gell-Mann sets, the bipartite observable grid,
-Bloch matrices, and Weyl (clock-and-shift) operators with the Weyl S matrix.
-A Bloch matrix B is a plain real array of grid expectations, and the grid
-coordinates x = B(rho) are the one representation of a state that the
-steady-state solver, the master equation, the measures and Theta read: the
-grid caches one read-only expectation matrix, and ``_contract`` reads B through it.
+"""Operator bases of the spin pair: the Pauli matrices, the pair's observable
+grid and the one-spin grid, Bloch matrices, and Weyl (clock-and-shift)
+operators with the Weyl S matrix.  A Bloch matrix B is a plain real array of
+grid expectations, and the grid coordinates x = B(rho) are the one
+representation of a state that the steady-state solver, the master equation,
+the measures and Theta read: the grid caches one read-only expectation
+matrix, and ``_contract`` reads B through it.
 
 Conventions used throughout:
 
-* Gell-Mann matrices are ordered symmetric pairs first (lexicographic),
-  then antisymmetric pairs, then diagonal matrices; for d = 2 this is
-  exactly (sigma_x, sigma_y, sigma_z).  They satisfy Tr(l l')/2 = delta.
-* The bipartite grid G[a, b] = Gamma_a (x) Gamma_b uses the scaled elements
-  Gamma_0 = 2^(1/4)/sqrt(d) * I and Gamma_l = 2^(-1/4) lambda_l, so the full
-  grid is orthonormal in the same Tr(G G')/2 sense and traceless away from
-  (0, 0).  A factor of dimension 1 contributes Gamma_0 alone, so the grid
-  (2, 1) of a single spin is (I, sigma_x, sigma_y, sigma_z).
+* One spin's basis is Gamma_0 = 2^(1/4)/sqrt(2) * I and
+  Gamma_l = 2^(-1/4) sigma_l, with (sigma_1, sigma_2, sigma_3) =
+  (sigma_x, sigma_y, sigma_z), which satisfy Tr(s s')/2 = delta.
+* The pair grid G[a, b] = Gamma_a (x) Gamma_b is orthonormal in the same
+  Tr(G G')/2 sense and traceless away from (0, 0).  The one-spin grid is
+  P_a = 2^(1/4) Gamma_a = (I, sigma_x, sigma_y, sigma_z); the reduced state
+  and state-matrix deranking expand over it.
 * All index origins are 0-based.  Extraction of physical single-spin Bloch
   vectors rescales grid expectations by sqrt(2) so that |k| <= 1 and
   k_z = -1/(2 n0 + 1) for a thermal spin (the grid normalization stores
@@ -29,12 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qcore import (
-    DimensionError,
-    QuantumState,
-    as_complex_matrix,
-    kron,
-)
+from .qcore import DimensionError, QuantumState, as_complex_matrix
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,46 +38,9 @@ SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
-
-@lru_cache(maxsize=None)
-def gell_mann(d: int) -> tuple[np.ndarray, ...]:
-    """The d^2 - 1 traceless Hermitian generalized Gell-Mann matrices of a
-    d-level system.
-
-    Entries are 0, +-1, +-i and real diagonal normalization factors; the
-    orthogonality relation Tr(l l')/2 = delta holds exactly.
-    """
-    if d < 2:
-        raise DimensionError("Gell-Mann set needs dimension >= 2")
-    mats: list[np.ndarray] = []
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    for j, k in pairs:
-        m = np.zeros((d, d), dtype=complex)
-        m[j, k] = 1.0
-        m[k, j] = 1.0
-        mats.append(m)
-    for j, k in pairs:
-        m = np.zeros((d, d), dtype=complex)
-        m[j, k] = -1j
-        m[k, j] = 1j
-        mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        coeff = np.sqrt(2.0 / (l * (l + 1)))
-        for i in range(l):
-            m[i, i] = coeff
-        m[l, l] = -l * coeff
-        mats.append(m)
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
-
-
-def _gamma_elements(d: int) -> list[np.ndarray]:
-    """Scaled subsystem basis [Gamma_0, Gamma_1, ...] for one factor (Gamma_0
-    alone for d = 1)."""
-    g0 = (2.0 ** 0.25 / np.sqrt(d)) * np.eye(d, dtype=complex)
-    return [g0] + [(2.0 ** -0.25) * lam for lam in (gell_mann(d) if d > 1 else ())]
+#: One spin's scaled basis (Gamma_0, Gamma_1, Gamma_2, Gamma_3).
+_GAMMA = ((2.0 ** 0.25 / np.sqrt(2)) * ID2,
+          *((2.0 ** -0.25) * s for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
 def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:
@@ -96,14 +54,13 @@ def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservableGrid:
-    """Grid of product observables G[a, b] = Gamma_a (x) Gamma_b; B(rho) is the
-    plain array ``bloch_matrix_from_rho`` returns, flattened to n = d_a^2 d_b^2."""
+    """Grid of product observables G[a, b] = Gamma_a (x) Gamma_b (the pair) or
+    P_a (one spin); B(rho) is the plain array ``bloch_matrix_from_rho``
+    returns, flattened to n = 16 (4 for one spin)."""
 
-    d_a: int
-    d_b: int
-    entries: np.ndarray  # shape (d_a^2, d_b^2, D, D)
-    expect: np.ndarray  # shape (D^2, d_a^2 d_b^2): rho.ravel() @ expect = B(rho) flattened
-    half: np.ndarray  # shape (d_a^2 d_b^2, D^2), flattened G / 2: rho.ravel() = B(rho) @ half
+    entries: np.ndarray  # shape (4, 4, 4, 4); one spin: (4, 1, 2, 2)
+    expect: np.ndarray  # shape (D^2, n): rho.ravel() @ expect = B(rho) flattened
+    half: np.ndarray  # shape (n, D^2), flattened G / 2: rho.ravel() = B(rho) @ half
 
     @cached_property
     def anticommutator(self) -> np.ndarray:
@@ -131,33 +88,38 @@ class ObservableGrid:
         return (self.expect.T @ lv @ self.half.T).real
 
 
-@lru_cache(maxsize=None)
-def observable_grid(d_a: int, d_b: int) -> ObservableGrid:
-    if d_a < 2 or d_b < 1:
-        raise DimensionError("observable grid needs d_a >= 2 and d_b >= 1")
-    ga = _gamma_elements(d_a)
-    gb = _gamma_elements(d_b)
-    dim = d_a * d_b
-    entries = np.empty((d_a ** 2, d_b ** 2, dim, dim), dtype=complex)
-    for a, xa in enumerate(ga):
-        for b, xb in enumerate(gb):
-            entries[a, b] = kron(xa, xb)
-    half = 0.5 * entries.reshape(d_a ** 2 * d_b ** 2, -1)
+def _grid(factor_b: tuple[np.ndarray, ...]) -> ObservableGrid:
+    """The read-only grid Gamma_a (x) factor_b[b]."""
+    entries = np.array([[np.kron(xa, xb) for xb in factor_b] for xa in _GAMMA])
+    half = 0.5 * entries.reshape(len(_GAMMA) * len(factor_b), -1)
     expect = np.ascontiguousarray(entries.transpose(3, 2, 0, 1).reshape(-1, len(half)))
     for table in (entries, half, expect):
         table.setflags(write=False)
-    return ObservableGrid(d_a, d_b, entries, expect, half)
+    return ObservableGrid(entries, expect, half)
 
 
-def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def observable_grid() -> ObservableGrid:
+    """The pair grid G[a, b] = Gamma_a (x) Gamma_b, built once."""
+    return _grid(_GAMMA)
+
+
+@lru_cache(maxsize=None)
+def spin_grid() -> ObservableGrid:
+    """The one-spin grid P = (I, sigma_x, sigma_y, sigma_z), built once as
+    Gamma (x) 2^(1/4): its elements carry that product's rounding (the unit
+    entries read 0.9999999999999999), and the reduced state and state-matrix
+    deranking are computed with those bits."""
+    return _grid((np.full((1, 1), 2.0 ** 0.25, dtype=complex),))
+
+
+def bloch_matrix_from_rho(rho: np.ndarray) -> np.ndarray:
     """Bloch matrix B[a, b] = <G[a, b]> of a density matrix, or of each matrix
-    of a (..., D, D) stack: a real C-contiguous (..., d_a^2, d_b^2) array."""
-    grid = observable_grid(d_a, d_b)
-    dim = d_a * d_b
+    of a (..., 4, 4) stack: a real C-contiguous (..., 4, 4) array."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
-        raise DimensionError(f"expected (..., {dim}, {dim}) density matrices, got {rho.shape}")
-    vals = _contract(rho, grid.expect).reshape(*rho.shape[:-2], d_a ** 2, d_b ** 2)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise DimensionError(f"expected (..., 4, 4) density matrices, got {rho.shape}")
+    vals = _contract(rho, observable_grid().expect).reshape(*rho.shape[:-2], 4, 4)
     resid = float(np.abs(vals.imag).max(initial=0.0))
     if resid > 1e-9:
         raise ValueError(f"Bloch matrix has imaginary residue {resid!r}")
@@ -165,18 +127,17 @@ def bloch_matrix_from_rho(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 
 def bloch_matrix(state: QuantumState) -> np.ndarray:
-    """Bloch matrix of a bipartite state."""
-    return bloch_matrix_from_rho(state.density(), state.factor.d_a, state.factor.d_b)
+    """Bloch matrix of a state of the pair."""
+    return bloch_matrix_from_rho(state.density())
 
 
 def reduced_state_a(b: np.ndarray) -> np.ndarray:
-    """Tr_b rho of each Bloch matrix of a (..., d_a^2, d_b^2) stack, shape
-    (..., d_a, d_a): only G[a, 0] has a nonzero partial trace over b, so
-    Tr_b rho = sqrt(d_b) B[:, 0] . (the single-factor grid (d_a, 1) / 2)."""
-    d_a, d_b = math.isqrt(b.shape[-2]), math.isqrt(b.shape[-1])
-    col, half = b[..., :, 0], observable_grid(d_a, 1).half
-    flat = math.sqrt(d_b) * (np.dot(col, half) if col.ndim == 1 else col @ half)
-    return flat.reshape(b.shape[:-2] + (d_a, d_a))
+    """Tr_b rho of each Bloch matrix of a (..., 4, 4) stack, shape (..., 2, 2):
+    only G[a, 0] has a nonzero partial trace over b, so
+    Tr_b rho = sqrt(2) B[:, 0] . (the one-spin grid P / 2)."""
+    col, half = b[..., :, 0], spin_grid().half
+    flat = math.sqrt(2) * (np.dot(col, half) if col.ndim == 1 else col @ half)
+    return flat.reshape(b.shape[:-2] + (2, 2))
 
 
 def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +149,7 @@ def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix (..., 4, 4) gives vectors of shape (..., 3).
     """
     if b.shape[-2:] != (4, 4):
-        raise DimensionError("single-spin Bloch vectors need a 2 x 2 factorization")
+        raise DimensionError("single-spin Bloch vectors need a 4 x 4 Bloch matrix")
     k_a = np.sqrt(2.0) * b[..., 1:4, 0]
     k_b = np.sqrt(2.0) * b[..., 0, 1:4]
     return np.ascontiguousarray(k_a), np.ascontiguousarray(k_b)
@@ -199,40 +160,34 @@ def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def weyl_ops(d: int) -> np.ndarray:
-    """Weyl operators W[n', n''] = sum_n exp(2 pi i n n'/d) |n><n + n'' mod d|.
+def weyl_ops() -> np.ndarray:
+    """One spin's Weyl operators W[n', n''] = sum_n exp(i pi n n') |n><n + n'' mod 2|.
 
-    Returned as an array of shape (d, d, d, d); each W[n', n''] is unitary
+    Returned as an array of shape (2, 2, 2, 2); each W[n', n''] is unitary
     and W[0, 0] is the identity.
     """
-    if d < 2:
-        raise DimensionError("Weyl operators need dimension >= 2")
-    w = np.zeros((d, d, d, d), dtype=complex)
-    omega = np.exp(2j * np.pi / d)
-    for np_ in range(d):
-        for npp in range(d):
-            for n in range(d):
-                w[np_, npp, n, (n + npp) % d] = omega ** (n * np_)
+    w = np.zeros((2, 2, 2, 2), dtype=complex)
+    omega = np.exp(1j * np.pi)  # -1, with the rounding of exp(2 pi i / 2)
+    for np_ in range(2):
+        for npp in range(2):
+            for n in range(2):
+                w[np_, npp, n, (n + npp) % 2] = omega ** (n * np_)
     w.setflags(write=False)
     return w
 
 
-def _weyl_product_traces(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """T[p, q, r, s] = Tr((W_a[p, q] (x) W_b[r, s]) rho)."""
-    r4 = as_complex_matrix(rho).reshape(d_a, d_b, d_a, d_b)
-    return np.einsum("pqik,rsjl,klij->pqrs", weyl_ops(d_a), weyl_ops(d_b), r4)
+def _weyl_product_traces(rho: np.ndarray) -> np.ndarray:
+    """T[p, q, r, s] = Tr((W[p, q] (x) W[r, s]) rho)."""
+    r4 = as_complex_matrix(rho).reshape(2, 2, 2, 2)
+    return np.einsum("pqik,rsjl,klij->pqrs", weyl_ops(), weyl_ops(), r4)
 
 
 def weyl_s_matrix(state: QuantumState) -> np.ndarray:
-    """Weyl S matrix: rows n' + n''*D collect the a-operator labels, columns
-    n''' + n''''*D the b-operator labels, entries Tr((W (x) W) rho)/D.
+    """Weyl S matrix: rows n' + 2 n'' collect the a-operator labels, columns
+    n''' + 2 n'''' the b-operator labels, entries Tr((W (x) W) rho)/2.
 
-    Only defined when both subsystems share the same dimension D; for pure
-    states Tr(S^dag S) = 1 and the spectrum of S^dag S matches that of
-    (M^dag M) (x) (M^dag M) built from the state matrix M.
+    For pure states Tr(S^dag S) = 1 and the spectrum of S^dag S matches that
+    of (M^dag M) (x) (M^dag M) built from the state matrix M.
     """
-    if state.factor.d_a != state.factor.d_b:
-        raise DimensionError("Weyl S matrix needs d_a = d_b")
-    d = state.factor.d_a
-    t = _weyl_product_traces(state.density(), d, d) / d
-    return t.transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    t = _weyl_product_traces(state.density()) / 2
+    return t.transpose(1, 0, 3, 2).reshape(4, 4)

@@ -43,7 +43,7 @@ from .output import (
     write_sweep_rows,
     write_trajectory_ndjson,
 )
-from .qcore import PSDViolationError, QuantumState, TWO_QUBITS
+from .qcore import PSDViolationError, QuantumState
 from .twospin import (
     SweepResult,
     TemperatureDomainError,
@@ -106,7 +106,7 @@ def _bloch_plots(out: Path, rec: TrajectoryRecord, prefix: str, outputs: list[st
 def _run_master(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     h = build_hamiltonian(config.model)
     rho0 = _initial_density(config, h)
-    initial = QuantumState(factor=TWO_QUBITS, rho=rho0)
+    initial = QuantumState(rho=rho0)
     rec = integrate_master(initial, h, config.disentangle, config.damping,
                            config.integrator)
     write_trajectory_ndjson(out / "trajectory.ndjson", rec)
@@ -243,7 +243,7 @@ def _run_sweep_cmd(config: RunConfig, out: Path, outputs: list[str], workers: in
 def _run_steady(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     h = build_hamiltonian(config.model)
     rho = steady_state(h, config.damping)
-    state = QuantumState(factor=TWO_QUBITS, rho=rho)
+    state = QuantumState(rho=rho)
     b = bases.bloch_matrix(state)
     k_a, k_b = bases.single_spin_bloch_vectors(b)
     rep = entangle.measure_report(state, config.integrator.log_floor)
@@ -268,12 +268,12 @@ def _run_steady(config: RunConfig, out: Path, outputs: list[str]) -> dict:
 def _run_measures(config: RunConfig, out: Path, outputs: list[str]) -> dict:
     if config["state.psi"]:
         psi = parse_state_psi(config["state.psi"])  # checked by parse_config_dict
-        state = QuantumState.pure(psi, TWO_QUBITS)
+        state = QuantumState.pure(psi)
         extra = {"weyl_t2": entangle.weyl_t2_expectation(state),
                  "delta_pure": entangle.delta_measure(psi)}
     else:
         h = build_hamiltonian(config.model)
-        state = QuantumState(factor=TWO_QUBITS, rho=steady_state(h, config.damping))
+        state = QuantumState(rho=steady_state(h, config.damping))
         extra = {}
     rep = entangle.measure_report(state, config.integrator.log_floor)
     payload = {"measures": rep.__dict__, **extra}
@@ -354,7 +354,11 @@ def _load_entries(args) -> dict:
     if args.preset:
         entries["preset"] = args.preset
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                              f"at offset {exc.start}") from None
         file_entries = parse_document(text)
         if "preset" in file_entries and args.preset:
             raise ConfigError("preset given both on the command line and in the config file")

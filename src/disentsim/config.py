@@ -238,6 +238,9 @@ def parse_config_dict(entries: dict[str, Any]) -> RunConfig:
     if t_end < dt:
         raise ConfigError(f"integrator.t_end = {t_end!r} must be at least one step "
                           f"of integrator.dt = {dt!r}")
+    if not np.isfinite(t_end / dt):  # the step count overflows a float
+        raise ConfigError(f"integrator.t_end = {t_end!r} over integrator.dt = {dt!r} "
+                          "is not a finite number of steps")
 
     def section(prefix: str, **given: Any) -> dict[str, Any]:
         # the last part of a section key is its run object's field name

@@ -67,9 +67,7 @@ from .qcore import (
     DimensionError,
     PSDViolationError,
     QuantumState,
-    TWO_QUBITS,
     as_complex_matrix,
-    kron,
     require_hermitian,
 )
 
@@ -162,8 +160,8 @@ def spin_jump_operators(d: SpinDamping) -> list[np.ndarray]:
 
 def two_spin_jump_operators(d: DampingParams) -> list[np.ndarray]:
     """All six channels embedded in the 4-dim product space (a first)."""
-    ops = [kron(x, bases.ID2) for x in spin_jump_operators(d.a)]
-    ops += [kron(bases.ID2, x) for x in spin_jump_operators(d.b)]
+    ops = [np.kron(x, bases.ID2) for x in spin_jump_operators(d.a)]
+    ops += [np.kron(bases.ID2, x) for x in spin_jump_operators(d.b)]
     return ops
 
 
@@ -185,7 +183,7 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Matrix form of rho -> i [rho, H]."""
     h = as_complex_matrix(h)
     eye = np.eye(h.shape[0])
-    return 1j * (kron(eye, h.T) - kron(h, eye))
+    return 1j * (np.kron(eye, h.T) - np.kron(h, eye))
 
 
 def dissipator_superop(ops: list[np.ndarray], dim: int) -> np.ndarray:
@@ -194,7 +192,7 @@ def dissipator_superop(ops: list[np.ndarray], dim: int) -> np.ndarray:
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for x in ops:
         xdx = x.conj().T @ x
-        out += kron(x, x.conj()) - 0.5 * kron(xdx, eye) - 0.5 * kron(eye, xdx.T)
+        out += np.kron(x, x.conj()) - 0.5 * np.kron(xdx, eye) - 0.5 * np.kron(eye, xdx.T)
     return out
 
 
@@ -213,7 +211,7 @@ def grid_liouvillian(h: np.ndarray, d: DampingParams | None
     Liouvillian rho -> i[rho, H] + (damping dissipator; none for None).  L_r
     is real because the map preserves Hermiticity, so a non-Hermitian H
     raises HermiticityError (and an H that is not 4x4 DimensionError)."""
-    grid = bases.observable_grid(2, 2)
+    grid = bases.observable_grid()
     lv = hamiltonian_superop(_pair_hamiltonian(h))
     return grid, grid.superop(lv if d is None else lv + damping_superop(d))
 
@@ -283,7 +281,7 @@ def steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.ndarra
             cleared = np.zeros(len(lr), dtype=bool)
     y = np.linalg.solve(a, lr[:, 1:, :1])
     y[singular] = np.nan
-    dim = grid.d_a * grid.d_b  # G_0 is the only G with a trace
+    dim = grid.entries.shape[-1]  # G_0 is the only G with a trace
     x = np.concatenate([np.ones((len(a), 1)), -y[..., 0]], axis=1) / (dim * grid.half[0, 0].real)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails
         resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
@@ -453,15 +451,13 @@ def integrate_master(
     longer finite, aborts with a StateHealthError, as does a stage state
     that Theta rejects (not finite, or not positive semi-definite for
     thermalization's log) at its step's t."""
-    if initial.factor != TWO_QUBITS:
-        raise DimensionError("integrate_master drives the two-qubit system")
     grid, lr = grid_liouvillian(h, damping)
     lr[0] = 0.0
     x = bases.bloch_matrix(initial).reshape(-1)
 
     coeff, table = (lambda x: None), None
     if dspec is not None and dspec.active:
-        coeff, table = ThetaEngine(dspec, initial.factor, h=h, floor=cfg.log_floor).grid()
+        coeff, table = ThetaEngine(dspec, h=h, floor=cfg.log_floor).grid()
 
     dt, n_steps, sample_steps = cfg.dt, cfg.n_steps, cfg.sample_steps
     x_samples = np.empty((len(sample_steps), len(x)))
@@ -684,7 +680,7 @@ def _sle_block(n_ch: int, psi0: np.ndarray, step_mat: np.ndarray,
         log_w_samples[si] = log_w
         nrm = np.sqrt(np.einsum("in,in->n", psi.conj(), psi).real)
         cols["trace_err"][:, si] = np.abs(nrm * nrm - 1.0)
-        b = bases.bloch_matrix_from_rho(np.einsum("in,jn->nij", psi, psi.conj()), 2, 2)
+        b = bases.bloch_matrix_from_rho(np.einsum("in,jn->nij", psi, psi.conj()))
         cols["k_a"][:, si], cols["k_b"][:, si] = bases.single_spin_bloch_vectors(b)
         for f, v in vars(entangle.measures_from_bloch(b, cfg.log_floor)).items():
             cols[f][:, si] = v
@@ -756,7 +752,7 @@ def integrate_sle_ensemble(initial: np.ndarray, h: np.ndarray,
 
     engine = None
     if dspec is not None and dspec.active:
-        engine = ThetaEngine(dspec, TWO_QUBITS, h=h, floor=cfg.log_floor)
+        engine = ThetaEngine(dspec, h=h, floor=cfg.log_floor)
     ops = [] if damping is None else [v for v in two_spin_jump_operators(damping) if v.any()]
     step_mat = _sle_step_matrix(h, ops, cfg.dt, None if engine is None else engine.drift_ops)
 

@@ -11,8 +11,8 @@ master equations:
   expectation L, the Bloch-matrix entanglement measure.  Q_a = Q_b, since
   f(B B^T) B = B f(B^T B) for any f, so both run one kernel.
 * ``corr-suppress`` -- Q_ab, the covariance-squared functional over the
-  subsystem Gell-Mann bases; <Q_ab> = tau_ab in [0, 1] vanishes exactly on
-  product states.
+  Pauli matrices of the two spins; <Q_ab> = tau_ab in [0, 1] vanishes
+  exactly on product states.
 * ``thermalization`` -- gamma_h * beta * (H + log(rho)/beta), the free-energy
   operator; included for completeness, it is not a disentangler.
 
@@ -40,7 +40,6 @@ its bits, without matmul's gufunc dispatch; stacks keep ``@``.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +50,6 @@ from . import bases
 from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
-    Factorization,
     QuantumState,
     as_complex_matrix,
     eig_log,
@@ -124,14 +122,12 @@ class MeasureReport:
 # State matrix, Gram matrix, and scalar measures.
 
 
-def state_matrix(psi, factor: Factorization) -> np.ndarray:
-    """Reshape a bipartite state vector into its d_a x d_b state matrix."""
+def state_matrix(psi) -> np.ndarray:
+    """Reshape a state vector of the pair into its 2 x 2 state matrix."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.size != factor.d_a * factor.d_b:
-        raise DimensionError(
-            f"state vector length {v.size} != {factor.d_a} * {factor.d_b}"
-        )
-    return v.reshape(factor.d_a, factor.d_b)
+    if v.size != 4:
+        raise DimensionError(f"a spin-pair state vector has 4 amplitudes, got {v.size}")
+    return v.reshape(2, 2)
 
 
 def g_from_state(state: QuantumState) -> np.ndarray:
@@ -140,7 +136,7 @@ def g_from_state(state: QuantumState) -> np.ndarray:
 
 
 def entanglement_k(state: QuantumState) -> float:
-    """Entanglement entropy K = -Tr(G log G) in nats (bounded by log min(d))."""
+    """Entanglement entropy K = -Tr(G log G) in nats (bounded by log 2)."""
     return float(measures_from_bloch(bases.bloch_matrix(state)).k_entropy)
 
 
@@ -148,8 +144,7 @@ def entanglement_l(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> flo
     """Bloch-matrix entanglement L = -Tr(alpha log alpha), alpha = B B^T / 2.
 
     Unlike the spectral entropy, alpha is not renormalized by its trace
-    (Tr alpha = Tr rho^2 < 1 for mixed states).  For pure states with equal
-    subsystem dimensions, L = 2 K.
+    (Tr alpha = Tr rho^2 < 1 for mixed states).  For pure states L = 2 K.
     """
     return float(measures_from_bloch(bases.bloch_matrix(state), floor).l_entropy)
 
@@ -167,25 +162,23 @@ def delta_measure(psi) -> float:
 
 
 @lru_cache(maxsize=None)
-def _covariance_map(d_a: int, d_b: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Read-only real S, shape (d_a^2 d_b^2, n_a + n_b + n_a n_b), with x @ S =
-    (<l_a>, <l_b>, <l_a (x) l_b>) for x = B(rho) flattened, and the split points
-    of that layout: <l_a> = sqrt(d_b) B[a, 0], <l_b> = sqrt(d_a) B[0, b] and
+def _covariance_map() -> np.ndarray:
+    """Read-only real S, shape (16, 3 + 3 + 9), with x @ S =
+    (<l_a>, <l_b>, <l_a (x) l_b>) for x = B(rho) flattened:
+    <l_a> = sqrt(2) B[a, 0], <l_b> = sqrt(2) B[0, b] and
     <l_a (x) l_b> = sqrt(2) B[a, b] for a, b >= 1."""
-    scale = np.full((d_a * d_a, d_b * d_b), np.sqrt(2.0))
-    scale[:, 0], scale[0] = np.sqrt(d_b), np.sqrt(d_a)
-    flat = np.arange(scale.size).reshape(scale.shape)
-    s = np.diag(scale.ravel())[:, np.concatenate([flat[1:, 0], flat[0, 1:], flat[1:, 1:].ravel()])]
+    flat = np.arange(16).reshape(4, 4)
+    keep = np.concatenate([flat[1:, 0], flat[0, 1:], flat[1:, 1:].ravel()])
+    s = np.sqrt(2.0) * np.eye(16)[:, keep]
     s.setflags(write=False)
-    return s, (d_a * d_a - 1, d_a * d_a + d_b * d_b - 2)
+    return s
 
 
-def _covariances(e: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>), shape (..., n_a n_b) each, from the
-    expectations e (..., n) = x @ S split at ``split`` (``_covariance_map``)."""
-    i, j = split
-    ab = (e[..., :i, None] * e[..., None, i:j]).reshape(e.shape[:-1] + (i * (j - i),))
-    return e[..., j:] - ab, ab
+def _covariances(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>), shape (..., 9) each, from the
+    expectations e (..., 15) = x @ S (``_covariance_map``)."""
+    ab = (e[..., :3, None] * e[..., None, 3:6]).reshape(e.shape[:-1] + (9,))
+    return e[..., 6:] - ab, ab
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +210,9 @@ def correlation_operator(state: QuantumState) -> ThetaOperator:
 
 
 def tau_from_bloch(b: np.ndarray) -> np.ndarray:
-    """tau_ab of each Bloch matrix of a (..., d_a^2, d_b^2) stack, shape (...):
+    """tau_ab of each Bloch matrix of a (..., 4, 4) stack, shape (...):
     ETA_TWO_QUBITS times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
-    s, split = _covariance_map(math.isqrt(b.shape[-2]), math.isqrt(b.shape[-1]))
-    cov = _covariances(b.reshape(*b.shape[:-2], -1) @ s, split)[0]
+    cov = _covariances(b.reshape(*b.shape[:-2], -1) @ _covariance_map())[0]
     return ETA_TWO_QUBITS * (cov * cov).sum(axis=-1)
 
 
@@ -234,19 +226,16 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 
     Assembled as the quadruple Weyl-pair sum over products of rho; this is
     the state-vector route to the purity of the S matrix and requires a pure
-    state with d_a = d_b.
+    state.
     """
     if not state.is_pure:
         raise ValueError("T2 expectation is defined for pure states")
-    if state.factor.d_a != state.factor.d_b:
-        raise DimensionError("T2 needs equal subsystem dimensions")
-    d = state.factor.d_a
-    w = bases.weyl_ops(d).reshape(d * d, d, d)
-    pair = np.einsum("iac,jbd->ijabcd", w, w).reshape((d * d,) * 4)  # pair[i, j] = w_i (x) w_j
+    w = bases.weyl_ops().reshape(4, 2, 2)
+    pair = np.einsum("iac,jbd->ijabcd", w, w).reshape((4,) * 4)  # pair[i, j] = w_i (x) w_j
     rho, psi = state.density(), state.psi
-    # <psi| sum_{q1..q4} P[q2,q1]^dag rho P[q2,q3] rho P[q4,q3]^dag rho P[q4,q1] |psi> / d^4
+    # <psi| sum_{q1..q4} P[q2,q1]^dag rho P[q2,q3] rho P[q4,q3]^dag rho P[q4,q1] |psi> / 2^4
     val = np.einsum("a,ijca,cd,ikde,ef,lkgf,gh,ljhb,b->", psi.conj(), pair.conj(), rho, pair,
-                    rho, pair.conj(), rho, pair, psi, optimize=True) / float(d ** 4)
+                    rho, pair.conj(), rho, pair, psi, optimize=True) / 16.0
     return float(val.real)
 
 
@@ -257,7 +246,7 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 class ThetaEngine:
     """Theta of a fixed family/rate: from density matrices (``matrix``), in grid
     form for the master equation (``grid``) and as the weights of the drift
-    (<Theta> - Theta)|psi> of a (D, N) block of state vectors (``drift``).
+    (<Theta> - Theta)|psi> of a (4, N) block of state vectors (``drift``).
 
     Every family but thermalization is ``coefficients(e) @ ops`` over a
     rate-scaled operator stack, e = x = B(rho) (the deranking families) or
@@ -269,12 +258,10 @@ class ThetaEngine:
     def __init__(
         self,
         spec: DisentanglementSpec,
-        factor: Factorization,
         h: np.ndarray | None = None,
         floor: float = DEFAULT_LOG_FLOOR,
     ):
         self.spec = spec
-        self.factor = factor
         self.floor = floor
         self.h = None if h is None else as_complex_matrix(h)
         fam = spec.family
@@ -282,32 +269,30 @@ class ThetaEngine:
             raise ValueError("family 'none' has no Theta")
         if fam is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
-        grid = self._grid = bases.observable_grid(factor.d_a, factor.d_b)
-        self._shape = grid.entries.shape[:2]
+        grid = self._grid = bases.observable_grid()
         # e's expectation matrix (grid.expect, times S for corr-suppress), held
         # so that no call looks it up
         self._expect, self._s = grid.expect, None
         if fam is ThetaFamily.CORR_SUPPRESS:
-            self._s, self._split = _covariance_map(factor.d_a, factor.d_b)
+            self._s = _covariance_map()
             self._expect = grid.expect @ self._s
             # l_a (x) l_b = sqrt(2) G[a, b] for a, b >= 1
-            pairs = np.sqrt(2.0) * grid.entries[1:, 1:].reshape(-1, factor.dim ** 2)
-            self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs,
-                                                                  -np.eye(factor.dim).ravel()])
+            pairs = np.sqrt(2.0) * grid.entries[1:, 1:].reshape(-1, 16)
+            self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs, -np.eye(4).ravel()])
         elif fam is ThetaFamily.STATE_MATRIX_DERANK:
-            # -gamma_d (P_a / 2) (x) I_b over the single-factor grid P, which is
-            # (I, sigma_x, sigma_y, sigma_z) for a qubit
-            self._single = bases.observable_grid(factor.d_a, 1)
-            half = self._single.half.reshape(-1, factor.d_a, factor.d_a)
-            self.ops = -spec.gamma_d * np.kron(half, np.eye(factor.d_b)).reshape(len(half), -1)
+            # -gamma_d (P_a / 2) (x) I_b over the one-spin grid
+            # P = (I, sigma_x, sigma_y, sigma_z)
+            self._single = bases.spin_grid()
+            half = self._single.half.reshape(-1, 2, 2)
+            self.ops = -spec.gamma_d * np.kron(half, np.eye(2)).reshape(len(half), -1)
         elif fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
-            self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(factor.dim ** 2, -1)
+            self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(16, -1)
         ops = (spec.gamma_h * spec.beta * self.h).reshape(1, -1) if (
             fam is ThetaFamily.THERMALIZATION) else self.ops
-        keep = np.flatnonzero((ops != ops[:, :1] * np.eye(factor.dim).ravel()).any(axis=1))
+        keep = np.flatnonzero((ops != ops[:, :1] * np.eye(4).ravel()).any(axis=1))
         # one run of rows in every family, so the kept coefficients are a view
         self._keep = slice(keep[0], keep[-1] + 1) if keep.size else slice(0)
-        self.drift_ops = ops[self._keep].reshape(-1, factor.dim, factor.dim)
+        self.drift_ops = ops[self._keep].reshape(-1, 4, 4)
         # rows of e and of each <O_k> = Tr(rho O_k) (O_k Hermitian) for rho.ravel()
         self._drift_expect = np.vstack([self._expect.T, ops[self._keep].conj()])
 
@@ -319,9 +304,9 @@ class ThetaEngine:
         One state's products go through ``np.dot`` (matmul's BLAS call and
         bits, without its gufunc dispatch); a stack's through ``np.matmul``."""
         if self.spec.family is ThetaFamily.CORR_SUPPRESS:
-            cov, ab = _covariances(e, self._split)
+            cov, ab = _covariances(e)
             return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
-        b = e.reshape(e.shape[:-1] + self._shape)
+        b = e.reshape(e.shape[:-1] + (4, 4))
         if self.spec.family is ThetaFamily.STATE_MATRIX_DERANK:
             log_g = eig_log(*eigh(bases.reduced_state_a(b)), self.floor)
             return bases._contract(log_g, self._single.expect).real
@@ -352,7 +337,7 @@ class ThetaEngine:
 
             def coeff(x):  # real dots, one per entry (not gemv, or gemm for a stack)
                 rho = np.vecdot(x[..., None], half, axis=-2).view(complex)
-                theta = self.matrix(rho.reshape(*x.shape[:-1], self.factor.dim, -1))
+                theta = self.matrix(rho.reshape(*x.shape[:-1], 4, 4))
                 return np.vecdot(theta.reshape(rho.shape).view(float)[..., None, :], g)
             return coeff, table[1:]
         table = bases._contract(self.drift_ops, grid.expect).real @ table
@@ -366,13 +351,13 @@ class ThetaEngine:
         (..., n): corr-suppress's covariances of the pairs, or ``coefficients``
         less the one of G_00 or P_0 = I (every other family but thermalization)."""
         if self._s is not None:
-            return _covariances(e, self._split)[0]
+            return _covariances(e)[0]
         c = self.coefficients(e)
         return c[self._keep] if c.ndim == 1 else c[..., self._keep]
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """The real (K + 1, N) weights of the drift <Theta> psi - Theta psi of
-        the unit-norm columns of a (D, N) block, which ``dynamics._sle_block_step``
+        the unit-norm columns of a (4, N) block, which ``dynamics._sle_block_step``
         applies: Theta's coefficients c_k over ``drift_ops``, then <Theta> =
         sum_k c_k <O_k>, read from one contraction of the stack of |psi><psi|.
         Thermalization's c is 1: the floored log of |psi><psi| annihilates psi
@@ -396,11 +381,11 @@ def build_theta(
     """Theta of a state for a spec (``ThetaEngine.matrix``), None when inactive."""
     if not spec.active:
         return None
-    return ThetaOperator(ThetaEngine(spec, state.factor, h=h, floor=floor).matrix(state.density()))
+    return ThetaOperator(ThetaEngine(spec, h=h, floor=floor).matrix(state.density()))
 
 
 def measures_from_bloch(b: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:
-    """Scalar measures of each Bloch matrix of a (..., d_a^2, d_b^2) stack; the
+    """Scalar measures of each Bloch matrix of a (..., 4, 4) stack; the
     report's fields are arrays of shape (...).
 
     The one measure kernel: ``measure_report``, ``entanglement_k``,
@@ -424,6 +409,6 @@ def measures_from_bloch(b: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> Meas
 
 
 def measure_report(state: QuantumState, floor: float = DEFAULT_LOG_FLOOR) -> MeasureReport:
-    """All scalar measures of a bipartite state: the measure kernel on its B."""
+    """All scalar measures of a state of the pair: the measure kernel on its B."""
     rep = measures_from_bloch(bases.bloch_matrix(state), floor)
     return MeasureReport(**{f: float(v) for f, v in vars(rep).items()})

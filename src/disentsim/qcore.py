@@ -1,8 +1,9 @@
-"""Dense complex linear algebra on small Hilbert spaces.
+"""Dense complex linear algebra on the Hilbert space of the spin pair.
 
 Everything here operates on plain ``numpy`` arrays (``complex128``); operators
-and density matrices are ordinary 2-D arrays, tagged in ``QuantumState`` with
-their bipartite ``Factorization`` (d_a, d_b).  Units follow the convention
+and density matrices are ordinary 2-D arrays.  A ``QuantumState`` is a state
+of the qubit pair, the package's one Hilbert space: 4 amplitudes or a 4x4
+density matrix, spin a the first tensor factor.  Units follow the convention
 hbar = k_B = 1, with all rates and frequencies expressed relative to the
 reference Larmor frequency of the undriven spin.
 
@@ -66,56 +67,33 @@ def require_hermitian(a: np.ndarray, what: str) -> None:
         raise HermiticityError(f"{what} is not Hermitian")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Bipartite tensor factorization (d_a, d_b) of a Hilbert space."""
-
-    d_a: int
-    d_b: int
-
-    def __post_init__(self):
-        if self.d_a < 2 or self.d_b < 2:
-            raise DimensionError("subsystems a and b need dimension >= 2")
-
-    @property
-    def dim(self) -> int:
-        return self.d_a * self.d_b
-
-
-TWO_QUBITS = Factorization(2, 2)
-
-
 @dataclass
 class QuantumState:
-    """A pure state vector or a density operator, tagged with its factorization.
+    """A pure state vector or a density operator of the qubit pair.
 
-    Use the ``pure``/``mixed`` constructors; they validate normalization,
-    Hermiticity and positivity at the documented tolerances.
+    Use the ``pure``/``mixed`` constructors; they validate the dimension (4
+    amplitudes, a 4x4 matrix), normalization, Hermiticity and positivity at
+    the documented tolerances.
     """
 
-    factor: Factorization
     psi: np.ndarray | None = None
     rho: np.ndarray | None = None
 
     @classmethod
-    def pure(cls, psi, factor: Factorization) -> "QuantumState":
+    def pure(cls, psi) -> "QuantumState":
         v = np.asarray(psi, dtype=complex).reshape(-1)
-        if v.size != factor.dim:
-            raise DimensionError(
-                f"state vector length {v.size} != factorization dim {factor.dim}"
-            )
+        if v.size != 4:
+            raise DimensionError(f"a spin-pair state vector has 4 amplitudes, got {v.size}")
         norm2 = float(np.vdot(v, v).real)
         if abs(norm2 - 1.0) > PURE_NORM_TOL:
             raise ValueError(f"state vector not normalized: <psi|psi> = {norm2!r}")
-        return cls(factor=factor, psi=v)
+        return cls(psi=v)
 
     @classmethod
-    def mixed(cls, rho, factor: Factorization) -> "QuantumState":
+    def mixed(cls, rho) -> "QuantumState":
         m = as_complex_matrix(rho)
-        if m.shape != (factor.dim, factor.dim):
-            raise DimensionError(
-                f"density matrix shape {m.shape} != ({factor.dim}, {factor.dim})"
-            )
+        if m.shape != (4, 4):
+            raise DimensionError(f"a spin-pair density matrix is 4x4, got shape {m.shape}")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > MIXED_TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
@@ -123,7 +101,7 @@ class QuantumState:
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         if w[0] < MIN_EIGENVALUE_TOL:
             raise PSDViolationError(f"density matrix has eigenvalue {w[0]!r}")
-        return cls(factor=factor, rho=m)
+        return cls(rho=m)
 
     @property
     def is_pure(self) -> bool:
@@ -134,11 +112,6 @@ class QuantumState:
         if self.rho is not None:
             return self.rho
         return np.outer(self.psi, self.psi.conj())
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (dimensions multiply, traces multiply)."""
-    return np.kron(a, b)
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,6 @@ from .dynamics import (
     grid_liouvillian,
     steady_states,
 )
-from .qcore import kron
 
 
 class TemperatureDomainError(ValueError):
@@ -52,8 +51,8 @@ class TwoSpinParams:
 
 
 #: dH/dDelta and dH/domega_1: the drive enters the Hamiltonian linearly.
-_H_DELTA = 0.5 * kron(bases.ID2, bases.SIGMA_Z)
-_H_OMEGA1 = 0.5 * kron(bases.ID2, bases.SIGMA_X)
+_H_DELTA = 0.5 * np.kron(bases.ID2, bases.SIGMA_Z)
+_H_OMEGA1 = 0.5 * np.kron(bases.ID2, bases.SIGMA_X)
 
 
 def build_hamiltonian(p: TwoSpinParams) -> np.ndarray:
@@ -61,10 +60,10 @@ def build_hamiltonian(p: TwoSpinParams) -> np.ndarray:
     sz, sx = bases.SIGMA_Z, bases.SIGMA_X
     i2 = bases.ID2
     return (
-        0.5 * p.omega_a * kron(sz, i2)
+        0.5 * p.omega_a * np.kron(sz, i2)
         + p.delta * _H_DELTA
         + p.omega1 * _H_OMEGA1
-        + 0.5 * p.g * kron(sx, sz)
+        + 0.5 * p.g * np.kron(sx, sz)
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from disentsim.entangle import ThetaFamily
-from disentsim.qcore import TWO_QUBITS, QuantumState
+from disentsim.qcore import QuantumState
 
 
 #: session fixtures whose tests the ``slow`` mark must cover (see pyproject)
@@ -60,11 +60,11 @@ TILTED = np.array([np.sqrt(3.0) / 2.0, 0.0, 0.0, 0.5], dtype=complex)
 
 
 def bell_state() -> QuantumState:
-    return QuantumState.pure(BELL, TWO_QUBITS)
+    return QuantumState.pure(BELL)
 
 
 def tilted_state() -> QuantumState:
-    return QuantumState.pure(TILTED, TWO_QUBITS)
+    return QuantumState.pure(TILTED)
 
 
 def random_product_psi(rng) -> np.ndarray:

@@ -35,7 +35,7 @@ from disentsim.entangle import (
     tau_correlation,
     weyl_t2_expectation,
 )
-from disentsim.qcore import QuantumState, TWO_QUBITS, kron
+from disentsim.qcore import QuantumState
 from disentsim.twospin import (
     DRIVING_POINTS,
     AttractorKind,
@@ -81,7 +81,7 @@ def fig2_runs():
         p = TwoSpinParams(delta=delta, omega1=omega1, g=1.0)
         h = build_hamiltonian(p)
         rho0 = steady_state(h, FIG2_DAMPING)
-        initial = QuantumState(factor=TWO_QUBITS, rho=rho0)
+        initial = QuantumState(rho=rho0)
         spec = DisentanglementSpec(family=family, gamma_d=0.5)
         rec = integrate_master(initial, h, spec, FIG2_DAMPING, cfg)
         runs[name] = rec
@@ -115,7 +115,7 @@ def unravelling_pair():
 
     mcfg = IntegratorConfig(dt=2e-4, t_end=t_end, sample_every=1000)
     rec_master = integrate_master(
-        QuantumState(factor=TWO_QUBITS, rho=np.outer(psi0, psi0.conj())),
+        QuantumState(rho=np.outer(psi0, psi0.conj())),
         h, None, FIG3_DAMPING, mcfg)
     assert np.abs(mean.times - rec_master.times).max() < 1e-9
     return mean.times, mean.k_a, mean.k_b, rec_master
@@ -140,7 +140,7 @@ def test_criterion_01_steady_state_oracle():
         rho = steady_state(build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1)),
                            DampingParams(a=d, b=d))
         got = np.array([
-            np.trace(kron(np.eye(2), m) @ rho).real
+            np.trace(np.kron(np.eye(2), m) @ rho).real
             for m in (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                       np.diag([1.0, -1.0]))
         ])
@@ -157,7 +157,7 @@ def test_criterion_02_entanglement_identity_suite():
     worst = {"tau": 0.0, "geig": 0.0, "kl": 0.0, "qa": 0.0, "qb": 0.0}
     for _ in range(200):
         psi = qcore.random_pure_state(4, rng)
-        st = QuantumState.pure(psi, TWO_QUBITS)
+        st = QuantumState.pure(psi)
         d = delta_measure(psi)
         worst["tau"] = max(worst["tau"],
                            abs(tau_correlation(st) - 2.0 * d * (1.0 + d / 2.0) / 3.0))
@@ -182,11 +182,11 @@ def test_criterion_02_entanglement_identity_suite():
 def test_criterion_03_local_unitary_invariance():
     rng = np.random.default_rng(303)
     psi = qcore.random_pure_state(4, rng)
-    base = tau_correlation(QuantumState.pure(psi, TWO_QUBITS))
+    base = tau_correlation(QuantumState.pure(psi))
     worst = 0.0
     for _ in range(100):
-        u = kron(qcore.random_unitary(2, rng), qcore.random_unitary(2, rng))
-        rotated = QuantumState.pure(u @ psi, TWO_QUBITS)
+        u = np.kron(qcore.random_unitary(2, rng), qcore.random_unitary(2, rng))
+        rotated = QuantumState.pure(u @ psi)
         worst = max(worst, abs(tau_correlation(rotated) - base))
     report(3, worst <= 1e-9,
            f"tau_ab invariant under 100 random local unitaries, worst drift {worst:.2e}")
@@ -200,7 +200,7 @@ def test_criterion_04_product_state_noop():
     worst = 0.0
     for _ in range(50):
         psi = np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
-        st = QuantumState.pure(psi, TWO_QUBITS)
+        st = QuantumState.pure(psi)
         for fam in families:
             theta = build_theta(st, DisentanglementSpec(family=fam, gamma_d=1.0), h=h)
             drift = theta.matrix @ psi - theta.expectation(st) * psi
@@ -225,7 +225,7 @@ def test_criterion_06_kraus_quadratic_order():
     rng = np.random.default_rng(606)
     h = build_hamiltonian(TwoSpinParams(delta=0.7, omega1=0.7, g=1.0))
     psi = qcore.random_pure_state(4, rng)
-    st = QuantumState.pure(psi, TWO_QUBITS)
+    st = QuantumState.pure(psi)
     theta = correlation_operator(st).matrix
     rho = st.density()
     ratios = []
@@ -251,12 +251,12 @@ def test_criterion_07_unravelling_equivalence(unravelling_pair):
 def test_criterion_08_weyl_suite():
     rng = np.random.default_rng(808)
     psi_prod = np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
-    st = QuantumState.pure(psi_prod, TWO_QUBITS)
+    st = QuantumState.pure(psi_prod)
     s = weyl_s_matrix(st)
     sds = s.conj().T @ s
     prod_val = float(np.trace(sds @ sds).real)
 
-    bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2.0), TWO_QUBITS)
+    bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2.0))
     s = weyl_s_matrix(bell)
     sds_bell = s.conj().T @ s
     bell_val = float(np.trace(sds_bell @ sds_bell).real)
@@ -264,12 +264,12 @@ def test_criterion_08_weyl_suite():
     worst_t2, worst_spec = 0.0, 0.0
     for _ in range(25):
         psi = qcore.random_pure_state(4, rng)
-        st = QuantumState.pure(psi, TWO_QUBITS)
+        st = QuantumState.pure(psi)
         s = weyl_s_matrix(st)
         sds = s.conj().T @ s
         worst_t2 = max(worst_t2, abs(weyl_t2_expectation(st)
                                      - float(np.trace(sds @ sds).real)))
-        m = state_matrix(psi, TWO_QUBITS)
+        m = state_matrix(psi)
         mm = m.conj().T @ m
         ref = np.sort(np.linalg.eigvalsh(np.kron(mm, mm)))
         got = np.sort(np.linalg.eigvalsh(0.5 * (sds + sds.conj().T)))

@@ -574,6 +574,29 @@ def test_run_shorter_than_one_step_names_both_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset", ["fig2-B2", "fig3-A"])
+def test_step_count_that_overflows_names_both_keys(tmp_path, capsys, preset):
+    # t_end / dt overflows to inf for finite settings; the master and the
+    # stochastic run would fail converting it to a step count
+    out = tmp_path / "long"
+    assert main(["--preset", preset, "--dt", "1e-300", "--t-end", "1e10",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: integrator.t_end = 10000000000.0 over integrator.dt = 1e-300 "
+        "is not a finite number of steps\n")
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    doc = tmp_path / "c.cfg"
+    doc.write_bytes(b"command = steady\nmodel.g = 0.5 \xff\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(doc), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {doc} is not UTF-8 text: byte 0xff at offset 31\n")
+    assert not out.exists()
+
+
 def test_state_psi_scale_does_not_change_the_state(tmp_path):
     # amplitudes whose squared norm overflows or underflows run as the state
     # they scale, (1, 1, 0, 0)/sqrt(2)

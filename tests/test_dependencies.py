@@ -104,3 +104,41 @@ def test_hot_path_products_skip_matmul_dispatch(module, qualname):
 def test_matmul_guard_sees_every_form():
     src = "def f(a, b):\n    c = a @ b\n    c @= b\n    return np.dot(a, b), np.matmul(a, b)\n"
     assert _matmuls(ast.parse(src)) == [2, 3]
+
+
+def _dimension_parameters(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every function parameter named d_a, d_b or factor, and
+    of every call of math.isqrt (or of an isqrt imported from math)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [(node.lineno, p.arg) for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                                     a.vararg, a.kwarg)
+                      if p is not None and p.arg in ("d_a", "d_b", "factor")]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "isqrt"
+                    and isinstance(f.value, ast.Name) and f.value.id == "math") or (
+                    isinstance(f, ast.Name) and f.id == "isqrt"):
+                found.append((node.lineno, "math.isqrt"))
+    return sorted(found)
+
+
+def test_no_dimension_parameters():
+    # the spin pair is the package's one Hilbert space: no function takes
+    # subsystem dimensions or a factorization, and none infers a dimension
+    # from a grid's size
+    found = []
+    for path in sorted(Path(disentsim.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line} {n}"
+                  for line, n in _dimension_parameters(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_dimension_guard_sees_every_form():
+    src = ("def f(rho, d_a, d_b=2):\n    return math.isqrt(len(rho))\n"
+           "class A:\n    def __init__(self, spec, *, factor=None):\n        pass\n"
+           "g = lambda d_a: isqrt(d_a)\ndef h(d, n):\n    return m.isqrt(n)\n")
+    assert _dimension_parameters(ast.parse(src)) == [
+        (1, "d_a"), (1, "d_b"), (2, "math.isqrt"), (4, "factor"), (6, "d_a"), (6, "math.isqrt")]

@@ -44,7 +44,7 @@ from disentsim.entangle import (
     build_theta,
     tau_from_bloch,
 )
-from disentsim.qcore import QuantumState, TWO_QUBITS, kron
+from disentsim.qcore import QuantumState
 from disentsim.twospin import TwoSpinParams, build_hamiltonian, experiment_preset
 from disentsim.workers import run_blocks
 
@@ -98,7 +98,7 @@ def test_dissipator_traceless(rng):
 
 def test_two_spin_thermal_fixed_point():
     d = DampingParams(a=SpinDamping(0.3, 0.02, 2.0), b=SpinDamping(0.1, 0.05, 0.4))
-    rho = kron(thermal_qubit(d.a.n0), thermal_qubit(d.b.n0))
+    rho = np.kron(thermal_qubit(d.a.n0), thermal_qubit(d.b.n0))
     assert np.abs(two_spin_lindblad(rho, d)).max() < 1e-12
 
 
@@ -129,7 +129,7 @@ def test_damping_superop_is_cached_and_read_only():
 
 
 def _bloch(m: np.ndarray) -> np.ndarray:
-    return bases.bloch_matrix_from_rho(m, 2, 2).reshape(-1)
+    return bases.bloch_matrix_from_rho(m).reshape(-1)
 
 
 def stage_matrix(rho, h, theta=None, damping=None):
@@ -209,7 +209,7 @@ def test_steady_state_no_drive_thermal_product():
     d = DampingParams(a=SpinDamping(0.2, 0.01, 3.0), b=SpinDamping(0.4, 0.02, 0.2))
     h = build_hamiltonian(TwoSpinParams(delta=0.0, omega1=0.0, g=0.0))
     rho = steady_state(h, d)
-    ref = kron(thermal_qubit(d.a.n0), thermal_qubit(d.b.n0))
+    ref = np.kron(thermal_qubit(d.a.n0), thermal_qubit(d.b.n0))
     assert np.abs(rho - ref).max() < 1e-10
 
 
@@ -221,7 +221,7 @@ def test_steady_state_single_spin_matches_analytic(rng):
                         n0=rng.uniform(0.0, 5.0))
         rho = steady_state(build_hamiltonian(TwoSpinParams(delta=delta, omega1=omega1)),
                            DampingParams(a=d, b=d))
-        got = np.array([np.trace(kron(ID2, s) @ rho).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+        got = np.array([np.trace(np.kron(ID2, s) @ rho).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
         ref = analytic_driven_spin_bloch(delta, omega1, d)
         assert np.abs(got - ref).max() < 1e-9
 
@@ -230,7 +230,7 @@ def test_steady_state_zero_detuning_kills_dispersive():
     d = SpinDamping(gamma1=0.1, gamma_phi=0.02, n0=0.3)
     rho = steady_state(build_hamiltonian(TwoSpinParams(delta=0.0, omega1=0.7)),
                        DampingParams(a=d, b=d))
-    assert abs(np.trace(kron(ID2, SIGMA_X) @ rho).real) < 1e-10
+    assert abs(np.trace(np.kron(ID2, SIGMA_X) @ rho).real) < 1e-10
 
 
 def test_steady_state_degenerate_reported():
@@ -253,7 +253,7 @@ def test_steady_states_verdict_rules():
         _rank_one_deficient(np.diag([1.0, -1.0]).astype(complex)),  # traceless
         np.zeros((4, 4), dtype=complex),                             # 4-dim null space
     ])
-    grid = bases.observable_grid(2, 1)
+    grid = bases.spin_grid()
     x, degenerate = steady_states(grid.superop(lv), grid)
     rho = (x @ grid.half).reshape(-1, 2, 2)
     assert degenerate.tolist() == [False, True, True]
@@ -272,7 +272,7 @@ def svd_steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tuple[np.nd
     smax = np.maximum(s[:, 0], 1.0)
     degenerate = (s <= 1e-12 * smax[:, None]).sum(axis=1) > 1
     x = vh[:, -1]
-    dim = grid.d_a * grid.d_b
+    dim = grid.entries.shape[-1]
     tr = dim * grid.half[0, 0].real * x[:, 0]
     degenerate |= np.abs(tr) < 1e-10
     x[degenerate] = np.nan
@@ -289,7 +289,7 @@ def _random_gksl(rng, pair: bool) -> np.ndarray:
     spin = lambda: SpinDamping(*rng.uniform(0.01, 1.0, 3))  # noqa: E731
     if pair:
         return grid_liouvillian(h, DampingParams(spin(), spin()))[1]
-    return bases.observable_grid(2, 1).superop(
+    return bases.spin_grid().superop(
         hamiltonian_superop(h) + dissipator_superop(spin_jump_operators(spin()), 2))
 
 
@@ -313,7 +313,7 @@ def _dephasing_row():
 
 def _reference_inputs():
     rng = np.random.default_rng(58)
-    pair, single = bases.observable_grid(2, 2), bases.observable_grid(2, 1)
+    pair, single = bases.observable_grid(), bases.spin_grid()
     yield "random two-spin", np.stack([_random_gksl(rng, True) for _ in range(20)]), pair
     yield "random single-spin", np.stack([_random_gksl(rng, False) for _ in range(20)]), single
     lv = np.stack([_rank_one_deficient(np.diag([0.25, 0.75]).astype(complex)),
@@ -339,7 +339,7 @@ def test_steady_states_match_full_svd_reference():
 
 def test_steady_states_exactly_singular_block_is_degenerate():
     # the null vector e_1 is traceless and L_r[1:, 1:] is exactly singular
-    x, degenerate = steady_states(np.diag([1.0, 0.0, 1.0, 1.0])[None], bases.observable_grid(2, 1))
+    x, degenerate = steady_states(np.diag([1.0, 0.0, 1.0, 1.0])[None], bases.spin_grid())
     assert degenerate.tolist() == [True]
     assert np.isnan(x).all()
 
@@ -350,7 +350,7 @@ def test_steady_states_numerically_singular_traceless_null_vector_is_degenerate(
     # whose residual passes; the size rule |x_k| <= 1e10 |G_k|_2 marks it
     # before the positivity rule would abort
     rng = np.random.default_rng(0)
-    pair = bases.observable_grid(2, 2)
+    pair = bases.observable_grid()
     traceless = [_with_null_vector(rng, np.r_[0.0, rng.standard_normal(15)],
                                    np.r_[np.geomspace(2.0, 0.5, 15), 0.0]) for _ in range(5)]
     lr = np.stack(traceless + [_random_gksl(rng, True)])
@@ -362,8 +362,8 @@ def test_steady_states_numerically_singular_traceless_null_vector_is_degenerate(
 
 
 def test_grid_norms_bound_every_state(rng):
-    for grid in (bases.observable_grid(2, 2), bases.observable_grid(2, 1)):
-        dim = grid.d_a * grid.d_b
+    for grid in (bases.observable_grid(), bases.spin_grid()):
+        dim = grid.entries.shape[-1]
         rhos = np.stack([qcore.random_density_matrix(dim, rng, rank=1 + k % dim)
                          for k in range(50)])
         x = rhos.reshape(len(rhos), -1) @ grid.expect
@@ -396,7 +396,7 @@ def values_only_steady_states(lr: np.ndarray, grid: bases.ObservableGrid) -> tup
         singular = np.linalg.slogdet(a)[0] == 0
         a[singular] = np.eye(len(a[0]))
         y = np.where(singular[:, None, None], np.nan, np.linalg.solve(a, lr[:, 1:, :1]))
-    dim = grid.d_a * grid.d_b  # G_0 is the only G with a trace
+    dim = grid.entries.shape[-1]  # G_0 is the only G with a trace
     x = np.concatenate([np.ones((len(a), 1)), -y[..., 0]], axis=1) / (dim * grid.half[0, 0].real)
     resid = np.abs(lr @ x[..., None]).max(axis=(1, 2))
     degenerate |= ~(resid <= 1e-10 * smax * np.abs(x).max(axis=1))  # a NaN residual fails
@@ -423,7 +423,7 @@ def _near_singular_cells(rng, second=(3e-12, 1e-11, 1e-10, 1e-9, 5e-9)) -> np.nd
     default r lie above the degeneracy threshold 2e-12 and below what the
     inverse screen can clear, so each cell has a unique steady state that
     the SVD judges."""
-    pair = bases.observable_grid(2, 2)
+    pair = bases.observable_grid()
     x = steady_states(np.stack([_random_gksl(rng, True) for _ in second]), pair)[0]
     return np.stack([_with_null_vector(rng, xi, np.r_[np.geomspace(2.0, 0.5, 14), r, 0.0])
                      for xi, r in zip(x, second)])
@@ -436,7 +436,7 @@ def _mixed_stack(singular: bool = False) -> np.ndarray:
     ``singular``, also cells whose A is exactly singular, so that the stack
     has no inverse: the dephasing-only row and a traceless null vector e_1."""
     rng = np.random.default_rng(7)
-    x = steady_states(_random_gksl(rng, True)[None], bases.observable_grid(2, 2))[0][0]
+    x = steady_states(_random_gksl(rng, True)[None], bases.observable_grid())[0][0]
     cells = [next(_fig1_rows())[::20], _near_singular_cells(rng, (5e-13, 1.5e-12, 3e-12, 1e-9)),
              _with_null_vector(rng, x, np.r_[np.geomspace(2.0, 0.5, 14), 0.0, 0.0])[None]]
     if singular:
@@ -445,7 +445,7 @@ def _mixed_stack(singular: bool = False) -> np.ndarray:
 
 
 def _equivalence_inputs():
-    pair = bases.observable_grid(2, 2)
+    pair = bases.observable_grid()
     yield from _reference_inputs()
     yield "near-singular", _near_singular_cells(np.random.default_rng(19)), pair
     yield "mixed", _mixed_stack(), pair
@@ -500,7 +500,7 @@ def _one_pass(calls: _LinalgCalls, lr: np.ndarray, grid: bases.ObservableGrid):
 
 
 def test_steady_states_runs_the_svd_only_where_the_screen_fails(svd_rows):
-    pair = bases.observable_grid(2, 2)
+    pair = bases.observable_grid()
     _one_pass(svd_rows, next(_fig1_rows()), pair)
     assert svd_rows == []
     dephasing = _dephasing_row()
@@ -514,7 +514,7 @@ def test_steady_states_runs_the_svd_only_where_the_screen_fails(svd_rows):
 
 def test_steady_states_without_an_inverse_keep_the_svd_verdicts(svd_rows):
     lr = _mixed_stack(singular=True)
-    pair = bases.observable_grid(2, 2)
+    pair = bases.observable_grid()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(lr[:, 1:, 1:])
     x, degenerate = _one_pass(svd_rows, lr, pair)
@@ -528,7 +528,7 @@ def test_steady_states_residual_between_the_s0_bounds_reads_s0(svd_rows):
     # well-conditioned A, smallest singular value eps: the trace-one solution
     # leaves a residual of order eps, which passes, needs s_0 or fails as eps grows
     rng = np.random.default_rng(3)
-    pair = bases.observable_grid(2, 2)
+    pair = bases.observable_grid()
     x = steady_states(_random_gksl(rng, True)[None], pair)[0][0]
     eps = np.geomspace(1e-12, 1e-8, 41)
     lr = np.stack([_with_null_vector(rng, x, np.r_[np.geomspace(8.0, 2.0, 15), e]) for e in eps])
@@ -568,7 +568,7 @@ def test_integrate_master_stationary_at_linear_steady_state():
     h = build_hamiltonian(p)
     rho0 = steady_state(h, FIG2_DAMPING)
     cfg = IntegratorConfig(dt=2e-3, t_end=100.0, sample_every=100)
-    rec = integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
+    rec = integrate_master(QuantumState(rho=rho0), h,
                            None, FIG2_DAMPING, cfg)
     drift = max(np.abs(rec.k_a - rec.k_a[0]).max(), np.abs(rec.k_b - rec.k_b[0]).max())
     assert drift < 1e-8
@@ -581,7 +581,7 @@ def test_integrate_master_rk4_convergence():
     p = TwoSpinParams(delta=0.5, omega1=0.7, g=0.8)
     h = build_hamiltonian(p)
     rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    initial = QuantumState(factor=TWO_QUBITS, rho=rho0)
+    initial = QuantumState(rho=rho0)
 
     def final_bloch(dt):
         cfg = IntegratorConfig(dt=dt, t_end=2.0, sample_every=10**9)
@@ -602,7 +602,7 @@ def test_integrate_master_positivity_abort():
     rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     cfg = IntegratorConfig(dt=0.9, t_end=400.0, sample_every=1)
     with pytest.raises(StateHealthError) as err:
-        integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
+        integrate_master(QuantumState(rho=rho0), h,
                          None, FIG2_DAMPING, cfg)
     assert "min eigenvalue" in str(err.value)
 
@@ -623,7 +623,7 @@ def test_integrate_master_non_finite_abort(family):
     cfg = IntegratorConfig(dt=1e100, t_end=1e100)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StateHealthError) as err:
-            integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h,
+            integrate_master(QuantumState(rho=rho0), h,
                              spec, FIG2_DAMPING, cfg)
     assert err.value.t == t_abort
     if family is not ThetaFamily.THERMALIZATION:
@@ -639,7 +639,7 @@ def test_integrate_master_overflow_is_silent():
     # report; at dt = 1e50 a Bloch stage's alpha overflows to inf, which
     # sets divide as well as invalid in the eigendecomposition's gufunc
     h = build_hamiltonian(TwoSpinParams(delta=0.5, omega1=0.7, g=1.0))
-    rho0 = QuantumState(factor=TWO_QUBITS, rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    rho0 = QuantumState(rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     for family in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.STATE_MATRIX_DERANK):
         for dt in (1e50, 1e100):
             with warnings.catch_warnings(record=True) as caught:
@@ -659,7 +659,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
     with pytest.raises(qcore.HermiticityError):
         steady_state(h, FIG2_DAMPING)
     with pytest.raises(qcore.HermiticityError):
-        integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, None, FIG2_DAMPING,
+        integrate_master(QuantumState(rho=rho0), h, None, FIG2_DAMPING,
                          IntegratorConfig(dt=1e-3, t_end=1e-2))
     with pytest.raises(qcore.HermiticityError):
         integrate_sle_ensemble(np.array([1.0, 0, 0, 0], dtype=complex), h, None, FIG2_DAMPING,
@@ -685,7 +685,7 @@ def test_integrator_stage_matches_mme_rhs(family, rng):
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
     spec = _spec(family)
     grid, lr = grid_liouvillian(h, FIG2_DAMPING)
-    coeff, table = ThetaEngine(spec, TWO_QUBITS, h=h).grid()
+    coeff, table = ThetaEngine(spec, h=h).grid()
     for _ in range(3):
         rho = qcore.random_density_matrix(4, rng)
         x = _bloch(rho)
@@ -705,7 +705,7 @@ def _reference_rk4(rho, h, spec, damping, dt, n_steps, stride):
     build_theta at every stage."""
     def rhs(r):
         out = 1j * (r @ h - h @ r) + two_spin_lindblad(r, damping)
-        theta = build_theta(QuantumState(factor=TWO_QUBITS, rho=r), spec, h)
+        theta = build_theta(QuantumState(rho=r), spec, h)
         if theta is not None:
             tm = theta.matrix
             out += 2.0 * (np.trace(tm @ r).real / np.trace(r).real) * r - tm @ r - r @ tm
@@ -734,18 +734,18 @@ def test_integrate_master_matches_reference_rk4(family, point):
     rho0 = steady_state(h, FIG2_DAMPING)
     spec = _spec(family)
     cfg = IntegratorConfig(dt=1e-3, t_end=2.0, sample_every=100)
-    rec = integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, spec,
+    rec = integrate_master(QuantumState(rho=rho0), h, spec,
                            FIG2_DAMPING, cfg)
     ref = _reference_rk4(rho0, h, spec, FIG2_DAMPING, cfg.dt, cfg.n_steps, cfg.stride)
     ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
-    k_a, k_b = bases.single_spin_bloch_vectors(bases.bloch_matrix_from_rho(ref, 2, 2))
+    k_a, k_b = bases.single_spin_bloch_vectors(bases.bloch_matrix_from_rho(ref))
     assert rec.n_samples == len(ref)
     assert np.abs(rec.k_a - k_a).max() < 1e-10
     assert np.abs(rec.k_b - k_b).max() < 1e-10
-    assert np.abs(rec.tau_ab - tau_from_bloch(bases.bloch_matrix_from_rho(ref, 2, 2))).max() < 1e-10
+    assert np.abs(rec.tau_ab - tau_from_bloch(bases.bloch_matrix_from_rho(ref))).max() < 1e-10
     # the measures, read from x, against the literal forms of the reference rho
     gram = np.einsum("nibjb->nij", ref.reshape(-1, 2, 2, 2, 2))
-    b = np.einsum("abij,nji->nab", bases.observable_grid(2, 2).entries, ref).real
+    b = np.einsum("abij,nji->nab", bases.observable_grid().entries, ref).real
 
     def entropy(m):
         w = np.maximum(np.linalg.eigvalsh(m), 1e-300)
@@ -851,8 +851,7 @@ def test_sle_block_step_product_state_theta_noop(rng):
     psi = np.stack([np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
                     for _ in range(5)], axis=1)
     dw = np.sqrt(dt / 2.0) * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
-    engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0),
-                         TWO_QUBITS)
+    engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0))
     step_mat = _sle_step_matrix(h, ops, dt, engine.drift_ops)
     stack = np.empty((step_mat.shape[1] // 4, 4, 5), dtype=complex)
     with_theta = _sle_block_step(psi, step_mat, dw, stack, engine.drift(psi))[0]
@@ -866,7 +865,7 @@ def test_sle_block_step_norm_drift_second_order(rng):
     # <V+V>; after the analytic correction the residue is O(dt^2).  The
     # Hamiltonian acts through the unitary U, which keeps the norm.
     d = SpinDamping(0.3, 0.1, 0.2)
-    ops = [kron(x, ID2) for x in spin_jump_operators(d)]
+    ops = [np.kron(x, ID2) for x in spin_jump_operators(d)]
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
     psi = qcore.random_pure_state(4, rng)
     half = sum(x.conj().T @ x for x in ops)
@@ -880,8 +879,7 @@ def test_sle_nonlinear_drift_conserves_norm_to_second_order(rng):
     # the modified-Schrodinger drift -(Theta - <Theta>)psi leaves the norm
     # unchanged at first order; the pre-renormalization residue is O(dt^2)
     psi = qcore.random_pure_state(4, rng)
-    engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0),
-                         TWO_QUBITS)
+    engine = ThetaEngine(DisentanglementSpec(family=ThetaFamily.CORR_SUPPRESS, gamma_d=1.0))
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.5, g=0.4))
     assert abs(_raw_norm2(psi, h, [], 1e-4, engine) - 1.0) <= 1e-8
 
@@ -948,7 +946,7 @@ def test_block_step_matches_literal_formula(family, n_traj):
         thermal = family is ThetaFamily.THERMALIZATION
         spec = (_spec(family) if thermal
                 else DisentanglementSpec(family=family, gamma_d=gamma_d))
-        engine = ThetaEngine(spec, TWO_QUBITS, h=h)
+        engine = ThetaEngine(spec, h=h)
         theta_ops, weights = engine.drift_ops, engine.drift(psi)
         for k in range(n_traj):
             p = psi[:, k]
@@ -973,7 +971,7 @@ def test_folded_drift_drops_exactly_the_multiples_of_identity(family, rng):
     # back into Theta leaves the step as it is
     h = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=5.0))
     spec = _spec(family)
-    engine = ThetaEngine(spec, TWO_QUBITS, h=h)
+    engine = ThetaEngine(spec, h=h)
     if family is ThetaFamily.THERMALIZATION:
         ops = [spec.gamma_h * spec.beta * h]
     else:
@@ -1009,7 +1007,7 @@ def test_master_stage_drops_exactly_the_multiples_of_identity(family, rng):
     # I, which cancel in -{Theta, rho} + 2 <Theta> rho / Tr(rho): the full
     # grid table with B(Theta), and with B(Theta + a I), gives the same stage
     h = build_hamiltonian(TwoSpinParams(delta=0.3, omega1=0.8, g=0.5))
-    engine = ThetaEngine(_spec(family), TWO_QUBITS, h=h)
+    engine = ThetaEngine(_spec(family), h=h)
     grid, lr = grid_liouvillian(h, FIG2_DAMPING)
     lr[0] = 0.0  # as integrate_master runs it
     full = grid.anticommutator.reshape(16, -1)
@@ -1020,7 +1018,7 @@ def test_master_stage_drops_exactly_the_multiples_of_identity(family, rng):
         ops = engine.ops.reshape(-1, 4, 4)
     identity = np.array([np.count_nonzero(o - o[0, 0] * np.eye(4)) == 0 for o in ops])
     assert identity.sum() == 1
-    kept = bases.bloch_matrix_from_rho(ops[~identity], 2, 2).reshape(-1, 16) @ full
+    kept = bases.bloch_matrix_from_rho(ops[~identity]).reshape(-1, 16) @ full
     assert table.shape == kept.shape
     assert np.abs(table - kept).max() <= 1e-14 * np.abs(kept).max()
 
@@ -1088,7 +1086,7 @@ def test_classify_linear_runs_always_fixed_point():
     h = build_hamiltonian(TwoSpinParams(delta=0.7, omega1=0.7, g=1.0))
     rho0 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
     cfg = IntegratorConfig(dt=2e-3, t_end=150.0, sample_every=25)
-    rec = integrate_master(QuantumState(factor=TWO_QUBITS, rho=rho0), h, None, d, cfg)
+    rec = integrate_master(QuantumState(rho=rho0), h, None, d, cfg)
     verdict = classify_attractor(rec)
     assert verdict.kind is AttractorKind.FIXED_POINT
 
@@ -1222,7 +1220,7 @@ def test_split_ensemble_worker_without_result_is_named(monkeypatch, four_cores, 
 
 def test_sle_block_records_its_failure_and_stops_after_an_earlier_one():
     (h, dspec, d), cfg, t_abort = _overflowing_ensemble(ThetaFamily.BLOCH_DERANK_A)
-    engine = ThetaEngine(dspec, TWO_QUBITS, h=h, floor=cfg.log_floor)
+    engine = ThetaEngine(dspec, h=h, floor=cfg.log_floor)
     ops = two_spin_jump_operators(d)
     step_mat = _sle_step_matrix(h, ops, cfg.dt, engine.drift_ops)
     halt = np.full(2, cfg.n_steps)
@@ -1355,7 +1353,7 @@ def test_ensemble_drops_zero_rate_channels(monkeypatch):
 def test_integrators_check_the_hamiltonian_against_the_damping():
     # the rule steady_state applies: the two-spin model needs a 4x4 H
     cfg = IntegratorConfig(dt=1e-3, t_end=1e-2)
-    rho0 = QuantumState(factor=TWO_QUBITS, rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    rho0 = QuantumState(rho=np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     h2 = np.array([[0.3, 0.45], [0.45, -0.3]], dtype=complex)
     h4 = build_hamiltonian(TwoSpinParams(delta=0.4, omega1=0.6, g=0.5))
     for d in (FIG2_DAMPING, None):
@@ -1367,9 +1365,6 @@ def test_integrators_check_the_hamiltonian_against_the_damping():
         if d is not None:
             with pytest.raises(qcore.DimensionError, match="-spin model needs"):
                 steady_state(h2, d)
-    qutrits = QuantumState.mixed(np.eye(9) / 9, qcore.Factorization(3, 3))
-    with pytest.raises(qcore.DimensionError, match="two-qubit"):
-        integrate_master(qutrits, h4, None, FIG2_DAMPING, cfg)
     with pytest.raises(qcore.DimensionError, match="initial state"):
         integrate_sle_ensemble(np.array([0.0, 1.0], dtype=complex), h4, None, FIG2_DAMPING, cfg,
                                n_traj=2)
@@ -1385,7 +1380,7 @@ def test_ensemble_mean_matches_master_without_theta():
     _, recs = integrate_sle_ensemble(psi0, h, None, d, cfg, n_traj=800)
     mcfg = IntegratorConfig(dt=5e-4, t_end=6.0, sample_every=1000)
     rec_master = integrate_master(
-        QuantumState(factor=TWO_QUBITS, rho=np.outer(psi0, psi0.conj())),
+        QuantumState(rho=np.outer(psi0, psi0.conj())),
         h, None, d, mcfg)
     ka_sde = ensemble_mean_record(recs).k_a
     tol = 4.0 / np.sqrt(800)

@@ -23,7 +23,7 @@ from disentsim.entangle import (
     tau_from_bloch,
     weyl_t2_expectation,
 )
-from disentsim.qcore import QuantumState, TWO_QUBITS, kron
+from disentsim.qcore import QuantumState
 
 from conftest import BELL, TILTED, literal_theta, random_product_psi
 
@@ -58,59 +58,59 @@ def _two_qubit_stack(rng, n_pure, n_mixed):
 
 
 def test_state_matrix_layout():
-    m = state_matrix([1, 0, 0, 0], TWO_QUBITS)
+    m = state_matrix([1, 0, 0, 0])
     assert np.array_equal(m, [[1, 0], [0, 0]])
-    m = state_matrix(BELL, TWO_QUBITS)
+    m = state_matrix(BELL)
     assert np.allclose(m, np.eye(2) / np.sqrt(2.0))
     psi = np.array([1, 2, 3, 4], dtype=complex)
-    assert np.array_equal(state_matrix(psi, TWO_QUBITS), [[1, 2], [3, 4]])
+    assert np.array_equal(state_matrix(psi), [[1, 2], [3, 4]])
 
 
 def test_entanglement_k_values(rng):
-    prod = QuantumState.pure(random_product_psi(rng), TWO_QUBITS)
+    prod = QuantumState.pure(random_product_psi(rng))
     assert entanglement_k(prod) < 1e-10
-    assert abs(entanglement_k(QuantumState.pure(BELL, TWO_QUBITS)) - LOG2) < 1e-12
+    assert abs(entanglement_k(QuantumState.pure(BELL)) - LOG2) < 1e-12
     expected = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
-    assert abs(entanglement_k(QuantumState.pure(TILTED, TWO_QUBITS)) - expected) < 1e-12
+    assert abs(entanglement_k(QuantumState.pure(TILTED)) - expected) < 1e-12
 
 
 def test_q_s_expectation_matches_k(rng):
     def q_s(st):
         return _unit_theta(st, ThetaFamily.STATE_MATRIX_DERANK)
 
-    st = QuantumState.pure(BELL, TWO_QUBITS)
+    st = QuantumState.pure(BELL)
     assert abs(q_s(st).expectation(st) - LOG2) < 1e-8
-    mm = QuantumState.mixed(np.eye(4) / 4, TWO_QUBITS)
+    mm = QuantumState.mixed(np.eye(4) / 4)
     assert abs(q_s(mm).expectation(mm) - LOG2) < 1e-8
     for _ in range(20):
-        st = QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS)
+        st = QuantumState.pure(qcore.random_pure_state(4, rng))
         assert abs(q_s(st).expectation(st) - entanglement_k(st)) < 1e-8
 
 
 def test_entanglement_l_values(rng):
-    prod = QuantumState.pure(random_product_psi(rng), TWO_QUBITS)
+    prod = QuantumState.pure(random_product_psi(rng))
     assert abs(entanglement_l(prod)) < 1e-9
-    assert abs(entanglement_l(QuantumState.pure(BELL, TWO_QUBITS)) - 2 * LOG2) < 1e-10
+    assert abs(entanglement_l(QuantumState.pure(BELL)) - 2 * LOG2) < 1e-10
     expected = 2 * -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
-    got = entanglement_l(QuantumState.pure(TILTED, TWO_QUBITS))
+    got = entanglement_l(QuantumState.pure(TILTED))
     assert abs(got - expected) < 1e-10
     assert abs(got - 1.1246) < 5e-4
 
 
 def test_two_k_equals_l(rng):
     for _ in range(30):
-        st = QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS)
+        st = QuantumState.pure(qcore.random_pure_state(4, rng))
         assert abs(2 * entanglement_k(st) - entanglement_l(st)) < 1e-8
 
 
 def test_q_bloch_expectations(rng):
-    st = QuantumState.pure(BELL, TWO_QUBITS)
+    st = QuantumState.pure(BELL)
     qa, qb = q_bloch_operators(st)
     assert qa is qb  # Q_a = Q_b, built once
     assert abs(qa.expectation(st) - 2 * LOG2) < 1e-8
     for _ in range(20):
         rho = qcore.random_density_matrix(4, rng)
-        st = QuantumState.mixed(rho, TWO_QUBITS)
+        st = QuantumState.mixed(rho)
         qa, qb = q_bloch_operators(st)
         l_val = entanglement_l(st)
         assert abs(qa.expectation(st) - l_val) < 1e-8
@@ -120,7 +120,7 @@ def test_q_bloch_expectations(rng):
 def test_q_bloch_product_drift_vanishes(rng):
     for _ in range(10):
         psi = random_product_psi(rng)
-        st = QuantumState.pure(psi, TWO_QUBITS)
+        st = QuantumState.pure(psi)
         qa, _ = q_bloch_operators(st)
         drift = qa.matrix @ psi - qa.expectation(st) * psi
         assert np.linalg.norm(drift) < 1e-6
@@ -128,18 +128,18 @@ def test_q_bloch_product_drift_vanishes(rng):
 
 def test_correlation_operator_cases(rng):
     psi = random_product_psi(rng)
-    st = QuantumState.pure(psi, TWO_QUBITS)
+    st = QuantumState.pure(psi)
     assert np.abs(correlation_operator(st).matrix).max() < 1e-12
-    st = QuantumState.pure(BELL, TWO_QUBITS)
+    st = QuantumState.pure(BELL)
     assert abs(tau_correlation(st) - 1.0) < 1e-12
-    st = QuantumState.pure(TILTED, TWO_QUBITS)
+    st = QuantumState.pure(TILTED)
     assert abs(tau_correlation(st) - 11.0 / 16.0) < 1e-12
 
 
 def test_correlation_expectation_is_nonnegative(rng):
     for _ in range(50):
         rho = qcore.random_density_matrix(4, rng)
-        st = QuantumState.mixed(rho, TWO_QUBITS)
+        st = QuantumState.mixed(rho)
         q = correlation_operator(st)
         assert q.expectation(st) >= -1e-12
 
@@ -147,37 +147,32 @@ def test_correlation_expectation_is_nonnegative(rng):
 def test_tau_delta_identity(rng):
     for _ in range(100):
         psi = qcore.random_pure_state(4, rng)
-        st = QuantumState.pure(psi, TWO_QUBITS)
+        st = QuantumState.pure(psi)
         d = delta_measure(psi)
         assert abs(tau_correlation(st) - 2.0 * d * (1.0 + d / 2.0) / 3.0) < 1e-9
 
 
 def test_tau_of_stack_matches_per_state(rng):
-    from disentsim.qcore import Factorization
-
-    for dims in ((2, 2), (2, 3)):
-        factor = Factorization(*dims)
-        rhos = np.stack([qcore.random_density_matrix(factor.dim, rng) for _ in range(10)])
-        b = bases.bloch_matrix_from_rho(rhos.reshape(2, 5, factor.dim, factor.dim), *dims)
-        stacked = tau_from_bloch(b)
-        assert stacked.shape == (2, 5)
-        for n, rho in enumerate(rhos):
-            one = tau_correlation(QuantumState.mixed(rho, factor))
-            assert abs(stacked[divmod(n, 5)] - one) < 1e-15
+    rhos = np.stack([qcore.random_density_matrix(4, rng) for _ in range(10)])
+    b = bases.bloch_matrix_from_rho(rhos.reshape(2, 5, 4, 4))
+    stacked = tau_from_bloch(b)
+    assert stacked.shape == (2, 5)
+    for n, rho in enumerate(rhos):
+        one = tau_correlation(QuantumState.mixed(rho))
+        assert abs(stacked[divmod(n, 5)] - one) < 1e-15
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("dims", [(2, 2)])
 def test_tau_and_q_ab_match_literal_gell_mann_forms(rng, dims):
     # tau and Q_ab read <l_a>, <l_b> and <l_a (x) l_b> from B; the reference is
-    # the kron-built Gell-Mann basis
-    from disentsim.qcore import Factorization
-
-    factor = Factorization(*dims)
+    # the kron-built basis of the Gell-Mann matrices of a qubit, the Pauli
+    # matrices
+    dim = dims[0] * dims[1]
     ia, ib = np.eye(dims[0]), np.eye(dims[1])
-    lam_a, lam_b = bases.gell_mann(dims[0]), bases.gell_mann(dims[1])
-    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=1.0), factor)
-    psi = qcore.random_pure_state(factor.dim, rng)
-    for rho in (np.outer(psi, psi.conj()), qcore.random_density_matrix(factor.dim, rng)):
+    lam_a = lam_b = (bases.SIGMA_X, bases.SIGMA_Y, bases.SIGMA_Z)
+    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=1.0))
+    psi = qcore.random_pure_state(dim, rng)
+    for rho in (np.outer(psi, psi.conj()), qcore.random_density_matrix(dim, rng)):
         ex = lambda o: np.trace(o @ rho).real  # noqa: E731
         tau, q = 0.0, np.zeros_like(rho)
         for x in lam_a:
@@ -185,8 +180,8 @@ def test_tau_and_q_ab_match_literal_gell_mann_forms(rng, dims):
                 ab = ex(np.kron(x, ib)) * ex(np.kron(ia, y))
                 cov = ex(np.kron(x, y)) - ab
                 tau += cov * cov / 3.0
-                q += cov * (np.kron(x, y) - ab * np.eye(factor.dim)) / 3.0
-        assert abs(tau_from_bloch(bases.bloch_matrix_from_rho(rho, *dims)) - tau) < 1e-14
+                q += cov * (np.kron(x, y) - ab * np.eye(dim)) / 3.0
+        assert abs(tau_from_bloch(bases.bloch_matrix_from_rho(rho)) - tau) < 1e-14
         assert np.abs(engine.matrix(rho) - q).max() < 1e-14
 
 
@@ -194,7 +189,7 @@ def test_gram_eigenvalues_vs_delta(rng):
     for _ in range(50):
         psi = qcore.random_pure_state(4, rng)
         d = delta_measure(psi)
-        g = g_from_state(QuantumState.pure(psi, TWO_QUBITS))
+        g = g_from_state(QuantumState.pure(psi))
         got = np.sort(np.linalg.eigvalsh(g))
         ref = np.sort([(1 - np.sqrt(1 - d)) / 2, (1 + np.sqrt(1 - d)) / 2])
         assert np.abs(got - ref).max() < 1e-10
@@ -202,10 +197,10 @@ def test_gram_eigenvalues_vs_delta(rng):
 
 def test_tau_local_unitary_invariance(rng):
     psi = qcore.random_pure_state(4, rng)
-    base = tau_correlation(QuantumState.pure(psi, TWO_QUBITS))
+    base = tau_correlation(QuantumState.pure(psi))
     for _ in range(25):
-        u = kron(qcore.random_unitary(2, rng), qcore.random_unitary(2, rng))
-        rotated = QuantumState.pure(u @ psi, TWO_QUBITS)
+        u = np.kron(qcore.random_unitary(2, rng), qcore.random_unitary(2, rng))
+        rotated = QuantumState.pure(u @ psi)
         assert abs(tau_correlation(rotated) - base) < 1e-9
 
 
@@ -220,11 +215,10 @@ def test_delta_measure_cases(rng):
 def test_measure_bounds_random_states(rng):
     for _ in range(1000):
         if rng.random() < 0.5:
-            st = QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS)
+            st = QuantumState.pure(qcore.random_pure_state(4, rng))
         else:
             rank = int(rng.integers(1, 5))
-            st = QuantumState.mixed(qcore.random_density_matrix(4, rng, rank=rank),
-                                    TWO_QUBITS)
+            st = QuantumState.mixed(qcore.random_density_matrix(4, rng, rank=rank))
         k = entanglement_k(st)
         t = tau_correlation(st)
         assert -1e-12 <= k <= LOG2 + 1e-9
@@ -233,10 +227,10 @@ def test_measure_bounds_random_states(rng):
 
 def _literal_weyl_t2(state: QuantumState) -> float:
     """The quadruple Weyl-pair sum of weyl_t2_expectation as explicit loops."""
-    d = state.factor.d_a
+    d = 2
     rho = state.density()
-    w = bases.weyl_ops(d).reshape(d * d, d, d)
-    pair = [[kron(wi, wj) for wj in w] for wi in w]
+    w = bases.weyl_ops().reshape(d * d, d, d)
+    pair = [[np.kron(wi, wj) for wj in w] for wi in w]
     acc = np.zeros_like(rho)
     for q2 in range(d * d):
         for q1 in range(d * d):
@@ -252,22 +246,20 @@ def test_weyl_t2_cases(rng):
     from disentsim.bases import weyl_s_matrix
 
     psi = random_product_psi(rng)
-    st = QuantumState.pure(psi, TWO_QUBITS)
+    st = QuantumState.pure(psi)
     assert abs(weyl_t2_expectation(st) - 1.0) < 1e-9
-    st = QuantumState.pure(BELL, TWO_QUBITS)
+    st = QuantumState.pure(BELL)
     assert abs(weyl_t2_expectation(st) - 0.25) < 1e-9
     for _ in range(10):
-        st = QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS)
+        st = QuantumState.pure(qcore.random_pure_state(4, rng))
         s = weyl_s_matrix(st)
         sds = s.conj().T @ s
         assert abs(weyl_t2_expectation(st) - np.trace(sds @ sds).real) < 1e-9
         assert abs(weyl_t2_expectation(st) - _literal_weyl_t2(st)) < 1e-13
-    st = QuantumState.pure(qcore.random_pure_state(9, rng), qcore.Factorization(3, 3))
-    assert abs(weyl_t2_expectation(st) - _literal_weyl_t2(st)) < 1e-13
 
 
 def test_weyl_t2_rejects_mixed(rng):
-    st = QuantumState.mixed(qcore.random_density_matrix(4, rng), TWO_QUBITS)
+    st = QuantumState.mixed(qcore.random_density_matrix(4, rng))
     with pytest.raises(ValueError):
         weyl_t2_expectation(st)
 
@@ -278,9 +270,9 @@ def _thermalization_stage(rho, h, beta):
     from disentsim.dynamics import _mme_stage, grid_liouvillian
 
     spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=1.0, beta=beta)
-    coeff, table = ThetaEngine(spec, TWO_QUBITS, h=h).grid()
+    coeff, table = ThetaEngine(spec, h=h).grid()
     grid, lr = grid_liouvillian(h, None)
-    x = bases.bloch_matrix_from_rho(rho, 2, 2).reshape(-1)
+    x = bases.bloch_matrix_from_rho(rho).reshape(-1)
     return (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
 
 
@@ -305,9 +297,9 @@ def test_thermalization_expectation_hand_value():
     # single-spin content embedded in the two-qubit frame: spin b maximally mixed
     from disentsim.bases import SIGMA_Z
 
-    h = kron(0.5 * SIGMA_Z, np.eye(2))
-    rho = kron(np.diag([0.9, 0.1]).astype(complex), np.eye(2) / 2)
-    st = QuantumState.mixed(rho, TWO_QUBITS)
+    h = np.kron(0.5 * SIGMA_Z, np.eye(2))
+    rho = np.kron(np.diag([0.9, 0.1]).astype(complex), np.eye(2) / 2)
+    st = QuantumState.mixed(rho)
     theta = _thermalization_theta(st, h, gamma_h=1.0, beta=1.0)
     # by hand: beta*Tr(rho H) + Tr(rho log rho)
     expect_h = 0.5 * 0.9 - 0.5 * 0.1
@@ -319,7 +311,7 @@ def test_product_state_noop_all_families(rng):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     for _ in range(10):
         psi = random_product_psi(rng)
-        st = QuantumState.pure(psi, TWO_QUBITS)
+        st = QuantumState.pure(psi)
         for fam in DERANK_FAMILIES:
             spec = DisentanglementSpec(family=fam, gamma_d=1.0)
             theta = build_theta(st, spec, h=h)
@@ -329,7 +321,7 @@ def test_product_state_noop_all_families(rng):
 
 def test_theta_engine_matrix_matches_literal_operators(rng):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
-    rhos = [QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS).density(),
+    rhos = [QuantumState.pure(qcore.random_pure_state(4, rng)).density(),
             qcore.random_density_matrix(4, rng)]
     for rho in rhos:
         for fam in (*DERANK_FAMILIES, ThetaFamily.THERMALIZATION):
@@ -337,7 +329,7 @@ def test_theta_engine_matrix_matches_literal_operators(rng):
                 spec = DisentanglementSpec(family=fam, gamma_h=1.3, beta=0.8)
             else:
                 spec = DisentanglementSpec(family=fam, gamma_d=1.0)
-            got = ThetaEngine(spec, TWO_QUBITS, h=h).matrix(rho)
+            got = ThetaEngine(spec, h=h).matrix(rho)
             assert np.abs(got - literal_theta(fam, rho, h, 1.3, 0.8)).max() < 1e-11, fam
 
 
@@ -352,10 +344,10 @@ def _drift_vectors(eng: ThetaEngine, psi: np.ndarray) -> np.ndarray:
 def test_theta_engine_drift_matches_matrix(rng):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     psi = qcore.random_pure_state(4, rng)
-    st = QuantumState.pure(psi, TWO_QUBITS)
+    st = QuantumState.pure(psi)
     for fam in DERANK_FAMILIES:
         spec = DisentanglementSpec(family=fam, gamma_d=0.7)
-        eng = ThetaEngine(spec, TWO_QUBITS, h=h)
+        eng = ThetaEngine(spec, h=h)
         tm = eng.matrix(st.density())
         expected = -(tm @ psi - np.vdot(psi, tm @ psi).real * psi)
         got = _drift_vectors(eng, psi[:, None])[:, 0]
@@ -371,14 +363,14 @@ def test_disentanglement_spec_validation():
 
 
 def test_measure_report_fields(rng):
-    st = QuantumState.pure(TILTED, TWO_QUBITS)
+    st = QuantumState.pure(TILTED)
     rep = measure_report(st)
     assert abs(rep.delta - 0.75) < 1e-10
     assert abs(rep.tau_ab - 11.0 / 16.0) < 1e-10
     assert abs(rep.purity - 1.0) < 1e-10
     assert abs(2 * rep.k_entropy - rep.l_entropy) < 1e-8
     rho = qcore.random_density_matrix(4, rng)
-    rep = measure_report(QuantumState.mixed(rho, TWO_QUBITS))
+    rep = measure_report(QuantumState.mixed(rho))
     assert 0.0 <= rep.delta <= 1.0
     assert 0.0 < rep.purity <= 1.0
 
@@ -397,7 +389,7 @@ def test_theta_engine_matrix_on_a_stack_matches_per_matrix_calls(rng):
             spec = DisentanglementSpec(family=fam, gamma_h=1.3, beta=0.8)
         else:
             spec = DisentanglementSpec(family=fam, gamma_d=0.7)
-        eng = ThetaEngine(spec, TWO_QUBITS, h=h)
+        eng = ThetaEngine(spec, h=h)
         stacked = eng.matrix(rhos)
         assert stacked.shape == rhos.shape
         for rho, got in zip(rhos, stacked):
@@ -419,9 +411,9 @@ def test_grid_coefficients_on_a_stack_match_per_state_calls(rng, fam, r):
         spec = DisentanglementSpec(family=fam, gamma_h=1.3, beta=0.8)
     else:
         spec = DisentanglementSpec(family=fam, gamma_d=0.7)
-    coeff, table = ThetaEngine(spec, TWO_QUBITS, h=h).grid()
+    coeff, table = ThetaEngine(spec, h=h).grid()
     rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(r)])
-    x = bases.bloch_matrix_from_rho(rhos, 2, 2).reshape(r, 16)
+    x = bases.bloch_matrix_from_rho(rhos).reshape(r, 16)
     stacked = coeff(x)
     assert stacked.shape == (r, len(table))
     for xk, got in zip(x, stacked):
@@ -442,22 +434,20 @@ def test_theta_eigendecompositions_keep_the_wrappers_bits(rng, r):
     rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(r)])
     psi = random_product_psi(rng)  # singular G and alpha: the floor clamps
     rhos[0] = np.outer(psi, psi.conj())
-    b = bases.bloch_matrix_from_rho(rhos, 2, 2)
+    b = bases.bloch_matrix_from_rho(rhos)
     x = b.reshape(r, 16)
     for x_in, b_in in ((x, b), (x[0], b[0])):  # a stack and one state
-        bloch = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7),
-                            TWO_QUBITS)
+        bloch = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7))
         want = (_parent_eig_log(*np.linalg.eigh(b_in @ b_in.mT / 2.0)) @ b_in).reshape(x_in.shape)
         assert bloch.coefficients(x_in).tobytes() == want.tobytes()
-        smd = ThetaEngine(DisentanglementSpec(ThetaFamily.STATE_MATRIX_DERANK, gamma_d=0.7),
-                          TWO_QUBITS)
+        smd = ThetaEngine(DisentanglementSpec(ThetaFamily.STATE_MATRIX_DERANK, gamma_d=0.7))
         log_g = _parent_eig_log(*np.linalg.eigh(bases.reduced_state_a(b_in)))
-        want = bases._contract(log_g, bases.observable_grid(2, 1).expect).real
+        want = bases._contract(log_g, bases.spin_grid().expect).real
         assert smd.coefficients(x_in).tobytes() == want.tobytes()
     spec = DisentanglementSpec(ThetaFamily.THERMALIZATION, gamma_h=1.3, beta=0.8)
     m = 0.5 * (rhos + rhos.mT.conj())
     want = 1.3 * 0.8 * h + 1.3 * _parent_eig_log(*np.linalg.eigh(m))
-    assert ThetaEngine(spec, TWO_QUBITS, h=h).matrix(rhos).tobytes() == want.tobytes()
+    assert ThetaEngine(spec, h=h).matrix(rhos).tobytes() == want.tobytes()
 
 
 def test_theta_matrix_of_a_nan_state_follows_the_callers_errstate():
@@ -465,8 +455,7 @@ def test_theta_matrix_of_a_nan_state_follows_the_callers_errstate():
     # errstate around the call numpy warns about the gufunc's flags first,
     # and under the integrators' errstate it does not (thermalization's
     # complex one goes through spectral_log, tested in test_qcore)
-    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7),
-                         TWO_QUBITS)
+    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7))
     rho = np.full((4, 4), np.nan, dtype=complex)
     with pytest.warns(RuntimeWarning, match="eigh_lo"):
         with pytest.raises(np.linalg.LinAlgError):
@@ -483,13 +472,13 @@ def test_bloch_theta_reads_the_measured_bloch_matrix(rng):
     # as bloch_matrix_from_rho does, so the engine's formula applied to the
     # measured B rebuilds the engine's Theta bit for bit
     rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(20)])
-    b = bases.bloch_matrix_from_rho(rhos, 2, 2)
+    b = bases.bloch_matrix_from_rho(rhos)
     w = qcore.eig_log(*np.linalg.eigh(b @ b.mT / 2.0), qcore.DEFAULT_LOG_FLOOR) @ b
-    pairs = -0.5 * 0.7 * bases.observable_grid(2, 2).entries.reshape(16, 16)
+    pairs = -0.5 * 0.7 * bases.observable_grid().entries.reshape(16, 16)
     want = (w.reshape(20, 16) @ pairs).reshape(rhos.shape)
     for fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
         spec = DisentanglementSpec(family=fam, gamma_d=0.7)
-        assert np.array_equal(ThetaEngine(spec, TWO_QUBITS).matrix(rhos), want), fam
+        assert np.array_equal(ThetaEngine(spec).matrix(rhos), want), fam
 
 
 def test_bloch_derank_b_is_the_beta_formula(rng):
@@ -502,7 +491,7 @@ def test_bloch_derank_b_is_the_beta_formula(rng):
     psi += [qcore.random_pure_state(4, rng) for _ in range(50)]
     rhos = [np.outer(p, p.conj()) for p in psi]
     rhos += [qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(100)]
-    engine = ThetaEngine(DisentanglementSpec(fam, gamma_d=1.0), TWO_QUBITS)
+    engine = ThetaEngine(DisentanglementSpec(fam, gamma_d=1.0))
     for k, rho in enumerate(rhos):
         assert np.abs(engine.matrix(rho) - literal_theta(fam, rho, None)).max() < 1e-12, k
 
@@ -512,8 +501,7 @@ def test_theta_engine_drift_matches_literal_operators(rng, n):
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     psi = _pure_columns(rng, n)
     for fam in DERANK_FAMILIES:
-        got = _drift_vectors(ThetaEngine(DisentanglementSpec(family=fam, gamma_d=0.7),
-                                         TWO_QUBITS, h=h), psi)
+        got = _drift_vectors(ThetaEngine(DisentanglementSpec(family=fam, gamma_d=0.7), h=h), psi)
         assert got.shape == psi.shape
         for k in range(n):
             p = psi[:, k]
@@ -531,7 +519,7 @@ def test_thermalization_drift_is_the_pure_state_identity(rng):
     psi = _pure_columns(rng, 129)
     for gamma_h in (0.05, 1.0, 40.0):
         spec = DisentanglementSpec(family=ThetaFamily.THERMALIZATION, gamma_h=gamma_h, beta=0.8)
-        eng = ThetaEngine(spec, TWO_QUBITS, h=h)
+        eng = ThetaEngine(spec, h=h)
         got = _drift_vectors(eng, psi)
         for k in range(psi.shape[1]):
             p = psi[:, k]
@@ -566,21 +554,21 @@ def _ref_from_bloch(b, gram, purity, floor):
 
 
 def _ref_from_rho_stack(rhos, floor):
-    b = np.einsum("abij,nji->nab", bases.observable_grid(2, 2).entries, rhos).real
+    b = np.einsum("abij,nji->nab", bases.observable_grid().entries, rhos).real
     gram = np.einsum("nibjb->nij", rhos.reshape(-1, 2, 2, 2, 2))
     purity = np.einsum("nij,nji->n", rhos, rhos).real
     return _ref_from_bloch(b, gram, purity, floor)
 
 
 def _ref_from_psi_block(psi, floor):
-    b = np.einsum("abij,jn,in->nab", bases.observable_grid(2, 2).entries, psi, psi.conj()).real
+    b = np.einsum("abij,jn,in->nab", bases.observable_grid().entries, psi, psi.conj()).real
     m = psi.reshape(2, 2, -1)
     gram = np.einsum("abn,cbn->nac", m, m.conj())
     return _ref_from_bloch(b, gram, np.ones(psi.shape[1]), floor)
 
 
 def _kernel_columns(rhos, floor):
-    b = bases.bloch_matrix_from_rho(rhos, 2, 2)
+    b = bases.bloch_matrix_from_rho(rhos)
     rep = measures_from_bloch(b, floor)
     k_a, k_b = bases.single_spin_bloch_vectors(b)
     return k_a, k_b, rep.k_entropy, rep.l_entropy, rep.delta, rep.tau_ab, rep.purity
@@ -601,9 +589,9 @@ def test_measure_kernel_matches_the_replaced_sampler(rng, floor):
 
 
 def test_single_state_measures_are_the_kernel_row(rng):
-    states = [QuantumState.pure(qcore.random_pure_state(4, rng), TWO_QUBITS),
-              QuantumState.pure(TILTED, TWO_QUBITS),
-              QuantumState.mixed(qcore.random_density_matrix(4, rng), TWO_QUBITS)]
+    states = [QuantumState.pure(qcore.random_pure_state(4, rng)),
+              QuantumState.pure(TILTED),
+              QuantumState.mixed(qcore.random_density_matrix(4, rng))]
     for st in states:
         rep = measures_from_bloch(bases.bloch_matrix(st))
         assert measure_report(st) == MeasureReport(**{f: float(v) for f, v in vars(rep).items()})

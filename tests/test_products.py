@@ -23,7 +23,7 @@ from disentsim.dynamics import (
     two_spin_jump_operators,
 )
 from disentsim.entangle import DisentanglementSpec, ThetaEngine, ThetaFamily
-from disentsim.qcore import TWO_QUBITS, QuantumState
+from disentsim.qcore import QuantumState
 from disentsim.twospin import DRIVING_POINTS, TwoSpinParams, build_hamiltonian
 
 FIG2_DAMPING = DampingParams(a=SpinDamping(0.1, 0.01, 5e-4), b=SpinDamping(1.0, 0.1, 1e-5))
@@ -47,7 +47,7 @@ def _states(rng, n: int) -> np.ndarray:
     rhos = np.stack([qcore.random_density_matrix(4, rng, rank=1 + k % 4) for k in range(n)])
     psi = np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
     rhos[0] = np.outer(psi, psi.conj())  # singular G and alpha: the floor clamps
-    return bases.bloch_matrix_from_rho(rhos, 2, 2).reshape(n, 16)
+    return bases.bloch_matrix_from_rho(rhos).reshape(n, 16)
 
 
 def _matmul_eig_log(w, v, floor=qcore.DEFAULT_LOG_FLOOR):
@@ -70,7 +70,7 @@ def test_stage_matvec_keeps_the_bits_of_matmul(rng):
                                           (ThetaFamily.BLOCH_DERANK_A, 15),
                                           (ThetaFamily.STATE_MATRIX_DERANK, 3)])
 def test_coefficient_table_product_keeps_the_bits_of_matmul(family, rows, rng):
-    coeff, table = ThetaEngine(_spec(family), TWO_QUBITS).grid()
+    coeff, table = ThetaEngine(_spec(family)).grid()
     assert table.shape == (rows, 256)
     for x in _states(rng, 20):
         c = coeff(x)
@@ -100,7 +100,7 @@ def test_bloch_gram_log_products_keep_the_bits_of_matmul(dtype, rng):
 def test_reduced_state_and_its_log_keep_the_bits_of_matmul(rng):
     # state-matrix-derank's 2x2 G = Tr_b rho off B, its floored log and the
     # log's coefficients over the one-qubit grid
-    single = bases.observable_grid(2, 1)
+    single = bases.spin_grid()
     for x in _states(rng, 20):
         b = x.reshape(4, 4)
         g = bases.reduced_state_a(b)
@@ -118,8 +118,7 @@ def test_stochastic_products_keep_the_bits_of_matmul(n):
     # a corr-suppress Theta (ten Theta blocks)
     rng = np.random.default_rng(n)
     h = _hamiltonian()
-    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=0.5),
-                         TWO_QUBITS, h=h)
+    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.CORR_SUPPRESS, gamma_d=0.5), h=h)
     ops = two_spin_jump_operators(FIG2_DAMPING)
     step_mat = _sle_step_matrix(h, ops, 1e-3, engine.drift_ops)
     psi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
@@ -131,7 +130,7 @@ def test_stochastic_products_keep_the_bits_of_matmul(n):
     weights = engine.drift(psi)
     e = (engine._drift_expect @ rho).real
     want = np.empty_like(weights)
-    want[:-1] = entangle._covariances(e[:engine._expect.shape[1]].T, engine._split)[0].T
+    want[:-1] = entangle._covariances(e[:engine._expect.shape[1]].T)[0].T
     np.vecdot(want[:-1], e[engine._expect.shape[1]:], axis=0, out=want[-1])
     assert weights.tobytes() == want.tobytes()
 
@@ -150,10 +149,10 @@ def _matmul_coefficients(family: ThetaFamily, engine: ThetaEngine):
     engine computed them with ``@``."""
     floor = engine.floor
     if family is ThetaFamily.CORR_SUPPRESS:
-        s, split = entangle._covariance_map(2, 2)
-        return lambda x: entangle._covariances(x @ s, split)[0]
+        s = entangle._covariance_map()
+        return lambda x: entangle._covariances(x @ s)[0]
     if family is ThetaFamily.STATE_MATRIX_DERANK:
-        single = bases.observable_grid(2, 1)
+        single = bases.spin_grid()
 
         def smd(x):
             g = (math.sqrt(2) * (x.reshape(4, 4)[:, 0] @ single.half)).reshape(2, 2)
@@ -161,7 +160,7 @@ def _matmul_coefficients(family: ThetaFamily, engine: ThetaEngine):
             return (log_g.reshape(4) @ single.expect).real[1:]
         return smd
     if family is ThetaFamily.THERMALIZATION:
-        grid = bases.observable_grid(2, 2)
+        grid = bases.observable_grid()
         half, g = grid.half.view(float), grid.entries.reshape(16, -1)[1:].view(float)
         spec = engine.spec
 
@@ -206,11 +205,11 @@ def test_integrate_master_keeps_the_bits_of_its_matmul_loop(family, monkeypatch)
     rho0 = steady_state(h, FIG2_DAMPING)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.3, sample_every=100)
     spec = _spec(family)
-    engine = ThetaEngine(spec, TWO_QUBITS, h=h, floor=cfg.log_floor)
+    engine = ThetaEngine(spec, h=h, floor=cfg.log_floor)
     _, table = engine.grid()
     lr = grid_liouvillian(h, FIG2_DAMPING)[1]
     lr[0] = 0.0
-    x0 = bases.bloch_matrix(QuantumState.mixed(rho0, TWO_QUBITS)).reshape(-1)
+    x0 = bases.bloch_matrix(QuantumState.mixed(rho0)).reshape(-1)
     want_inputs, want_x = _matmul_rk4(x0, lr, _matmul_coefficients(family, engine), table,
                                       cfg.dt, cfg.n_steps)
 
@@ -220,7 +219,7 @@ def test_integrate_master_keeps_the_bits_of_its_matmul_loop(family, monkeypatch)
         inputs.append(x.copy())
         return _mme_stage(lr, x, c, table, out)
     monkeypatch.setattr(dynamics, "_mme_stage", stage)
-    rec = integrate_master(QuantumState.mixed(rho0, TWO_QUBITS), h, spec, FIG2_DAMPING, cfg)
+    rec = integrate_master(QuantumState.mixed(rho0), h, spec, FIG2_DAMPING, cfg)
     assert np.array(inputs).tobytes() == want_inputs.tobytes()
     b = want_x.reshape(1, 4, 4)
     k_a, k_b = bases.single_spin_bloch_vectors(b)

@@ -4,63 +4,37 @@ import numpy as np
 import pytest
 
 from disentsim import qcore
-from disentsim.bases import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_matrix, reduced_state_a
+from disentsim.bases import SIGMA_X, SIGMA_Z, bloch_matrix, reduced_state_a
 from disentsim.qcore import (
     DimensionError,
-    Factorization,
     HermiticityError,
     PSDViolationError,
     QuantumState,
-    TWO_QUBITS,
     expectation,
     herm_eig,
-    kron,
     spectral_log,
 )
 
 from conftest import BELL
 
 
-def test_kron_identity_and_diagonal():
-    i2 = np.eye(2)
-    assert np.array_equal(kron(i2, i2), np.eye(4))
-    assert np.allclose(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_trace_of_traceless_factors():
-    assert abs(np.trace(kron(SIGMA_X, SIGMA_Y))) == 0.0
-
-
-def test_kron_trace_product_random(rng):
-    for _ in range(100):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def test_kron_mixed_product_identity(rng):
-    a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                  for _ in range(4))
-    assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
-
-
 def test_partial_trace_product_state(rng):
     rho_a = qcore.random_density_matrix(2, rng)
     rho_b = qcore.random_density_matrix(2, rng)
-    st = QuantumState.mixed(kron(rho_a, rho_b), TWO_QUBITS)
+    st = QuantumState.mixed(np.kron(rho_a, rho_b))
     assert np.abs(reduced_state_a(bloch_matrix(st)) - rho_a).max() < 1e-12
 
 
 def test_partial_trace_bell_and_basis():
-    st = QuantumState.pure(BELL, TWO_QUBITS)
+    st = QuantumState.pure(BELL)
     assert np.abs(reduced_state_a(bloch_matrix(st)) - np.eye(2) / 2).max() < 1e-12
-    basis = QuantumState.pure([1, 0, 0, 0], TWO_QUBITS)
+    basis = QuantumState.pure([1, 0, 0, 0])
     assert np.abs(reduced_state_a(bloch_matrix(basis)) - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_partial_trace_preserves_trace(rng):
     rho = qcore.random_density_matrix(4, rng)
-    st = QuantumState.mixed(rho, TWO_QUBITS)
+    st = QuantumState.mixed(rho)
     assert abs(np.trace(reduced_state_a(bloch_matrix(st))).real - 1.0) < 1e-12
 
 
@@ -116,8 +90,8 @@ def test_expectation_cases():
     assert abs(expectation(rho, SIGMA_Z)) < 1e-14
     up = np.zeros((2, 2)); up[0, 0] = 1.0
     assert abs(expectation(up, SIGMA_Z) - 1.0) < 1e-14
-    st = QuantumState.pure(BELL, TWO_QUBITS)
-    assert abs(expectation(st, kron(SIGMA_Z, SIGMA_Z)) - 1.0) < 1e-12
+    st = QuantumState.pure(BELL)
+    assert abs(expectation(st, np.kron(SIGMA_Z, SIGMA_Z)) - 1.0) < 1e-12
 
 
 def test_expectation_dimension_mismatch():
@@ -125,15 +99,18 @@ def test_expectation_dimension_mismatch():
         expectation(np.eye(2) / 2, np.eye(4))
 
 
-def test_quantum_state_validation():
+def test_quantum_state_validation(rng):
     with pytest.raises(ValueError):
-        QuantumState.pure([1.0, 1.0, 0.0, 0.0], TWO_QUBITS)
+        QuantumState.pure([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        QuantumState.mixed(np.eye(4), TWO_QUBITS)
+        QuantumState.mixed(np.eye(4))
     with pytest.raises(PSDViolationError):
-        QuantumState.mixed(np.diag([1.5, -0.5, 0.0, 0.0]), TWO_QUBITS)
+        QuantumState.mixed(np.diag([1.5, -0.5, 0.0, 0.0]))
     with pytest.raises(DimensionError):
-        Factorization(1, 2)
+        QuantumState.pure(qcore.random_pure_state(9, rng))
+    for rho in (np.eye(9) / 9, np.eye(2) / 2):
+        with pytest.raises(DimensionError):
+            QuantumState.mixed(rho)
 
 
 # The floor-clamped logs that floored_log replaced, kept as the reference it

@@ -15,7 +15,7 @@ from disentsim.dynamics import (
     two_spin_jump_operators,
 )
 from disentsim.entangle import tau_correlation
-from disentsim.qcore import TWO_QUBITS, QuantumState, kron
+from disentsim.qcore import QuantumState
 from disentsim.twospin import (
     DRIVING_POINTS,
     PRESET_NAMES,
@@ -35,7 +35,7 @@ from disentsim.twospin import (
 
 def test_hamiltonian_decoupled_limit():
     h = build_hamiltonian(TwoSpinParams())
-    assert np.allclose(h, 0.5 * kron(SIGMA_Z, np.eye(2)))
+    assert np.allclose(h, 0.5 * np.kron(SIGMA_Z, np.eye(2)))
 
 
 def test_hamiltonian_hermitian_and_coupling_term(rng):
@@ -46,7 +46,7 @@ def test_hamiltonian_hermitian_and_coupling_term(rng):
         assert np.abs(h - h.conj().T).max() == 0.0
     p0 = TwoSpinParams(g=1.3)
     base = build_hamiltonian(TwoSpinParams())
-    assert np.allclose(build_hamiltonian(p0) - base, 0.5 * 1.3 * kron(SIGMA_X, SIGMA_Z))
+    assert np.allclose(build_hamiltonian(p0) - base, 0.5 * 1.3 * np.kron(SIGMA_X, SIGMA_Z))
 
 
 def test_hamiltonian_detuning_mirror_spectrum():
@@ -160,7 +160,7 @@ def test_run_sweep_trace_coordinate_is_exact():
     grid = SweepGrid(delta_n=9, omega1_n=9)
     res = run_sweep(TwoSpinParams(g=1e-3), FIG1_DAMPING, grid)
     assert np.unique(res.bloch[..., 0, 0]).size == 1
-    assert res.bloch[0, 0, 0, 0] == 1.0 / (4 * bases.observable_grid(2, 2).half[0, 0].real)
+    assert res.bloch[0, 0, 0, 0] == 1.0 / (4 * bases.observable_grid().half[0, 0].real)
 
 
 def test_run_sweep_records_cell_failures():
@@ -189,7 +189,7 @@ def _per_cell_sweep(p, d, grid):
             except DegenerateSteadyStateError:
                 status[i, j] = "degenerate"
                 continue
-            state = QuantumState(factor=TWO_QUBITS, rho=rho)
+            state = QuantumState(rho=rho)
             b = bases.bloch_matrix(state)
             bloch[i, j] = b
             tau[i, j] = tau_correlation(state)
@@ -226,7 +226,7 @@ def test_batched_kernel_flags_degenerate_cells():
              for dv in grid.delta_values for w1 in grid.omega1_values]
     lv = np.stack([hamiltonian_superop(build_hamiltonian(c)) + dissipator_superop(ops, 4)
                    for c in cells])
-    obs = bases.observable_grid(2, 2)
+    obs = bases.observable_grid()
     _, degenerate = steady_states(obs.superop(lv), obs)
     _, _, _, status = _per_cell_sweep(TwoSpinParams(g=0.0), d, grid)
     assert degenerate.any()
