@@ -23,8 +23,6 @@ __version__ = "0.1.0"
 from .qcore import (  # noqa: F401
     QuantumState,
     expectation,
-    herm_eig,
-    spectral_log,
 )
 from .entangle import (  # noqa: F401
     DisentanglementSpec,

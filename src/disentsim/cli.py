@@ -43,7 +43,7 @@ from .output import (
     write_sweep_rows,
     write_trajectory_ndjson,
 )
-from .qcore import PSDViolationError, QuantumState
+from .qcore import QuantumState
 from .twospin import (
     SweepResult,
     TemperatureDomainError,
@@ -386,8 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StateHealthError, DegenerateSteadyStateError, PSDViolationError,
-            TemperatureDomainError) as exc:
+    except (StateHealthError, DegenerateSteadyStateError, TemperatureDomainError) as exc:
         print(f"numerical-health abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

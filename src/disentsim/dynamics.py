@@ -65,7 +65,6 @@ from .entangle import DisentanglementSpec, ThetaEngine
 from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
-    PSDViolationError,
     QuantumState,
     as_complex_matrix,
     require_hermitian,
@@ -378,10 +377,15 @@ class IntegratorConfig:
     sample_every: int = 0  # 0 = choose automatically (~2000 samples)
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ValueError(f"dt = {self.dt!r} and t_end = {self.t_end!r} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt = {self.t_end!r} / {self.dt!r} "
+                             "is not a finite number of steps")
 
     @property
     def n_steps(self) -> int:
@@ -449,8 +453,10 @@ def integrate_master(
     K the (4, n) stage vectors (``_mme_stage``).  Diagnostics are recorded at
     each sample; a minimum eigenvalue below -1e-6, or a state that is no
     longer finite, aborts with a StateHealthError, as does a stage state
-    that Theta rejects (not finite, or not positive semi-definite for
-    thermalization's log) at its step's t."""
+    whose Theta eigendecomposition fails (one that is no longer finite) at
+    its step's t.  A finite stage state is never rejected: every log of Theta
+    floors its eigenvalues, so one that is not positive semi-definite gives
+    finite coefficients."""
     grid, lr = grid_liouvillian(h, damping)
     lr[0] = 0.0
     x = bases.bloch_matrix(initial).reshape(-1)
@@ -494,11 +500,6 @@ def integrate_master(
                 # Theta's eigendecomposition fails only on a stage state that
                 # overflowed to inf/NaN
                 raise StateHealthError(step * dt, math.nan) from None
-            except PSDViolationError:
-                # thermalization's log rejects a finite stage state r that is
-                # not positive semi-definite
-                raise StateHealthError(step * dt, float(
-                    np.linalg.eigvalsh((r @ grid.half).reshape(4, 4))[0])) from None
             x += np.dot(w, k)
 
     b = x_samples.reshape(-1, 4, 4)

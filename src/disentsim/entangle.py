@@ -21,11 +21,11 @@ except thermalization; that no-op property is what makes the nonlinear
 dynamics leave uncorrelated physics untouched.
 
 Each kernel has one implementation.  Each Theta family is written once, in
-``ThetaEngine``, as ``coefficients(e) @ ops`` over expectations e read off B
-(thermalization alone builds its matrix directly).  ``matrix`` serves
-``build_theta``, ``grid`` the master equation (on x = B(rho) or a stack of
-them), ``drift`` the weights the stochastic step applies Theta with, read from
-a stack of |psi><psi|.  ``measures_from_bloch``
+``ThetaEngine``, as ``coefficients(e) @ ops`` over expectations e of the state
+(B itself, B's covariances, or, for thermalization, rho's own entries).
+``matrix`` serves ``build_theta``, ``grid`` the master equation (on x = B(rho)
+or a stack of them), ``drift`` the weights the stochastic step applies Theta
+with, read from a stack of |psi><psi|.  ``measures_from_bloch``
 computes every measure of a stack of Bloch matrices for the single-state
 functions and both integrators' sample points; K, delta and Q_S read the
 reduced state off B (``bases.reduced_state_a``).  B comes from one contraction,
@@ -56,7 +56,6 @@ from .qcore import (
     eigh,
     expectation,
     floored_log,
-    spectral_log,
 )
 
 #: Normalization of the correlation-suppression operator for a qubit pair
@@ -243,17 +242,25 @@ def weyl_t2_expectation(state: QuantumState) -> float:
 # Shared engine used by the integrators.
 
 
+def _varying_rows(ops: np.ndarray) -> slice:
+    """The rows of a (K, 16) operator stack that are not multiples of I: one
+    run in every family, so that kept coefficients are a view."""
+    keep = np.flatnonzero((ops != ops[:, :1] * np.eye(4).ravel()).any(axis=1))
+    return slice(keep[0], keep[-1] + 1) if keep.size else slice(0)
+
+
 class ThetaEngine:
     """Theta of a fixed family/rate: from density matrices (``matrix``), in grid
     form for the master equation (``grid``) and as the weights of the drift
     (<Theta> - Theta)|psi> of a (4, N) block of state vectors (``drift``).
 
-    Every family but thermalization is ``coefficients(e) @ ops`` over a
-    rate-scaled operator stack, e = x = B(rho) (the deranking families) or
-    x @ S (corr-suppress, ``_covariance_map``), which ``matrix`` reads from rho
-    through the grid's expectation matrix; thermalization builds its matrix.
-    ``drift``/``grid`` run over ``ops`` but the multiples of I (``drift_ops``;
-    thermalization: gamma_h beta H / G_k, k >= 1), which cancel in both."""
+    Every family is ``coefficients(e) @ ops`` over a rate-scaled operator
+    stack, e = x = B(rho) (the deranking families), x @ S (corr-suppress,
+    ``_covariance_map``) or (Re rho, Im rho) entry by entry (thermalization,
+    over gamma_h G / 2), which ``matrix`` reads from rho through one
+    expectation matrix.  ``grid`` runs over ``ops`` but the multiples of I,
+    which cancel in the master equation, and ``drift`` over ``drift_ops``:
+    the same operators, but gamma_h beta H alone for thermalization."""
 
     def __init__(
         self,
@@ -270,12 +277,13 @@ class ThetaEngine:
         if fam is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
         grid = self._grid = bases.observable_grid()
-        # e's expectation matrix (grid.expect, times S for corr-suppress), held
-        # so that no call looks it up
-        self._expect, self._s = grid.expect, None
+        # e's expectation matrix, held so that no call looks it up, and the
+        # map x -> e of ``grid`` (None: e = x)
+        self._expect, self._s, self._to_e = grid.expect, None, None
         if fam is ThetaFamily.CORR_SUPPRESS:
-            self._s = _covariance_map()
-            self._expect = grid.expect @ self._s
+            s = self._s = _covariance_map()
+            self._expect = grid.expect @ s
+            self._to_e = lambda x: np.dot(x, s) if x.ndim == 1 else x @ s
             # l_a (x) l_b = sqrt(2) G[a, b] for a, b >= 1
             pairs = np.sqrt(2.0) * grid.entries[1:, 1:].reshape(-1, 16)
             self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs, -np.eye(4).ravel()])
@@ -287,25 +295,47 @@ class ThetaEngine:
             self.ops = -spec.gamma_d * np.kron(half, np.eye(2)).reshape(len(half), -1)
         elif fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(16, -1)
-        ops = (spec.gamma_h * spec.beta * self.h).reshape(1, -1) if (
-            fam is ThetaFamily.THERMALIZATION) else self.ops
-        keep = np.flatnonzero((ops != ops[:, :1] * np.eye(4).ravel()).any(axis=1))
-        # one run of rows in every family, so the kept coefficients are a view
-        self._keep = slice(keep[0], keep[-1] + 1) if keep.size else slice(0)
-        self.drift_ops = ops[self._keep].reshape(-1, 4, 4)
+        else:  # thermalization
+            # e = (Re rho, Im rho) entry by entry: exact from rho (a unit or -i
+            # per column) and from x (one real dot per entry, not a gemv or
+            # gemm, whose last bits the log of rho would magnify)
+            self._expect = np.kron(np.eye(16), [1.0, -1j])
+            half = grid.half.view(float)
+            self._to_e = lambda x: np.vecdot(x[..., None], half, axis=-2)
+            # B(A)_k = Tr(A G_k), read the same way: one real dot per entry
+            self._g = grid.entries.reshape(16, -1).view(float)
+            self._beta_h = spec.beta * np.vecdot(self.h.reshape(1, -1).view(float), self._g)
+            self.ops = spec.gamma_h * grid.half
+        self._keep = _varying_rows(self.ops)
+        drift, drift_e = self.ops[self._keep], self._expect
+        if fam is ThetaFamily.THERMALIZATION:
+            # gamma_h beta H alone drifts a pure state (``drift``), with
+            # weights that read no e; x's 16 rows keep the contraction's
+            # shape, and with it the bits of <H>
+            drift = (spec.gamma_h * spec.beta * self.h).reshape(1, -1)
+            drift, drift_e = drift[_varying_rows(drift)], grid.expect
+        self.drift_ops = drift.reshape(-1, 4, 4)
         # rows of e and of each <O_k> = Tr(rho O_k) (O_k Hermitian) for rho.ravel()
-        self._drift_expect = np.vstack([self._expect.T, ops[self._keep].conj()])
+        self._drift_expect = np.vstack([drift_e.T, drift.conj()])
 
     def coefficients(self, e: np.ndarray) -> np.ndarray:
         """Theta's coefficients over ``ops`` from the expectations e (..., n) of
-        each state: the covariances and <l_a><l_b> . cov (corr-suppress), the
-        coefficients over P of log(G), G = Tr_b rho (state-matrix-derank), or
-        log(alpha) B, alpha = B B^T/2, which equals B log(B^T B/2) (Bloch).
-        One state's products go through ``np.dot`` (matmul's BLAS call and
-        bits, without its gufunc dispatch); a stack's through ``np.matmul``."""
+        each state: the covariances and <l_a><l_b> . cov (corr-suppress),
+        beta B(H) + B(log rho) (thermalization), the coefficients over P of
+        log(G), G = Tr_b rho (state-matrix-derank), or log(alpha) B, alpha =
+        B B^T/2, which equals B log(B^T B/2) (Bloch).  One state's products go
+        through ``np.dot`` (matmul's BLAS call and bits, without its gufunc
+        dispatch); a stack's through ``np.matmul``."""
         if self.spec.family is ThetaFamily.CORR_SUPPRESS:
             cov, ab = _covariances(e)
             return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
+        if self.spec.family is ThetaFamily.THERMALIZATION:
+            # (``matrix`` passes the strided real part of a complex contraction)
+            rho = np.ascontiguousarray(e).view(complex).reshape(e.shape[:-1] + (4, 4))
+            log = eig_log(*eigh(rho), self.floor).reshape(e.shape[:-1] + (1, 16))
+            c = np.vecdot(log.view(float), self._g)
+            c += self._beta_h
+            return c
         b = e.reshape(e.shape[:-1] + (4, 4))
         if self.spec.family is ThetaFamily.STATE_MATRIX_DERANK:
             log_g = eig_log(*eigh(bases.reduced_state_a(b)), self.floor)
@@ -317,39 +347,29 @@ class ThetaEngine:
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
-        matrix of a (..., D, D) stack (``build_theta``, thermalization's ``grid``)."""
-        if self.spec.family is ThetaFamily.THERMALIZATION:
-            return (self.spec.gamma_h * self.spec.beta * self.h
-                    + self.spec.gamma_h * spectral_log(rho, self.floor))
+        matrix of a (..., 4, 4) stack (``build_theta``)."""
         e = bases._contract(rho, self._expect).real
         return (self.coefficients(e) @ self.ops).reshape(rho.shape)
 
     def grid(self) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
         """Theta but its multiple of I (which cancels in the master equation) in
         grid coordinates: (x -> c, table), with B({Theta', rho}) =
-        (c @ table).reshape(n, n) @ x; table's rows are the anticommutator tensors
-        of ``drift_ops`` (thermalization: G_k / 2, k >= 1, c_k = B(Theta)_k).
-        c takes x or a (..., n) stack, with bits that do not depend on its size."""
+        (c @ table).reshape(n, n) @ x; table's rows are the anticommutator
+        tensors of the operators that are not multiples of I, and c their
+        coefficients.  c takes x or a (..., n) stack, with bits that do not
+        depend on its size."""
         grid = self._grid
-        table = grid.anticommutator.reshape(len(grid.half), -1)
-        if self.spec.family is ThetaFamily.THERMALIZATION:
-            half, g = grid.half.view(float), grid.entries.reshape(len(table), -1)[1:].view(float)
-
-            def coeff(x):  # real dots, one per entry (not gemv, or gemm for a stack)
-                rho = np.vecdot(x[..., None], half, axis=-2).view(complex)
-                theta = self.matrix(rho.reshape(*x.shape[:-1], 4, 4))
-                return np.vecdot(theta.reshape(rho.shape).view(float)[..., None, :], g)
-            return coeff, table[1:]
-        table = bases._contract(self.drift_ops, grid.expect).real @ table
-        if self._s is None:
+        kept = bases._contract(self.ops[self._keep].reshape(-1, 4, 4), grid.expect).real
+        table = kept @ grid.anticommutator.reshape(len(grid.half), -1)
+        if self._to_e is None:
             return self._kept, table
-        s = self._s
-        return (lambda x: self._kept(np.dot(x, s) if x.ndim == 1 else x @ s)), table
+        to_e, coeff = self._to_e, self._kept
+        return (lambda x: coeff(to_e(x))), table
 
     def _kept(self, e: np.ndarray) -> np.ndarray:
-        """Theta's coefficients over ``drift_ops`` from the expectations e
-        (..., n): corr-suppress's covariances of the pairs, or ``coefficients``
-        less the one of G_00 or P_0 = I (every other family but thermalization)."""
+        """Theta's coefficients over the operators that are not multiples of I
+        from the expectations e (..., n): corr-suppress's covariances of the
+        pairs, or ``coefficients`` less the one of G_00 or P_0 = I."""
         if self._s is not None:
             return _covariances(e)[0]
         c = self.coefficients(e)
@@ -363,7 +383,7 @@ class ThetaEngine:
         Thermalization's c is 1: the floored log of |psi><psi| annihilates psi
         and has zero expectation in it, so only gamma_h beta H drifts a pure
         state (the log path agrees to about 1e-14 max(gamma_h, 1))."""
-        n, cols = self._expect.shape[1], psi_block.shape[1]
+        n, cols = len(self._drift_expect) - len(self.drift_ops), psi_block.shape[1]
         rho = (psi_block[:, None] * psi_block.conj()[None]).reshape(-1, cols)
         e = np.dot(self._drift_expect, rho).real  # e and <O_k>, one row each
         w = np.empty((len(self.drift_ops) + 1, cols))

@@ -8,11 +8,13 @@ hbar = k_B = 1, with all rates and frequencies expressed relative to the
 reference Larmor frequency of the undriven spin.
 
 Bare matrix logarithms are regularized by clamping eigenvalues at
-``floor * max(eigenvalue)``, all in ``floored_log``.  The clamp matters
-because the deranking operators take log of matrices that are exactly
-singular on product states; the clamped eigendirections are annihilated by
-the accompanying factors, so the floor value never leaks into physical
-drifts (verified by tests).
+``floor * max(eigenvalue)``, all in ``floored_log``, and a matrix's log is
+``eig_log(*eigh(a))``.  The clamp matters because the deranking operators
+take log of matrices that are exactly singular on product states; the
+clamped eigendirections are annihilated by the accompanying factors, so the
+floor value never leaks into physical drifts (verified by tests).  A
+negative eigenvalue is clamped the same way: no log here rejects a matrix
+that is not positive semi-definite.
 
 Every eigendecomposition a Theta stage runs goes through ``eigh``, which
 calls the LAPACK gufunc behind ``np.linalg.eigh`` directly: on one 4x4
@@ -136,26 +138,6 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def herm_eig(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, A = V diag(w) V^dag, or of
-    each matrix of a (..., d, d) stack.
-
-    The input is symmetrized as (A + A^dag)/2 before decomposition to strip
-    integrator round-off; inputs that are non-Hermitian beyond ``tol``
-    (relative to max|A| of each matrix) are rejected.  The decomposition is
-    ``eigh``'s, so the caller's ``np.errstate`` decides what a NaN or inf
-    matrix's floating-point flags do before the LinAlgError.
-    """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {m.shape}")
-    mh = m.mT.conj()
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    if (np.abs(m - mh).max(axis=(-2, -1)) > tol * scale).any():
-        raise HermiticityError(f"matrix is not Hermitian within {tol!r}")
-    return eigh(0.5 * (m + mh))
-
-
 def floored_log(w: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
     """Log of the ascending eigenvalues (..., k) of each matrix, as ``eigh``
     returns them, clamped at ``floor`` times that matrix's largest eigenvalue
@@ -176,27 +158,6 @@ def eig_log(w: np.ndarray, v: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> n
     returned by ``eigh``; one eigensystem's product goes through ``np.dot``."""
     mm = np.dot if w.ndim == 1 else np.matmul
     return mm(v * floored_log(w, floor)[..., None, :], v.mT.conj())
-
-
-def _psd_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """herm_eig, rejecting any matrix with an eigenvalue below -1e-8 max(|w|, 1)."""
-    w, v = herm_eig(a)
-    bad = w[..., 0] < -1e-8 * np.maximum(np.abs(w).max(axis=-1), 1.0)
-    if bad.any():
-        raise PSDViolationError(f"matrix has negative eigenvalue {w[..., 0][bad].min()!r}")
-    return w, v
-
-
-def spectral_log(a: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
-    """Matrix logarithm of a Hermitian PSD matrix, or of each matrix of a
-    (..., d, d) stack, with eigenvalue flooring.
-
-    Eigenvalues are clamped at ``floor`` times the largest eigenvalue before
-    taking the log, which keeps the result finite on singular inputs.
-    Hermiticity and positivity are checked for every matrix of a stack; the
-    caller's ``np.errstate`` applies to the decomposition, as in ``herm_eig``.
-    """
-    return eig_log(*_psd_eig(a), floor)
 
 
 def expectation(state: QuantumState | np.ndarray, obs: np.ndarray) -> float:

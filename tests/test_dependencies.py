@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import disentsim
+from disentsim.entangle import ThetaFamily
 
 ALLOWED = {"numpy", "disentsim"} | set(sys.stdlib_module_names)
 
@@ -142,3 +143,38 @@ def test_dimension_guard_sees_every_form():
            "g = lambda d_a: isqrt(d_a)\ndef h(d, n):\n    return m.isqrt(n)\n")
     assert _dimension_parameters(ast.parse(src)) == [
         (1, "d_a"), (1, "d_b"), (2, "math.isqrt"), (4, "factor"), (6, "d_a"), (6, "math.isqrt")]
+
+
+def _family_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) of every place a tree names a Theta family: the
+    ``ThetaFamily`` enum (or a member of it), a ``.family`` attribute, or a
+    string that is a family's value."""
+    values = {f.value for f in ThetaFamily}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "ThetaFamily":
+            found.append((node.lineno, "ThetaFamily"))
+        elif isinstance(node, ast.Attribute) and node.attr == "family":
+            found.append((node.lineno, ".family"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                node.value in values):
+            found.append((node.lineno, node.value))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("qualname", ["ThetaEngine.matrix", "ThetaEngine.grid"])
+def test_theta_engine_runs_one_path(qualname):
+    # every family is coefficients(e) @ ops: __init__ sets up each family's
+    # operators and its map to e, and matrix and grid never ask which family
+    # they run
+    assert _family_names(_function("entangle.py", qualname)) == [], qualname
+
+
+def test_family_guard_sees_every_form():
+    src = ("def f(self, x):\n    if self.spec.family is ThetaFamily.THERMALIZATION:\n"
+           "        return ThetaFamily('corr-suppress')\n"
+           "    g = lambda s: s.family.value == 'bloch-derank-a'\n"
+           "    return self._to_e(x), 'family'\n")
+    assert _family_names(ast.parse(src)) == [
+        (2, ".family"), (2, "ThetaFamily"), (3, "ThetaFamily"), (3, "corr-suppress"),
+        (4, ".family"), (4, "bloch-derank-a")]

@@ -403,7 +403,7 @@ def test_theta_engine_matrix_on_a_stack_matches_per_matrix_calls(rng):
 def test_grid_coefficients_on_a_stack_match_per_state_calls(rng, fam, r):
     # the master stage's coefficient callable on an (R, 16) stack of grid
     # coordinates against R one-state calls.  Thermalization forms rho =
-    # (1/2) x . G and reads B(Theta) with one dot per entry, whose bits do not
+    # (1/2) x . G and reads B(log rho) with one dot per entry, whose bits do not
     # depend on R (a gemv for one state and a gemm for a stack could differ in
     # the last bit, which the floored log of rho magnifies by 1 / lambda_min)
     h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
@@ -444,27 +444,58 @@ def test_theta_eigendecompositions_keep_the_wrappers_bits(rng, r):
         log_g = _parent_eig_log(*np.linalg.eigh(bases.reduced_state_a(b_in)))
         want = bases._contract(log_g, bases.spin_grid().expect).real
         assert smd.coefficients(x_in).tobytes() == want.tobytes()
-    spec = DisentanglementSpec(ThetaFamily.THERMALIZATION, gamma_h=1.3, beta=0.8)
-    m = 0.5 * (rhos + rhos.mT.conj())
-    want = 1.3 * 0.8 * h + 1.3 * _parent_eig_log(*np.linalg.eigh(m))
-    assert ThetaEngine(spec, h=h).matrix(rhos).tobytes() == want.tobytes()
+    # thermalization: beta B(H) + B(log rho) over gamma_h G / 2, each B read
+    # with one real dot per entry of the matrix
+    therm = ThetaEngine(DisentanglementSpec(ThetaFamily.THERMALIZATION, gamma_h=1.3, beta=0.8),
+                        h=h)
+    grid = bases.observable_grid()
+    g = grid.entries.reshape(16, -1).view(float)
+    beta_h = 0.8 * np.vecdot(h.reshape(1, 16).view(float), g)
+    for rho_in in (rhos[0], rhos):  # one state, then the stack
+        lead = rho_in.shape[:-2]
+        log = _parent_eig_log(*np.linalg.eigh(rho_in)).reshape(*lead, 1, 16)
+        want = np.vecdot(log.view(float), g) + beta_h
+        e = rho_in.reshape(*lead, 16).view(float)  # rho's entries, (Re, Im)
+        assert therm.coefficients(e).tobytes() == want.tobytes()
+    want = (want @ (1.3 * grid.half)).reshape(rhos.shape)
+    assert therm.matrix(rhos).tobytes() == want.tobytes()
 
 
 def test_theta_matrix_of_a_nan_state_follows_the_callers_errstate():
-    # the real eigendecomposition of alpha fails with LinAlgError; with no
-    # errstate around the call numpy warns about the gufunc's flags first,
-    # and under the integrators' errstate it does not (thermalization's
-    # complex one goes through spectral_log, tested in test_qcore)
-    engine = ThetaEngine(DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7))
+    # the real eigendecomposition of alpha, and thermalization's complex one
+    # of rho, fail with LinAlgError; with no errstate around the call numpy
+    # warns about the gufunc's flags first, and under the integrators'
+    # errstate it does not
+    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     rho = np.full((4, 4), np.nan, dtype=complex)
-    with pytest.warns(RuntimeWarning, match="eigh_lo"):
-        with pytest.raises(np.linalg.LinAlgError):
-            engine.matrix(rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    for spec in (DisentanglementSpec(ThetaFamily.BLOCH_DERANK_A, gamma_d=0.7),
+                 DisentanglementSpec(ThetaFamily.THERMALIZATION, gamma_h=1.3, beta=0.8)):
+        engine = ThetaEngine(spec, h=h)
+        with pytest.warns(RuntimeWarning, match="eigh_lo"):
             with pytest.raises(np.linalg.LinAlgError):
                 engine.matrix(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    engine.matrix(rho)
+
+
+def test_thermalization_floors_a_stage_state_that_is_not_positive(rng):
+    # a finite stage state with an eigenvalue of -1e-3 has its spectrum
+    # floored, as state-matrix deranking's G has, and no error is raised
+    h = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+    u = qcore.random_unitary(4, rng)
+    rho = (u * np.array([-1e-3, 0.2, 0.3, 0.501])) @ u.conj().T
+    assert np.linalg.eigvalsh(rho)[0] < -9e-4
+    x = bases.bloch_matrix_from_rho(rho).reshape(-1)
+    spec = DisentanglementSpec(ThetaFamily.THERMALIZATION, gamma_h=1.3, beta=0.8)
+    coeff, table = ThetaEngine(spec, h=h).grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (coeff(x), coeff(np.stack([x, x]))):
+            assert c.shape[-1] == len(table)
+            assert np.isfinite(c).all()
 
 
 def test_bloch_theta_reads_the_measured_bloch_matrix(rng):

@@ -161,14 +161,13 @@ def _matmul_coefficients(family: ThetaFamily, engine: ThetaEngine):
         return smd
     if family is ThetaFamily.THERMALIZATION:
         grid = bases.observable_grid()
-        half, g = grid.half.view(float), grid.entries.reshape(16, -1)[1:].view(float)
-        spec = engine.spec
+        half, g = grid.half.view(float), grid.entries.reshape(16, -1).view(float)
+        beta_h = engine.spec.beta * np.vecdot(engine.h.reshape(1, 16).view(float), g)
 
-        def thermal(x):
+        def thermal(x):  # beta B(H) + B(log rho) but the coefficient of G_00
             rho = np.vecdot(x[..., None], half, axis=-2).view(complex)
-            log = _matmul_eig_log(*qcore._psd_eig(rho.reshape(4, 4)), floor)
-            theta = spec.gamma_h * spec.beta * engine.h + spec.gamma_h * log
-            return np.vecdot(theta.reshape(rho.shape).view(float)[..., None, :], g)
+            log = _matmul_eig_log(*np.linalg.eigh(rho.reshape(4, 4)), floor)
+            return (np.vecdot(log.reshape(1, 16).view(float), g) + beta_h)[1:]
         return thermal
 
     def bloch(x):

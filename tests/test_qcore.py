@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from disentsim import qcore
-from disentsim.bases import SIGMA_X, SIGMA_Z, bloch_matrix, reduced_state_a
+from disentsim.bases import SIGMA_Z, bloch_matrix, reduced_state_a
 from disentsim.qcore import (
     DimensionError,
-    HermiticityError,
     PSDViolationError,
     QuantumState,
     expectation,
-    herm_eig,
-    spectral_log,
 )
 
 from conftest import BELL
@@ -36,53 +33,6 @@ def test_partial_trace_preserves_trace(rng):
     rho = qcore.random_density_matrix(4, rng)
     st = QuantumState.mixed(rho)
     assert abs(np.trace(reduced_state_a(bloch_matrix(st))).real - 1.0) < 1e-12
-
-
-def test_herm_eig_diagonal_and_pauli():
-    w, _ = herm_eig(np.diag([2.0, 1.0]))
-    assert np.allclose(w, [1.0, 2.0])
-    w, _ = herm_eig(SIGMA_X)
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_herm_eig_roundtrip(rng):
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = a + a.conj().T
-    w, v = herm_eig(h)
-    assert np.abs((v * w) @ v.conj().T - h).max() < 1e-10 * np.abs(h).max()
-    assert np.abs(v.conj().T @ v - np.eye(6)).max() < 1e-10
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(HermiticityError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DimensionError):
-        herm_eig(np.zeros((2, 3)))
-
-
-def test_spectral_log_identity_is_zero():
-    assert np.abs(spectral_log(np.eye(5))).max() < 1e-14
-
-
-def test_spectral_log_diagonal():
-    out = spectral_log(np.diag([np.e, np.e**2]))
-    assert np.allclose(out, np.diag([1.0, 2.0]))
-
-
-def test_spectral_log_floor_clamp():
-    out = spectral_log(np.diag([1.0, 0.0]), floor=1e-13)
-    assert np.allclose(out, np.diag([0.0, np.log(1e-13)]))
-
-
-def test_spectral_log_rejects_negative():
-    with pytest.raises(PSDViolationError):
-        spectral_log(np.diag([1.0, -1e-3]))
-
-
-def test_spectral_log_commutes(rng):
-    rho = qcore.random_density_matrix(4, rng)
-    lg = spectral_log(rho)
-    assert np.abs(rho @ lg - lg @ rho).max() < 1e-9
 
 
 def test_expectation_cases():
@@ -175,20 +125,6 @@ def test_floored_log_reproduces_the_replaced_copies(rng, floor):
         assert ent == _ref_neg_x_log_x(w, floor)
 
 
-def test_spectral_log_on_a_stack_checks_every_matrix(rng):
-    rhos = np.stack([qcore.random_density_matrix(3, rng) for _ in range(5)])
-    stacked = spectral_log(rhos)
-    for rho, got in zip(rhos, stacked):
-        assert np.abs(got - spectral_log(rho)).max() < 1e-14
-    bad = rhos.copy()
-    bad[3] = np.diag([1.0, 0.5, -1e-3])
-    with pytest.raises(PSDViolationError):
-        spectral_log(bad)
-    bad[3] = np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]])
-    with pytest.raises(HermiticityError):
-        spectral_log(bad)
-
-
 # The integrators' errstate around every Theta stage and step.
 INTEGRATOR_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
 
@@ -263,20 +199,3 @@ def test_floored_log_keeps_the_masked_store_bits_on_nan_and_non_positive_cuts(rn
         for w, row in zip(spectra, want):
             assert qcore.floored_log(w, 1e-13).tobytes() == row.tobytes()
     assert np.isnan(want[-2]).all()
-
-
-def test_public_eigendecompositions_follow_the_callers_errstate():
-    # with no errstate around the call, numpy warns about the gufunc's flags
-    # on a NaN matrix and the LinAlgError follows; under the integrators'
-    # errstate it is silent (an inf matrix already warns in the Hermiticity
-    # check's subtraction, inf - inf)
-    a = np.full((4, 4), np.nan, dtype=complex)
-    for fn in (herm_eig, spectral_log):
-        with pytest.warns(RuntimeWarning, match="eigh_lo"):
-            with pytest.raises(np.linalg.LinAlgError):
-                fn(a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(**INTEGRATOR_ERRSTATE):
-                with pytest.raises(np.linalg.LinAlgError):
-                    fn(a)
