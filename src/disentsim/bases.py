@@ -43,13 +43,15 @@ _GAMMA = ((2.0 ** 0.25 / np.sqrt(2)) * ID2,
           *((2.0 ** -0.25) * s for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
-def _contract(rho: np.ndarray, expect: np.ndarray) -> np.ndarray:
-    """Complex Tr(ops[k] rho), shape (..., n), of a (..., D, D) stack: one matmul.
-    For N >= 2 matrices each row is bitwise independent of N; one matrix goes
-    through gemv and can differ in its last bit (up to 2.2e-16 over 400 states),
-    which the log in the Bloch families' Theta magnifies to up to 3.6e-12."""
+def _contract(rho: np.ndarray, expect: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Complex Tr(ops[k] rho), shape (..., n), of a (..., D, D) stack: one matmul,
+    into ``out`` if given.  For N >= 2 matrices each row is bitwise
+    independent of N; one matrix goes through gemv and can differ in its last
+    bit (up to 2.2e-16 over 400 states), which the log in the Bloch families'
+    Theta magnifies to up to 3.6e-12."""
     flat = rho.reshape(rho.shape[:-2] + expect.shape[:1])
-    return np.dot(flat, expect) if flat.ndim == 1 else flat @ expect
+    return (np.dot if flat.ndim == 1 else np.matmul)(flat, expect, out=out)
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,13 @@ def bloch_matrix(state: QuantumState) -> np.ndarray:
     return bloch_matrix_from_rho(state.density())
 
 
-def reduced_state_a(b: np.ndarray) -> np.ndarray:
-    """Tr_b rho of each Bloch matrix of a (..., 4, 4) stack, shape (..., 2, 2):
-    only G[a, 0] has a nonzero partial trace over b, so
-    Tr_b rho = sqrt(2) B[:, 0] . (the one-spin grid P / 2)."""
+def reduced_state_a(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Tr_b rho of each Bloch matrix of a (..., 4, 4) stack, shape (..., 2, 2),
+    built in ``out`` (..., 4) if given: only G[a, 0] has a nonzero partial
+    trace over b, so Tr_b rho = sqrt(2) B[:, 0] . (the one-spin grid P / 2)."""
     col, half = b[..., :, 0], spin_grid().half
-    flat = math.sqrt(2) * (np.dot(col, half) if col.ndim == 1 else col @ half)
-    return flat.reshape(b.shape[:-2] + (2, 2))
+    flat = (np.dot if col.ndim == 1 else np.matmul)(col, half, out=out)
+    return np.multiply(math.sqrt(2), flat, out=flat).reshape(b.shape[:-2] + (2, 2))
 
 
 def single_spin_bloch_vectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

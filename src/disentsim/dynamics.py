@@ -8,15 +8,18 @@ g = 0, whose steady state is rho_a (x) rho_b.
 * GKSL master equation with per-spin decay, pumping and dephasing channels.
 * The nonlinear modified master equation
       drho/dt = i[rho, H] - Theta rho - rho Theta + 2 <Theta> rho / Tr(rho)
-  integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage
-  (``_mme_stage``) is one matvec of L_r - A, L_r the real grid Liouvillian
+  integrated with fixed-step RK4 in grid coordinates x = B(rho): a stage is
+  one matvec of L_r - A, L_r the real grid Liouvillian
   (``grid_liouvillian``, whose null vector is the linear steady state) and A
   the anticommutator with Theta less its multiple of I (``ThetaEngine.grid``);
   <Theta> comes off the result's trace entry, as L_r's trace row is zero.
-  Every product of the one state, here and in Theta's coefficients, goes
-  through ``np.dot``: the BLAS call of ``@`` with its bits, without matmul's
-  gufunc dispatch (0.78 against 1.12 us for a 4x4 real product, one BLAS
-  thread).  Stacks keep ``@``, since ``np.dot`` is not a batched product.
+  ``_mme_stage`` builds the stage once per run, as a callable that owns its
+  intermediates, and Theta's coefficients fill one workspace of the run
+  (``ThetaEngine._stage_grid``): a stage allocates no array.  Every product
+  of the one state, here and in Theta's coefficients, goes through
+  ``np.dot``: the BLAS call of ``@`` with its bits, without matmul's gufunc
+  dispatch (0.78 against 1.12 us for a 4x4 real product, one BLAS thread).
+  Stacks keep ``@``, since ``np.dot`` is not a batched product.
 * Kraus-pair norm-conservation diagnostic (quadratic in the step).
 * Stochastic Schrodinger-Langevin trajectories: an Euler-Maruyama step for
   the dissipative, noise and nonlinear drifts, with the Hamiltonian rotation
@@ -56,6 +59,7 @@ import functools
 import math
 import mmap
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,21 +327,28 @@ def steady_state(h: np.ndarray, d: DampingParams | None) -> np.ndarray:
 # Modified master equation.
 
 
-def _mme_stage(lr: np.ndarray, x: np.ndarray, c: np.ndarray | None,
-               table: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
-    """One evaluation of the modified master equation in x = B(rho), into
-    ``out`` if given: L_r x, plus B(-{Theta, rho} + 2 <Theta> rho / Tr(rho))
-    for Theta's coefficients c over the operators of ``table``
-    (``ThetaEngine.grid``), in one matvec z = (L_r - A) x, A = (c @ table):
-    2 <Theta> / Tr(rho) = -z_0 / x_0, since L_r's trace row is zero.  Both
+def _mme_stage(lr: np.ndarray, coeff: Callable[[np.ndarray], np.ndarray] | None = None,
+               table: np.ndarray | None = None) -> Callable[..., np.ndarray]:
+    """One run's evaluation of the modified master equation in x = B(rho): a
+    callable (x, out=None) -> L_r x, plus B(-{Theta, rho} + 2 <Theta> rho /
+    Tr(rho)) for Theta's coefficients coeff(x) over the operators of
+    ``table`` (``ThetaEngine.grid``), into ``out`` if given, in one matvec
+    z = (L_r - A) x, A = (c @ table): 2 <Theta> / Tr(rho) = -z_0 / x_0, since
+    L_r's trace row is zero.  A, L_r - A and the correction (z_0 / x_0) x
+    live in arrays of the callable's own, refilled by every call; both
     products go through ``np.dot``: the BLAS call of ``@`` with its bits,
     without matmul's gufunc dispatch."""
-    if c is None:
-        return np.dot(lr, x, out=out)
-    n = len(x)
-    z = np.dot(lr - np.dot(c, table).reshape(n, n), x, out=out)
-    z -= (z.item(0) / x.item(0)) * x
-    return z
+    if coeff is None:
+        return functools.partial(np.dot, lr)
+    n = len(lr)
+    a, lr_a, corr = np.empty((n, n)), np.empty((n, n)), np.empty(n)
+    a_flat = a.reshape(-1)
+
+    def stage(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        np.dot(coeff(x), table, a_flat)
+        z = np.dot(np.subtract(lr, a, lr_a), x, out)
+        return np.subtract(z, np.multiply(x, z.item(0) / x.item(0), corr), z)
+    return stage
 
 
 def kraus_step_error(
@@ -450,7 +461,11 @@ def integrate_master(
     """RK4 integration of the (possibly nonlinear) master equation in grid
     coordinates x = B(rho), with L_r's trace row (rounding) set to 0; Theta is
     rebuilt from x at every stage, and a step is x + (dt/6) (1, 2, 2, 1) . K,
-    K the (4, n) stage vectors (``_mme_stage``).  Diagnostics are recorded at
+    K the (4, n) stage vectors.  The stage (``_mme_stage``) and Theta's
+    workspace (``ThetaEngine._stage_grid``) are built once per run, and a
+    step refills them and K with ``out=``, the stage input x + node k_prev
+    in one more buffer: the operations and bits of fresh arrays, with no
+    allocation.  Diagnostics are recorded at
     each sample; a minimum eigenvalue below -1e-6, or a state that is no
     longer finite, aborts with a StateHealthError, as does a stage state
     whose Theta eigendecomposition fails (one that is no longer finite) at
@@ -461,16 +476,17 @@ def integrate_master(
     lr[0] = 0.0
     x = bases.bloch_matrix(initial).reshape(-1)
 
-    coeff, table = (lambda x: None), None
+    stage = _mme_stage(lr)
     if dspec is not None and dspec.active:
-        coeff, table = ThetaEngine(dspec, h=h, floor=cfg.log_floor).grid()
+        stage = _mme_stage(lr, *ThetaEngine(dspec, h=h, floor=cfg.log_floor)._stage_grid())
 
     dt, n_steps, sample_steps = cfg.dt, cfg.n_steps, cfg.sample_steps
     x_samples = np.empty((len(sample_steps), len(x)))
     times = np.empty(len(sample_steps))
     min_eig = np.empty(len(sample_steps))
-    k, stage = np.empty((4, len(x))), np.empty(len(x))
-    w, nodes = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0]), (0.0, 0.5 * dt, 0.5 * dt, dt)
+    k, r, dx = np.empty((4, len(x))), np.empty(len(x)), np.empty(len(x))
+    w, rows = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0]), tuple(k)
+    nodes = tuple(zip(rows, (0.5 * dt, 0.5 * dt, dt), rows[1:]))  # (k_{i-1}, node_i, k_i)
     si = 0
 
     # an overflowing step is reported by the health checks below, not by
@@ -490,17 +506,14 @@ def integrate_master(
             if step == n_steps:
                 break
             try:
-                for i in range(4):
-                    r = x
-                    if i:  # nodes[i] k[i-1] + x: the bits of x + nodes[i] k[i-1]
-                        r = np.multiply(k[i - 1], nodes[i], out=stage)
-                        r += x
-                    _mme_stage(lr, r, coeff(r), table, k[i])
+                stage(x, rows[0])
+                for prev, node, row in nodes:  # node k_prev + x: the bits of x + node k_prev
+                    stage(np.add(np.multiply(prev, node, r), x, r), row)
             except np.linalg.LinAlgError:
                 # Theta's eigendecomposition fails only on a stage state that
                 # overflowed to inf/NaN
                 raise StateHealthError(step * dt, math.nan) from None
-            x += np.dot(w, k)
+            np.add(x, np.dot(w, k, dx), x)
 
     b = x_samples.reshape(-1, 4, 4)
     k_a, k_b = bases.single_spin_bloch_vectors(b)

@@ -34,7 +34,9 @@ reduced state off B (``bases.reduced_state_a``).  B comes from one contraction,
 so the measures, the sweep and Theta share B.  The products of one state's
 Theta (B B^T, log(alpha) B, x S and the reduced state's contractions) and
 the drift's contraction go through ``np.dot``, the BLAS call of ``@`` with
-its bits, without matmul's gufunc dispatch; stacks keep ``@``.
+its bits, without matmul's gufunc dispatch; stacks keep ``@``.  One master
+run's Theta keeps its intermediates in one workspace, which every stage
+refills; a stack allocates its own.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ from .qcore import (
     DEFAULT_LOG_FLOOR,
     DimensionError,
     QuantumState,
+    Workspace,
     as_complex_matrix,
     eig_log,
+    eig_workspace,
     eigh,
     expectation,
     floored_log,
@@ -173,11 +177,21 @@ def _covariance_map() -> np.ndarray:
     return s
 
 
-def _covariances(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<l_a l_b> - <l_a><l_b>, <l_a><l_b>), shape (..., 9) each, from the
-    expectations e (..., 15) = x @ S (``_covariance_map``)."""
-    ab = (e[..., :3, None] * e[..., None, 3:6]).reshape(e.shape[:-1] + (9,))
-    return e[..., 6:] - ab, ab
+def _covariance_workspace(e: np.ndarray) -> Workspace:
+    """``_covariances``'s views of the expectations e (..., 15) = x @ S
+    (``_covariance_map``), <l_a> as a column, <l_b> as a row and
+    <l_a (x) l_b>, and its arrays: <l_a><l_b> (..., 3, 3) and the
+    covariances (..., 9)."""
+    ab = np.empty(e.shape[:-1] + (3, 3))
+    return Workspace(e=e, la=e[..., :3, None], lb=e[..., None, 3:6], lab=e[..., 6:], ab=ab,
+                     ab_flat=ab.reshape(e.shape[:-1] + (9,)), cov=np.empty(e.shape[:-1] + (9,)))
+
+
+def _covariances(ws: Workspace) -> np.ndarray:
+    """<l_a l_b> - <l_a><l_b> (..., 9) of ``ws``'s expectations, with
+    <l_a><l_b> left in ws.ab_flat (``_covariance_workspace``)."""
+    np.multiply(ws.la, ws.lb, ws.ab)
+    return np.subtract(ws.lab, ws.ab_flat, ws.cov)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +225,7 @@ def correlation_operator(state: QuantumState) -> ThetaOperator:
 def tau_from_bloch(b: np.ndarray) -> np.ndarray:
     """tau_ab of each Bloch matrix of a (..., 4, 4) stack, shape (...):
     ETA_TWO_QUBITS times the summed squared covariances <l_a l_b> - <l_a><l_b>."""
-    cov = _covariances(b.reshape(*b.shape[:-2], -1) @ _covariance_map())[0]
+    cov = _covariances(_covariance_workspace(b.reshape(*b.shape[:-2], -1) @ _covariance_map()))
     return ETA_TWO_QUBITS * (cov * cov).sum(axis=-1)
 
 
@@ -260,7 +274,13 @@ class ThetaEngine:
     over gamma_h G / 2), which ``matrix`` reads from rho through one
     expectation matrix.  ``grid`` runs over ``ops`` but the multiples of I,
     which cancel in the master equation, and ``drift`` over ``drift_ops``:
-    the same operators, but gamma_h beta H alone for thermalization."""
+    the same operators, but gamma_h beta H alone for thermalization.
+
+    Each family's formula is one method that reads e, its views and its
+    intermediates from a ``qcore.Workspace`` built by the family's ``_work``
+    and writes into it with ``out=``: a stack, and every public call, gets a
+    fresh workspace, and one run's master stage (``_stage_grid``) builds one
+    and refills it at every stage, with the same bits."""
 
     def __init__(
         self,
@@ -277,13 +297,14 @@ class ThetaEngine:
         if fam is ThetaFamily.THERMALIZATION and self.h is None:
             raise ValueError("thermalization needs the Hamiltonian")
         grid = self._grid = bases.observable_grid()
-        # e's expectation matrix, held so that no call looks it up, and the
-        # map x -> e of ``grid`` (None: e = x)
-        self._expect, self._s, self._to_e = grid.expect, None, None
+        # e's expectation matrix, held so that no call looks it up, the map
+        # x -> e of ``grid``, the formula and its workspace
+        self._expect, self._s, self._to_e = grid.expect, None, self._states
         if fam is ThetaFamily.CORR_SUPPRESS:
-            s = self._s = _covariance_map()
-            self._expect = grid.expect @ s
-            self._to_e = lambda x: np.dot(x, s) if x.ndim == 1 else x @ s
+            self._s = _covariance_map()
+            self._expect = grid.expect @ self._s
+            self._to_e, self._formula = self._pair_expectations, self._covariance_coefficients
+            self._work = _covariance_workspace
             # l_a (x) l_b = sqrt(2) G[a, b] for a, b >= 1
             pairs = np.sqrt(2.0) * grid.entries[1:, 1:].reshape(-1, 16)
             self.ops = spec.gamma_d * ETA_TWO_QUBITS * np.vstack([pairs, -np.eye(4).ravel()])
@@ -293,30 +314,33 @@ class ThetaEngine:
             self._single = bases.spin_grid()
             half = self._single.half.reshape(-1, 2, 2)
             self.ops = -spec.gamma_d * np.kron(half, np.eye(2)).reshape(len(half), -1)
+            self._formula, self._work = self._reduced_log_coefficients, self._reduced_log_workspace
         elif fam in (ThetaFamily.BLOCH_DERANK_A, ThetaFamily.BLOCH_DERANK_B):
             self.ops = -0.5 * spec.gamma_d * grid.entries.reshape(16, -1)
+            self._formula, self._work = self._bloch_coefficients, self._bloch_workspace
         else:  # thermalization
             # e = (Re rho, Im rho) entry by entry: exact from rho (a unit or -i
             # per column) and from x (one real dot per entry, not a gemv or
             # gemm, whose last bits the log of rho would magnify)
             self._expect = np.kron(np.eye(16), [1.0, -1j])
-            half = grid.half.view(float)
-            self._to_e = lambda x: np.vecdot(x[..., None], half, axis=-2)
+            self._half = grid.half.view(float)
             # B(A)_k = Tr(A G_k), read the same way: one real dot per entry
             self._g = grid.entries.reshape(16, -1).view(float)
             self._beta_h = spec.beta * np.vecdot(self.h.reshape(1, -1).view(float), self._g)
             self.ops = spec.gamma_h * grid.half
+            self._to_e, self._formula = self._entries, self._thermal_coefficients
+            self._work = self._thermal_workspace
         self._keep = _varying_rows(self.ops)
         drift, drift_e = self.ops[self._keep], self._expect
         if fam is ThetaFamily.THERMALIZATION:
             # gamma_h beta H alone drifts a pure state (``drift``), with
-            # weights that read no e; x's 16 rows keep the contraction's
-            # shape, and with it the bits of <H>
+            # weights that read no e: the contraction has the one row of <H>
             drift = (spec.gamma_h * spec.beta * self.h).reshape(1, -1)
-            drift, drift_e = drift[_varying_rows(drift)], grid.expect
+            drift, drift_e = drift[_varying_rows(drift)], grid.expect[:, :0]
         self.drift_ops = drift.reshape(-1, 4, 4)
         # rows of e and of each <O_k> = Tr(rho O_k) (O_k Hermitian) for rho.ravel()
         self._drift_expect = np.vstack([drift_e.T, drift.conj()])
+        self._drift_work: Workspace | None = None
 
     def coefficients(self, e: np.ndarray) -> np.ndarray:
         """Theta's coefficients over ``ops`` from the expectations e (..., n) of
@@ -326,24 +350,72 @@ class ThetaEngine:
         B B^T/2, which equals B log(B^T B/2) (Bloch).  One state's products go
         through ``np.dot`` (matmul's BLAS call and bits, without its gufunc
         dispatch); a stack's through ``np.matmul``."""
-        if self.spec.family is ThetaFamily.CORR_SUPPRESS:
-            cov, ab = _covariances(e)
-            return np.concatenate([cov, np.vecdot(cov, ab)[..., None]], axis=-1)
-        if self.spec.family is ThetaFamily.THERMALIZATION:
-            # (``matrix`` passes the strided real part of a complex contraction)
-            rho = np.ascontiguousarray(e).view(complex).reshape(e.shape[:-1] + (4, 4))
-            log = eig_log(*eigh(rho), self.floor).reshape(e.shape[:-1] + (1, 16))
-            c = np.vecdot(log.view(float), self._g)
-            c += self._beta_h
-            return c
-        b = e.reshape(e.shape[:-1] + (4, 4))
-        if self.spec.family is ThetaFamily.STATE_MATRIX_DERANK:
-            log_g = eig_log(*eigh(bases.reduced_state_a(b)), self.floor)
-            return bases._contract(log_g, self._single.expect).real
-        mm = np.dot if e.ndim == 1 else np.matmul
-        a = mm(b, b.mT)
-        a *= 0.5
-        return mm(eig_log(*eigh(a), self.floor), b).reshape(e.shape)
+        return self._formula(self._work(e))
+
+    # The map x -> e of each family, into ``out`` (None: a fresh array).
+
+    def _states(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """The deranking families' e = x (one state's copy in ``out``)."""
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
+
+    def _pair_expectations(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """corr-suppress's e = x @ S."""
+        return (np.dot if x.ndim == 1 else np.matmul)(x, self._s, out)
+
+    def _entries(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """thermalization's e = (Re rho, Im rho) of rho = (1/2) x . G."""
+        return np.vecdot(x[..., None], self._half, out, axis=-2)
+
+    # Each family's workspace for expectations e (..., n), and its formula.
+
+    def _covariance_coefficients(self, ws: Workspace) -> np.ndarray:
+        cov = _covariances(ws)
+        return np.concatenate([cov, np.vecdot(cov, ws.ab_flat)[..., None]], axis=-1)
+
+    def _thermal_workspace(self, e: np.ndarray) -> Workspace:
+        lead = e.shape[:-1]
+        v, c = np.empty(lead + (4, 4), complex), np.empty(lead + (16,))
+        log = eig_workspace(v)
+        # (``matrix`` passes the strided real part of a complex contraction)
+        return Workspace(rho=np.ascontiguousarray(e).view(complex).reshape(lead + (4, 4)),
+                         w=np.empty(lead + (4,)), v=v, **log,
+                         log_entries=log["log"].reshape(lead + (1, 16)).view(float),
+                         c=c, kept=c[..., self._keep])
+
+    def _thermal_coefficients(self, ws: Workspace) -> np.ndarray:
+        eig_log(*eigh(ws.rho, (ws.w, ws.v)), self.floor, ws)
+        np.vecdot(ws.log_entries, self._g, ws.c)
+        return np.add(ws.c, self._beta_h, ws.c)
+
+    def _reduced_log_workspace(self, e: np.ndarray) -> Workspace:
+        lead = e.shape[:-1]
+        v, c = np.empty(lead + (2, 2), complex), np.empty(lead + (4,), complex)
+        return Workspace(b=e.reshape(lead + (4, 4)), g=np.empty(lead + (4,), complex),
+                         w=np.empty(lead + (2,)), v=v, **eig_workspace(v),
+                         c=c, c_real=c.real, kept=c.real[..., self._keep])
+
+    def _reduced_log_coefficients(self, ws: Workspace) -> np.ndarray:
+        g = bases.reduced_state_a(ws.b, ws.g)
+        log_g = eig_log(*eigh(g, (ws.w, ws.v)), self.floor, ws)
+        bases._contract(log_g, self._single.expect, ws.c)
+        return ws.c_real
+
+    def _bloch_workspace(self, e: np.ndarray) -> Workspace:
+        lead, b, c_flat = e.shape[:-1], e.reshape(e.shape[:-1] + (4, 4)), np.empty(e.shape)
+        v = np.empty(lead + (4, 4))
+        return Workspace(b=b, b_t=b.mT, alpha=np.empty(lead + (4, 4)), w=np.empty(lead + (4,)),
+                         v=v, **eig_workspace(v), c=c_flat.reshape(lead + (4, 4)),
+                         c_flat=c_flat, kept=c_flat[..., self._keep])
+
+    def _bloch_coefficients(self, ws: Workspace) -> np.ndarray:
+        mm = np.dot if ws.w.ndim == 1 else np.matmul
+        a = mm(ws.b, ws.b_t, ws.alpha)
+        np.multiply(a, 0.5, a)
+        mm(eig_log(*eigh(a, (ws.w, ws.v)), self.floor, ws), ws.b, ws.c)
+        return ws.c_flat
 
     def matrix(self, rho: np.ndarray) -> np.ndarray:
         """Full Theta matrix (rate included) for a density matrix, or for each
@@ -357,23 +429,34 @@ class ThetaEngine:
         (c @ table).reshape(n, n) @ x; table's rows are the anticommutator
         tensors of the operators that are not multiples of I, and c their
         coefficients.  c takes x or a (..., n) stack, with bits that do not
-        depend on its size."""
+        depend on its size, and each call returns fresh arrays."""
+        return (lambda x: self._kept(self._work(self._to_e(x, None)))), self._table()
+
+    def _stage_grid(self) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """``grid`` for one run's master stage, with its bits: c takes one
+        state and lives in a workspace of this call's own, which its next
+        call overwrites."""
+        e = np.empty(self._expect.shape[1])
+        ws, to_e, kept = self._work(e), self._to_e, self._kept
+
+        def coeff(x: np.ndarray) -> np.ndarray:
+            to_e(x, e)
+            return kept(ws)
+        return coeff, self._table()
+
+    def _table(self) -> np.ndarray:
         grid = self._grid
         kept = bases._contract(self.ops[self._keep].reshape(-1, 4, 4), grid.expect).real
-        table = kept @ grid.anticommutator.reshape(len(grid.half), -1)
-        if self._to_e is None:
-            return self._kept, table
-        to_e, coeff = self._to_e, self._kept
-        return (lambda x: coeff(to_e(x))), table
+        return kept @ grid.anticommutator.reshape(len(grid.half), -1)
 
-    def _kept(self, e: np.ndarray) -> np.ndarray:
+    def _kept(self, ws: Workspace) -> np.ndarray:
         """Theta's coefficients over the operators that are not multiples of I
-        from the expectations e (..., n): corr-suppress's covariances of the
-        pairs, or ``coefficients`` less the one of G_00 or P_0 = I."""
+        from ``ws``'s expectations: corr-suppress's covariances of the pairs,
+        or ``coefficients`` less the one of G_00 or P_0 = I."""
         if self._s is not None:
-            return _covariances(e)[0]
-        c = self.coefficients(e)
-        return c[self._keep] if c.ndim == 1 else c[..., self._keep]
+            return _covariances(ws)
+        self._formula(ws)
+        return ws.kept
 
     def drift(self, psi_block: np.ndarray) -> np.ndarray:
         """The real (K + 1, N) weights of the drift <Theta> psi - Theta psi of
@@ -382,14 +465,28 @@ class ThetaEngine:
         sum_k c_k <O_k>, read from one contraction of the stack of |psi><psi|.
         Thermalization's c is 1: the floored log of |psi><psi| annihilates psi
         and has zero expectation in it, so only gamma_h beta H drifts a pure
-        state (the log path agrees to about 1e-14 max(gamma_h, 1))."""
-        n, cols = len(self._drift_expect) - len(self.drift_ops), psi_block.shape[1]
+        state (the log path agrees to about 1e-14 max(gamma_h, 1)).  The
+        contraction and Theta's intermediates live in one workspace for the
+        block's width, which the next call of that width refills; the
+        weights are a fresh array."""
+        cols = psi_block.shape[1]
+        if self._drift_work is None or self._drift_work.rows.shape[1] != cols:
+            self._drift_work = self._drift_workspace(cols)
+        ws = self._drift_work
         rho = (psi_block[:, None] * psi_block.conj()[None]).reshape(-1, cols)
-        e = np.dot(self._drift_expect, rho).real  # e and <O_k>, one row each
+        np.dot(self._drift_expect, rho, ws.rows)  # e and <O_k>, one row each
         w = np.empty((len(self.drift_ops) + 1, cols))
-        w[:-1] = 1.0 if self.spec.family is ThetaFamily.THERMALIZATION else self._kept(e[:n].T).T
-        np.vecdot(w[:-1], e[n:], axis=0, out=w[-1])
+        w[:-1] = 1.0 if ws.theta is None else self._kept(ws.theta).T
+        np.vecdot(w[:-1], ws.expectations, axis=0, out=w[-1])
         return w
+
+    def _drift_workspace(self, cols: int) -> Workspace:
+        """``drift``'s contraction rows (e, then each <O_k>) for ``cols``
+        states and Theta's workspace on e (None when c reads no e)."""
+        n = len(self._drift_expect) - len(self.drift_ops)
+        rows = np.empty((len(self._drift_expect), cols), complex)
+        return Workspace(rows=rows, theta=self._work(rows.real[:n].T) if n else None,
+                         expectations=rows.real[n:])
 
 
 def build_theta(

@@ -24,11 +24,14 @@ the one place in the package that touches a private numpy name.  One
 eigensystem's V diag(log w) V^dag goes through ``np.dot``, as every
 one-state product of the hot paths does: the BLAS call of ``@`` with its
 bits, without matmul's gufunc dispatch (0.78 against 1.12 us for a 4x4 real
-product, one BLAS thread); a stack keeps ``@``.
+product, one BLAS thread); a stack keeps ``@``.  ``eigh``, ``floored_log`` and
+``eig_log`` write into arrays the caller gives (``eig_workspace``), so that one
+master run's stages reuse one set; without them each call allocates.
 """
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +119,30 @@ class QuantumState:
         return np.outer(self.psi, self.psi.conj())
 
 
-def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Workspace(types.SimpleNamespace):
+    """The arrays of a kernel, and the views of them it reads, by name.  One
+    master run's stage builds one for its one state and refills it at every
+    call (``ThetaEngine.drift`` keeps one per block width); any other call
+    on a stack builds a fresh one, so a stack allocates."""
+
+
+def eig_workspace(v: np.ndarray) -> dict[str, np.ndarray]:
+    """``eig_log``'s arrays for the eigenvectors v (..., m, m) that ``eigh``
+    writes: the floored log lw (and lw as a row), V diag(lw), V's conjugate
+    vh (a real V is its own) with the transpose the product reads, and the
+    log itself."""
+    lw = np.empty(v.shape[:-1])
+    vh = v if v.dtype.kind == "f" else np.empty_like(v)
+    return dict(lw=lw, lw_row=lw[..., None, :], vl=np.empty_like(v), vh=vh, vh_t=vh.mT,
+                log=np.empty_like(v))
+
+
+def eigh(a: np.ndarray, out: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) of each real-symmetric or complex-Hermitian matrix of a
-    float64/complex128 (..., m, m) stack, read from its lower triangle: the
-    bits of ``np.linalg.eigh(a)`` from the same LAPACK gufunc, without the
-    wrapper's checks and ``errstate`` context.  A failed decomposition comes
+    float64/complex128 (..., m, m) stack, read from its lower triangle, into
+    ``out`` = (w, v) if given: the bits of ``np.linalg.eigh(a)`` from the
+    same LAPACK gufunc, without the wrapper's checks and ``errstate``
+    context.  A failed decomposition comes
     back NaN, so when some matrix's largest eigenvalue is NaN this calls the
     wrapper, which raises LinAlgError where LAPACK failed and returns the
     NaN where it did not (the complex gufunc decomposes NaN and inf input
@@ -128,8 +150,10 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     does.  The gufunc's floating-point flags follow the caller's
     ``np.errstate``: a NaN or inf input sets ``invalid``, and an inf input
     also ``divide``.  The integrators ignore both, as the wrapper does; under
-    the default errstate numpy warns before the LinAlgError."""
-    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    the default errstate numpy warns before the LinAlgError.  The wrapper's
+    (w, v) are fresh arrays, not ``out``."""
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd",
+                                 out=out)
     # a NaN top eigenvalue of any matrix; item() spares one matrix's stages
     # the reduction's microsecond
     top = w.item(-1) if w.ndim == 1 else w[..., -1].sum()
@@ -138,26 +162,34 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def floored_log(w: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
+def floored_log(w: np.ndarray, floor: float = DEFAULT_LOG_FLOOR,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Log of the ascending eigenvalues (..., k) of each matrix, as ``eigh``
     returns them, clamped at ``floor`` times that matrix's largest eigenvalue
-    (at ``floor`` itself when none is positive; a NaN cut stays NaN).  Every
-    floor-clamped log of the package goes through here.  One matrix's cut
-    is a Python float, with no masked store: the master equation's stages
-    take one matrix each."""
+    (at ``floor`` itself when none is positive; a NaN cut stays NaN), into
+    ``out`` if given.  Every floor-clamped log of the package goes through
+    here.  One matrix's cut is a Python float, with no masked store: the
+    master equation's stages take one matrix each."""
     if w.ndim == 1:
         cut = floor * w.item(-1)
-        return np.log(np.maximum(w, floor if cut <= 0.0 else cut))
+        return np.log(np.maximum(w, floor if cut <= 0.0 else cut, out=out), out)
     cut = floor * w[..., -1:]
     cut[cut <= 0.0] = floor
-    return np.log(np.maximum(w, cut))
+    return np.log(np.maximum(w, cut, out=out), out)
 
 
-def eig_log(w: np.ndarray, v: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
+def eig_log(w: np.ndarray, v: np.ndarray, floor: float = DEFAULT_LOG_FLOOR,
+            ws: Workspace | None = None) -> np.ndarray:
     """V diag(floored_log(w)) V^dag for each eigensystem (w, v) of a stack, as
-    returned by ``eigh``; one eigensystem's product goes through ``np.dot``."""
-    mm = np.dot if w.ndim == 1 else np.matmul
-    return mm(v * floored_log(w, floor)[..., None, :], v.mT.conj())
+    returned by ``eigh``, in the arrays of ``ws`` (``eig_workspace``; None:
+    fresh ones); one eigensystem's product goes through ``np.dot``.  V^dag is
+    the transpose of V's conjugate, with the strides of ``v.mT.conj()``."""
+    ws = Workspace(**eig_workspace(v)) if ws is None else ws
+    floored_log(w, floor, ws.lw)
+    np.multiply(v, ws.lw_row, ws.vl)
+    if ws.vh is not v:  # complex, or a v that eigh's fallback returned
+        np.conjugate(v, ws.vh)
+    return (np.dot if w.ndim == 1 else np.matmul)(ws.vl, ws.vh_t, ws.log)
 
 
 def expectation(state: QuantumState | np.ndarray, obs: np.ndarray) -> float:

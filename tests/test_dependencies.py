@@ -92,14 +92,60 @@ def _function(module: str, qualname: str) -> ast.AST:
     return next(n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-@pytest.mark.parametrize("module, qualname", [("dynamics.py", "_mme_stage"),
-                                              ("dynamics.py", "_sle_block_step"),
-                                              ("entangle.py", "ThetaEngine.coefficients")])
+#: Every function a master stage of one state runs (``dynamics._mme_stage``
+#: and the coefficients of ``ThetaEngine._stage_grid``), with each family's
+#: map to e, workspace and formula, and the stochastic block step and drift.
+HOT_PATH = [
+    ("dynamics.py", "_mme_stage"),
+    ("dynamics.py", "_sle_block_step"),
+    ("entangle.py", "_covariance_workspace"),
+    ("entangle.py", "_covariances"),
+    ("entangle.py", "ThetaEngine.coefficients"),
+    ("entangle.py", "ThetaEngine._states"),
+    ("entangle.py", "ThetaEngine._pair_expectations"),
+    ("entangle.py", "ThetaEngine._entries"),
+    ("entangle.py", "ThetaEngine._covariance_coefficients"),
+    ("entangle.py", "ThetaEngine._thermal_workspace"),
+    ("entangle.py", "ThetaEngine._thermal_coefficients"),
+    ("entangle.py", "ThetaEngine._reduced_log_workspace"),
+    ("entangle.py", "ThetaEngine._reduced_log_coefficients"),
+    ("entangle.py", "ThetaEngine._bloch_workspace"),
+    ("entangle.py", "ThetaEngine._bloch_coefficients"),
+    ("entangle.py", "ThetaEngine._stage_grid"),
+    ("entangle.py", "ThetaEngine._kept"),
+    ("entangle.py", "ThetaEngine.drift"),
+    ("entangle.py", "ThetaEngine._drift_workspace"),
+    ("bases.py", "_contract"),
+    ("bases.py", "reduced_state_a"),
+    ("qcore.py", "eig_workspace"),
+    ("qcore.py", "eigh"),
+    ("qcore.py", "floored_log"),
+    ("qcore.py", "eig_log"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", HOT_PATH)
 def test_hot_path_products_skip_matmul_dispatch(module, qualname):
     # these kernels' one-state (or always 2-D) products go through np.dot: the
     # BLAS call of @ with its bits, without matmul's gufunc dispatch, which
     # costs about 0.3 us a product at these sizes; a stack takes np.matmul
     assert _matmuls(_function(module, qualname)) == [], (module, qualname)
+
+
+def test_hot_path_lists_every_workspace_function():
+    # a function that takes or builds a qcore.Workspace runs on a one-state
+    # stage, so the guard above must cover it
+    found = []
+    for path in sorted(Path(disentsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [("", tree.body)] + [(f"{n.name}.", n.body) for n in tree.body
+                                       if isinstance(n, ast.ClassDef)]
+        for owner, body in scopes:
+            for fn in (n for n in body if isinstance(n, ast.FunctionDef)):
+                notes = [a.annotation for a in fn.args.args] + [fn.returns]
+                if any(n is not None and "Workspace" in ast.unparse(n) for n in notes):
+                    found.append((path.name, owner + fn.name))
+    assert len(found) > 10 and set(found) <= set(HOT_PATH), sorted(set(found) - set(HOT_PATH))
 
 
 def test_matmul_guard_sees_every_form():

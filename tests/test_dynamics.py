@@ -137,7 +137,8 @@ def stage_matrix(rho, h, theta=None, damping=None):
     the grid's anticommutator table, mapped back to a matrix."""
     grid, lr = grid_liouvillian(h, damping)
     c = None if theta is None else _bloch(theta)
-    out = _mme_stage(lr, _bloch(rho), c, grid.anticommutator.reshape(16, -1))
+    coeff = None if c is None else (lambda _: c)
+    out = _mme_stage(lr, coeff, grid.anticommutator.reshape(16, -1))(_bloch(rho))
     return (out @ grid.half).reshape(4, 4)
 
 
@@ -685,7 +686,7 @@ def test_integrator_stage_matches_mme_rhs(family, rng):
     for _ in range(3):
         rho = qcore.random_density_matrix(4, rng)
         x = _bloch(rho)
-        stage = (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
+        stage = (_mme_stage(lr, coeff, table)(x) @ grid.half).reshape(4, 4)
         if family is ThetaFamily.THERMALIZATION:
             tm = literal_theta(family, rho, h, spec.gamma_h, spec.beta)
         else:
@@ -1019,11 +1020,11 @@ def test_master_stage_drops_exactly_the_multiples_of_identity(family, rng):
     for _ in range(3):
         rho = qcore.random_density_matrix(4, rng)
         x = _bloch(rho)
-        stage = _mme_stage(lr, x, coeff(x), table)
+        stage = _mme_stage(lr, coeff, table)(x)
         c = _bloch(engine.matrix(rho))
-        assert np.abs(_mme_stage(lr, x, c, full) - stage).max() <= 1e-13
+        assert np.abs(_mme_stage(lr, lambda _: c, full)(x) - stage).max() <= 1e-13
         for a in (-2.5, 0.3, 40.0):
-            shifted = _mme_stage(lr, x, c + a * b_identity, full)
+            shifted = _mme_stage(lr, lambda _: c + a * b_identity, full)(x)
             assert np.abs(shifted - stage).max() <= 1e-13, a
 
 

@@ -273,7 +273,7 @@ def _thermalization_stage(rho, h, beta):
     coeff, table = ThetaEngine(spec, h=h).grid()
     grid, lr = grid_liouvillian(h, None)
     x = bases.bloch_matrix_from_rho(rho).reshape(-1)
-    return (_mme_stage(lr, x, coeff(x), table) @ grid.half).reshape(4, 4)
+    return (_mme_stage(lr, coeff, table)(x) @ grid.half).reshape(4, 4)
 
 
 def test_thermalization_gibbs_inert():

@@ -1,8 +1,10 @@
 """The one-state products of the hot paths go through ``np.dot``, which reaches
 the BLAS call of ``@`` without matmul's gufunc dispatch.  Each test here checks
 that the ``np.dot`` form gives the bits of the ``@`` form on the shapes the
-integrators run, and the last one runs ``integrate_master`` against its RK4
-loop written with ``@``."""
+integrators run, and ``integrate_master`` runs against its RK4 loop written
+with ``@``.  One run's stage keeps its intermediates in arrays of its own: the
+last tests check that two runs' stages share none, and that one state's
+coefficients are the bits of the stack path."""
 
 import math
 
@@ -48,6 +50,12 @@ def _states(rng, n: int) -> np.ndarray:
     psi = np.kron(qcore.random_pure_state(2, rng), qcore.random_pure_state(2, rng))
     rhos[0] = np.outer(psi, psi.conj())  # singular G and alpha: the floor clamps
     return bases.bloch_matrix_from_rho(rhos).reshape(n, 16)
+
+
+def _matmul_covariances(e):
+    """corr-suppress's covariances <l_a l_b> - <l_a><l_b> of e = x S, as the
+    engine wrote them with fresh arrays."""
+    return e[..., 6:] - (e[..., :3, None] * e[..., None, 3:6]).reshape(e.shape[:-1] + (9,))
 
 
 def _matmul_eig_log(w, v, floor=qcore.DEFAULT_LOG_FLOOR):
@@ -130,7 +138,7 @@ def test_stochastic_products_keep_the_bits_of_matmul(n):
     weights = engine.drift(psi)
     e = (engine._drift_expect @ rho).real
     want = np.empty_like(weights)
-    want[:-1] = entangle._covariances(e[:engine._expect.shape[1]].T)[0].T
+    want[:-1] = _matmul_covariances(e[:engine._expect.shape[1]].T).T
     np.vecdot(want[:-1], e[engine._expect.shape[1]:], axis=0, out=want[-1])
     assert weights.tobytes() == want.tobytes()
 
@@ -144,13 +152,35 @@ def test_stochastic_products_keep_the_bits_of_matmul(n):
     assert nrm2.tobytes() == want_nrm2.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 33])
+def test_thermalization_drift_contracts_the_one_row_it_reads(n):
+    # thermalization's drift weights are 1 and <gamma_h beta H>: one product
+    # of that operator's row (a gemv) with the stack of |psi><psi|, and no
+    # row of e, which nothing reads
+    rng = np.random.default_rng(n)
+    h = _hamiltonian()
+    spec = _spec(ThetaFamily.THERMALIZATION)
+    engine = ThetaEngine(spec, h=h)
+    assert engine._drift_expect.shape == (1, 16)
+    psi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    psi /= np.linalg.norm(psi, axis=0)
+    rho = (psi[:, None] * psi.conj()[None]).reshape(-1, n)
+    op = spec.gamma_h * spec.beta * h
+    want = np.ones((2, n))
+    want[1] = np.dot(op.conj().reshape(1, 16), rho).real[0]
+    weights = engine.drift(psi)
+    assert weights.tobytes() == want.tobytes()
+    exact = np.einsum("in,ij,jn->n", psi.conj(), op, psi).real
+    assert np.abs(weights[1] - exact).max() <= 1e-14 * np.abs(op).max()
+
+
 def _matmul_coefficients(family: ThetaFamily, engine: ThetaEngine):
     """x -> Theta's grid coefficients over ``drift_ops`` of one state, as the
     engine computed them with ``@``."""
     floor = engine.floor
     if family is ThetaFamily.CORR_SUPPRESS:
         s = entangle._covariance_map()
-        return lambda x: entangle._covariances(x @ s)[0]
+        return lambda x: _matmul_covariances(x @ s)
     if family is ThetaFamily.STATE_MATRIX_DERANK:
         single = bases.spin_grid()
 
@@ -214,10 +244,14 @@ def test_integrate_master_keeps_the_bits_of_its_matmul_loop(family, monkeypatch)
 
     inputs = []
 
-    def stage(lr, x, c, table, out=None):
-        inputs.append(x.copy())
-        return _mme_stage(lr, x, c, table, out)
-    monkeypatch.setattr(dynamics, "_mme_stage", stage)
+    def build(lr, coeff=None, table=None):  # the run's stage, recording its inputs
+        stage = _mme_stage(lr, coeff, table)
+
+        def recorded(x, out=None):
+            inputs.append(x.copy())
+            return stage(x, out)
+        return recorded
+    monkeypatch.setattr(dynamics, "_mme_stage", build)
     rec = integrate_master(QuantumState.mixed(rho0), h, spec, FIG2_DAMPING, cfg)
     assert np.array(inputs).tobytes() == want_inputs.tobytes()
     b = want_x.reshape(1, 4, 4)
@@ -225,3 +259,66 @@ def test_integrate_master_keeps_the_bits_of_its_matmul_loop(family, monkeypatch)
     assert rec.k_a[-1].tobytes() == k_a[0].tobytes()
     assert rec.k_b[-1].tobytes() == k_b[0].tobytes()
     assert rec.purity[-1].tobytes() == (0.5 * (b * b).sum(axis=(-2, -1)))[0].tobytes()
+
+
+def _run_stage(family: ThetaFamily, lr: np.ndarray):
+    """A master run's stage for a family, as ``integrate_master`` builds it."""
+    return _mme_stage(lr, *ThetaEngine(_spec(family), h=_hamiltonian())._stage_grid())
+
+
+def test_stage_callables_share_no_buffers(rng):
+    # each run's stage (and each coefficient callable of one engine) owns its
+    # arrays: called alternately, every callable gives the bytes it gives alone
+    lr = grid_liouvillian(_hamiltonian(), FIG2_DAMPING)[1]
+    lr[0] = 0.0
+    xs = _states(rng, 12)
+    pairs = [(FAMILIES[i], FAMILIES[j]) for i in range(len(FAMILIES))
+             for j in range(len(FAMILIES)) if i != j] + [(f, f) for f in FAMILIES]
+    for first, second in pairs:
+        stages = _run_stage(first, lr), _run_stage(second, lr)
+        alone = [np.array([_run_stage(f, lr)(x) for x in xs]) for f in (first, second)]
+        together = np.empty((2, len(xs), 16))
+        for i, x in enumerate(xs):
+            for stage, out in zip(stages, together[:, i]):
+                stage(x, out)
+        assert together.tobytes() == np.array(alone).tobytes(), (first, second)
+    for family in FAMILIES:
+        engine = ThetaEngine(_spec(family), h=_hamiltonian())
+        coeffs = engine._stage_grid()[0], engine._stage_grid()[0]
+        alone = [coeffs[0](x).copy() for x in xs]
+        for x, want in zip(xs, alone):
+            held = coeffs[0](x)
+            other = coeffs[1](xs[-1] if x is not xs[-1] else xs[0])
+            assert held.tobytes() == want.tobytes(), family
+            assert not np.shares_memory(held, other), family
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_drift_workspace_is_refilled_not_shared(family, rng):
+    # one engine's drift keeps a workspace per block width: blocks of two
+    # widths, called alternately, give the bytes of a fresh engine's call,
+    # and the weights of one call survive the next
+    engine = ThetaEngine(_spec(family), h=_hamiltonian())
+    blocks = []
+    for n in (16, 16, 5, 16, 5):
+        psi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        blocks.append(psi / np.linalg.norm(psi, axis=0))
+    held = [engine.drift(psi) for psi in blocks]
+    for psi, got in zip(blocks, held):
+        assert got.tobytes() == ThetaEngine(_spec(family), h=_hamiltonian()).drift(psi).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_state_stage_coefficients_are_the_stack_bits(family, rng):
+    # the run's one-state coefficients (its workspace) against grid()'s stack
+    # path on x[None] and on the whole stack, bit for bit
+    engine = ThetaEngine(_spec(family), h=_hamiltonian())
+    one, table = engine._stage_grid()
+    coeff, want_table = engine.grid()
+    assert table.tobytes() == want_table.tobytes()
+    xs = _states(rng, 40)
+    stacked = coeff(xs)
+    for x, row in zip(xs, stacked):
+        c = one(x)
+        assert c.tobytes() == coeff(x[None])[0].tobytes() == row.tobytes()
+        assert c.tobytes() == coeff(x).tobytes()
